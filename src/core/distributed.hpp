@@ -33,7 +33,7 @@
 ///    by ghost_h_margin (the density solver's growth allowance) plus the
 ///    skin, and any rank whose post-solve gather radius escapes its
 ///    exported reach triggers a collective re-exchange followed by a
-///    re-solve (exchangeHydroGhosts previously collected the radii before
+///    re-solve (the old single-shot ghost exchange collected the radii before
 ///    the solve grew h, silently under-importing neighbours);
 ///  * between full exchanges, force passes may re-ship fresh *payloads*
 ///    for the unchanged ghost list (refreshGhostValues) — no exportLet
@@ -91,19 +91,6 @@ struct DistributedConfig {
   double ghost_h_margin = 1.3;
   /// Safety bound on the solve -> reach-escaped -> re-exchange loop.
   int max_reach_retries = 4;
-  /// false: re-exchange LET + ghosts before every force pass (the
-  /// exchange-every-pass baseline the bench compares against).
-  bool cache_exchanges = true;
-  /// Ship fresh ghost payloads along the cached export lists when a full
-  /// pass reuses the ghost list (keeps remote cooling/kicks visible between
-  /// full exchanges). Uniform across ranks by construction.
-  bool refresh_ghost_values = true;
-  /// Recompute LET entry *values* (monopoles by direct summation over the
-  /// recorded walk structure, raw entries from live particles) when a full
-  /// pass reuses the cached entry set after local drift — no exportLet walk.
-  /// Closes the "LET imports coast within the skin" gap at
-  /// decompose_interval > 1. Uniform across ranks by construction.
-  bool refresh_let_values = true;
   /// Work-weighted Morton-segment decomposition instead of the equal-count
   /// rectilinear split: segments weighted by the decayed per-particle work
   /// counters, greedy segment->rank assignment, and a cheap maintain() pass

@@ -60,21 +60,6 @@ std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecor
                                           const std::vector<Particle>& particles,
                                           comm::TorusTopology* torus = nullptr);
 
-/// Exchange SPH ghost particles. `particles` is the local population (gas
-/// filtered internally), `local_max_h` this rank's maximum gather support
-/// radius. Returns ghost particles from remote ranks whose kernels may
-/// interact with ours.
-///
-/// NOTE (stale-reach): the reach used here is the one collected *before*
-/// the density solve runs — if the solve then grows some h, the ghost set
-/// silently under-covers the new supports. Step drivers should use
-/// exchangeHydroGhostsCached with a growth margin and re-exchange when the
-/// post-solve gather radius escapes GhostExchange::exported_reach.
-std::vector<Particle> exchangeHydroGhosts(comm::Comm& comm, const DomainDecomposer& dd,
-                                          const std::vector<Particle>& particles,
-                                          double local_max_h,
-                                          comm::TorusTopology* torus = nullptr);
-
 /// Result of a cacheable ghost exchange.
 struct GhostExchange {
   std::vector<Particle> ghosts;  ///< imported, concatenated in source-rank order

@@ -5,10 +5,6 @@
 #include <numbers>
 #include <stdexcept>
 
-#if defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 namespace asura::pikg {
 
 namespace {
@@ -97,9 +93,6 @@ PiecewisePolynomial PiecewisePolynomial::fit(const std::function<double(double)>
     }
   }
 
-  p.coeff_f_.resize(p.coeff_.size());
-  std::transform(p.coeff_.begin(), p.coeff_.end(), p.coeff_f_.begin(),
-                 [](double v) { return static_cast<float>(v); });
   return p;
 }
 
@@ -113,44 +106,6 @@ double PiecewisePolynomial::eval(double x) const {
   double acc = c[n_];
   for (int l = n_ - 1; l >= 0; --l) acc = acc * s + c[l];
   return acc;
-}
-
-void PiecewisePolynomial::evalBatch(const float* xs, float* out, std::size_t n) const {
-  const int nc = n_ + 1;
-  std::size_t i = 0;
-
-#if defined(__AVX2__)
-  // SIMD table lookup: one gather per polynomial order (§3.5 — "PIKG
-  // utilizes a table lookup function, which enables SIMD registers to
-  // accommodate table coefficients").
-  const __m256 v_lo = _mm256_set1_ps(static_cast<float>(lo_));
-  const __m256 v_invd = _mm256_set1_ps(static_cast<float>(inv_d_));
-  const __m256 v_d = _mm256_set1_ps(static_cast<float>(d_));
-  const __m256i v_mmax = _mm256_set1_epi32(m_ - 1);
-  const __m256i v_nc = _mm256_set1_epi32(nc);
-  for (; i + 8 <= n; i += 8) {
-    __m256 x = _mm256_loadu_ps(xs + i);
-    // clamp into domain
-    x = _mm256_max_ps(x, v_lo);
-    __m256 rel = _mm256_mul_ps(_mm256_sub_ps(x, v_lo), v_invd);
-    __m256i k = _mm256_cvttps_epi32(rel);
-    k = _mm256_min_epi32(_mm256_max_epi32(k, _mm256_setzero_si256()), v_mmax);
-    const __m256 kf = _mm256_cvtepi32_ps(k);
-    const __m256 s = _mm256_sub_ps(rel, kf);
-    (void)v_d;
-    const __m256i base = _mm256_mullo_epi32(k, v_nc);
-    __m256 acc = _mm256_i32gather_ps(coeff_f_.data(),
-                                     _mm256_add_epi32(base, _mm256_set1_epi32(n_)), 4);
-    for (int l = n_ - 1; l >= 0; --l) {
-      const __m256 cl = _mm256_i32gather_ps(coeff_f_.data(),
-                                            _mm256_add_epi32(base, _mm256_set1_epi32(l)), 4);
-      acc = _mm256_fmadd_ps(acc, s, cl);
-    }
-    _mm256_storeu_ps(out + i, acc);
-  }
-#endif
-
-  for (; i < n; ++i) out[i] = static_cast<float>(eval(static_cast<double>(xs[i])));
 }
 
 double PiecewisePolynomial::maxError(const std::function<double(double)>& f,

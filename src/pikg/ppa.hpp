@@ -12,7 +12,8 @@
 /// factor of the true minimax error) and stored in the monomial basis of the
 /// normalized local coordinate s = (x - a_k)/d, so that evaluation is a
 /// subdomain lookup plus a Horner chain — the shape that SIMD table-lookup
-/// (ARM SVE / AVX-512, §3.5) accelerates. An AVX2 gather path is provided.
+/// (ARM SVE / AVX-512, §3.5) accelerates. The generated kernels' `table` op
+/// (pikg/dsl.hpp) carries the SIMD gather path.
 
 #include <cstddef>
 #include <functional>
@@ -29,10 +30,6 @@ class PiecewisePolynomial {
   /// Evaluate at x (clamped to the fitted domain).
   [[nodiscard]] double eval(double x) const;
 
-  /// Vectorized evaluation (uses AVX2 gathers when compiled in; otherwise a
-  /// scalar loop). `out` and `xs` may alias.
-  void evalBatch(const float* xs, float* out, std::size_t n) const;
-
   /// Max |f - approx| over a dense scan of `samples` points.
   [[nodiscard]] double maxError(const std::function<double(double)>& f,
                                 int samples = 10000) const;
@@ -42,19 +39,16 @@ class PiecewisePolynomial {
   [[nodiscard]] double lo() const { return lo_; }
   [[nodiscard]] double hi() const { return hi_; }
 
-  /// Coefficient table, row k = subdomain k, column l = s^l coefficient.
-  [[nodiscard]] const std::vector<float>& table() const { return coeff_f_; }
-
-  /// Double-precision coefficient table (same layout). The PIKG code
-  /// generator embeds this into the generated f64 kernels' table parameters.
+  /// Coefficient table, row k = subdomain k, column l = s^l coefficient. The
+  /// PIKG code generator embeds this into the generated f64 kernels' table
+  /// parameters.
   [[nodiscard]] const std::vector<double>& tableF64() const { return coeff_; }
 
  private:
   int m_ = 0;
   int n_ = 0;
   double lo_ = 0.0, hi_ = 1.0, d_ = 1.0, inv_d_ = 1.0;
-  std::vector<double> coeff_;    ///< m * (n+1), double precision
-  std::vector<float> coeff_f_;   ///< same, single precision (SIMD table)
+  std::vector<double> coeff_;  ///< m * (n+1)
 };
 
 }  // namespace asura::pikg

@@ -440,7 +440,9 @@ TEST(Let, HydroGhostsContainAllKernelOverlaps) {
 
     double max_h = 0.0;
     for (const auto& p : mine) max_h = std::max(max_h, p.h);
-    const auto ghosts = asura::fdps::exchangeHydroGhosts(comm, dd, mine, max_h);
+    const auto ghosts =
+        asura::fdps::exchangeHydroGhostsCached(comm, dd, mine, mine.size(), max_h, 1.0, 0.0)
+            .ghosts;
 
     // Check against a global gather: every remote particle within max(h_i,
     // h_j) of our domain must be in the ghost list.

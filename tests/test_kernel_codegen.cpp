@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/simulation.hpp"
@@ -71,6 +72,12 @@ TEST(KernelRegistry, ScalarBackendAlwaysPresent) {
 TEST(KernelCodegen, RegenerationIsByteIdentical) {
   const auto a = asura::pikg::generateProductionFiles();
   const auto b = asura::pikg::generateProductionFiles();
+  // Exactly the shared header and one TU per ISA (the build's generated set).
+  std::vector<std::string> names;
+  for (const auto& f : a) names.push_back(f.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"pikg_kernels.hpp", "pikg_kernels_scalar.cpp",
+                                             "pikg_kernels_avx2.cpp",
+                                             "pikg_kernels_avx512.cpp"}));
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].name, b[i].name);
