@@ -91,7 +91,7 @@ void BM_WriteCheckpointSerial(benchmark::State& state) {
   for (auto _ : state) {
     asura::io::writeCheckpoint(path, sim);
   }
-  const auto info = asura::io::readCheckpointInfo(path);
+  const auto info = asura::io::inspectCheckpoint(path).info;
   state.SetBytesProcessed(static_cast<std::int64_t>(info.payload_bytes) *
                           static_cast<std::int64_t>(state.iterations()));
   std::remove(path.c_str());
@@ -110,7 +110,7 @@ void BM_RestoreCheckpointSerial(benchmark::State& state) {
   for (auto _ : state) {
     asura::io::restoreCheckpoint(path, sim);
   }
-  const auto info = asura::io::readCheckpointInfo(path);
+  const auto info = asura::io::inspectCheckpoint(path).info;
   state.SetBytesProcessed(static_cast<std::int64_t>(info.payload_bytes) *
                           static_cast<std::int64_t>(state.iterations()));
   std::remove(path.c_str());

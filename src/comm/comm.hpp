@@ -290,7 +290,8 @@ class Comm {
     Buffer b = recvBytes(src, tag);
     if (b.size() % sizeof(T) != 0) throw std::runtime_error("recv: size mismatch");
     std::vector<T> v(b.size() / sizeof(T));
-    std::memcpy(v.data(), b.data(), b.size());
+    // An empty message has null data pointers, which memcpy may not receive.
+    if (!b.empty()) std::memcpy(v.data(), b.data(), b.size());
     return v;
   }
 

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "fdps/box.hpp"
+#include "io/particle_codec.hpp"
 
 namespace asura::core {
 
@@ -25,22 +26,19 @@ static_assert(std::is_trivially_copyable_v<EvCapture>);
 static_assert(std::is_trivially_copyable_v<stellar::SnEvent>,
               "SN events must be shippable through the comm layer");
 
+/// The domain grid: `ranks` factored into near-cubes.
+fdps::DomainDecomposer factoredGrid(int ranks) {
+  int px = 0, py = 0, pz = 0;
+  comm::factor3(ranks, px, py, pz);
+  return {px, py, pz};
+}
+
 }  // namespace
 
 DistributedEngine::DistributedEngine(comm::Comm& comm, DistributedConfig cfg)
-    : comm_(comm),
-      cfg_([&] {
-        if (cfg.px <= 0 || cfg.py <= 0 || cfg.pz <= 0) {
-          comm::factor3(comm.size(), cfg.px, cfg.py, cfg.pz);
-        }
-        return cfg;
-      }()),
-      dd_(cfg_.px, cfg_.py, cfg_.pz) {
-  if (cfg_.px * cfg_.py * cfg_.pz != comm_.size()) {
-    throw std::invalid_argument("DistributedEngine: px*py*pz != comm size");
-  }
+    : comm_(comm), cfg_(cfg), dd_(factoredGrid(comm.size())) {
   if (cfg_.use_torus) {
-    torus_ = std::make_unique<comm::TorusTopology>(comm_, cfg_.px, cfg_.py, cfg_.pz);
+    torus_ = std::make_unique<comm::TorusTopology>(comm_, dd_.px(), dd_.py(), dd_.pz());
   }
 }
 
@@ -79,9 +77,9 @@ void DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
   if (!dd_.ready() ||
       (cfg_.decompose_interval > 0 && step % cfg_.decompose_interval == 0)) {
     if (cfg_.weighted_decomposition) {
-      dd_.decomposeWeighted(comm_, parts, rng, cfg_.sample_cap, cfg_.oversub);
+      dd_.decomposeWeighted(comm_, parts, rng);
     } else {
-      dd_.decompose(comm_, parts, rng, cfg_.sample_cap);
+      dd_.decompose(comm_, parts, rng);
     }
     decomposed = true;
     ++stats_.decompositions;
@@ -385,19 +383,40 @@ void DistributedEngine::directFeedback(std::vector<Particle>& parts,
   }
 }
 
-DistributedEngine::EngineState DistributedEngine::saveState() const {
-  if (attached_) throw std::logic_error("saveState: detach ghosts first");
-  return {dd_.saveCuts(), ghost_cache_, drift_accum_, dirty_local_, let_record_,
-          let_drift_};
+template <class Io, class Engine>
+void DistributedEngine::stateFields(Io& io, Engine& e, fdps::StepContext& ctx,
+                                    bool& let_valid, bool& ghosts_valid,
+                                    fdps::DomainDecomposer::Cuts& cuts) {
+  io(ctx.letImports(), ctx.ghostImports(), let_valid, ghosts_valid, cuts.x, cuts.y, cuts.z,
+     e.ghost_cache_, e.drift_accum_, e.dirty_local_, cuts.weighted, cuts.cube, cuts.seg_keys,
+     cuts.seg_rank, cuts.seg_weight, e.let_record_, e.let_drift_);
 }
 
-void DistributedEngine::restoreState(EngineState s) {
-  dd_.restoreCuts(std::move(s.cuts));
-  ghost_cache_ = std::move(s.ghost_cache);
-  drift_accum_ = s.drift_accum;
-  dirty_local_ = s.dirty_local;
-  let_record_ = std::move(s.let_record);
-  let_drift_ = s.let_drift;
+void DistributedEngine::serializeState(io::ByteWriter& w, fdps::StepContext& ctx) const {
+  if (attached_) throw std::logic_error("serializeState: detach ghosts first");
+  bool let_valid = ctx.letValid();
+  bool ghosts_valid = ctx.ghostsValid();
+  auto cuts = dd_.saveCuts();
+  stateFields(w, *this, ctx, let_valid, ghosts_valid, cuts);
+}
+
+void DistributedEngine::restoreState(io::ByteReader& r, fdps::StepContext& ctx) {
+  bool let_valid = false;
+  bool ghosts_valid = false;
+  fdps::DomainDecomposer::Cuts cuts;
+  stateFields(r, *this, ctx, let_valid, ghosts_valid, cuts);
+  // refreshGhostValues indexes both lists by rank; only an engine that has
+  // never exchanged holds neither.
+  const auto ranks = static_cast<std::size_t>(comm_.size());
+  const bool never_exchanged = !ghosts_valid && ghost_cache_.export_idx.empty() &&
+                               ghost_cache_.import_counts.empty();
+  if (!never_exchanged && (ghost_cache_.export_idx.size() != ranks ||
+                           ghost_cache_.import_counts.size() != ranks)) {
+    throw std::runtime_error(
+        "checkpoint: ghost cache export_idx/import_counts length != comm size");
+  }
+  dd_.restoreCuts(std::move(cuts));
+  ctx.restoreExchangeCache(let_valid, ghosts_valid);
   attached_ = false;
   stats_ = ExchangeStats{};
 }

@@ -65,6 +65,7 @@
 #include "fdps/particle.hpp"
 #include "fdps/tree.hpp"
 #include "gravity/gravity.hpp"
+#include "io/serialize.hpp"
 #include "sph/sph.hpp"
 #include "stellar/stellar.hpp"
 #include "util/rng.hpp"
@@ -73,24 +74,22 @@ namespace asura::core {
 
 using fdps::Particle;
 
+/// The domain grid is always comm.size() factored into near-cubes
+/// (comm::factor3); the decomposition sample budget and the weighted mode's
+/// segments per rank are fdps::DomainDecomposer constants.
 struct DistributedConfig {
-  /// Domain grid; 0 means factor comm.size() into near-cubes (comm::factor3).
-  int px = 0, py = 0, pz = 0;
   /// Route the all-to-alls through the 3-phase 3D-torus algorithm (§3.4).
   bool use_torus = false;
   /// Steps between re-decompositions (1 = every step, the paper's cadence).
   /// Owned-particle migration still runs every step; the exchange cache
   /// survives a step boundary only when neither fired.
   int decompose_interval = 1;
-  int sample_cap = 4096;  ///< decomposition sample budget per rank
   /// Drift budget [pc] of the LET/ghost cache: both sides of an exchange may
   /// accumulate skin/2 of displacement before a collective re-exchange.
   double skin = 0.5;
   /// Density-solver growth allowance on every exported reach (stale-reach
   /// fix); 1.0 reproduces the pre-fix export radii.
   double ghost_h_margin = 1.3;
-  /// Safety bound on the solve -> reach-escaped -> re-exchange loop.
-  int max_reach_retries = 4;
   /// Work-weighted Morton-segment decomposition instead of the equal-count
   /// rectilinear split: segments weighted by the decayed per-particle work
   /// counters, greedy segment->rank assignment, and a cheap maintain() pass
@@ -98,8 +97,6 @@ struct DistributedConfig {
   /// maintain() is the only rebalancer after the initial decomposition and
   /// the exchange cache survives quiet step boundaries.
   bool weighted_decomposition = false;
-  /// Segments per rank (over-decomposition factor) of the weighted mode.
-  int oversub = 12;
   /// maintain() re-runs the greedy assignment only when the per-rank
   /// segment-weight imbalance max/mean exceeds this.
   double imbalance_threshold = 1.15;
@@ -110,10 +107,10 @@ struct ExchangeStats {
   int migrated = 0;          ///< locals that changed owner this step (global)
   int decompositions = 0;    ///< 1 when the domain grid was recut this step
   int reach_retries = 0;     ///< density re-solves forced by reach escapes
-  /// Passes that exhausted max_reach_retries with some rank's reach STILL
+  /// Passes that exhausted kMaxReachRetries with some rank's reach STILL
   /// escaped: densities near boundaries were computed on a truncated
-  /// neighbour set. Nonzero means ghost_h_margin / max_reach_retries need
-  /// raising for this scenario.
+  /// neighbour set. Nonzero means ghost_h_margin needs raising for this
+  /// scenario.
   int reach_giveups = 0;
   /// Incremental maintain() reassignments this step (weighted mode only).
   int rebalances = 0;
@@ -124,6 +121,9 @@ struct ExchangeStats {
 
 class DistributedEngine {
  public:
+  /// Safety bound on the solve -> reach-escaped -> re-exchange loop.
+  static constexpr int kMaxReachRetries = 4;
+
   /// Collective: splits the torus communicators when use_torus is set.
   DistributedEngine(comm::Comm& comm, DistributedConfig cfg);
 
@@ -228,28 +228,29 @@ class DistributedEngine {
 
   // --- checkpoint support ---------------------------------------------------
 
-  /// Everything a restarted engine needs to behave bitwise like the original:
-  /// the domain cuts (re-decomposing would consume rng and reshuffle owners),
-  /// the live ghost-export lists/reach, and the cache-invalidation inputs
-  /// (accumulated drift, the local dirty flag). Call with ghosts detached;
-  /// restoreState leaves them detached. stats_ is per-step scratch and the
-  /// export tree is rebuilt on the next full exchange — neither is state.
-  struct EngineState {
-    fdps::DomainDecomposer::Cuts cuts;
-    fdps::GhostExchange ghost_cache;
-    double drift_accum = 0.0;
-    bool dirty_local = false;
-    /// Walk provenance of the live LET entry set plus the drift accumulated
-    /// since its values were last synced — without these a restored run
-    /// would skip (or differently compute) the payload-style LET refresh
-    /// and diverge from the continuous run.
-    fdps::LetExportRecord let_record;
-    double let_drift = 0.0;
-  };
-  [[nodiscard]] EngineState saveState() const;
-  void restoreState(EngineState s);
+  /// The engine block of a rank's checkpoint payload: everything a restarted
+  /// engine needs to behave bitwise like the original — the rank's exchange
+  /// cache in `ctx` (LET imports, coasted ghosts, validity flags), the domain
+  /// cuts or segment map (re-decomposing would consume rng and reshuffle
+  /// owners), the live ghost-export lists/reach, the LET export record, and
+  /// the cache-invalidation inputs (accumulated drifts, the local dirty
+  /// flag). stats_ is per-step scratch and the export tree is rebuilt on the
+  /// next full exchange — neither is state. Call with ghosts detached;
+  /// restoreState leaves them detached. Both directions share one field
+  /// list (stateFields), so the reader cannot disagree with the writer.
+  void serializeState(io::ByteWriter& w, fdps::StepContext& ctx) const;
+  /// Throws std::runtime_error naming the field when the block breaks an
+  /// invariant the next step would index by: the domain map (see
+  /// DomainDecomposer::Cuts) or a ghost-export cache whose per-rank lists
+  /// are not comm().size() long. A throw leaves the engine unusable until
+  /// a restore succeeds.
+  void restoreState(io::ByteReader& r, fdps::StepContext& ctx);
 
  private:
+  template <class Io, class Engine>
+  static void stateFields(Io& io, Engine& e, fdps::StepContext& ctx, bool& let_valid,
+                          bool& ghosts_valid, fdps::DomainDecomposer::Cuts& cuts);
+
   void fullExchange(std::vector<Particle>& parts, std::size_t& n_local,
                     fdps::StepContext& ctx, const gravity::GravityParams& grav);
   void attachGhosts(std::vector<Particle>& parts, std::size_t& n_local,

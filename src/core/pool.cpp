@@ -124,9 +124,7 @@ std::vector<PoolNodeScheduler::PendingResult> PoolNodeScheduler::snapshotResults
   std::vector<PendingResult> out;
   out.reserve(results_.size());
   // results_ is ordered by the unique (release_step, job_id) key — already
-  // canonical, no content-derived sort. Entries restored from a v1
-  // checkpoint all carry the job_id 0 sentinel; the multimap keeps those in
-  // insertion order, which is the (stable) order the checkpoint listed them.
+  // canonical, no content-derived sort.
   for (const auto& [key, region] : results_) {
     out.push_back({key.first, key.second, region});
   }
@@ -140,7 +138,7 @@ void PoolNodeScheduler::restoreResults(std::vector<PendingResult> results,
   for (auto& r : results) {
     results_.emplace(std::make_pair(r.release_step, r.job_id), std::move(r.region));
   }
-  if (next_job_id != 0) next_job_id_ = next_job_id;
+  next_job_id_ = next_job_id;
 }
 
 std::vector<std::vector<Particle>> PoolNodeScheduler::runBatch(

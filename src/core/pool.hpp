@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "core/surrogate.hpp"
+#include "io/serialize.hpp"
 
 namespace asura::core {
 
@@ -126,8 +127,6 @@ class PoolNodeScheduler {
   /// A prediction waiting for its release step. `job_id` is the scheduler's
   /// monotone submission id — it makes the (release_step, job_id) key unique
   /// so checkpoint ordering never falls back to a content-derived tie-break.
-  /// Snapshots written before job ids were serialized restore with the 0
-  /// sentinel (see restoreResults).
   struct PendingResult {
     long release_step = 0;
     std::uint64_t job_id = 0;
@@ -146,12 +145,10 @@ class PoolNodeScheduler {
 
   /// Replace the undelivered-prediction set (restore path). `next_job_id`
   /// restores the submission counter so a resumed run hands out the same
-  /// ids the continuous run would have — 0 (the v1-checkpoint sentinel)
-  /// leaves the counter alone. Queued/running jobs are not representable in
-  /// a snapshot: the caller checkpoints between steps *after*
-  /// snapshotResults drained the pipeline.
-  void restoreResults(std::vector<PendingResult> results,
-                      std::uint64_t next_job_id = 0);
+  /// ids the continuous run would have. Queued/running jobs are not
+  /// representable in a snapshot: the caller checkpoints between steps
+  /// *after* snapshotResults drained the pipeline.
+  void restoreResults(std::vector<PendingResult> results, std::uint64_t next_job_id);
 
   /// The id the next submitted job will get (for checkpoint serialization).
   [[nodiscard]] std::uint64_t nextJobId() const;
@@ -206,5 +203,11 @@ class PoolNodeScheduler {
   bool shutdown_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// Checkpoint field list of a pending prediction (io/serialize.hpp).
+template <class Io, io::Record<PoolNodeScheduler::PendingResult> R>
+void fields(Io& io, R& r) {
+  io(r.release_step, r.job_id, r.region);
+}
 
 }  // namespace asura::core

@@ -812,7 +812,7 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
   // count is uniform across ranks because the escape decision is an
   // allreduce, so the collective call sequence never diverges between the
   // full-set and active-set passes sharing this body.
-  const int max_retries = dist_->config().max_reach_retries;
+  constexpr int max_retries = DistributedEngine::kMaxReachRetries;
   int retries = 0;
   while (retries < max_retries &&
          dist_->reexchangeIfReachEscaped(parts_, n_local_, step_ctx_)) {
@@ -1299,120 +1299,36 @@ void Simulation::validateStepInvariants() {
 
 namespace {
 
-// v2: pending pool predictions carry their job id, the pool's submission
-// counter is serialized, and the config gains surrogate_max_batch. v1
-// checkpoints still restore (job_id 0 sentinel, counter untouched, default
-// batch knob).
-// v3: particles carry their work counter, the config gains work_decay, and
-// the engine block appends the weighted-decomposition segment map plus the
-// LET export record + drift so a restored run makes the same rebalance and
-// payload-refresh decisions as the continuous one. Pre-v3 checkpoints
-// restore with work = 0 and an empty record (first refresh opportunity is
-// skipped collectively — the record-readiness gate is an allreduce Min).
+/// Payload format of serializeState. v3 (the only version read or written)
+/// is: config, clocks, rng, particles (with their work counters), pending
+/// pool predictions with job ids plus the submission counter, and the engine
+/// block with the weighted-decomposition segment map and the LET export
+/// record. A payload of any other version fails restore loudly.
 constexpr std::uint32_t kStateVersion = 3;
-constexpr std::uint32_t kMinStateVersion = 1;
-
-void putConfig(io::ByteWriter& w, const SimulationConfig& c) {
-  w.putF64(c.dt_global);
-  w.putBool(c.use_surrogate);
-  w.putBool(c.adaptive_timestep);
-  w.putF64(c.cfl_dt_min);
-  w.putBool(c.hierarchical_timestep);
-  w.putI32(c.max_rung);
-  w.putF64(c.eta_acc);
-  w.putBool(c.timestep_limiter);
-  w.putF64(c.rung_safety);
-  w.putF64(c.sn_box_size);
-  w.putF64(c.surrogate_horizon);
-  w.putI64(c.return_interval);
-  w.putI32(c.n_pool_nodes);
-  w.putU8(static_cast<std::uint8_t>(c.kernel_isa));
-  w.putF64(c.gravity.G);
-  w.putF64(c.gravity.theta);
-  w.putI32(c.gravity.group_size);
-  w.putI32(c.gravity.leaf_size);
-  w.putU8(static_cast<std::uint8_t>(c.gravity.kernel));
-  w.putU8(static_cast<std::uint8_t>(c.gravity.isa));
-  w.putU8(static_cast<std::uint8_t>(c.sph.kernel.type));
-  w.putI32(c.sph.n_ngb);
-  w.putF64(c.sph.alpha_visc);
-  w.putF64(c.sph.beta_visc);
-  w.putF64(c.sph.cfl);
-  w.putI32(c.sph.group_size);
-  w.putI32(c.sph.leaf_size);
-  w.putI32(c.sph.max_h_iterations);
-  w.putF64(c.sph.h_tolerance);
-  w.putU8(static_cast<std::uint8_t>(c.sph.isa));
-  w.putF64(c.star_formation.rho_threshold);
-  w.putF64(c.star_formation.temp_threshold);
-  w.putF64(c.star_formation.efficiency);
-  w.putF64(c.star_formation.mu);
-  w.putF64(c.cooling.temp_floor);
-  w.putF64(c.cooling.temp_ceil);
-  w.putF64(c.cooling.heating_gamma);
-  w.putF64(c.cooling.mu);
-  w.putBool(c.enable_star_formation);
-  w.putBool(c.enable_cooling);
-  w.putF64(c.feedback_radius);
-  w.putBool(c.validate_steps);
-  w.putString(c.abort_checkpoint_path);
-  w.putU64(c.seed);
-  w.putI32(c.surrogate_max_batch);  // v2+
-  w.putF64(c.work_decay);           // v3+
-}
-
-SimulationConfig getConfig(io::ByteReader& r, std::uint32_t version) {
-  SimulationConfig c;
-  c.dt_global = r.getF64();
-  c.use_surrogate = r.getBool();
-  c.adaptive_timestep = r.getBool();
-  c.cfl_dt_min = r.getF64();
-  c.hierarchical_timestep = r.getBool();
-  c.max_rung = r.getI32();
-  c.eta_acc = r.getF64();
-  c.timestep_limiter = r.getBool();
-  c.rung_safety = r.getF64();
-  c.sn_box_size = r.getF64();
-  c.surrogate_horizon = r.getF64();
-  c.return_interval = r.getI64();
-  c.n_pool_nodes = r.getI32();
-  c.kernel_isa = static_cast<pikg::Isa>(r.getU8());
-  c.gravity.G = r.getF64();
-  c.gravity.theta = r.getF64();
-  c.gravity.group_size = r.getI32();
-  c.gravity.leaf_size = r.getI32();
-  c.gravity.kernel = static_cast<gravity::GravityParams::Kernel>(r.getU8());
-  c.gravity.isa = static_cast<pikg::Isa>(r.getU8());
-  c.sph.kernel.type = static_cast<sph::KernelType>(r.getU8());
-  c.sph.n_ngb = r.getI32();
-  c.sph.alpha_visc = r.getF64();
-  c.sph.beta_visc = r.getF64();
-  c.sph.cfl = r.getF64();
-  c.sph.group_size = r.getI32();
-  c.sph.leaf_size = r.getI32();
-  c.sph.max_h_iterations = r.getI32();
-  c.sph.h_tolerance = r.getF64();
-  c.sph.isa = static_cast<pikg::Isa>(r.getU8());
-  c.star_formation.rho_threshold = r.getF64();
-  c.star_formation.temp_threshold = r.getF64();
-  c.star_formation.efficiency = r.getF64();
-  c.star_formation.mu = r.getF64();
-  c.cooling.temp_floor = r.getF64();
-  c.cooling.temp_ceil = r.getF64();
-  c.cooling.heating_gamma = r.getF64();
-  c.cooling.mu = r.getF64();
-  c.enable_star_formation = r.getBool();
-  c.enable_cooling = r.getBool();
-  c.feedback_radius = r.getF64();
-  c.validate_steps = r.getBool();
-  c.abort_checkpoint_path = r.getString();
-  c.seed = r.getU64();
-  if (version >= 2) c.surrogate_max_batch = r.getI32();
-  if (version >= 3) c.work_decay = r.getF64();
-  return c;
-}
 
 }  // namespace
+
+/// Checkpoint field list of the config (io/serialize.hpp). Named namespace:
+/// the codec finds it by argument-dependent lookup.
+template <class Io, io::Record<SimulationConfig> C>
+void fields(Io& io, C& c) {
+  io(c.dt_global, c.use_surrogate, c.adaptive_timestep, c.cfl_dt_min, c.hierarchical_timestep,
+     c.max_rung, c.eta_acc, c.timestep_limiter, c.rung_safety, c.sn_box_size,
+     c.surrogate_horizon, c.return_interval, c.n_pool_nodes, c.kernel_isa, c.gravity.G,
+     c.gravity.theta, c.gravity.group_size, c.gravity.leaf_size, c.gravity.kernel,
+     c.gravity.isa, c.sph.kernel.type, c.sph.n_ngb, c.sph.alpha_visc, c.sph.beta_visc,
+     c.sph.cfl, c.sph.group_size, c.sph.leaf_size, c.sph.max_h_iterations,
+     c.sph.h_tolerance, c.sph.isa, c.star_formation.rho_threshold,
+     c.star_formation.temp_threshold, c.star_formation.efficiency, c.star_formation.mu,
+     c.cooling.temp_floor, c.cooling.temp_ceil, c.cooling.heating_gamma, c.cooling.mu,
+     c.enable_star_formation, c.enable_cooling, c.feedback_radius, c.validate_steps,
+     c.abort_checkpoint_path, c.seed, c.surrogate_max_batch, c.work_decay);
+}
+
+template <class Io>
+void Simulation::clockAndParticleFields(Io& io, util::Pcg32::State& rng) {
+  io(t_, step_, last_cfl_dt_, rng, sfr_history_, parts_);
+}
 
 void Simulation::serializeState(io::ByteWriter& w) {
   // Detach the ghost suffix first: the serialized particle set is pure
@@ -1420,118 +1336,35 @@ void Simulation::serializeState(io::ByteWriter& w) {
   // and continues is indistinguishable from one that never did.
   if (dist_) dist_->detachGhosts(parts_, n_local_, step_ctx_);
 
-  w.putU32(kStateVersion);
-  putConfig(w, cfg_);
-  w.putF64(t_);
-  w.putI64(step_);
-  w.putF64(last_cfl_dt_);
-  const auto rs = rng_.saveState();
-  w.putU64(rs.state);
-  w.putU64(rs.inc);
-  w.putF64(rs.cached);
-  w.putBool(rs.has_cached);
-  w.putVector(sfr_history_, [](io::ByteWriter& ww, const double& v) { ww.putF64(v); });
-  w.putVector(parts_, [](io::ByteWriter& ww, const Particle& p) {
-    io::putParticle(ww, p);
-  });
+  w(kStateVersion, cfg_);
+  auto rng_state = rng_.saveState();
+  clockAndParticleFields(w, rng_state);
 
   // Undelivered pool predictions. snapshotResults drains the pipeline —
   // predictions are pure functions of their jobs, so the drained results
-  // are exactly what the continuous run would have collected later.
-  w.putBool(pool_ != nullptr);
+  // are exactly what the continuous run would have collected later. The
+  // submission counter keeps a restored run's job ids (and with them the
+  // NEXT checkpoint's pending keys) those of the continuous run.
+  w(pool_ != nullptr);
   if (pool_) {
     const auto pending = pool_->snapshotResults();
-    w.putVector(pending, [](io::ByteWriter& ww,
-                            const PoolNodeScheduler::PendingResult& pr) {
-      ww.putI64(pr.release_step);
-      ww.putU64(pr.job_id);  // v2+
-      ww.putVector(pr.region, [](io::ByteWriter& w3, const Particle& p) {
-        io::putParticle(w3, p);
-      });
-    });
-    // The submission counter (v2+): without it a restored run would hand
-    // out ids from 1 again, and the NEXT checkpoint's pending keys would
-    // diverge from the continuous run's.
-    w.putU64(pool_->nextJobId());
+    w(pending, pool_->nextJobId());
   }
 
   // Exchange cache + engine state: restoring these keeps the cache-reuse
   // decisions (and with them the bitwise trajectory) identical to the
   // continuous run even when the cache would have survived the boundary.
-  w.putBool(dist_ != nullptr);
-  if (dist_) {
-    w.putVector(step_ctx_.letImports(),
-                [](io::ByteWriter& ww, const fdps::SourceEntry& e) {
-                  io::putSourceEntry(ww, e);
-                });
-    w.putVector(step_ctx_.ghostImports(), [](io::ByteWriter& ww, const Particle& p) {
-      io::putParticle(ww, p);
-    });
-    w.putBool(step_ctx_.letValid());
-    w.putBool(step_ctx_.ghostsValid());
-    const auto es = dist_->saveState();
-    const auto put_f64 = [](io::ByteWriter& ww, const double& v) { ww.putF64(v); };
-    w.putVector(es.cuts.x, put_f64);
-    w.putVector(es.cuts.y, put_f64);
-    w.putVector(es.cuts.z, put_f64);
-    w.putVector(es.ghost_cache.ghosts, [](io::ByteWriter& ww, const Particle& p) {
-      io::putParticle(ww, p);
-    });
-    w.putVector(es.ghost_cache.export_idx,
-                [](io::ByteWriter& ww, const std::vector<std::uint32_t>& v) {
-                  ww.putVector(v, [](io::ByteWriter& w3, const std::uint32_t& u) {
-                    w3.putU32(u);
-                  });
-                });
-    w.putVector(es.ghost_cache.import_counts,
-                [](io::ByteWriter& ww, const std::size_t& s) {
-                  ww.putU64(static_cast<std::uint64_t>(s));
-                });
-    w.putF64(es.ghost_cache.exported_reach);
-    w.putF64(es.drift_accum);
-    w.putBool(es.dirty_local);
-    // v3+: weighted-decomposition segment map. The cube and segment keys
-    // fully determine ownerOf/domainOf, so a restored cluster reproduces the
-    // continuous run's migration and import decisions bitwise.
-    w.putBool(es.cuts.weighted);
-    w.putF64(es.cuts.cube.lo.x);
-    w.putF64(es.cuts.cube.lo.y);
-    w.putF64(es.cuts.cube.lo.z);
-    w.putF64(es.cuts.cube.hi.x);
-    w.putF64(es.cuts.cube.hi.y);
-    w.putF64(es.cuts.cube.hi.z);
-    w.putVector(es.cuts.seg_keys,
-                [](io::ByteWriter& ww, const std::uint64_t& k) { ww.putU64(k); });
-    w.putVector(es.cuts.seg_rank,
-                [](io::ByteWriter& ww, const int& v) { ww.putI32(v); });
-    w.putVector(es.cuts.seg_weight, put_f64);
-    // v3+: LET export record + accumulated drift, so the payload-style LET
-    // refresh fires at the same steps (and sums the same exports in the
-    // same order) as the continuous run.
-    w.putVector(es.let_record.items,
-                [](io::ByteWriter& ww, const std::vector<fdps::LetExportItem>& v) {
-                  ww.putVector(v, [](io::ByteWriter& w3, const fdps::LetExportItem& it) {
-                    w3.putU32(it.first);
-                    w3.putU32(it.count);
-                  });
-                });
-    w.putVector(es.let_record.perm,
-                [](io::ByteWriter& ww, const std::uint32_t& u) { ww.putU32(u); });
-    w.putVector(es.let_record.import_counts,
-                [](io::ByteWriter& ww, const std::size_t& s) {
-                  ww.putU64(static_cast<std::uint64_t>(s));
-                });
-    w.putF64(es.let_drift);
-  }
+  w(dist_ != nullptr);
+  if (dist_) dist_->serializeState(w, step_ctx_);
 }
 
 void Simulation::restoreState(io::ByteReader& r) {
-  const auto version = r.getU32();
-  if (version < kMinStateVersion || version > kStateVersion) {
+  const auto version = r.read<std::uint32_t>();
+  if (version != kStateVersion) {
     throw std::runtime_error("checkpoint: unsupported state version " +
                              std::to_string(version));
   }
-  SimulationConfig saved = getConfig(r, version);
+  auto saved = r.read<SimulationConfig>();
   // The pool and the engine are construction-time objects; their shaping
   // knobs cannot be replayed into a live instance and must match.
   if (saved.use_surrogate != cfg_.use_surrogate) {
@@ -1544,20 +1377,9 @@ void Simulation::restoreState(io::ByteReader& r) {
   }
   cfg_ = std::move(saved);
 
-  t_ = r.getF64();
-  step_ = r.getI64();
-  last_cfl_dt_ = r.getF64();
-  util::Pcg32::State rs;
-  rs.state = r.getU64();
-  rs.inc = r.getU64();
-  rs.cached = r.getF64();
-  rs.has_cached = r.getBool();
-  rng_.restoreState(rs);
-  sfr_history_ =
-      r.getVector<double>([](io::ByteReader& rr) { return rr.getF64(); });
-  parts_ = r.getVector<Particle>([version](io::ByteReader& rr) {
-    return io::getParticle(rr, /*with_work=*/version >= 3);
-  });
+  util::Pcg32::State rng_state;
+  clockAndParticleFields(r, rng_state);
+  rng_.restoreState(rng_state);
   n_local_ = parts_.size();
   id_index_valid_ = false;
   stats_ = StepStats{};
@@ -1566,89 +1388,19 @@ void Simulation::restoreState(io::ByteReader& r) {
   // conserved, so recomputing from the restored state is identical.
   expected_count_ = -1;
 
-  const bool had_pool = r.getBool();
-  if (had_pool != (pool_ != nullptr)) {
+  if (r.read<bool>() != (pool_ != nullptr)) {
     throw std::runtime_error("checkpoint: pool presence mismatch");
   }
   if (pool_) {
-    auto pending = r.getVector<PoolNodeScheduler::PendingResult>(
-        [version](io::ByteReader& rr) {
-          PoolNodeScheduler::PendingResult pr;
-          pr.release_step = rr.getI64();
-          if (version >= 2) pr.job_id = rr.getU64();  // v1: 0 sentinel
-          pr.region = rr.getVector<Particle>([version](io::ByteReader& r3) {
-            return io::getParticle(r3, /*with_work=*/version >= 3);
-          });
-          return pr;
-        });
-    const std::uint64_t next_job_id = version >= 2 ? r.getU64() : 0;
-    pool_->restoreResults(std::move(pending), next_job_id);
+    auto pending = r.read<std::vector<PoolNodeScheduler::PendingResult>>();
+    pool_->restoreResults(std::move(pending), r.read<std::uint64_t>());
     fallback_baseline_ = pool_->jobsFallback();
   }
 
-  const bool had_engine = r.getBool();
-  if (had_engine != (dist_ != nullptr)) {
+  if (r.read<bool>() != (dist_ != nullptr)) {
     throw std::runtime_error("checkpoint: distributed-engine presence mismatch");
   }
-  if (dist_) {
-    auto let = r.getVector<fdps::SourceEntry>([](io::ByteReader& rr) {
-      return io::getSourceEntry(rr);
-    });
-    auto ghosts = r.getVector<Particle>([version](io::ByteReader& rr) {
-      return io::getParticle(rr, /*with_work=*/version >= 3);
-    });
-    const bool let_valid = r.getBool();
-    const bool ghosts_valid = r.getBool();
-    step_ctx_.restoreExchangeCache(std::move(let), std::move(ghosts), let_valid,
-                                   ghosts_valid);
-    const auto get_f64 = [](io::ByteReader& rr) { return rr.getF64(); };
-    DistributedEngine::EngineState es;
-    es.cuts.x = r.getVector<double>(get_f64);
-    es.cuts.y = r.getVector<double>(get_f64);
-    es.cuts.z = r.getVector<double>(get_f64);
-    es.ghost_cache.ghosts = r.getVector<Particle>([version](io::ByteReader& rr) {
-      return io::getParticle(rr, /*with_work=*/version >= 3);
-    });
-    es.ghost_cache.export_idx = r.getVector<std::vector<std::uint32_t>>(
-        [](io::ByteReader& rr) {
-          return rr.getVector<std::uint32_t>(
-              [](io::ByteReader& r3) { return r3.getU32(); });
-        });
-    es.ghost_cache.import_counts = r.getVector<std::size_t>(
-        [](io::ByteReader& rr) { return static_cast<std::size_t>(rr.getU64()); });
-    es.ghost_cache.exported_reach = r.getF64();
-    es.drift_accum = r.getF64();
-    es.dirty_local = r.getBool();
-    if (version >= 3) {
-      es.cuts.weighted = r.getBool();
-      es.cuts.cube.lo.x = r.getF64();
-      es.cuts.cube.lo.y = r.getF64();
-      es.cuts.cube.lo.z = r.getF64();
-      es.cuts.cube.hi.x = r.getF64();
-      es.cuts.cube.hi.y = r.getF64();
-      es.cuts.cube.hi.z = r.getF64();
-      es.cuts.seg_keys = r.getVector<std::uint64_t>(
-          [](io::ByteReader& rr) { return rr.getU64(); });
-      es.cuts.seg_rank =
-          r.getVector<int>([](io::ByteReader& rr) { return rr.getI32(); });
-      es.cuts.seg_weight = r.getVector<double>(get_f64);
-      es.let_record.items = r.getVector<std::vector<fdps::LetExportItem>>(
-          [](io::ByteReader& rr) {
-            return rr.getVector<fdps::LetExportItem>([](io::ByteReader& r3) {
-              fdps::LetExportItem it;
-              it.first = r3.getU32();
-              it.count = r3.getU32();
-              return it;
-            });
-          });
-      es.let_record.perm = r.getVector<std::uint32_t>(
-          [](io::ByteReader& rr) { return rr.getU32(); });
-      es.let_record.import_counts = r.getVector<std::size_t>(
-          [](io::ByteReader& rr) { return static_cast<std::size_t>(rr.getU64()); });
-      es.let_drift = r.getF64();
-    }
-    dist_->restoreState(std::move(es));
-  }
+  if (dist_) dist_->restoreState(r, step_ctx_);
 
   // Tree caches rebuild from the restored positions (invalidate touches the
   // tree cache only — the exchange-cache flags restored above survive).

@@ -275,7 +275,7 @@ struct StepStats {
   int ghost_reuses = 0;          ///< passes that reused the coasted ghosts as-is
   int migrated = 0;              ///< particles that changed owner (global)
   int reach_retries = 0;         ///< stale-reach re-exchange + re-solve rounds
-  /// Passes that hit max_reach_retries with the reach still escaped — the
+  /// Passes that hit kMaxReachRetries with the reach still escaped — the
   /// pass proceeded on a truncated neighbour set (raise ghost_h_margin).
   int reach_giveups = 0;
   // --- work-weighted balancing (zero on serial steps except work_seconds) ---
@@ -437,6 +437,12 @@ class Simulation {
   }
 
  private:
+  /// The clocks, rng stream, SFR history and particles in checkpoint wire
+  /// order; serializeState and restoreState both call it. `rng` stages the
+  /// stream's state, which Pcg32 keeps private.
+  template <class Io>
+  void clockAndParticleFields(Io& io, util::Pcg32::State& rng);
+
   /// Per-pass parameter sets with the effective PIKG backend resolved: an
   /// explicitly pinned params.isa (non-Auto) wins, otherwise the run-level
   /// cfg_.kernel_isa applies. Pure — the user's config is never mutated.

@@ -243,14 +243,11 @@ class StepContext {
     ++let_refreshes_step_;
   }
 
-  /// Checkpoint restore: install previously exchanged import sets with their
-  /// validity flags, without counting an exchange (nothing was shipped). The
-  /// LET epoch still bumps so a cached gravity tree can never serve the
-  /// pre-restore import set.
-  void restoreExchangeCache(std::vector<SourceEntry> let, std::vector<Particle> ghosts,
-                            bool let_valid, bool ghosts_valid) {
-    let_imports_ = std::move(let);
-    ghost_imports_ = std::move(ghosts);
+  /// Checkpoint restore: the import sets were read in place through
+  /// letImports()/ghostImports(); install their validity flags without
+  /// counting an exchange (nothing was shipped). The LET epoch still bumps so
+  /// a cached gravity tree can never serve the pre-restore import set.
+  void restoreExchangeCache(bool let_valid, bool ghosts_valid) {
     let_valid_ = let_valid;
     ghosts_valid_ = ghosts_valid;
     ++let_epoch_;

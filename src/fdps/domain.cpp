@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fdps/morton.hpp"
@@ -43,13 +44,13 @@ DomainDecomposer::DomainDecomposer(int px, int py, int pz) : px_(px), py_(py), p
 }
 
 void DomainDecomposer::decompose(comm::Comm& comm, const std::vector<Particle>& local,
-                                 util::Pcg32& rng, int sample_cap) {
+                                 util::Pcg32& rng) {
   if (comm.size() != ranks()) {
     throw std::invalid_argument("DomainDecomposer: comm size != px*py*pz");
   }
   // Uniform sampling keeps the sample budget O(p * cap) independent of N.
   std::vector<Vec3d> samples;
-  const auto cap = static_cast<std::size_t>(sample_cap);
+  constexpr auto cap = static_cast<std::size_t>(kSampleCap);
   if (local.size() <= cap) {
     samples.reserve(local.size());
     for (const auto& p : local) samples.push_back(p.pos);
@@ -88,7 +89,7 @@ void DomainDecomposer::decompose(comm::Comm& comm, const std::vector<Particle>& 
 namespace {
 
 /// Hard cap on octant refinement: 12 levels = up to 8^12 cells, far beyond
-/// any realistic oversub x P, while keeping recursion bounded when samples
+/// any realistic segment count, while keeping recursion bounded when samples
 /// pile up at one point.
 constexpr int kMaxSegmentDepth = 12;
 
@@ -122,11 +123,10 @@ void refineSegments(const std::vector<std::pair<std::uint64_t, double>>& samples
 }  // namespace
 
 void DomainDecomposer::decomposeWeighted(comm::Comm& comm, const std::vector<Particle>& local,
-                                         util::Pcg32& rng, int sample_cap, int oversub) {
+                                         util::Pcg32& rng) {
   if (comm.size() != ranks()) {
     throw std::invalid_argument("DomainDecomposer: comm size != px*py*pz");
   }
-  if (oversub < 1) throw std::invalid_argument("DomainDecomposer: oversub must be >= 1");
 
   // Root cube: global bounding box of every particle (not just samples), so
   // only later drift relies on the boundary-cell clamp in mortonKey().
@@ -154,7 +154,7 @@ void DomainDecomposer::decomposeWeighted(comm::Comm& comm, const std::vector<Par
   // Same sampling pattern (and rng consumption) as decompose(), but each
   // sample carries its particle's decayed work as weight.
   std::vector<double> flat;
-  const auto cap = static_cast<std::size_t>(sample_cap);
+  constexpr auto cap = static_cast<std::size_t>(kSampleCap);
   auto push = [&flat](const Particle& p) {
     flat.push_back(p.pos.x);
     flat.push_back(p.pos.y);
@@ -186,7 +186,7 @@ void DomainDecomposer::decomposeWeighted(comm::Comm& comm, const std::vector<Par
   std::vector<double> pre(samples.size() + 1, 0.0);
   for (std::size_t i = 0; i < samples.size(); ++i) pre[i + 1] = pre[i] + samples[i].second;
   const double total = pre.back();
-  const double target = total / (static_cast<double>(oversub) * ranks());
+  const double target = total / (static_cast<double>(kSegmentsPerRank) * ranks());
 
   seg_keys_.clear();
   refineSegments(samples, pre, 0, samples.size(), 0, 0, target, seg_keys_);
@@ -258,6 +258,44 @@ bool DomainDecomposer::maintain(comm::Comm& comm, const std::vector<Particle>& l
   seg_rank_ = std::move(owner);
   computeRankBoxes();
   return true;
+}
+
+void DomainDecomposer::restoreCuts(Cuts cuts) {
+  const auto fail = [](const char* what) {
+    throw std::runtime_error(std::string("checkpoint: invalid domain cuts: ") + what);
+  };
+  const auto px = static_cast<std::size_t>(px_), py = static_cast<std::size_t>(py_),
+             pz = static_cast<std::size_t>(pz_);
+  const bool no_cuts = cuts.x.empty() && cuts.y.empty() && cuts.z.empty();
+  if (!no_cuts && (cuts.x.size() != px + 1 || cuts.y.size() != px * (py + 1) ||
+                   cuts.z.size() != px * py * (pz + 1))) {
+    fail("x/y/z cut counts do not match the px*py*pz grid");
+  }
+  if (cuts.seg_rank.size() != cuts.seg_keys.size() ||
+      cuts.seg_weight.size() != cuts.seg_keys.size()) {
+    fail("seg_keys/seg_rank/seg_weight lengths differ");
+  }
+  if (cuts.weighted && (cuts.seg_keys.empty() || cuts.seg_keys.front() != 0)) {
+    fail("seg_keys must start at key 0");
+  }
+  for (std::size_t s = 0; s < cuts.seg_keys.size(); ++s) {
+    if ((s > 0 && cuts.seg_keys[s] <= cuts.seg_keys[s - 1]) ||
+        cuts.seg_keys[s] >= kMortonKeyEnd) {
+      fail("seg_keys not strictly increasing inside the key space");
+    }
+    if (cuts.seg_rank[s] < 0 || cuts.seg_rank[s] >= ranks()) {
+      fail("seg_rank owner outside [0, ranks)");
+    }
+  }
+  xcuts_ = std::move(cuts.x);
+  ycuts_ = std::move(cuts.y);
+  zcuts_ = std::move(cuts.z);
+  weighted_mode_ = cuts.weighted;
+  cube_ = cuts.cube;
+  seg_keys_ = std::move(cuts.seg_keys);
+  seg_rank_ = std::move(cuts.seg_rank);
+  seg_weight_ = std::move(cuts.seg_weight);
+  if (weighted_mode_) computeRankBoxes();
 }
 
 std::size_t DomainDecomposer::segmentOf(std::uint64_t key) const {

@@ -14,13 +14,14 @@
 ///
 /// A second, work-weighted mode (MP-Gadget's domain architecture) replaces
 /// the rectilinear grid with Morton-curve *segments*: the key space is
-/// over-decomposed into ~oversub x P aligned octree segments, each segment
-/// weighted by the decayed per-particle work counters, and contiguous runs
-/// of segments are assigned to ranks by a greedy weighted bin-packer. A
-/// cheap `maintain()` pass re-runs only the assignment over fresh weights
-/// when the rank imbalance drifts past a threshold — segment boundaries
-/// move by whole segments, so between full re-decompositions only boundary
-/// segments migrate and the cached LET/ghost exchange products survive.
+/// over-decomposed into ~kSegmentsPerRank x P aligned octree segments, each
+/// segment weighted by the decayed per-particle work counters, and
+/// contiguous runs of segments are assigned to ranks by a greedy weighted
+/// bin-packer. A cheap `maintain()` pass re-runs only the assignment over
+/// fresh weights when the rank imbalance drifts past a threshold — segment
+/// boundaries move by whole segments, so between full re-decompositions only
+/// boundary segments migrate and the cached LET/ghost exchange products
+/// survive.
 
 #include <cstdint>
 #include <vector>
@@ -44,23 +45,29 @@ class DomainDecomposer {
  public:
   DomainDecomposer(int px, int py, int pz);
 
-  /// Collective over `comm`: sample local positions, compute the cut
-  /// hierarchy on rank 0 with equal-count multisection, broadcast.
-  void decompose(comm::Comm& comm, const std::vector<Particle>& local,
-                 util::Pcg32& rng, int sample_cap = 4096);
+  /// Decomposition sample budget per rank.
+  static constexpr int kSampleCap = 4096;
+  /// Segments per rank (over-decomposition factor) of the weighted mode.
+  static constexpr int kSegmentsPerRank = 12;
+
+  /// Collective over `comm`: sample up to kSampleCap local positions,
+  /// compute the cut hierarchy on rank 0 with equal-count multisection,
+  /// broadcast.
+  void decompose(comm::Comm& comm, const std::vector<Particle>& local, util::Pcg32& rng);
 
   /// Serial convenience (single "rank"): decompose from the full set.
   void decomposeSerial(const std::vector<Particle>& all);
 
   /// Collective: work-weighted Morton-segment decomposition. Samples
   /// (position, 1 + work) pairs with the same rng draw pattern as
-  /// decompose(), over-decomposes the key space into ~oversub x P segments
-  /// by octant refinement until a segment holds at most 1/(oversub x P) of
-  /// the total sampled work, then greedily assigns contiguous segment runs
-  /// to ranks. Every rank computes the identical result redundantly from
-  /// the allgathered samples (rank-ordered, so bitwise identical).
+  /// decompose(), over-decomposes the key space into ~kSegmentsPerRank x P
+  /// segments by octant refinement until a segment holds at most
+  /// 1/(kSegmentsPerRank x P) of the total sampled work, then greedily
+  /// assigns contiguous segment runs to ranks. Every rank computes the
+  /// identical result redundantly from the allgathered samples (rank-ordered,
+  /// so bitwise identical).
   void decomposeWeighted(comm::Comm& comm, const std::vector<Particle>& local,
-                         util::Pcg32& rng, int sample_cap = 4096, int oversub = 12);
+                         util::Pcg32& rng);
 
   /// Collective, cheap (no sampling, no rng): re-weigh the *existing*
   /// segments from the current locals' work counters and, if the per-rank
@@ -98,6 +105,11 @@ class DomainDecomposer {
   /// downstream migration decision. In weighted mode the segment map (root
   /// cube, start keys, owners, last weights) is the authoritative state; the
   /// per-rank boxes are recomputed deterministically on restore.
+  /// restoreCuts rejects, with a std::runtime_error naming the field, a map
+  /// that ownerOf()/domainOf() could not index: owners outside [0, ranks),
+  /// segment vectors of unequal length, segment keys not strictly increasing
+  /// from 0 inside the key space, or cut vectors that are neither empty (not
+  /// yet decomposed) nor px+1, px*(py+1) and px*py*(pz+1) long.
   struct Cuts {
     std::vector<double> x, y, z;
     bool weighted = false;
@@ -109,17 +121,7 @@ class DomainDecomposer {
   [[nodiscard]] Cuts saveCuts() const {
     return {xcuts_, ycuts_, zcuts_, weighted_mode_, cube_, seg_keys_, seg_rank_, seg_weight_};
   }
-  void restoreCuts(Cuts cuts) {
-    xcuts_ = std::move(cuts.x);
-    ycuts_ = std::move(cuts.y);
-    zcuts_ = std::move(cuts.z);
-    weighted_mode_ = cuts.weighted;
-    cube_ = cuts.cube;
-    seg_keys_ = std::move(cuts.seg_keys);
-    seg_rank_ = std::move(cuts.seg_rank);
-    seg_weight_ = std::move(cuts.seg_weight);
-    if (weighted_mode_) computeRankBoxes();
-  }
+  void restoreCuts(Cuts cuts);
 
   /// Ship every particle to its owner; returns the new local population.
   /// Uses the 3-phase torus alltoallv when `torus` is non-null.

@@ -1,7 +1,9 @@
 #include "io/checkpoint.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
@@ -15,21 +17,11 @@ namespace asura::io {
 namespace {
 
 constexpr char kMagic[8] = {'A', 'S', 'U', 'R', 'A', 'C', 'K', 'P'};
-/// v1: no header CRC. v2: u32 CRC-32 over (version, nranks, step, time-bits)
-/// appended to the fixed header. Writers emit v2; readers accept both.
 constexpr std::uint32_t kFileVersion = 2;
-
-/// CRC-32 over the header fields exactly as they appear on disk (the magic
-/// is excluded — it is its own check).
-std::uint32_t headerCrc(std::uint32_t version, int nranks, long step,
-                        std::uint64_t time_bits) {
-  ByteWriter w;
-  w.putU32(version);
-  w.putI32(nranks);
-  w.putI64(step);
-  w.putU64(time_bits);
-  return crc32(w.bytes().data(), w.bytes().size());
-}
+/// Magic, then version, nranks, step and time bits; the header CRC covers the
+/// four fields exactly as they appear on disk (the magic is its own check).
+constexpr std::size_t kCrcFieldsBegin = sizeof(kMagic);
+constexpr std::size_t kCrcFieldsBytes = 4 + 4 + 8 + 8;
 
 std::vector<char> readWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -41,81 +33,6 @@ std::vector<char> readWholeFile(const std::string& path) {
   if (n > 0) in.read(bytes.data(), static_cast<std::streamsize>(n));
   if (!in) throw std::runtime_error("checkpoint: short read on " + path);
   return bytes;
-}
-
-/// Parse the fixed-size header, leaving `r` positioned at the first rank
-/// section.
-CheckpointInfo parseHeader(ByteReader& r, const std::string& path) {
-  char magic[8];
-  for (char& c : magic) c = static_cast<char>(r.getU8());
-  for (int i = 0; i < 8; ++i) {
-    if (magic[i] != kMagic[i]) {
-      throw std::runtime_error("checkpoint: bad magic in " + path +
-                               " (not a checkpoint file?)");
-    }
-  }
-  CheckpointInfo info;
-  info.version = r.getU32();
-  if (info.version < 1 || info.version > kFileVersion) {
-    throw std::runtime_error("checkpoint: unsupported file version " +
-                             std::to_string(info.version) + " in " + path);
-  }
-  info.nranks = r.getI32();
-  info.step = static_cast<long>(r.getI64());
-  const auto time_bits = r.getU64();
-  info.time = std::bit_cast<double>(time_bits);
-  if (info.version >= 2) {
-    const auto stored = r.getU32();
-    const auto computed =
-        headerCrc(info.version, info.nranks, info.step, time_bits);
-    if (stored != computed) {
-      throw std::runtime_error(
-          "checkpoint: header CRC mismatch in " + path +
-          " (header fields corrupted; rank count / step / time untrustworthy)");
-    }
-  }
-  if (info.nranks <= 0) {
-    throw std::runtime_error("checkpoint: invalid rank count in " + path);
-  }
-  return info;
-}
-
-/// Extract and CRC-check rank `want`'s payload from the file bytes.
-std::vector<char> extractSection(const std::vector<char>& file, int want,
-                                 const std::string& path) {
-  ByteReader r(file.data(), file.size());
-  const auto info = parseHeader(r, path);
-  if (want >= info.nranks) {
-    throw std::runtime_error("checkpoint: " + path + " holds " +
-                             std::to_string(info.nranks) +
-                             " rank sections, need rank " +
-                             std::to_string(want));
-  }
-  for (int rank = 0; rank <= want; ++rank) {
-    const auto len = r.getU64();
-    if (len > r.remaining()) {
-      throw std::runtime_error("checkpoint: truncated rank section in " + path);
-    }
-    std::vector<char> payload;
-    if (rank == want) {
-      payload.resize(len);
-      // ByteReader has no bulk-read accessor by design (every consumer is
-      // field-wise) — pull the section through getU8.
-      for (auto& c : payload) c = static_cast<char>(r.getU8());
-    } else {
-      for (std::uint64_t i = 0; i < len; ++i) (void)r.getU8();
-    }
-    const auto stored_crc = r.getU32();
-    if (rank == want) {
-      const auto crc = crc32(payload.data(), payload.size());
-      if (crc != stored_crc) {
-        throw std::runtime_error("checkpoint: CRC mismatch in rank " +
-                                 std::to_string(rank) + " section of " + path);
-      }
-      return payload;
-    }
-  }
-  throw std::logic_error("checkpoint: unreachable");
 }
 
 }  // namespace
@@ -149,19 +66,15 @@ void writeCheckpoint(const std::string& path, core::Simulation& sim) {
 
 void writeCheckpointRaw(const std::string& path, long step, double time,
                         const std::vector<std::vector<char>>& sections) {
-  const auto time_bits = std::bit_cast<std::uint64_t>(time);
-  const int nranks = static_cast<int>(sections.size());
   ByteWriter out;
-  for (char c : kMagic) out.putU8(static_cast<std::uint8_t>(c));
-  out.putU32(kFileVersion);
-  out.putI32(nranks);
-  out.putI64(step);
-  out.putU64(time_bits);
-  out.putU32(headerCrc(kFileVersion, nranks, step, time_bits));
+  out.putBytes(kMagic, sizeof(kMagic));
+  out(kFileVersion, static_cast<int>(sections.size()), step,
+      std::bit_cast<std::uint64_t>(time));
+  out(crc32(out.bytes().data() + kCrcFieldsBegin, kCrcFieldsBytes));
   for (const auto& sec : sections) {
-    out.putU64(sec.size());
+    out(static_cast<std::uint64_t>(sec.size()));
     out.putBytes(sec.data(), sec.size());
-    out.putU32(crc32(sec.data(), sec.size()));
+    out(crc32(sec.data(), sec.size()));
   }
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) throw std::runtime_error("checkpoint: cannot write " + path);
@@ -177,7 +90,7 @@ void restoreCheckpoint(const std::string& path, core::Simulation& sim) {
 
   // Rank 0 reads, everyone receives the full file bytes. Broadcasting the
   // whole file (rather than scattering sections) keeps the hot path one
-  // collective and lets each rank run its own CRC check.
+  // collective and lets each rank run the checks itself.
   std::vector<char> file;
   std::string read_err;
   if (rank == 0) {
@@ -202,20 +115,18 @@ void restoreCheckpoint(const std::string& path, core::Simulation& sim) {
     throw std::runtime_error(read_err);
   }
 
-  {
-    ByteReader hdr(file.data(), file.size());
-    const auto info = parseHeader(hdr, path);
-    const int nranks = dist ? dist->comm().size() : 1;
-    if (info.nranks != nranks) {
-      throw std::runtime_error(
-          "checkpoint: " + path + " was written by " +
-          std::to_string(info.nranks) + " ranks, this run has " +
-          std::to_string(nranks));
-    }
+  // Every rank sees the same bytes, so every rank throws the same defect.
+  const auto insp = inspectCheckpoint(file, path);
+  if (!insp.ok()) throw std::runtime_error(insp.defect);
+  const int nranks = dist ? dist->comm().size() : 1;
+  if (insp.info.nranks != nranks) {
+    throw std::runtime_error("checkpoint: " + path + " was written by " +
+                             std::to_string(insp.info.nranks) + " ranks, this run has " +
+                             std::to_string(nranks));
   }
 
-  const auto payload = extractSection(file, rank, path);
-  ByteReader r(payload.data(), payload.size());
+  const auto& sec = insp.sections[static_cast<std::size_t>(rank)];
+  ByteReader r(file.data() + sec.offset, sec.bytes);
   sim.restoreState(r);
   if (r.remaining() != 0) {
     throw std::runtime_error("checkpoint: trailing bytes in rank " +
@@ -224,88 +135,79 @@ void restoreCheckpoint(const std::string& path, core::Simulation& sim) {
   if (dist) dist->comm().barrier();
 }
 
-CheckpointInfo readCheckpointInfo(const std::string& path) {
-  const auto file = readWholeFile(path);
-  ByteReader r(file.data(), file.size());
-  auto info = parseHeader(r, path);
-  // Tally section sizes (and implicitly check the framing).
-  for (int rank = 0; rank < info.nranks; ++rank) {
-    const auto len = r.getU64();
-    if (len > r.remaining()) {
-      throw std::runtime_error("checkpoint: truncated rank section in " + path);
-    }
-    info.payload_bytes += len;
-    for (std::uint64_t i = 0; i < len; ++i) (void)r.getU8();
-    (void)r.getU32();
-  }
-  return info;
-}
-
-CheckpointInspection inspectCheckpoint(const std::string& path) {
-  const auto file = readWholeFile(path);
-  ByteReader r(file.data(), file.size());
-  if (r.remaining() < 8) {
-    throw std::runtime_error("checkpoint: " + path +
-                             " too short to hold the magic");
-  }
-  for (char expect : kMagic) {
-    if (static_cast<char>(r.getU8()) != expect) {
-      throw std::runtime_error("checkpoint: bad magic in " + path +
-                               " (not a checkpoint file?)");
-    }
+CheckpointInspection inspectCheckpoint(const std::vector<char>& file,
+                                       const std::string& path) {
+  if (file.size() < sizeof(kMagic) ||
+      !std::equal(std::begin(kMagic), std::end(kMagic), file.begin())) {
+    throw std::runtime_error("checkpoint: bad magic in " + path +
+                             " (not a checkpoint file?)");
   }
 
   CheckpointInspection out;
-  // Fixed header: u32 version + i32 nranks + i64 step + u64 time-bits.
-  if (r.remaining() < 4 + 4 + 8 + 8) {
+  const auto defect = [&out](std::string msg) {
+    if (out.defect.empty()) out.defect = std::move(msg);
+  };
+  const auto truncated = [&](const char* what) {
     out.truncated = true;
+    defect(std::string("checkpoint: truncated ") + what + " in " + path);
+  };
+
+  ByteReader r(file.data() + kCrcFieldsBegin, file.size() - kCrcFieldsBegin);
+  if (r.remaining() < kCrcFieldsBytes + 4) {
+    truncated("header");
     return out;
   }
-  out.info.version = r.getU32();
-  out.info.nranks = r.getI32();
-  out.info.step = static_cast<long>(r.getI64());
-  const auto time_bits = r.getU64();
+  std::uint64_t time_bits = 0;
+  r(out.info.version, out.info.nranks, out.info.step, time_bits, out.header_crc_stored);
   out.info.time = std::bit_cast<double>(time_bits);
-  if (out.info.version >= 2) {
-    if (r.remaining() < 4) {
-      out.truncated = true;
-      return out;
-    }
-    out.header_crc_present = true;
-    out.header_crc_stored = r.getU32();
-    out.header_crc_computed =
-        headerCrc(out.info.version, out.info.nranks, out.info.step, time_bits);
-    out.header_crc_ok = out.header_crc_stored == out.header_crc_computed;
+  out.header_crc_computed = crc32(file.data() + kCrcFieldsBegin, kCrcFieldsBytes);
+  out.header_crc_ok = out.header_crc_stored == out.header_crc_computed;
+  if (out.info.version != kFileVersion) {
+    defect("checkpoint: unsupported file version " + std::to_string(out.info.version) +
+           " in " + path);
   }
+  if (!out.header_crc_ok) {
+    defect("checkpoint: header CRC mismatch in " + path +
+           " (header fields corrupted; rank count / step / time untrustworthy)");
+  }
+  if (out.info.nranks <= 0) defect("checkpoint: invalid rank count in " + path);
 
   // Walk the sections by the framing, trusting nothing: a corrupt header
   // can claim any rank count, and a corrupt length can point past EOF.
   for (int rank = 0; rank < out.info.nranks; ++rank) {
     if (r.remaining() < 8) {
-      out.truncated = true;
+      truncated("rank section");
       break;
     }
     CheckpointSectionInfo sec;
-    sec.bytes = r.getU64();
+    r(sec.bytes);
+    sec.offset = file.size() - r.remaining();
     if (sec.bytes > r.remaining()) {
-      out.truncated = true;
       out.sections.push_back(sec);
+      truncated("rank section");
       break;
     }
-    std::vector<char> payload(sec.bytes);
-    for (auto& c : payload) c = static_cast<char>(r.getU8());
-    sec.crc_computed = crc32(payload.data(), payload.size());
+    sec.crc_computed = crc32(file.data() + sec.offset, sec.bytes);
     out.info.payload_bytes += sec.bytes;
+    r.skip(sec.bytes);
     if (r.remaining() < 4) {
-      out.truncated = true;
       out.sections.push_back(sec);
+      truncated("rank section");
       break;
     }
-    sec.crc_stored = r.getU32();
+    r(sec.crc_stored);
     sec.ok = sec.crc_stored == sec.crc_computed;
+    if (!sec.ok) {
+      defect("checkpoint: CRC mismatch in rank " + std::to_string(rank) + " section of " +
+             path);
+    }
     out.sections.push_back(sec);
   }
   return out;
+}
+
+CheckpointInspection inspectCheckpoint(const std::string& path) {
+  return inspectCheckpoint(readWholeFile(path), path);
 }
 
 }  // namespace asura::io

@@ -1,112 +1,57 @@
 #pragma once
 /// \file particle_codec.hpp
-/// \brief Field-wise byte codecs for the checkpoint-relevant POD types.
+/// \brief Checkpoint field lists of the particle-level records: Particle,
+/// SourceEntry, the LET export record, the ghost-export cache, Box and the
+/// rng state.
 ///
-/// Checkpoints must be deterministic down to the file bytes (the restart
-/// parity tests CRC them), so structs are never memcpy'd whole: padding
-/// bytes between fields are indeterminate and would make two identical
-/// states hash differently. Every field is written individually through the
-/// ByteWriter primitives instead, in declaration order.
+/// Each list is the single statement of its record's wire layout, in
+/// declaration order: ByteWriter and ByteReader both call it (see
+/// serialize.hpp), so writing and reading can never drift apart.
 
+#include "fdps/box.hpp"
+#include "fdps/let.hpp"
 #include "fdps/particle.hpp"
 #include "fdps/tree.hpp"
 #include "io/serialize.hpp"
+#include "util/rng.hpp"
 
 namespace asura::io {
 
-inline void putVec3(ByteWriter& w, const util::Vec3d& v) {
-  w.putF64(v.x);
-  w.putF64(v.y);
-  w.putF64(v.z);
+template <class Io, Record<fdps::Particle> P>
+void fields(Io& io, P& p) {
+  io(p.id, p.type, p.mass, p.pos, p.vel, p.acc, p.pot, p.eps, p.u, p.u_pred, p.du_dt, p.h,
+     p.rho, p.pres, p.cs, p.divv, p.curlv, p.vsig, p.nngb, p.t_form, p.t_sn, p.star_mass,
+     p.metal, p.frozen, p.rung, p.rung_ngb, p.work);
 }
 
-inline util::Vec3d getVec3(ByteReader& r) {
-  util::Vec3d v;
-  v.x = r.getF64();
-  v.y = r.getF64();
-  v.z = r.getF64();
-  return v;
+template <class Io, Record<fdps::SourceEntry> E>
+void fields(Io& io, E& e) {
+  io(e.pos, e.mass, e.eps, e.h, e.idx);
 }
 
-inline void putParticle(ByteWriter& w, const fdps::Particle& p) {
-  w.putU64(p.id);
-  w.putU8(static_cast<std::uint8_t>(p.type));
-  w.putF64(p.mass);
-  putVec3(w, p.pos);
-  putVec3(w, p.vel);
-  putVec3(w, p.acc);
-  w.putF64(p.pot);
-  w.putF64(p.eps);
-  w.putF64(p.u);
-  w.putF64(p.u_pred);
-  w.putF64(p.du_dt);
-  w.putF64(p.h);
-  w.putF64(p.rho);
-  w.putF64(p.pres);
-  w.putF64(p.cs);
-  w.putF64(p.divv);
-  w.putF64(p.curlv);
-  w.putF64(p.vsig);
-  w.putI32(p.nngb);
-  w.putF64(p.t_form);
-  w.putF64(p.t_sn);
-  w.putF64(p.star_mass);
-  w.putF64(p.metal);
-  w.putU8(p.frozen);
-  w.putU8(p.rung);
-  w.putU8(p.rung_ngb);
-  w.putF64(p.work);  // state v3+
+template <class Io, Record<fdps::LetExportItem> I>
+void fields(Io& io, I& it) {
+  io(it.first, it.count);
 }
 
-/// `with_work = false` parses the pre-v3 layout (no trailing work counter).
-inline fdps::Particle getParticle(ByteReader& r, bool with_work = true) {
-  fdps::Particle p;
-  p.id = r.getU64();
-  p.type = static_cast<fdps::Species>(r.getU8());
-  p.mass = r.getF64();
-  p.pos = getVec3(r);
-  p.vel = getVec3(r);
-  p.acc = getVec3(r);
-  p.pot = r.getF64();
-  p.eps = r.getF64();
-  p.u = r.getF64();
-  p.u_pred = r.getF64();
-  p.du_dt = r.getF64();
-  p.h = r.getF64();
-  p.rho = r.getF64();
-  p.pres = r.getF64();
-  p.cs = r.getF64();
-  p.divv = r.getF64();
-  p.curlv = r.getF64();
-  p.vsig = r.getF64();
-  p.nngb = r.getI32();
-  p.t_form = r.getF64();
-  p.t_sn = r.getF64();
-  p.star_mass = r.getF64();
-  p.metal = r.getF64();
-  p.frozen = r.getU8();
-  p.rung = r.getU8();
-  p.rung_ngb = r.getU8();
-  if (with_work) p.work = r.getF64();
-  return p;
+template <class Io, Record<fdps::LetExportRecord> R>
+void fields(Io& io, R& rec) {
+  io(rec.items, rec.perm, rec.import_counts);
 }
 
-inline void putSourceEntry(ByteWriter& w, const fdps::SourceEntry& e) {
-  putVec3(w, e.pos);
-  w.putF64(e.mass);
-  w.putF64(e.eps);
-  w.putF64(e.h);
-  w.putU32(e.idx);
+template <class Io, Record<fdps::GhostExchange> G>
+void fields(Io& io, G& g) {
+  io(g.ghosts, g.export_idx, g.import_counts, g.exported_reach);
 }
 
-inline fdps::SourceEntry getSourceEntry(ByteReader& r) {
-  fdps::SourceEntry e;
-  e.pos = getVec3(r);
-  e.mass = r.getF64();
-  e.eps = r.getF64();
-  e.h = r.getF64();
-  e.idx = r.getU32();
-  return e;
+template <class Io, Record<fdps::Box> B>
+void fields(Io& io, B& b) {
+  io(b.lo, b.hi);
+}
+
+template <class Io, Record<util::Pcg32::State> S>
+void fields(Io& io, S& s) {
+  io(s.state, s.inc, s.cached, s.has_cached);
 }
 
 }  // namespace asura::io

@@ -36,18 +36,4 @@ void sgemmAccParallel(int m, int n, int k, const float* a, int lda, const float*
   }
 }
 
-void sgemmAccNaive(int m, int n, int k, const float* a, int lda, const float* b,
-                   int ldb, float* c, int ldc) {
-  for (int i = 0; i < m; ++i) {
-    for (int j = 0; j < n; ++j) {
-      float acc = c[static_cast<std::size_t>(i) * ldc + j];
-      for (int kk = 0; kk < k; ++kk) {
-        acc += a[static_cast<std::size_t>(i) * lda + kk] *
-               b[static_cast<std::size_t>(kk) * ldb + j];
-      }
-      c[static_cast<std::size_t>(i) * ldc + j] = acc;
-    }
-  }
-}
-
 }  // namespace asura::ml

@@ -29,10 +29,4 @@ void sgemmAcc(int m, int n, int k, const float* a, int lda, const float* b, int 
 void sgemmAccParallel(int m, int n, int k, const float* a, int lda, const float* b,
                       int ldb, float* c, int ldc);
 
-/// Reference triple-loop (i, j, k ascending, scalar accumulator) — the
-/// conformance baseline the blocked kernel is tested against, and the
-/// "naive" side of the GEMM GF/s comparison in bench_surrogate.
-void sgemmAccNaive(int m, int n, int k, const float* a, int lda, const float* b,
-                   int ldb, float* c, int ldc);
-
 }  // namespace asura::ml

@@ -1,7 +1,6 @@
 #include "ml/layers.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <string>
 
@@ -11,7 +10,6 @@ namespace asura::ml {
 
 namespace {
 
-std::atomic<bool> g_conv3d_gemm{true};
 thread_local int tl_inference_depth = 0;
 
 /// Common (N, C, D, H, W) view of a 4-D (N = 1) or batched 5-D tensor.
@@ -29,9 +27,6 @@ Ncdhw splitShape(const Tensor& x, const char* who) {
 }
 
 }  // namespace
-
-void setConv3dGemm(bool enabled) { g_conv3d_gemm.store(enabled, std::memory_order_relaxed); }
-bool conv3dGemm() { return g_conv3d_gemm.load(std::memory_order_relaxed); }
 
 InferenceModeScope::InferenceModeScope() : prev_(tl_inference_depth > 0) {
   ++tl_inference_depth;
@@ -88,62 +83,8 @@ Tensor Conv3d::forward(const Tensor& x) {
   if (!inferenceMode()) x_cache_ = x;
   Tensor y(in.batched ? std::vector<int>{in.n, cout_, in.d, in.h, in.w}
                       : std::vector<int>{cout_, in.d, in.h, in.w});
-  if (conv3dGemm()) {
-    forwardGemm(x, y);
-  } else {
-    forwardNaiveInto(x, y);
-  }
+  forwardGemm(x, y);
   return y;
-}
-
-Tensor Conv3d::forwardNaive(const Tensor& x) {
-  const Ncdhw in = splitShape(x, "Conv3d");
-  if (in.c != cin_) throw std::invalid_argument("Conv3d: bad input shape");
-  Tensor y(in.batched ? std::vector<int>{in.n, cout_, in.d, in.h, in.w}
-                      : std::vector<int>{cout_, in.d, in.h, in.w});
-  forwardNaiveInto(x, y);
-  return y;
-}
-
-void Conv3d::forwardNaiveInto(const Tensor& x, Tensor& y) const {
-  const Ncdhw in = splitShape(x, "Conv3d");
-  const int D = in.d, H = in.h, W = in.w;
-  const std::size_t cs = static_cast<std::size_t>(D) * H * W;
-  const float* xd = x.data();
-  float* yd = y.data();
-  for (int n = 0; n < in.n; ++n) {
-    const float* xn = xd + static_cast<std::size_t>(n) * cin_ * cs;
-    float* yn = yd + static_cast<std::size_t>(n) * cout_ * cs;
-#pragma omp parallel for schedule(static)
-    for (int o = 0; o < cout_; ++o) {
-      for (int d = 0; d < D; ++d) {
-        for (int h = 0; h < H; ++h) {
-          for (int wv = 0; wv < W; ++wv) {
-            float acc = b[static_cast<std::size_t>(o)];
-            for (int i = 0; i < cin_; ++i) {
-              for (int a = 0; a < k_; ++a) {
-                const int dd = d + a - pad_;
-                if (dd < 0 || dd >= D) continue;
-                for (int bb = 0; bb < k_; ++bb) {
-                  const int hh = h + bb - pad_;
-                  if (hh < 0 || hh >= H) continue;
-                  for (int c = 0; c < k_; ++c) {
-                    const int ww = wv + c - pad_;
-                    if (ww < 0 || ww >= W) continue;
-                    acc += w.at5(o, i, a, bb, c) *
-                           xn[(static_cast<std::size_t>(i) * D + dd) * H * W +
-                              static_cast<std::size_t>(hh) * W + ww];
-                  }
-                }
-              }
-            }
-            yn[(static_cast<std::size_t>(o) * D + d) * H * W +
-               static_cast<std::size_t>(h) * W + wv] = acc;
-          }
-        }
-      }
-    }
-  }
 }
 
 void Conv3d::forwardGemm(const Tensor& x, Tensor& y) const {

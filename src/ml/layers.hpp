@@ -18,12 +18,6 @@
 
 namespace asura::ml {
 
-/// Process-global switch between the im2col GEMM convolution (default) and
-/// the legacy naive loops. The naive path is kept as the conformance
-/// reference and as the "before" side of bench_surrogate's comparison.
-void setConv3dGemm(bool enabled);
-[[nodiscard]] bool conv3dGemm();
-
 /// Thread-local inference mode: while a scope is alive on the calling
 /// thread, layer forwards write NO member state — no backward caches
 /// (Conv3d/Relu input copies, MaxPool3d argmax), no cached shapes. That
@@ -48,12 +42,9 @@ class Conv3d {
  public:
   Conv3d(int cin, int cout, int k, util::Pcg32& rng);
 
-  /// GEMM-backed by default (see setConv3dGemm). Accepts (C,D,H,W) or
+  /// Lowered to an im2col GEMM (ml/gemm.hpp). Accepts (C,D,H,W) or
   /// (N,C,D,H,W); the output has the same rank as the input.
   [[nodiscard]] Tensor forward(const Tensor& x);
-  /// The pre-GEMM reference loops (same accumulation order per output
-  /// element, modulo zero-padding terms the GEMM includes explicitly).
-  [[nodiscard]] Tensor forwardNaive(const Tensor& x);
   /// Returns dL/dx; accumulates dL/dw, dL/db. Batched gy accumulates the
   /// parameter gradients over the batch (sample-ascending order).
   Tensor backward(const Tensor& gy);
@@ -69,7 +60,6 @@ class Conv3d {
 
  private:
   void forwardGemm(const Tensor& x, Tensor& y) const;
-  void forwardNaiveInto(const Tensor& x, Tensor& y) const;
 
   int cin_, cout_, k_, pad_;
   Tensor x_cache_;

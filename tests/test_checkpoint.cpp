@@ -1,10 +1,14 @@
 // Tests for deterministic checkpoint/restart: restart-vs-continuous bitwise
 // parity (serial and 8 ranks, global and hierarchical integrators, restart
 // mid-SN-campaign with undelivered pool predictions), fault-injected rank
-// kill + resume, CRC corruption detection, and the header reader.
+// kill + resume, CRC corruption detection, the framing walker, the
+// version gate, restore-time validation of the engine block, and the wire
+// layout pin.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -18,10 +22,11 @@
 #include "comm/comm.hpp"
 #include "core/distributed.hpp"
 #include "core/simulation.hpp"
+#include "core/surrogate.hpp"
 #include "ic_fixtures.hpp"
 #include "io/checkpoint.hpp"
-#include "io/particle_codec.hpp"
 #include "io/serialize.hpp"
+#include "util/units.hpp"
 
 namespace {
 
@@ -323,7 +328,7 @@ TEST(Checkpoint, TruncatedAndNonCheckpointFilesRejected) {
   const auto ic = gasBall(50, 5.0, 1.0, 3, 3000.0);
   Simulation sim(ic, quietConfig());
   EXPECT_THROW(asura::io::restoreCheckpoint(path, sim), std::runtime_error);
-  EXPECT_THROW((void)asura::io::readCheckpointInfo(path), std::runtime_error);
+  EXPECT_THROW((void)asura::io::inspectCheckpoint(path), std::runtime_error);
   EXPECT_THROW(asura::io::restoreCheckpoint(tmpPath("ckpt_missing.bin"), sim),
                std::runtime_error);
   std::remove(path.c_str());
@@ -364,7 +369,7 @@ TEST(Checkpoint, ConstructionShapeMismatchRejected) {
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, ReadCheckpointInfoReportsHeader) {
+TEST(Checkpoint, InspectReportsHeader) {
   const auto ic = gasBall(120, 5.0, 1.0, 13, 3000.0);
   const SimulationConfig cfg = quietConfig();
   const std::string path = tmpPath("ckpt_info.bin");
@@ -372,7 +377,9 @@ TEST(Checkpoint, ReadCheckpointInfoReportsHeader) {
   for (int s = 0; s < 3; ++s) sim.step();
   asura::io::writeCheckpoint(path, sim);
 
-  const auto info = asura::io::readCheckpointInfo(path);
+  const auto insp = asura::io::inspectCheckpoint(path);
+  EXPECT_TRUE(insp.ok()) << insp.defect;
+  const auto& info = insp.info;
   EXPECT_EQ(info.version, 2u);
   EXPECT_EQ(info.nranks, 1);
   EXPECT_EQ(info.step, 3);
@@ -387,6 +394,7 @@ TEST(Checkpoint, ReadCheckpointInfoReportsHeader) {
 
 // v2 layout offsets: magic 8 | version u32 @8 | nranks i32 @12 | step i64 @16
 // | time u64 @24 | header CRC u32 @32 | sections @36.
+constexpr std::streamoff kVersionOff = 8;
 constexpr std::streamoff kNranksOff = 12;
 constexpr std::streamoff kHeaderCrcOff = 32;
 
@@ -394,6 +402,23 @@ std::vector<char> fileBytes(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   return std::vector<char>(std::istreambuf_iterator<char>(f),
                            std::istreambuf_iterator<char>());
+}
+
+void writeBytes(const std::string& path, const std::vector<char>& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Overwrite the little-endian u32 at `off` and recompute the header CRC, so
+/// the header lies consistently.
+void rewriteHeaderU32(std::vector<char>& bytes, std::streamoff off, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[static_cast<std::size_t>(off + i)] = static_cast<char>(v >> (8 * i));
+  }
+  const auto crc = asura::io::crc32(bytes.data() + kVersionOff, kHeaderCrcOff - kVersionOff);
+  for (int i = 0; i < 4; ++i) {
+    bytes[static_cast<std::size_t>(kHeaderCrcOff + i)] = static_cast<char>(crc >> (8 * i));
+  }
 }
 
 TEST(Checkpoint, CorruptHeaderFieldFailsHeaderCrc) {
@@ -417,48 +442,71 @@ TEST(Checkpoint, CorruptHeaderFieldFailsHeaderCrc) {
     f.write(&c, 1);
   }
 
+  const auto insp = asura::io::inspectCheckpoint(path);
+  EXPECT_FALSE(insp.ok());
+  EXPECT_FALSE(insp.header_crc_ok);
+  EXPECT_NE(insp.defect.find("header CRC mismatch"), std::string::npos) << insp.defect;
+  Simulation fresh(ic, cfg);
   try {
-    (void)asura::io::readCheckpointInfo(path);
+    asura::io::restoreCheckpoint(path, fresh);
     FAIL() << "corrupt header accepted";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("header CRC mismatch"),
-              std::string::npos)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()), insp.defect);
   }
-  Simulation fresh(ic, cfg);
-  EXPECT_THROW(asura::io::restoreCheckpoint(path, fresh), std::runtime_error);
   std::remove(path.c_str());
 }
 
-TEST(Checkpoint, VersionOneFileStillRestores) {
-  const auto ic = gasBall(150, 5.0, 1.0, 7, 3000.0);
+TEST(Checkpoint, UnsupportedFileVersionRejected) {
+  // Only file version 2 is read. A header claiming any other version — with
+  // a consistent header CRC, so nothing but the version is wrong — fails.
+  const auto ic = gasBall(60, 5.0, 1.0, 7, 3000.0);
   const SimulationConfig cfg = quietConfig();
-  const std::string path = tmpPath("ckpt_v1_compat.bin");
+  const std::string path = tmpPath("ckpt_version.bin");
   Simulation sim(ic, cfg);
   sim.step();
-  sim.step();
-  const auto want = stateBytes(sim);
   asura::io::writeCheckpoint(path, sim);
+  const auto good = fileBytes(path);
 
-  // Down-convert the v2 file to the exact v1 layout: version field back to
-  // 1, header CRC word removed.
-  {
-    auto bytes = fileBytes(path);
-    ASSERT_GT(bytes.size(), static_cast<std::size_t>(kHeaderCrcOff + 4));
-    bytes[8] = 1;  // version u32 little-endian: 2 -> 1
-    bytes.erase(bytes.begin() + kHeaderCrcOff,
-                bytes.begin() + kHeaderCrcOff + 4);
-    std::ofstream f(path, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  for (const std::uint32_t version : {1u, 3u}) {
+    auto bytes = good;
+    rewriteHeaderU32(bytes, kVersionOff, version);
+    writeBytes(path, bytes);
+    EXPECT_FALSE(asura::io::inspectCheckpoint(path).ok());
+    Simulation fresh(ic, cfg);
+    try {
+      asura::io::restoreCheckpoint(path, fresh);
+      FAIL() << "file version " << version << " restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported file version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
-
-  EXPECT_EQ(asura::io::readCheckpointInfo(path).version, 1u);
-  Simulation resumed(ic, cfg);
-  asura::io::restoreCheckpoint(path, resumed);
-  EXPECT_EQ(resumed.stepCount(), 2);
-  EXPECT_EQ(stateBytes(resumed), want)
-      << "v1 restore did not reproduce the writer's state";
   std::remove(path.c_str());
+}
+
+TEST(Checkpoint, UnsupportedStateVersionRejected) {
+  // Only state payload version 3 is read; the version word leads the payload.
+  const auto ic = gasBall(60, 5.0, 1.0, 8, 3000.0);
+  const SimulationConfig cfg = quietConfig();
+  Simulation sim(ic, cfg);
+  const auto good = stateBytes(sim);
+  for (const std::uint32_t version : {1u, 2u, 4u}) {
+    auto bytes = good;
+    bytes[0] = static_cast<char>(version);
+    Simulation fresh(ic, cfg);
+    asura::io::ByteReader r(bytes.data(), bytes.size());
+    try {
+      fresh.restoreState(r);
+      FAIL() << "state version " << version << " restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported state version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
@@ -471,11 +519,12 @@ TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
 
   // Intact file: everything verifies.
   auto insp = asura::io::inspectCheckpoint(path);
+  EXPECT_TRUE(insp.ok()) << insp.defect;
   EXPECT_EQ(insp.info.version, 2u);
-  EXPECT_TRUE(insp.header_crc_present);
   EXPECT_TRUE(insp.header_crc_ok);
   ASSERT_EQ(insp.sections.size(), 1u);
   EXPECT_TRUE(insp.sections[0].ok);
+  EXPECT_EQ(insp.sections[0].offset, static_cast<std::uint64_t>(kHeaderCrcOff + 4 + 8));
   EXPECT_GT(insp.sections[0].bytes, 0u);
   EXPECT_FALSE(insp.truncated);
 
@@ -491,6 +540,8 @@ TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
   ASSERT_EQ(insp.sections.size(), 1u);
   EXPECT_FALSE(insp.sections[0].ok);
   EXPECT_NE(insp.sections[0].crc_stored, insp.sections[0].crc_computed);
+  EXPECT_NE(insp.defect.find("CRC mismatch in rank 0 section"), std::string::npos)
+      << insp.defect;
 
   // Truncation: reported, not thrown.
   {
@@ -500,139 +551,163 @@ TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
   }
   insp = asura::io::inspectCheckpoint(path);
   EXPECT_TRUE(insp.truncated);
+  EXPECT_FALSE(insp.ok());
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
-// State-payload version tolerance (v1 -> v3)
+// Wire layout pin
 //
-// The payload version is independent of the file-header version above:
-// state v2 added per-pending job ids, the pool submission counter, and the
-// surrogate_max_batch config field; v3 added the per-particle work counter,
-// work_decay, and the weighted-decomposition engine block. This pins the
-// exact v1 wire layout —
-// if a field is added or reordered without a version bump, this breaks, and
-// it should.
+// CRC-32 of serializeState for fixed, unstepped states built from literal
+// values, recorded for state v3. A codec change that adds, drops, reorders
+// or re-types a field moves these; such a change must also bump
+// kStateVersion, and re-record the constants with it.
 // ---------------------------------------------------------------------------
 
-void putConfigV1(asura::io::ByteWriter& w, const SimulationConfig& c) {
-  w.putF64(c.dt_global);
-  w.putBool(c.use_surrogate);
-  w.putBool(c.adaptive_timestep);
-  w.putF64(c.cfl_dt_min);
-  w.putBool(c.hierarchical_timestep);
-  w.putI32(c.max_rung);
-  w.putF64(c.eta_acc);
-  w.putBool(c.timestep_limiter);
-  w.putF64(c.rung_safety);
-  w.putF64(c.sn_box_size);
-  w.putF64(c.surrogate_horizon);
-  w.putI64(c.return_interval);
-  w.putI32(c.n_pool_nodes);
-  w.putU8(static_cast<std::uint8_t>(c.kernel_isa));
-  w.putF64(c.gravity.G);
-  w.putF64(c.gravity.theta);
-  w.putI32(c.gravity.group_size);
-  w.putI32(c.gravity.leaf_size);
-  w.putU8(static_cast<std::uint8_t>(c.gravity.kernel));
-  w.putU8(static_cast<std::uint8_t>(c.gravity.isa));
-  w.putU8(static_cast<std::uint8_t>(c.sph.kernel.type));
-  w.putI32(c.sph.n_ngb);
-  w.putF64(c.sph.alpha_visc);
-  w.putF64(c.sph.beta_visc);
-  w.putF64(c.sph.cfl);
-  w.putI32(c.sph.group_size);
-  w.putI32(c.sph.leaf_size);
-  w.putI32(c.sph.max_h_iterations);
-  w.putF64(c.sph.h_tolerance);
-  w.putU8(static_cast<std::uint8_t>(c.sph.isa));
-  w.putF64(c.star_formation.rho_threshold);
-  w.putF64(c.star_formation.temp_threshold);
-  w.putF64(c.star_formation.efficiency);
-  w.putF64(c.star_formation.mu);
-  w.putF64(c.cooling.temp_floor);
-  w.putF64(c.cooling.temp_ceil);
-  w.putF64(c.cooling.heating_gamma);
-  w.putF64(c.cooling.mu);
-  w.putBool(c.enable_star_formation);
-  w.putBool(c.enable_cooling);
-  w.putF64(c.feedback_radius);
-  w.putBool(c.validate_steps);
-  w.putString(c.abort_checkpoint_path);
-  w.putU64(c.seed);
-  // v1 ends here: no surrogate_max_batch (v2), no work_decay (v3).
+/// Particles whose every serialized field is a simple function of the index.
+std::vector<Particle> literalParticles(int n, std::uint64_t first_id) {
+  std::vector<Particle> out;
+  for (int i = 0; i < n; ++i) {
+    Particle p;
+    p.id = first_id + static_cast<std::uint64_t>(i);
+    p.type = i % 3 == 2 ? asura::fdps::Species::Star : asura::fdps::Species::Gas;
+    p.mass = 1.0 + 0.125 * i;
+    p.pos = {0.5 * i - 2.0, 0.25 * i + 0.5, 1.0 - 0.75 * i};
+    p.vel = {1.0, -0.5 * i, 0.0625 * i};
+    p.acc = {-0.25 * i, 0.125, 2.0};
+    p.pot = -3.0 - i;
+    p.eps = 0.5;
+    p.u = 10.0 + i;
+    p.u_pred = 10.5 + i;
+    p.du_dt = -0.5;
+    p.h = 1.5 + 0.0625 * i;
+    p.rho = 0.25 * (i + 1);
+    p.pres = 0.375 * (i + 1);
+    p.cs = 4.0;
+    p.divv = -0.125 * i;
+    p.curlv = 0.0625 * i;
+    p.vsig = 8.0;
+    p.nngb = 24 + i;
+    p.t_form = 0.25 * i;
+    p.t_sn = i % 3 == 2 ? 3.0 : -1.0;
+    p.star_mass = i % 3 == 2 ? 8.0 : 0.0;
+    p.metal = 0.02;
+    p.frozen = static_cast<std::uint8_t>(i % 2);
+    p.rung = static_cast<std::uint8_t>(i % 4);
+    p.rung_ngb = static_cast<std::uint8_t>((i + 1) % 4);
+    p.work = 0.5 * i;
+    out.push_back(p);
+  }
+  return out;
 }
 
-// Pre-v3 particle wire layout: everything the current codec writes except
-// the trailing work counter. Pins the exact v1/v2 record so a codec change
-// without a version bump breaks here, as it should.
-void putParticlePreV3(asura::io::ByteWriter& w, const Particle& p) {
-  asura::io::ByteWriter tmp;
-  asura::io::putParticle(tmp, p);
-  const auto& b = tmp.bytes();
-  ASSERT_GE(b.size(), sizeof(double));
-  w.putBytes(b.data(), b.size() - sizeof(double));  // strip trailing work f64
+std::uint32_t stateCrc(Simulation& sim) {
+  const auto bytes = stateBytes(sim);
+  return asura::io::crc32(bytes.data(), bytes.size());
 }
 
-TEST(Checkpoint, StateVersionOnePayloadStillRestores) {
+TEST(Checkpoint, WireLayoutPinnedByCrc) {
+  // Serial, with a pool holding one pending prediction (the identity
+  // backend makes its region the submitted literal particles).
   SimulationConfig cfg = quietConfig();
   cfg.use_surrogate = true;
+  cfg.n_pool_nodes = 1;
   cfg.return_interval = 3;
-  cfg.n_pool_nodes = 2;
-  const auto ic = gasBall(40, 5.0, 1.0, 13, 3000.0);
-  const auto pending_region = gasBall(6, 2.0, 1.0, 14, 3000.0);
+  Simulation serial(literalParticles(6, 100), cfg,
+                    std::make_shared<asura::core::NullBackend>());
+  serial.pool()->submit(0, literalParticles(2, 900), {0.0, 0.0, 0.0},
+                        asura::units::E_SN, 0.1);
+  EXPECT_EQ(stateCrc(serial), 0xd81ee4b1u);
 
-  asura::io::ByteWriter w;
-  w.putU32(1);  // state version 1
-  putConfigV1(w, cfg);
-  w.putF64(0.01);  // t
-  w.putI64(2);     // step
-  w.putF64(0.0);   // last_cfl_dt
-  w.putU64(123);   // rng state
-  w.putU64(456);   // rng inc
-  w.putF64(0.0);   // rng cached normal
-  w.putBool(false);
-  w.putVector(std::vector<double>{}, [](asura::io::ByteWriter& ww, const double& v) {
-    ww.putF64(v);
+  // Two ranks with an engine attached, before any step.
+  std::vector<std::uint32_t> crcs(2);
+  Cluster cluster(2);
+  cluster.run([&](Comm& comm) {
+    Simulation sim(blockPartition(literalParticles(8, 200), comm.rank(), 2), quietConfig());
+    sim.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+    crcs[static_cast<std::size_t>(comm.rank())] = stateCrc(sim);
   });
-  w.putVector(ic, [](asura::io::ByteWriter& ww, const Particle& p) {
-    putParticlePreV3(ww, p);
-  });
-  w.putBool(true);  // pool present
-  // v1 pendings: (release_step, region) only — no job id, no counter after.
-  struct V1Pending {
-    long release;
-    std::vector<Particle> region;
-  };
-  const std::vector<V1Pending> pendings{{4, pending_region}, {4, {}}, {4, {}}};
-  w.putVector(pendings, [](asura::io::ByteWriter& ww, const V1Pending& pr) {
-    ww.putI64(pr.release);
-    ww.putVector(pr.region, [](asura::io::ByteWriter& w3, const Particle& p) {
-      putParticlePreV3(w3, p);
+  EXPECT_EQ(crcs[0], 0x9237a197u);
+  EXPECT_EQ(crcs[1], 0x3855ac9au);
+}
+
+// ---------------------------------------------------------------------------
+// Restore-time validation of the engine block
+// ---------------------------------------------------------------------------
+
+std::size_t findBytes(const std::vector<char>& hay, const std::vector<char>& needle,
+                      std::size_t from = 0) {
+  const auto it = std::search(hay.begin() + static_cast<std::ptrdiff_t>(from), hay.end(),
+                              needle.begin(), needle.end());
+  return it == hay.end() ? std::string::npos : static_cast<std::size_t>(it - hay.begin());
+}
+
+TEST(Checkpoint, RestoreRejectsOutOfRangeSegmentOwner) {
+  // A real 2-rank weighted-decomposition payload after one step, with one
+  // segment owner rewritten to a rank that does not exist. restoreState
+  // must name the field instead of indexing the per-rank boxes with it.
+  const auto ic = gasBall(300, 8.0, 1.0, 23, 3000.0);
+  const SimulationConfig cfg = quietConfig();
+  DistributedConfig dcfg = engineConfig();
+  dcfg.weighted_decomposition = true;
+  dcfg.decompose_interval = 0;
+  Cluster cluster(2);
+  try {
+    cluster.run([&](Comm& comm) {
+      Simulation a(blockPartition(ic, comm.rank(), 2), cfg);
+      a.attachDistributed(std::make_unique<DistributedEngine>(comm, dcfg));
+      a.step();
+      auto bytes = stateBytes(a);
+      // The owner vector's serialized form (length word + owners) occurs
+      // once in the payload; rewrite its first owner.
+      asura::io::ByteWriter owners;
+      owners(a.distributed()->domains().saveCuts().seg_rank);
+      const auto at = findBytes(bytes, owners.bytes());
+      ASSERT_NE(at, std::string::npos);
+      ASSERT_EQ(findBytes(bytes, owners.bytes(), at + 1), std::string::npos);
+      bytes[at + 8] = 99;
+
+      Simulation b(blockPartition(ic, comm.rank(), 2), cfg);
+      b.attachDistributed(std::make_unique<DistributedEngine>(comm, dcfg));
+      asura::io::ByteReader r(bytes.data(), bytes.size());
+      b.restoreState(r);
     });
-  });
-  w.putBool(false);  // no distributed engine
-  const auto bytes = w.take();
+    FAIL() << "an out-of-range segment owner restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("seg_rank"), std::string::npos) << e.what();
+  }
+}
 
-  Simulation sim(ic, cfg);
-  asura::io::ByteReader r(bytes.data(), bytes.size());
-  sim.restoreState(r);
+TEST(Checkpoint, RestoreRejectsGhostCacheNotSizedToRanks) {
+  // An unstepped 2-rank payload holds an empty ghost-export cache. Claiming
+  // its ghosts valid would let the next step refresh payloads along export
+  // lists it indexes by rank. The flag sits 171 bytes before the end of the
+  // payload: after it come the three cut vectors, the ghost list and its two
+  // per-rank vectors (all empty, 8 bytes each), reach and drift (8 each),
+  // the dirty and weighted flags (1 each), the root cube (48), the three
+  // segment vectors and the three LET-record vectors (8 each), and the LET
+  // drift (8).
+  constexpr std::size_t kGhostsValidFromEnd = 171;
+  Cluster cluster(2);
+  try {
+    cluster.run([&](Comm& comm) {
+      const auto ic = blockPartition(gasBall(40, 5.0, 1.0, 29, 3000.0), comm.rank(), 2);
+      Simulation a(ic, quietConfig());
+      a.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+      auto bytes = stateBytes(a);
+      auto& ghosts_valid = bytes[bytes.size() - kGhostsValidFromEnd];
+      ASSERT_EQ(ghosts_valid, 0);
+      ghosts_valid = 1;
 
-  EXPECT_EQ(sim.stepCount(), 2);
-  ASSERT_NE(sim.pool(), nullptr);
-  const auto restored = sim.pool()->snapshotResults();
-  ASSERT_EQ(restored.size(), 3u);
-  EXPECT_EQ(restored[0].release_step, 4);
-  EXPECT_EQ(restored[0].job_id, 0u) << "v1 pendings restore with the 0 sentinel";
-  EXPECT_EQ(restored[0].region.size(), pending_region.size());
-  EXPECT_TRUE(restored[1].region.empty());
-  EXPECT_EQ(sim.pool()->nextJobId(), 1u) << "v1 restore must not touch the counter";
-
-  // Re-serialization upgrades the payload in place: version word now 3.
-  asura::io::ByteWriter w2;
-  sim.serializeState(w2);
-  asura::io::ByteReader r2(w2.bytes().data(), w2.bytes().size());
-  EXPECT_EQ(r2.getU32(), 3u);
+      Simulation b(ic, quietConfig());
+      b.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+      asura::io::ByteReader r(bytes.data(), bytes.size());
+      b.restoreState(r);
+    });
+    FAIL() << "valid ghosts without per-rank export lists restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("export_idx"), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -135,12 +135,6 @@ TEST(Pool, RestoreRoundTripsJobIdsAndCounter) {
   EXPECT_EQ(again[0].job_id, 3u);
   EXPECT_EQ(again[1].job_id, 6u);
   EXPECT_EQ(pool.nextJobId(), 9u);  // the resumed run continues the sequence
-
-  // v1-checkpoint restore: the 0 sentinel must leave the counter alone.
-  PoolNodeScheduler old(std::make_shared<asura::core::NullBackend>(), 1, 5);
-  old.restoreResults({{7, 0, {}}, {7, 0, {}}});
-  EXPECT_EQ(old.nextJobId(), 1u);
-  EXPECT_EQ(old.snapshotResults().size(), 2u);
 }
 
 // ---------------------------------------------------------------------------

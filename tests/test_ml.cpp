@@ -15,6 +15,7 @@
 #include "ml/optimizer.hpp"
 #include "ml/tensor.hpp"
 #include "ml/unet.hpp"
+#include "ml_reference.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -301,7 +302,7 @@ TEST(GemmTest, MatchesNaiveReference) {
   Tensor c0 = randomTensor({m, n}, 103);
   Tensor c1 = c0;
   asura::ml::sgemmAcc(m, n, k, a.data(), k, b.data(), n, c0.data(), n);
-  asura::ml::sgemmAccNaive(m, n, k, a.data(), k, b.data(), n, c1.data(), n);
+  asura::testing::sgemmAccReference(m, n, k, a.data(), k, b.data(), n, c1.data(), n);
   for (std::size_t i = 0; i < c0.numel(); ++i) {
     EXPECT_NEAR(c0[i], c1[i], 1e-4) << "at " << i;
   }
@@ -326,27 +327,13 @@ TEST(Conv3dTest, GemmMatchesNaiveLoops) {
   Pcg32 rng(9);
   Conv3d conv(3, 5, 3, rng);
   const Tensor x = randomTensor({3, 8, 6, 10}, 110);
-  asura::ml::setConv3dGemm(true);
   const Tensor y_gemm = conv.forward(x);
-  const Tensor y_naive = conv.forwardNaive(x);
+  const Tensor y_naive = asura::testing::conv3dReference(conv, x);
   ASSERT_TRUE(y_gemm.sameShape(y_naive));
   for (std::size_t i = 0; i < y_gemm.numel(); ++i) {
     // Same accumulation order, but the two loop nests may contract to FMA
     // differently — tolerance, not bitwise, between the implementations.
     EXPECT_NEAR(y_gemm[i], y_naive[i], 1e-4) << "at " << i;
-  }
-}
-
-TEST(Conv3dTest, GemmToggleSwitchesPath) {
-  Pcg32 rng(9);
-  Conv3d conv(2, 3, 3, rng);
-  const Tensor x = randomTensor({2, 4, 4, 4}, 111);
-  asura::ml::setConv3dGemm(false);
-  const Tensor y_toggled = conv.forward(x);
-  asura::ml::setConv3dGemm(true);
-  const Tensor y_ref = conv.forwardNaive(x);
-  for (std::size_t i = 0; i < y_ref.numel(); ++i) {
-    EXPECT_EQ(y_toggled[i], y_ref[i]);  // toggle off == the naive path, exactly
   }
 }
 

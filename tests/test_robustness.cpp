@@ -508,9 +508,10 @@ TEST(Robustness, ValidatorTripsOnMassDriftAndWritesPostMortem) {
         << e.what();
   }
   // The post-mortem checkpoint is a valid file capturing the failed step.
-  const auto info = asura::io::readCheckpointInfo(path);
-  EXPECT_EQ(info.nranks, 1);
-  EXPECT_EQ(info.step, 1);
+  const auto insp = asura::io::inspectCheckpoint(path);
+  EXPECT_TRUE(insp.ok()) << insp.defect;
+  EXPECT_EQ(insp.info.nranks, 1);
+  EXPECT_EQ(insp.info.step, 1);
   std::remove(path.c_str());
 }
 

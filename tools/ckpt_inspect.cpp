@@ -1,10 +1,11 @@
 // ckpt_inspect — dump and verify an "ASURACKP" checkpoint file.
 //
 // Prints the header (format version, rank count, step, simulation time),
-// the header CRC status (version >= 2), and every per-rank section with its
-// length and stored vs computed CRC-32. Exit status is 0 when everything
-// verifies, 1 on any CRC mismatch or truncation, 2 on usage / unreadable
-// file — so the tool doubles as a scriptable integrity check:
+// the header CRC status, every per-rank section with its file offset, length
+// and stored vs computed CRC-32, and the first defect found. Exit status is
+// 0 when everything verifies, 1 on an unsupported version, any CRC mismatch
+// or truncation, 2 on usage / unreadable file — so the tool doubles as a
+// scriptable integrity check:
 //
 //     ckpt_inspect run.ckpt && echo "checkpoint intact"
 //
@@ -12,9 +13,10 @@
 // stdout (exit-code semantics unchanged), so fleet tooling can triage
 // checkpoints without scraping the human format.
 //
-// The inspector is lenient by construction (io::inspectCheckpoint): a
-// damaged file is described, not rejected, which is the whole point of a
-// triage tool.
+// The inspector is the library's framing walker (io::inspectCheckpoint) —
+// the same one restoreCheckpoint runs — so "OK" here means the file passes
+// every framing check a restore makes. It is lenient: a damaged file is
+// described, not rejected, which is the whole point of a triage tool.
 
 #include <cstdio>
 #include <exception>
@@ -31,14 +33,27 @@ void usage(std::FILE* to) {
                "Dump header, per-rank sections, and CRC verification for an\n"
                "ASURACKP checkpoint. --json emits the inspection as one JSON\n"
                "object instead of the human-readable report. Exits 0 if the\n"
-               "file verifies, 1 if any CRC fails or the file is truncated,\n"
-               "2 on usage errors.\n");
+               "file verifies, 1 on an unsupported version, a CRC failure or\n"
+               "truncation, 2 on usage errors.\n");
 }
 
-bool verdict(const asura::io::CheckpointInspection& insp) {
-  bool ok = !insp.truncated && (!insp.header_crc_present || insp.header_crc_ok);
-  for (const auto& sec : insp.sections) ok = ok && sec.ok;
-  return ok && insp.sections.size() == static_cast<std::size_t>(insp.info.nranks);
+/// `s` as a JSON string literal (quotes, backslashes and control bytes
+/// escaped).
+std::string jsonString(const std::string& s) {
+  std::string out = "\"";
+  for (const unsigned char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += static_cast<char>(c);
+    } else if (c < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out += buf;
+    } else {
+      out += static_cast<char>(c);
+    }
+  }
+  return out + "\"";
 }
 
 void printHuman(const std::string& path, const asura::io::CheckpointInspection& insp) {
@@ -47,17 +62,15 @@ void printHuman(const std::string& path, const asura::io::CheckpointInspection& 
   std::printf("  ranks          : %d\n", insp.info.nranks);
   std::printf("  step           : %ld\n", insp.info.step);
   std::printf("  time           : %.17g\n", insp.info.time);
-  if (insp.header_crc_present) {
-    std::printf("  header CRC     : stored %08x computed %08x  [%s]\n",
-                insp.header_crc_stored, insp.header_crc_computed,
-                insp.header_crc_ok ? "ok" : "MISMATCH");
-  } else {
-    std::printf("  header CRC     : none (v1 file)\n");
-  }
+  std::printf("  header CRC     : stored %08x computed %08x  [%s]\n",
+              insp.header_crc_stored, insp.header_crc_computed,
+              insp.header_crc_ok ? "ok" : "MISMATCH");
   for (std::size_t i = 0; i < insp.sections.size(); ++i) {
     const auto& sec = insp.sections[i];
-    std::printf("  rank %-3zu       : %llu bytes, CRC stored %08x computed %08x  [%s]\n",
-                i, static_cast<unsigned long long>(sec.bytes), sec.crc_stored,
+    std::printf("  rank %-3zu       : %llu bytes at offset %llu, CRC stored %08x "
+                "computed %08x  [%s]\n",
+                i, static_cast<unsigned long long>(sec.bytes),
+                static_cast<unsigned long long>(sec.offset), sec.crc_stored,
                 sec.crc_computed, sec.ok ? "ok" : "MISMATCH");
   }
   if (insp.sections.size() < static_cast<std::size_t>(insp.info.nranks)) {
@@ -67,35 +80,36 @@ void printHuman(const std::string& path, const asura::io::CheckpointInspection& 
   std::printf("  total payload  : %llu bytes\n",
               static_cast<unsigned long long>(insp.info.payload_bytes));
   if (insp.truncated) std::printf("  TRUNCATED: file ends before the framing says it should\n");
-  std::printf("  verdict        : %s\n", verdict(insp) ? "OK" : "DAMAGED");
+  if (!insp.ok()) std::printf("  first defect   : %s\n", insp.defect.c_str());
+  std::printf("  verdict        : %s\n", insp.ok() ? "OK" : "DAMAGED");
 }
 
 void printJson(const std::string& path, const asura::io::CheckpointInspection& insp) {
   std::printf("{\n");
-  std::printf("  \"path\": \"%s\",\n", path.c_str());
+  std::printf("  \"path\": %s,\n", jsonString(path).c_str());
   std::printf("  \"version\": %u,\n", insp.info.version);
   std::printf("  \"nranks\": %d,\n", insp.info.nranks);
   std::printf("  \"step\": %ld,\n", insp.info.step);
   std::printf("  \"time\": %.17g,\n", insp.info.time);
   std::printf("  \"payload_bytes\": %llu,\n",
               static_cast<unsigned long long>(insp.info.payload_bytes));
-  std::printf("  \"header_crc\": {\"present\": %s, \"ok\": %s, "
-              "\"stored\": %u, \"computed\": %u},\n",
-              insp.header_crc_present ? "true" : "false",
+  std::printf("  \"header_crc\": {\"ok\": %s, \"stored\": %u, \"computed\": %u},\n",
               insp.header_crc_ok ? "true" : "false", insp.header_crc_stored,
               insp.header_crc_computed);
   std::printf("  \"sections\": [\n");
   for (std::size_t i = 0; i < insp.sections.size(); ++i) {
     const auto& sec = insp.sections[i];
-    std::printf("    {\"rank\": %zu, \"bytes\": %llu, \"crc_stored\": %u, "
+    std::printf("    {\"rank\": %zu, \"offset\": %llu, \"bytes\": %llu, \"crc_stored\": %u, "
                 "\"crc_computed\": %u, \"ok\": %s}%s\n",
-                i, static_cast<unsigned long long>(sec.bytes), sec.crc_stored,
+                i, static_cast<unsigned long long>(sec.offset),
+                static_cast<unsigned long long>(sec.bytes), sec.crc_stored,
                 sec.crc_computed, sec.ok ? "true" : "false",
                 i + 1 < insp.sections.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"truncated\": %s,\n", insp.truncated ? "true" : "false");
-  std::printf("  \"ok\": %s\n", verdict(insp) ? "true" : "false");
+  std::printf("  \"defect\": %s,\n", jsonString(insp.defect).c_str());
+  std::printf("  \"ok\": %s\n", insp.ok() ? "true" : "false");
   std::printf("}\n");
 }
 
@@ -140,5 +154,5 @@ int main(int argc, char** argv) {
   } else {
     printHuman(path, insp);
   }
-  return verdict(insp) ? 0 : 1;
+  return insp.ok() ? 0 : 1;
 }

@@ -19,7 +19,20 @@ fi
 
 # scenario_server smoke: a tiny hosted fleet must come out bitwise clean
 # (the tool self-verifies against unhosted reruns and exits nonzero on any
-# divergence).
-"${build_dir}/scenario_server" --smoke > /dev/null
+# divergence). Its archived checkpoints must pass the framing walker, so a
+# writer and the walker can never drift apart unnoticed.
+archive_dir="$(mktemp -d)"
+trap 'rm -rf "${archive_dir}"' EXIT
+"${build_dir}/scenario_server" --smoke --archive "${archive_dir}" > /dev/null
+archived=0
+for ckpt in "${archive_dir}"/*.ckpt; do
+  [ -e "${ckpt}" ] || break
+  "${build_dir}/ckpt_inspect" --json "${ckpt}" > /dev/null
+  archived=$((archived + 1))
+done
+if [ "${archived}" -eq 0 ]; then
+  echo "scenario_server: --archive wrote no checkpoints" >&2
+  exit 1
+fi
 
 cd "${build_dir}" && ctest --output-on-failure -j "$(nproc)"
