@@ -106,7 +106,7 @@ void BM_SupervisedStepLoop(benchmark::State& state) {
   for (auto _ : state) {
     Supervisor sup(cluster, scfg);
     const auto rep = sup.run(
-        kSteps, cfg, [&ic](Comm&, const Supervisor::AttemptPlan& plan) {
+        kSteps, cfg, [&ic](Comm&, const asura::core::AttemptPlan& plan) {
           return std::make_unique<Simulation>(ic, plan.cfg);
         });
     if (!rep.completed) state.SkipWithError("supervised run failed");

@@ -175,7 +175,8 @@ BENCHMARK(BM_TargetGroupsLegacyComparator)->Arg(100000)->Unit(benchmark::kMillis
 void BM_TargetGroupsRadix(benchmark::State& state) {
   const auto parts = randomParticles(static_cast<int>(state.range(0)), 7);
   for (auto _ : state) {
-    auto groups = asura::fdps::makeTargetGroups(parts, 64);
+    auto groups =
+        asura::fdps::makeTargetGroups(parts, asura::fdps::targetIndices(parts), 64);
     benchmark::DoNotOptimize(groups.data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
@@ -188,10 +189,12 @@ BENCHMARK(BM_TargetGroupsRadix)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_GravityFreshBuildPerCall(benchmark::State& state) {
   auto parts = randomParticles(static_cast<int>(state.range(0)), 3);
+  const auto all = asura::fdps::targetIndices(parts);
   asura::gravity::GravityParams gp;
   for (auto _ : state) {
     for (auto& p : parts) { p.acc = Vec3d{}; p.pot = 0.0; }
-    const auto stats = asura::gravity::accumulateTreeGravity(parts, {}, gp);
+    asura::fdps::StepContext ctx;  // fresh per call: tree + groups rebuilt
+    const auto stats = asura::gravity::accumulateTreeGravity(ctx, parts, {}, all, gp);
     benchmark::DoNotOptimize(stats.ep_interactions);
   }
 }
@@ -199,11 +202,12 @@ BENCHMARK(BM_GravityFreshBuildPerCall)->Arg(30000)->Unit(benchmark::kMillisecond
 
 void BM_GravityCachedContext(benchmark::State& state) {
   auto parts = randomParticles(static_cast<int>(state.range(0)), 3);
+  const auto all = asura::fdps::targetIndices(parts);
   asura::gravity::GravityParams gp;
   asura::fdps::StepContext ctx;
   for (auto _ : state) {
     for (auto& p : parts) { p.acc = Vec3d{}; p.pot = 0.0; }
-    const auto stats = asura::gravity::accumulateTreeGravity(ctx, parts, {}, gp);
+    const auto stats = asura::gravity::accumulateTreeGravity(ctx, parts, {}, all, gp);
     benchmark::DoNotOptimize(stats.ep_interactions);
   }
   state.counters["tree_builds"] =

@@ -12,6 +12,7 @@
 
 #include "comm/comm.hpp"
 #include "comm/torus.hpp"
+#include "fdps/context.hpp"
 #include "fdps/domain.hpp"
 #include "fdps/let.hpp"
 #include "galaxy/galaxy.hpp"
@@ -54,7 +55,9 @@ int main(int argc, char** argv) {
 
       asura::gravity::GravityParams gp;
       gp.theta = 0.5;
-      const auto stats = asura::gravity::accumulateTreeGravity(mine, let, gp);
+      asura::fdps::StepContext ctx;
+      const auto stats = asura::gravity::accumulateTreeGravity(
+          ctx, mine, let, asura::fdps::targetIndices(mine), gp);
 
       if (comm.rank() == 0) {
         std::lock_guard<std::mutex> lk(print_mutex);

@@ -400,7 +400,8 @@ void DistributedEngine::serializeState(io::ByteWriter& w, fdps::StepContext& ctx
   stateFields(w, *this, ctx, let_valid, ghosts_valid, cuts);
 }
 
-void DistributedEngine::restoreState(io::ByteReader& r, fdps::StepContext& ctx) {
+void DistributedEngine::restoreState(io::ByteReader& r, fdps::StepContext& ctx,
+                                     std::size_t n_local) {
   bool let_valid = false;
   bool ghosts_valid = false;
   fdps::DomainDecomposer::Cuts cuts;
@@ -414,6 +415,30 @@ void DistributedEngine::restoreState(io::ByteReader& r, fdps::StepContext& ctx) 
                            ghost_cache_.import_counts.size() != ranks)) {
     throw std::runtime_error(
         "checkpoint: ghost cache export_idx/import_counts length != comm size");
+  }
+  // Both value refreshes index the restored locals: refreshGhostValues
+  // ships parts[export_idx], refreshLetValues reads parts[perm[j]] for each
+  // item's entry range [first, first+count) — just `first` for a raw entry.
+  for (const auto& list : ghost_cache_.export_idx) {
+    for (const auto i : list) {
+      if (i >= n_local) {
+        throw std::runtime_error("checkpoint: ghost cache export_idx entry >= local count");
+      }
+    }
+  }
+  for (const auto i : let_record_.perm) {
+    if (i >= n_local) {
+      throw std::runtime_error("checkpoint: LET record perm entry >= local count");
+    }
+  }
+  for (const auto& items : let_record_.items) {
+    for (const auto& item : items) {
+      const std::uint64_t end =
+          std::uint64_t{item.first} + std::max<std::uint64_t>(item.count, 1);
+      if (end > let_record_.perm.size()) {
+        throw std::runtime_error("checkpoint: LET record item range leaves perm");
+      }
+    }
   }
   dd_.restoreCuts(std::move(cuts));
   ctx.restoreExchangeCache(let_valid, ghosts_valid);

@@ -241,10 +241,16 @@ class DistributedEngine {
   void serializeState(io::ByteWriter& w, fdps::StepContext& ctx) const;
   /// Throws std::runtime_error naming the field when the block breaks an
   /// invariant the next step would index by: the domain map (see
-  /// DomainDecomposer::Cuts) or a ghost-export cache whose per-rank lists
-  /// are not comm().size() long. A throw leaves the engine unusable until
-  /// a restore succeeds.
-  void restoreState(io::ByteReader& r, fdps::StepContext& ctx);
+  /// DomainDecomposer::Cuts), a ghost-export cache whose per-rank lists are
+  /// not comm().size() long, an export_idx or LET-record perm entry that is
+  /// not below `n_local` (the restored local count), or a LET item whose
+  /// entry range leaves perm. A throw leaves the engine unusable until a
+  /// restore succeeds.
+  void restoreState(io::ByteReader& r, fdps::StepContext& ctx, std::size_t n_local);
+
+  /// The live ghost-export cache and LET export record (read-only).
+  [[nodiscard]] const fdps::GhostExchange& ghostExports() const { return ghost_cache_; }
+  [[nodiscard]] const fdps::LetExportRecord& letRecord() const { return let_record_; }
 
  private:
   template <class Io, class Engine>

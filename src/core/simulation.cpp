@@ -113,6 +113,24 @@ StepStats Simulation::step() {
     }
   }
 
+  // A full force pass (the global step's two passes, the block-timestep
+  // sync pass) targets every local for gravity and every local gas
+  // particle for SPH. Distributed: the LET imports and ghost suffix are
+  // made valid first (collective); a clean pass reuses both cached sets —
+  // zero exportLet walks — shipping only fresh ghost payloads along the
+  // remembered export lists.
+  const auto full_pass = [&](bool final_pass) {
+    if (dist_) {
+      util::TimerRegistry::Scope scope(
+          timers_, final_pass ? "2nd Exchange_LET" : "1st Exchange_LET");
+      dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
+                             /*allow_value_refresh=*/true);
+    }
+    targets_ = fdps::targetIndices(localSpan());
+    gas_targets_ = fdps::targetIndices(localSpan(), /*gas_only=*/true);
+    computeForces(stats, targets_, gas_targets_, final_pass);
+  };
+
   double dt = cfg_.dt_global;
   if (cfg_.adaptive_timestep && !cfg_.hierarchical_timestep) {
     // Conventional baseline: global shared timestep limited by the CFL
@@ -186,7 +204,7 @@ StepStats Simulation::step() {
     }
 
     // Force evaluation (tree gravity + SPH) and second kick.
-    computeForces(stats, /*first_pass=*/true);
+    full_pass(/*final_pass=*/false);
     {
       util::TimerRegistry::Scope scope(timers_, "Final_kick");
       for (std::size_t i = 0; i < n_local_; ++i) {
@@ -273,7 +291,7 @@ StepStats Simulation::step() {
   // step the cached LET entry set and ghost list are reused outright (zero
   // exportLet walks; ghosts get a payload-only value refresh so remote
   // cooling stays visible).
-  computeForces(stats, /*first_pass=*/false);
+  full_pass(/*final_pass=*/true);
 
   // Sync half of the limiter: rungs this final pass still saw lagging are
   // promoted in place, so the state published at the step boundary already
@@ -449,8 +467,8 @@ void Simulation::collectClosingSet(long n, StepStats& stats) {
     total_all += ca;
     total_gas += cg;
   }
-  active_idx_.resize(total_all);
-  active_gas_idx_.resize(total_gas);
+  targets_.resize(total_all);
+  gas_targets_.resize(total_gas);
 
 #pragma omp parallel for schedule(static)
   for (std::int64_t c = 0; c < n_chunks; ++c) {
@@ -461,8 +479,8 @@ void Simulation::collectClosingSet(long n, StepStats& stats) {
     for (std::int64_t i = lo; i < hi; ++i) {
       const auto& p = parts_[static_cast<std::size_t>(i)];
       if (step_end_[static_cast<std::size_t>(i)] != n) continue;
-      active_idx_[at_all++] = static_cast<std::uint32_t>(i);
-      if (p.isGas()) active_gas_idx_[at_gas++] = static_cast<std::uint32_t>(i);
+      targets_[at_all++] = static_cast<std::uint32_t>(i);
+      if (p.isGas()) gas_targets_[at_gas++] = static_cast<std::uint32_t>(i);
     }
   }
 }
@@ -535,9 +553,6 @@ void Simulation::applyWakes(long n, long nfull, double dt_min, int kmax,
     p.rung = static_cast<std::uint8_t>(k_target);
     ++stats.limiter_wakes;
   });
-  // Woken particles join the next closing set: the content-keyed active
-  // group cache must not serve the pre-wake subset.
-  step_ctx_.invalidateActiveGroups();
 }
 
 void Simulation::applySyncRungFloor(StepStats& stats) {
@@ -711,7 +726,7 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     // occupied rung closes every iteration, so the set is never empty
     // globally (a quiet rank's local set may be).
     collectClosingSet(n, stats);
-    computeForcesActive(stats, active_idx_, active_gas_idx_);
+    computeForces(stats, targets_, gas_targets_, /*final_pass=*/false);
 
     // Closing kick, then rung update: refining is always allowed, while
     // coarsening may only land on boundaries aligned with n — the block
@@ -720,10 +735,10 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     // limiter floor reads its own rung_ngb, recorded by the pass above).
     {
       util::TimerRegistry::Scope scope(timers_, "Final_kick");
-      const auto n_active = static_cast<std::int64_t>(active_idx_.size());
+      const auto n_active = static_cast<std::int64_t>(targets_.size());
 #pragma omp parallel for schedule(static)
       for (std::int64_t a = 0; a < n_active; ++a) {
-        const std::size_t i = active_idx_[static_cast<std::size_t>(a)];
+        const std::size_t i = targets_[static_cast<std::size_t>(a)];
         auto& p = parts_[i];
         // Closing half-kick over the step actually taken — for a particle
         // the limiter woke mid-step this is the shortened plan, not the
@@ -768,35 +783,28 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
 }
 
 sph::DensityStats Simulation::solveDensityWithReachRetries(
-    std::span<const std::uint32_t> active_gas, bool full_set) {
+    std::span<const std::uint32_t> gas_targets) {
   const auto snapshot_h = [&] {
     if (!dist_) return;
     // Snapshot the pre-solve supports: a stale-reach re-solve must start
     // from the same initial guesses the serial solve gets, or the closure
     // (which accepts any H inside its tolerance band) converges to a point
     // a rank-count-invariant run can't reach.
-    const std::size_t n = full_set ? n_local_ : active_gas.size();
-    h_save_.resize(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      h_save_[k] = parts_[full_set ? k : active_gas[k]].h;
+    h_save_.resize(gas_targets.size());
+    for (std::size_t k = 0; k < gas_targets.size(); ++k) {
+      h_save_[k] = parts_[gas_targets[k]].h;
     }
   };
   const auto restore_h = [&] {
-    const std::size_t n = full_set ? n_local_ : active_gas.size();
-    for (std::size_t k = 0; k < n; ++k) {
-      parts_[full_set ? k : active_gas[k]].h = h_save_[k];
+    for (std::size_t k = 0; k < gas_targets.size(); ++k) {
+      parts_[gas_targets[k]].h = h_save_[k];
     }
   };
   const auto solve = [&]() -> sph::DensityStats {
     // Pure-compute section: timed into work_seconds_accum_ (no collectives
     // inside the solve itself — the retry protocol around it is collective).
     const double t0 = util::wtime();
-    sph::DensityStats ds{};
-    if (full_set) {
-      ds = sph::solveDensity(step_ctx_, parts_, n_local_, sphParams());
-    } else if (!active_gas.empty()) {
-      ds = sph::solveDensity(step_ctx_, parts_, n_local_, sphParams(), active_gas);
-    }
+    const auto ds = sph::solveDensity(step_ctx_, parts_, gas_targets, sphParams());
     work_seconds_accum_ += util::wtime() - t0;
     return ds;
   };
@@ -810,8 +818,8 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
   // covers the new supports — re-exchange with the grown radii and
   // re-solve instead of silently under-importing neighbours. The retry
   // count is uniform across ranks because the escape decision is an
-  // allreduce, so the collective call sequence never diverges between the
-  // full-set and active-set passes sharing this body.
+  // allreduce, so the collective call sequence never diverges between
+  // ranks whose target sets differ (or are empty).
   constexpr int max_retries = DistributedEngine::kMaxReachRetries;
   int retries = 0;
   while (retries < max_retries &&
@@ -829,79 +837,21 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
   return ds;
 }
 
-void Simulation::computeForcesActive(StepStats& stats,
-                                     std::span<const std::uint32_t> active,
-                                     std::span<const std::uint32_t> active_gas) {
-  // Requests are per-pass: never let a skipped hydro pass leak the previous
-  // sub-step's wake list into this sub-step's processing.
-  wake_requests_.clear();
-  // A distributed rank with an empty closing set still participates in the
-  // collective stale-reach checks below.
-  if (!dist_ && active.empty()) return;
-
-  {
-    util::TimerRegistry::Scope scope(timers_, "1st Calc_Kernel_Size_and_Density");
-    const auto ds = solveDensityWithReachRetries(active_gas, /*full_set=*/false);
-    timers_.add("Tree_Build", ds.t_build);
-    timers_.add("Tree_Walk (cpu)", ds.t_walk);
-    timers_.add("Interaction_Kernel (cpu)", ds.t_kernel);
-    accumulate(stats.density_stats, ds);
-  }
-  // Post-density ghost payload refresh (collective — must precede any
-  // rank-dependent early return): active targets read neighbour rho/pres
-  // that only the neighbour's home rank just solved.
-  if (dist_) {
-    util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
-    dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_);
-    syncStepArrays();
-  }
-  if (active.empty()) return;
-
-  {
-    util::TimerRegistry::Scope scope(timers_, "1st Make_Local_Tree");
-    for (const auto i : active) {
-      parts_[i].acc = Vec3d{};
-      parts_[i].pot = 0.0;
-    }
-  }
-  {
-    util::TimerRegistry::Scope scope(timers_, "1st Calc_Force");
-    const double t0 = util::wtime();
-    const auto let = dist_ ? std::span<const fdps::SourceEntry>(step_ctx_.letImports())
-                           : std::span<const fdps::SourceEntry>{};
-    const auto gs = gravity::accumulateTreeGravity(step_ctx_, localSpan(), let,
-                                                   gravityParams(), active);
-    timers_.add("Tree_Build", gs.t_build);
-    timers_.add("Tree_Walk (cpu)", gs.t_walk);
-    timers_.add("Interaction_Kernel (cpu)", gs.t_kernel);
-    accumulate(stats.gravity_stats, gs);
-    const auto fs = sph::accumulateHydroForce(
-        step_ctx_, parts_, n_local_, sphParams(), active_gas,
-        cfg_.timestep_limiter ? &wake_requests_ : nullptr);
-    timers_.add("Tree_Build", fs.t_build);
-    timers_.add("Tree_Walk (cpu)", fs.t_walk);
-    timers_.add("Interaction_Kernel (cpu)", fs.t_kernel);
-    accumulate(stats.force_stats, fs);
-    work_seconds_accum_ += util::wtime() - t0;
-  }
-  stats.force_evaluations += active.size() + active_gas.size();
-}
-
-void Simulation::computeForces(StepStats& stats, bool first_pass) {
-  const char* tree_cat = first_pass ? "1st Make_Local_Tree" : "2nd Make_Tree";
-  const char* let_cat = first_pass ? "1st Exchange_LET" : "2nd Exchange_LET";
-  const char* force_cat = first_pass ? "1st Calc_Force" : "2nd Calc_Force";
+void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> targets,
+                               std::span<const std::uint32_t> gas_targets,
+                               bool final_pass) {
+  const char* tree_cat = final_pass ? "2nd Make_Tree" : "1st Make_Local_Tree";
+  const char* let_cat = final_pass ? "2nd Exchange_LET" : "1st Exchange_LET";
+  const char* force_cat = final_pass ? "2nd Calc_Force" : "1st Calc_Force";
   const char* kernel_cat =
-      first_pass ? "1st Calc_Kernel_Size_and_Density" : "2nd Calc_Kernel_Size";
-
-  // Distributed: make the LET imports and ghost suffix valid (collective).
-  // A clean pass reuses both cached sets — zero exportLet walks — shipping
-  // only fresh ghost payloads along the remembered export lists.
-  if (dist_) {
-    util::TimerRegistry::Scope scope(timers_, let_cat);
-    dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
-                           /*allow_value_refresh=*/true);
-  }
+      final_pass ? "2nd Calc_Kernel_Size" : "1st Calc_Kernel_Size_and_Density";
+  // Per-pass outputs: never let a skipped hydro pass leak the previous
+  // pass's wake list or CFL minimum into this pass's consumers.
+  wake_requests_.clear();
+  last_cfl_dt_ = std::numeric_limits<double>::infinity();
+  // A distributed rank with an empty target set still participates in the
+  // collective stale-reach checks and payload refresh below.
+  if (!dist_ && targets.empty()) return;
 
   // SPH kernel size + density (+ div/curl, pressure). The gas tree built
   // here (or reused from the previous pass) is shared with the hydro force
@@ -912,21 +862,24 @@ void Simulation::computeForces(StepStats& stats, bool first_pass) {
   // runs, hence the distinct "(cpu)" naming.
   {
     util::TimerRegistry::Scope scope(timers_, kernel_cat);
-    const auto ds = solveDensityWithReachRetries({}, /*full_set=*/true);
+    const auto ds = solveDensityWithReachRetries(gas_targets);
     timers_.add("Tree_Build", ds.t_build);
     timers_.add("Tree_Walk (cpu)", ds.t_walk);
     timers_.add("Interaction_Kernel (cpu)", ds.t_kernel);
-    if (first_pass) stats.density_stats = ds;
+    if (!final_pass) accumulate(stats.density_stats, ds);
   }
 
   // Distributed: the exchange selected ghosts *before* the density solve,
   // so the imported copies still carry pre-solve rho/pres/h (zeros on the
   // very first pass). Ship every home rank's post-solve payloads along the
   // cached export lists before any kernel divides by a neighbour's rho^2.
+  // Collective, so it precedes the rank-dependent early return below.
   if (dist_) {
     util::TimerRegistry::Scope scope(timers_, let_cat);
     dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_);
+    syncStepArrays();
   }
+  if (targets.empty()) return;
 
   // Gravity: the tree lives in step_ctx_ and is reused by the second pass
   // when positions did not change; sources are locals + the cached LET
@@ -934,45 +887,39 @@ void Simulation::computeForces(StepStats& stats, bool first_pass) {
   // contribution and must NOT double as gravity sources).
   {
     util::TimerRegistry::Scope scope(timers_, tree_cat);
-    for (std::size_t i = 0; i < n_local_; ++i) {
+    for (const auto i : targets) {
       parts_[i].acc = Vec3d{};
       parts_[i].pot = 0.0;
     }
   }
-  { util::TimerRegistry::Scope scope(timers_, let_cat); /* exchange ran above */ }
   {
     util::TimerRegistry::Scope scope(timers_, force_cat);
     const double t0 = util::wtime();
     const auto let = dist_ ? std::span<const fdps::SourceEntry>(step_ctx_.letImports())
                            : std::span<const fdps::SourceEntry>{};
-    const auto gs =
-        gravity::accumulateTreeGravity(step_ctx_, localSpan(), let, gravityParams());
+    const auto gs = gravity::accumulateTreeGravity(step_ctx_, localSpan(), let, targets,
+                                                   gravityParams());
     timers_.add("Tree_Build", gs.t_build);
     timers_.add("Tree_Walk (cpu)", gs.t_walk);
     timers_.add("Interaction_Kernel (cpu)", gs.t_kernel);
-    if (first_pass) stats.gravity_stats = gs;
-    // The final (synchronized) pass doubles as the limiter's last detection
-    // sweep: requests collected here drive the sync-point rung floor.
-    const bool collect_wakes = cfg_.hierarchical_timestep &&
-                               cfg_.timestep_limiter && !first_pass;
-    const auto fs =
-        sph::accumulateHydroForce(step_ctx_, parts_, n_local_, sphParams(),
-                                  collect_wakes ? &wake_requests_ : nullptr);
+    if (!final_pass) accumulate(stats.gravity_stats, gs);
+    // Every block-timestep pass doubles as a limiter detection sweep: the
+    // sub-steps' requests drive the mid-step wakes, the final pass's the
+    // sync-point rung floor.
+    const bool collect_wakes = cfg_.hierarchical_timestep && cfg_.timestep_limiter;
+    const auto fs = sph::accumulateHydroForce(step_ctx_, parts_, gas_targets, sphParams(),
+                                              collect_wakes ? &wake_requests_ : nullptr);
     timers_.add("Tree_Build", fs.t_build);
     timers_.add("Tree_Walk (cpu)", fs.t_walk);
     timers_.add("Interaction_Kernel (cpu)", fs.t_kernel);
-    if (first_pass) stats.force_stats = fs;
-    // The pass's CFL minimum is next step's adaptive-baseline timestep (and
-    // the per-particle vsig behind it feeds the rung criteria) — the
+    if (!final_pass) accumulate(stats.force_stats, fs);
+    // The final pass's CFL minimum is next step's adaptive-baseline timestep
+    // (and the per-particle vsig behind it feeds the rung criteria) — the
     // standalone cflTimestep sweep is no longer on the step path.
     last_cfl_dt_ = fs.dt_cfl_min;
     work_seconds_accum_ += util::wtime() - t0;
   }
-  std::size_t n_gas = 0;
-  for (std::size_t i = 0; i < n_local_; ++i) {
-    if (parts_[i].isGas()) ++n_gas;
-  }
-  stats.force_evaluations += n_local_ + n_gas;
+  stats.force_evaluations += targets.size() + gas_targets.size();
 }
 
 void Simulation::captureAndSendRegions(const std::vector<stellar::SnEvent>& events,
@@ -1400,7 +1347,7 @@ void Simulation::restoreState(io::ByteReader& r) {
   if (r.read<bool>() != (dist_ != nullptr)) {
     throw std::runtime_error("checkpoint: distributed-engine presence mismatch");
   }
-  if (dist_) dist_->restoreState(r, step_ctx_);
+  if (dist_) dist_->restoreState(r, step_ctx_, parts_.size());
 
   // Tree caches rebuild from the restored positions (invalidate touches the
   // tree cache only — the exchange-cache flags restored above survive).

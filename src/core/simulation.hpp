@@ -33,8 +33,9 @@
 ///   b. drift ALL particles by the sub-step (inactive particles advance
 ///      ballistically — the "prediction" of FAST-style schemes);
 ///   c. cached trees get refreshPositions (O(N) moment resweep, no rebuild,
-///      first sub-step excepted) and only the *active* rungs are walked as
-///      Morton target groups: active-set density, gravity, hydro force;
+///      first sub-step excepted) and the force pass runs on the closing set
+///      (particles whose step ends at n): density, gravity and hydro force
+///      walk Morton groups built over those targets only;
 ///   d. closing kick for particles whose step ends at n, then rung update —
 ///      moving to a finer rung is always allowed, coarsening only when the
 ///      coarser boundary is aligned with n (the block invariant).
@@ -42,7 +43,10 @@
 /// SN identify/send/receive, star formation, cooling and the 2nd force pass
 /// stay at full-step boundaries, where every rung synchronizes — exactly
 /// the paper's scheme with the quiescent disc decoupled from SN-driven
-/// timestep collapse (§3.2/§5.3).
+/// timestep collapse (§3.2/§5.3). There is one force pass
+/// (computeForces): a full pass is the sub-step pass with every local as
+/// gravity target and every local gas particle as SPH target, so the
+/// global, hierarchical, serial and distributed paths share its code.
 ///
 /// # Saitoh–Makino timestep limiter (cfg.timestep_limiter)
 ///
@@ -448,20 +452,26 @@ class Simulation {
   /// cfg_.kernel_isa applies. Pure — the user's config is never mutated.
   [[nodiscard]] gravity::GravityParams gravityParams() const;
   [[nodiscard]] sph::SphParams sphParams() const;
-  void computeForces(StepStats& stats, bool first_pass);
+  /// The force pass: density solve (with the distributed stale-reach
+  /// protocol), ghost payload refresh, tree gravity and hydro force on
+  /// `targets` (local indices) and `gas_targets` (their gas subset). A full
+  /// pass names every local; a sub-step names its closing set. The caller
+  /// makes the exchange valid first (DistributedEngine::ensureExchanged).
+  /// Non-final passes time into the "1st …" categories and accumulate the
+  /// StepStats density/gravity/force stats; the final pass of a step times
+  /// into "2nd …". Wake requests are collected on block-timestep passes
+  /// with the limiter on.
+  void computeForces(StepStats& stats, std::span<const std::uint32_t> targets,
+                     std::span<const std::uint32_t> gas_targets, bool final_pass);
   /// Block-timestep integration of one global step (replaces the global
   /// kick-drift-kick + first force pass + final kick).
   void hierarchicalIntegrate(StepStats& stats, double dt);
-  /// Active-set force pass on the closing rungs of one sub-step.
-  void computeForcesActive(StepStats& stats,
-                           std::span<const std::uint32_t> active,
-                           std::span<const std::uint32_t> active_gas);
   /// Rung from the per-particle criteria (accel; CFL via the vsig recorded
   /// by the last hydro pass; the limiter's neighbour-rung floor), clamped
   /// to [0, max_rung].
   [[nodiscard]] int desiredRung(const fdps::Particle& p, double dt_global) const;
   /// Deterministic fixed-chunk count-then-fill of the closing set at
-  /// sub-unit `n` into active_idx_/active_gas_idx_ (exact index order for
+  /// sub-unit `n` into targets_/gas_targets_ (exact index order for
   /// any thread count), accumulating per-rung force-eval counters.
   void collectClosingSet(long n, StepStats& stats);
   /// Saitoh–Makino wake processing after the closing kick of the sub-step
@@ -494,14 +504,13 @@ class Simulation {
   [[nodiscard]] std::span<const fdps::Particle> localSpan() const {
     return {parts_.data(), dist_ ? n_local_ : parts_.size()};
   }
-  /// Density solve plus the distributed stale-reach protocol (snapshot the
-  /// pre-solve supports, re-exchange + restored-h re-solve while any rank's
-  /// reach escaped, record a give-up at the cap). One body for the full-set
-  /// and active-set passes: the collective call sequence inside must never
-  /// diverge between them. `active_gas` empty + full_set selects the
-  /// whole-array solve.
+  /// Density solve on `gas_targets` plus the distributed stale-reach
+  /// protocol (snapshot the targets' pre-solve supports, re-exchange +
+  /// restored-h re-solve while any rank's reach escaped, record a give-up
+  /// at the cap). Collective when distributed, also on a rank with no
+  /// targets.
   sph::DensityStats solveDensityWithReachRetries(
-      std::span<const std::uint32_t> active_gas, bool full_set);
+      std::span<const std::uint32_t> gas_targets);
   /// Resize the per-particle step bookkeeping after a ghost attach/detach
   /// changed parts_.size() mid-sub-step-loop; new (ghost) slots get a
   /// sentinel end that never matches a sub-unit, so they never open, close
@@ -552,8 +561,10 @@ class Simulation {
   long expected_count_ = -1;
   double expected_mass_ = 0.0;
   std::uint64_t expected_id_sum_ = 0;
-  /// Active-set index scratch reused across sub-steps.
-  std::vector<std::uint32_t> active_idx_, active_gas_idx_;
+  /// Target lists of the current force pass (all locals and their gas
+  /// subset on a full pass, the closing set on a sub-step), reused across
+  /// passes.
+  std::vector<std::uint32_t> targets_, gas_targets_;
   /// Per-particle step bookkeeping of the sub-step loop, in sub-units of
   /// dt_global / 2^max_rung: the boundary each particle's current step
   /// opened at and the boundary it will close at. PR 2 derived both from

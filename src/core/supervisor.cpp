@@ -74,7 +74,7 @@ void Supervisor::attemptBody(comm::Comm& comm, long target_step,
     // restoreState brought back the snapshot's config, which predates this
     // attempt's ladder level — re-apply the escalation knobs (the backend
     // choice is construction-time and unaffected by restore).
-    sim->config() = escalate(sim->config(), plan.level);
+    sim->config() = escalateConfig(sim->config(), plan.level);
   } else if (ring.lastStep() != sim->stepCount()) {
     // Fresh start: seed the ring with the pre-step state so even a failure
     // before the first interval snapshot rolls back instead of restarting
@@ -137,7 +137,6 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
   const bool prev_guard = cluster_.messageGuard();
   cluster_.setMessageGuard(cfg_.guard_messages);
 
-  int level = 0;
   double backoff_ms = cfg_.backoff_initial_ms;
   std::vector<long> progress(static_cast<std::size_t>(nranks), -1);
   std::vector<StepStats> health(static_cast<std::size_t>(nranks));
@@ -145,7 +144,9 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
   for (;;) {
     ++rep.attempts;
     const long resume_step = commonRingStep();
-    const AttemptPlan plan{escalate(base, level), level >= 2, level};
+    // Retry r runs at ladder level min(r - 1, kMaxEscalation): the first
+    // attempt and the first retry both run the plain config.
+    const AttemptPlan plan = planAttempt(base, rep.retries - 1);
 
     std::optional<comm::Watchdog> dog;
     if (cfg_.watchdog) {
@@ -197,7 +198,7 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
     if (!failed) {
       rep.completed = true;
       rep.final_step = target_step;
-      rep.escalation_level = level;
+      rep.escalation_level = plan.level;
       break;
     }
 
@@ -207,7 +208,7 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
       cause = "hang: watchdog deadline (" +
               std::to_string(cfg_.watchdog_deadline_s) + " s) exceeded";
     }
-    rep.failures.push_back(FailureRecord{rep.attempts, level, resume_step,
+    rep.failures.push_back(FailureRecord{rep.attempts, plan.level, resume_step,
                                          failed_after, attempt_trips > 0,
                                          cause});
 
@@ -217,13 +218,12 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
 
     if (rep.retries >= cfg_.max_retries) {
       rep.final_step = next_resume;
-      rep.escalation_level = level;
+      rep.escalation_level = plan.level;
       rep.postmortem_path = writePostmortem(next_resume);
       break;
     }
     ++rep.retries;
     if (next_resume >= 0) ++rep.rollbacks;
-    level = std::min(rep.retries - 1, 3);
 
     if (backoff_ms > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(

@@ -109,15 +109,12 @@ struct RunReport {
 
 class Supervisor {
  public:
-  /// What the factory must build an attempt from (see core/recovery.hpp —
-  /// the plan and the escalation ladder are shared with the multi-instance
-  /// scenario service). `cfg` already carries the level's config knobs;
-  /// `force_oracle` asks for the construction-time choice the config cannot
-  /// express — build the Simulation with SedovOracleBackend as the *primary*
-  /// surrogate backend.
-  using AttemptPlan = core::AttemptPlan;
-
-  /// Builds one rank's Simulation for one attempt. Called inside
+  /// Builds one rank's Simulation for one attempt from its AttemptPlan (see
+  /// core/recovery.hpp — the plan and the escalation ladder are shared with
+  /// the multi-instance scenario service): `cfg` already carries the
+  /// level's config knobs; `force_oracle` asks for the construction-time
+  /// choice the config cannot express — build the Simulation with
+  /// SedovOracleBackend as the *primary* surrogate backend. Called inside
   /// Cluster::run on every rank, every attempt — construction must be cheap
   /// relative to the run (ring restore replaces the state right after).
   using Factory =
@@ -129,15 +126,6 @@ class Supervisor {
   using Finisher = std::function<void(comm::Comm&, Simulation&)>;
 
   Supervisor(comm::Cluster& cluster, SupervisorConfig cfg);
-
-  /// The config for ladder `level` derived from `base` (forwards to
-  /// core::escalateConfig). Applied both when planning an attempt and on top
-  /// of a rolled-back state (whose serialized config predates the
-  /// escalation). Monotone: escalating an already escalated config is
-  /// idempotent.
-  [[nodiscard]] static SimulationConfig escalate(SimulationConfig base, int level) {
-    return escalateConfig(std::move(base), level);
-  }
 
   /// Drive every rank's Simulation to `target_step`, self-healing on
   /// failure. Blocks until the run completes or the retry budget is spent;

@@ -30,12 +30,9 @@ void StepContext::beginStep() {
 void StepContext::invalidate() {
   gravity_tree_valid_ = false;
   gas_tree_valid_ = false;
-  gravity_groups_valid_ = false;
-  gas_groups_valid_ = false;
-  active_gas_groups_valid_ = false;
+  gravity_groups_.valid = false;
+  gas_groups_.valid = false;
 }
-
-void StepContext::invalidateActiveGroups() { active_gas_groups_valid_ = false; }
 
 SourceTree& StepContext::gravityTree(std::span<const Particle> particles,
                                      std::span<const SourceEntry> let_entries,
@@ -71,32 +68,30 @@ SourceTree& StepContext::gasTree(std::span<const Particle> work, int leaf_size) 
   return gas_tree_;
 }
 
-const std::vector<TargetGroup>& StepContext::gravityGroups(
-    std::span<const Particle> particles, int group_size) {
-  if (!gravity_groups_valid_ || gravity_grp_n_ != particles.size() ||
-      gravity_gs_ != group_size) {
-    gravity_groups_ = makeTargetGroups(particles, group_size);
-    gravity_groups_valid_ = true;
-    gravity_grp_n_ = particles.size();
-    gravity_gs_ = group_size;
+const std::vector<TargetGroup>& StepContext::GroupCache::get(
+    std::span<const Particle> particles, std::span<const std::uint32_t> targets,
+    int group_size) {
+  if (valid && gs == group_size &&
+      std::equal(targets.begin(), targets.end(), key.begin(), key.end())) {
+    return groups;
   }
-  return gravity_groups_;
+  groups = makeTargetGroups(particles, targets, group_size);
+  key.assign(targets.begin(), targets.end());
+  gs = group_size;
+  valid = true;
+  return groups;
 }
 
-const std::vector<TargetGroup>& StepContext::gasGroups(std::span<const Particle> work,
-                                                       std::size_t n_local,
-                                                       int group_size) {
-  n_local = std::min(n_local, work.size());
-  if (!gas_groups_valid_ || gas_grp_n_ != work.size() || gas_grp_local_ != n_local ||
-      gas_gs_ != group_size) {
-    gas_groups_ = makeTargetGroups(work.subspan(0, n_local), group_size,
-                                   /*gas_only=*/true);
-    gas_groups_valid_ = true;
-    gas_grp_n_ = work.size();
-    gas_grp_local_ = n_local;
-    gas_gs_ = group_size;
-  }
-  return gas_groups_;
+const std::vector<TargetGroup>& StepContext::gravityGroups(
+    std::span<const Particle> particles, std::span<const std::uint32_t> targets,
+    int group_size) {
+  return gravity_groups_.get(particles, targets, group_size);
+}
+
+const std::vector<TargetGroup>& StepContext::gasGroups(
+    std::span<const Particle> work, std::span<const std::uint32_t> targets,
+    int group_size) {
+  return gas_groups_.get(work, targets, group_size);
 }
 
 void StepContext::refreshGasSmoothing(std::span<const Particle> work) {
@@ -107,7 +102,7 @@ void StepContext::refreshGasSmoothing(std::span<const Particle> work) {
 }
 
 void StepContext::refreshGravityPositions(std::span<const Particle> particles) {
-  gravity_groups_valid_ = false;  // bboxes went stale with the drift
+  gravity_groups_.valid = false;  // bboxes went stale with the drift
   if (!gravity_tree_valid_) return;
   if (gravity_n_ != particles.size()) {
     gravity_tree_valid_ = false;
@@ -124,8 +119,7 @@ void StepContext::refreshGravityPositions(std::span<const Particle> particles) {
 }
 
 void StepContext::refreshGasPositions(std::span<const Particle> work) {
-  gas_groups_valid_ = false;
-  active_gas_groups_valid_ = false;
+  gas_groups_.valid = false;
   if (!gas_tree_valid_) return;
   if (gas_n_ != work.size()) {
     gas_tree_valid_ = false;
@@ -134,30 +128,6 @@ void StepContext::refreshGasPositions(std::span<const Particle> work) {
   gas_tree_.refreshPositions(work);
   ++refreshes_step_;
   ++refreshes_total_;
-}
-
-const std::vector<TargetGroup>& StepContext::activeGravityGroups(
-    std::span<const Particle> particles, std::span<const std::uint32_t> subset,
-    int group_size) {
-  active_gravity_groups_ = makeTargetGroups(particles, subset, group_size);
-  return active_gravity_groups_;
-}
-
-const std::vector<TargetGroup>& StepContext::activeGasGroups(
-    std::span<const Particle> work, std::span<const std::uint32_t> subset,
-    int group_size) {
-  // Content-keyed cache: the density and hydro passes of one sub-step ask
-  // for the same subset back-to-back with no drift in between.
-  if (active_gas_groups_valid_ && active_gas_gs_ == group_size &&
-      active_gas_subset_.size() == subset.size() &&
-      std::equal(subset.begin(), subset.end(), active_gas_subset_.begin())) {
-    return active_gas_groups_;
-  }
-  active_gas_groups_ = makeTargetGroups(work, subset, group_size);
-  active_gas_subset_.assign(subset.begin(), subset.end());
-  active_gas_gs_ = group_size;
-  active_gas_groups_valid_ = true;
-  return active_gas_groups_;
 }
 
 }  // namespace asura::fdps

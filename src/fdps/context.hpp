@@ -27,11 +27,13 @@
 /// force pass therefore sees exactly the supports a fresh build would —
 /// positions unchanged implies identical Morton order and topology.
 ///
-/// **Mismatch guards.** As a belt-and-braces check, cached products also
-/// remember the (count, leaf_size/group_size, n_local, LET size) they were
-/// built from and rebuild automatically when a caller asks with different
-/// parameters. This guards against count changes; *silent position
-/// mutation cannot be detected* and is the caller's responsibility.
+/// **Mismatch guards.** As a belt-and-braces check, each cached tree also
+/// remembers the (count, leaf_size, LET size and epoch) it was built from
+/// and rebuilds automatically when a caller asks with different parameters.
+/// Target groups are keyed by the content of the caller's target list and
+/// the group size instead. This guards against count changes; *silent
+/// position mutation cannot be detected* and is the caller's
+/// responsibility.
 ///
 /// # Exchange cache (distributed steps)
 ///
@@ -56,9 +58,9 @@
 /// `invalidate()` (the position/species/count tree invalidation) does NOT
 /// clear the exchange cache: the whole point is that trees rebuild from
 /// locals + the *cached* imports without re-walking exportLet or
-/// re-selecting ghosts. letImportsUpdated()/ghostImportsUpdated() bump
-/// epochs the gravity-tree guard keys on, so a same-size re-exchange can
-/// never serve a stale tree.
+/// re-selecting ghosts. noteLetExchange(), noteLetValueRefresh() and
+/// restoreExchangeCache() bump the LET epoch the gravity-tree guard keys on,
+/// so a same-size re-exchange can never serve a stale tree.
 ///
 /// **Scratch arenas.** `arena(tid)` hands each OpenMP thread a private
 /// ThreadArena holding interaction-list and SoA staging buffers. Arenas are
@@ -67,9 +69,9 @@
 /// thread that owns the index — there is no internal locking.
 ///
 /// **Thread safety.** StepContext itself is NOT thread-safe: the accessor
-/// methods (gravityTree, gasTree, …Groups, refreshGasSmoothing,
-/// invalidate, beginStep) must be called from serial code (outside any
-/// parallel region). The returned trees/groups are immutable during the
+/// methods (gravityTree, gasTree, gravityGroups, gasGroups,
+/// refreshGasSmoothing, invalidate, beginStep) must be called from serial
+/// code (outside any parallel region). The returned trees/groups are immutable during the
 /// parallel force loops and may be read concurrently. One StepContext per
 /// Simulation (or per thread of independent simulations).
 ///
@@ -154,13 +156,21 @@ class StepContext {
   /// Gas-only tree over the working array (locals + ghosts).
   SourceTree& gasTree(std::span<const Particle> work, int leaf_size);
 
-  /// Morton-ordered target groups over all particles (gravity targets).
+  /// Morton-ordered target groups over `targets` (indices into the array
+  /// the targets live in: `particles` for gravity, the locals + ghosts
+  /// working array for gas). Each tree has one slot, cached by the target
+  /// list's content and the group size, so a repeated request with no
+  /// intervening drift — the hydro force after the density solve, or the
+  /// second pass of a global step — is a hit. invalidate() and the
+  /// position refreshes clear the slot (positions moved, so the bboxes went
+  /// stale even for an identical list). The reference is valid until the
+  /// next call on the same slot.
   const std::vector<TargetGroup>& gravityGroups(std::span<const Particle> particles,
+                                                std::span<const std::uint32_t> targets,
                                                 int group_size);
-
-  /// Morton-ordered gas-only target groups over the local prefix.
   const std::vector<TargetGroup>& gasGroups(std::span<const Particle> work,
-                                            std::size_t n_local, int group_size);
+                                            std::span<const std::uint32_t> targets,
+                                            int group_size);
 
   /// Propagate updated Particle::h into the cached gas tree (entry h and
   /// node max_h) — an O(N + nodes) sweep instead of a rebuild.
@@ -169,30 +179,13 @@ class StepContext {
   /// Block-timestep drift support: propagate updated particle positions into
   /// the cached trees and recompute their moments in place (O(N + nodes))
   /// instead of invalidating. Topology and Morton order stay from the last
-  /// build, so per-sub-step cost is a sweep, not a sort. The cached
-  /// *full-set* target groups are invalidated (their bboxes went stale) and
-  /// rebuilt lazily on next request — the sub-step loop itself walks the
-  /// per-call active groups below, whose bboxes are always current. A
-  /// gravity tree holding LET imports cannot be position-refreshed (the
-  /// import set has no local backing array) and is invalidated instead.
+  /// build, so per-sub-step cost is a sweep, not a sort. The tree's cached
+  /// target groups are dropped (their bboxes went stale) and rebuilt on the
+  /// next request. In a gravity tree holding LET imports only the local
+  /// entries move; the imports keep their exchanged positions, the coasting
+  /// the exchange skin bounds.
   void refreshGravityPositions(std::span<const Particle> particles);
   void refreshGasPositions(std::span<const Particle> work);
-
-  /// Morton-ordered target groups over an explicit active subset (indices
-  /// into the particle array), built into member storage to keep the
-  /// allocation churn bounded; the reference is valid until the next call
-  /// on the same slot. Gravity and gas actives use separate slots so one
-  /// sub-step can hold both. The gas slot caches by subset *content*: the
-  /// density and hydro-force passes of one sub-step call with the same
-  /// active set and no intervening drift, so the second call is a hit.
-  /// invalidate() and the position refreshes clear it (positions moved, so
-  /// the bboxes went stale even for an identical subset).
-  const std::vector<TargetGroup>& activeGravityGroups(
-      std::span<const Particle> particles, std::span<const std::uint32_t> subset,
-      int group_size);
-  const std::vector<TargetGroup>& activeGasGroups(std::span<const Particle> work,
-                                                  std::span<const std::uint32_t> subset,
-                                                  int group_size);
 
   // --- distributed exchange cache -----------------------------------------
   // Storage, validity flags and counters for the imported LET entry set and
@@ -264,16 +257,6 @@ class StepContext {
   [[nodiscard]] std::uint64_t letExchangesTotal() const { return let_exchanges_total_; }
   [[nodiscard]] std::uint64_t ghostExchangesTotal() const { return ghost_exchanges_total_; }
 
-  /// Drop only the cached *active* target groups. The timestep limiter
-  /// calls this after mid-step wakes change the next closing set: the
-  /// content-keyed gas slot must never serve a pre-wake subset. In the
-  /// current sub-step loop this is belt-and-braces — every drift already
-  /// clears the slot through refreshGasPositions()/invalidate() before the
-  /// next force pass — but the wake path owns the contract explicitly so a
-  /// reordering of the loop (e.g. hoisting the refresh out of quiet
-  /// sub-steps) cannot silently revive stale groups.
-  void invalidateActiveGroups();
-
   [[nodiscard]] ThreadArena& arena(int tid) { return arenas_[static_cast<std::size_t>(tid)]; }
   [[nodiscard]] int numArenas() const { return static_cast<int>(arenas_.size()); }
 
@@ -288,20 +271,25 @@ class StepContext {
   [[nodiscard]] std::uint64_t totalRefreshes() const { return refreshes_total_; }
 
  private:
+  /// One tree's target-group slot, keyed by target-list content.
+  struct GroupCache {
+    std::vector<TargetGroup> groups;
+    std::vector<std::uint32_t> key;  ///< the targets the groups were built from
+    int gs = 0;
+    bool valid = false;
+    const std::vector<TargetGroup>& get(std::span<const Particle> particles,
+                                        std::span<const std::uint32_t> targets,
+                                        int group_size);
+  };
+
   SourceTree gravity_tree_, gas_tree_;
-  std::vector<TargetGroup> gravity_groups_, gas_groups_;
-  std::vector<TargetGroup> active_gravity_groups_, active_gas_groups_;
-  std::vector<std::uint32_t> active_gas_subset_;  ///< content key of the gas slot
-  bool active_gas_groups_valid_ = false;
-  int active_gas_gs_ = 0;
+  GroupCache gravity_groups_, gas_groups_;
 
   bool gravity_tree_valid_ = false, gas_tree_valid_ = false;
-  bool gravity_groups_valid_ = false, gas_groups_valid_ = false;
   // Build-parameter fingerprints for the mismatch guard.
   std::size_t gravity_n_ = 0, gravity_let_n_ = 0, gas_n_ = 0;
   std::uint64_t gravity_let_epoch_ = 0;  ///< let_epoch_ the tree was built at
-  std::size_t gravity_grp_n_ = 0, gas_grp_n_ = 0, gas_grp_local_ = 0;
-  int gravity_leaf_ = 0, gas_leaf_ = 0, gravity_gs_ = 0, gas_gs_ = 0;
+  int gravity_leaf_ = 0, gas_leaf_ = 0;
 
   std::vector<ThreadArena> arenas_;
 

@@ -581,85 +581,65 @@ void SourceTree::exportLet(const Box& remote_box, double theta,
   }
 }
 
-namespace {
-
-/// Shared tail of both makeTargetGroups overloads: Morton-sort `sel` by the
-/// particles' current positions and chunk into group_size runs.
-std::vector<TargetGroup> groupsFromSelection(std::span<const Particle> particles,
-                                             std::span<const std::uint32_t> sel,
-                                             const Box& all, int group_size) {
-  std::vector<TargetGroup> groups;
-  if (sel.empty()) return groups;
-  const Box cube = all.boundingCube();
-  // Keys are computed once into a buffer — the old comparator re-derived the
-  // Morton key on every comparison (O(N log N) key evaluations).
-  std::vector<std::uint64_t> keys(sel.size());
-#pragma omp parallel for schedule(static)
-  for (std::size_t i = 0; i < sel.size(); ++i) {
-    keys[i] = mortonKey(particles[sel[i]].pos, cube);
+std::vector<std::uint32_t> targetIndices(std::span<const Particle> particles,
+                                         bool gas_only) {
+  std::vector<std::uint32_t> out;
+  out.reserve(particles.size());
+  for (std::uint32_t i = 0; i < particles.size(); ++i) {
+    if (!gas_only || particles[i].isGas()) out.push_back(i);
   }
-  // Persistent scratch: grouping runs twice per step, so keep its sort
-  // working set warm like the tree's (called from serial code only).
+  return out;
+}
+
+std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
+                                          std::span<const std::uint32_t> targets,
+                                          int group_size) {
+  std::vector<TargetGroup> groups;
+  if (targets.empty()) return groups;
+  // The target box is recomputed every sub-step (the closing set changes
+  // each sub-step, and mid-step limiter wakes change it again); a simd
+  // min/max reduction keeps this O(targets) sweep off the quiet-substep
+  // floor instead of serializing on Box::extend's dependency chain.
+  double lx = particles[targets[0]].pos.x, ly = particles[targets[0]].pos.y,
+         lz = particles[targets[0]].pos.z;
+  double hx = lx, hy = ly, hz = lz;
+#pragma omp simd reduction(min : lx, ly, lz) reduction(max : hx, hy, hz)
+  for (std::size_t s = 0; s < targets.size(); ++s) {
+    const Vec3d p = particles[targets[s]].pos;
+    lx = std::min(lx, p.x);
+    ly = std::min(ly, p.y);
+    lz = std::min(lz, p.z);
+    hx = std::max(hx, p.x);
+    hy = std::max(hy, p.y);
+    hz = std::max(hz, p.z);
+  }
+  const Box cube = Box{{lx, ly, lz}, {hx, hy, hz}}.boundingCube();
+  // Keys are computed once into a buffer, not once per comparison.
+  std::vector<std::uint64_t> keys(targets.size());
+#pragma omp parallel for schedule(static)
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    keys[i] = mortonKey(particles[targets[i]].pos, cube);
+  }
+  // Persistent scratch: grouping runs every pass, so keep its sort working
+  // set warm like the tree's (called from serial code only).
   thread_local std::vector<std::uint64_t> kb;
   thread_local std::vector<std::uint32_t> ia, ib, counts;
-  std::vector<std::uint32_t> sorted_sel(sel.size());
+  std::vector<std::uint32_t> sorted(targets.size());
   radixSortCore(keys, {kb, ia, ib, counts},
-                [&](std::size_t dst, std::uint32_t src) { sorted_sel[dst] = sel[src]; });
+                [&](std::size_t dst, std::uint32_t src) { sorted[dst] = targets[src]; });
 
   const auto gs = static_cast<std::size_t>(std::max(group_size, 1));
-  groups.resize((sorted_sel.size() + gs - 1) / gs);
+  groups.resize((sorted.size() + gs - 1) / gs);
 #pragma omp parallel for schedule(static)
   for (std::size_t g = 0; g < groups.size(); ++g) {
     TargetGroup& grp = groups[g];
     const std::size_t off = g * gs;
-    const std::size_t end = std::min(off + gs, sorted_sel.size());
-    grp.indices.assign(sorted_sel.begin() + static_cast<std::ptrdiff_t>(off),
-                       sorted_sel.begin() + static_cast<std::ptrdiff_t>(end));
+    const std::size_t end = std::min(off + gs, sorted.size());
+    grp.indices.assign(sorted.begin() + static_cast<std::ptrdiff_t>(off),
+                       sorted.begin() + static_cast<std::ptrdiff_t>(end));
     for (const std::uint32_t i : grp.indices) grp.bbox.extend(particles[i].pos);
   }
   return groups;
-}
-
-}  // namespace
-
-std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
-                                          int group_size, bool gas_only) {
-  std::vector<std::uint32_t> sel;
-  Box all;
-  for (std::uint32_t i = 0; i < particles.size(); ++i) {
-    if (gas_only && !particles[i].isGas()) continue;
-    sel.push_back(i);
-    all.extend(particles[i].pos);
-  }
-  return groupsFromSelection(particles, sel, all, group_size);
-}
-
-std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
-                                          std::span<const std::uint32_t> subset,
-                                          int group_size) {
-  Box all;
-  if (!subset.empty()) {
-    // The subset box is recomputed every sub-step (the active set changes
-    // each closing, and mid-step limiter wakes change it again); a simd
-    // min/max reduction keeps this O(active) sweep off the quiet-substep
-    // floor instead of serializing on Box::extend's dependency chain.
-    double lx = particles[subset[0]].pos.x, ly = particles[subset[0]].pos.y,
-           lz = particles[subset[0]].pos.z;
-    double hx = lx, hy = ly, hz = lz;
-#pragma omp simd reduction(min : lx, ly, lz) reduction(max : hx, hy, hz)
-    for (std::size_t s = 0; s < subset.size(); ++s) {
-      const Vec3d p = particles[subset[s]].pos;
-      lx = std::min(lx, p.x);
-      ly = std::min(ly, p.y);
-      lz = std::min(lz, p.z);
-      hx = std::max(hx, p.x);
-      hy = std::max(hy, p.y);
-      hz = std::max(hz, p.z);
-    }
-    all.lo = {lx, ly, lz};
-    all.hi = {hx, hy, hz};
-  }
-  return groupsFromSelection(particles, subset, all, group_size);
 }
 
 std::vector<SourceEntry> makeSourceEntries(std::span<const Particle> particles,

@@ -98,8 +98,9 @@ class SourceTree {
   /// MAC distances and neighbour reach tests always use the recomputed
   /// boxes. Used by the block-timestep sub-step loop, where particles drift
   /// a little every sub-step and a full rebuild per sub-step would erase the
-  /// active-set savings. Only valid for trees built without LET imports
-  /// (entry idx must reference `particles`).
+  /// active-set savings. Multipole-tagged entries (every LET import) keep
+  /// their exchanged values; every other entry's idx must reference
+  /// `particles`.
   void refreshPositions(std::span<const Particle> particles);
 
   [[nodiscard]] const std::vector<SourceEntry>& entries() const { return entries_; }
@@ -164,19 +165,19 @@ struct TargetGroup {
   std::vector<std::uint32_t> indices;  ///< indices into the particle array
 };
 
-/// Chunk `particles` (any species filter applied by `mask`) into groups of at
-/// most `group_size`, contiguous in Morton order.
-std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
-                                          int group_size,
-                                          bool gas_only = false);
+/// Indices of every particle in `particles` (gas only when `gas_only`), in
+/// ascending order: the target list of a full force pass.
+std::vector<std::uint32_t> targetIndices(std::span<const Particle> particles,
+                                         bool gas_only = false);
 
-/// Active-subset variant: group only the particles named by `subset`
-/// (indices into `particles`), Morton-sorted by their *current* positions so
-/// group bboxes are exact even while the cached source trees run on
-/// refreshed-in-place moments. This is what the block-timestep sub-steps use
-/// to walk only the active rungs.
+/// Group the particles named by `targets` (indices into `particles`):
+/// Morton-sorted by their *current* positions within the targets' bounding
+/// cube and chunked into runs of at most `group_size`, so group bboxes are
+/// exact even while the cached source trees run on refreshed-in-place
+/// moments. A full pass passes targetIndices(); the block-timestep
+/// sub-steps pass their closing set.
 std::vector<TargetGroup> makeTargetGroups(std::span<const Particle> particles,
-                                          std::span<const std::uint32_t> subset,
+                                          std::span<const std::uint32_t> targets,
                                           int group_size);
 
 /// Convenience: build gravity source entries from local particles.

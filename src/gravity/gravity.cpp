@@ -60,23 +60,19 @@ void evalGroupSoaF64(const Vec3d* target_pos, const double* target_eps, int n_ta
   }
 }
 
-GravityStats accumulateTreeGravity(std::span<Particle> particles,
+GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> particles,
                                    std::span<const SourceEntry> let_entries,
+                                   std::span<const std::uint32_t> targets,
                                    const GravityParams& params) {
-  fdps::StepContext ctx;  // throwaway context: build-per-call semantics
-  return accumulateTreeGravity(ctx, particles, let_entries, params);
-}
+  GravityStats stats;
+  if (particles.empty() || targets.empty()) return stats;
 
-namespace {
-
-/// Shared group loop of the cached-pipeline overloads: evaluate the force on
-/// every target group in `groups` against the (already built or refreshed)
-/// source tree. `stats` arrives with t_build/tree_builds filled by the
-/// caller.
-void gravityOverGroups(fdps::StepContext& ctx, const fdps::SourceTree& tree,
-                       const std::vector<fdps::TargetGroup>& groups,
-                       std::span<Particle> particles, const GravityParams& params,
-                       GravityStats& stats) {
+  const int builds_before = ctx.buildsThisStep();
+  const double t0 = util::wtime();
+  const fdps::SourceTree& tree = ctx.gravityTree(particles, let_entries, params.leaf_size);
+  const auto& groups = ctx.gravityGroups(particles, targets, params.group_size);
+  stats.t_build = util::wtime() - t0;
+  stats.tree_builds = ctx.buildsThisStep() - builds_before;
   const auto& entries = tree.entries();
   // MixedF32 inner loop: PIKG-generated kernel for the requested ISA
   // (resolved once per pass; all threads run the same backend).
@@ -203,40 +199,6 @@ void gravityOverGroups(fdps::StepContext& ctx, const fdps::SourceTree& tree,
   stats.targets = targets_total;
   stats.t_walk = walk_s;
   stats.t_kernel = kernel_s;
-}
-
-}  // namespace
-
-GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> particles,
-                                   std::span<const SourceEntry> let_entries,
-                                   const GravityParams& params) {
-  GravityStats stats;
-  if (particles.empty()) return stats;
-
-  const int builds_before = ctx.buildsThisStep();
-  const double t0 = util::wtime();
-  const fdps::SourceTree& tree = ctx.gravityTree(particles, let_entries, params.leaf_size);
-  const auto& groups = ctx.gravityGroups(particles, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  gravityOverGroups(ctx, tree, groups, particles, params, stats);
-  return stats;
-}
-
-GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> particles,
-                                   std::span<const SourceEntry> let_entries,
-                                   const GravityParams& params,
-                                   std::span<const std::uint32_t> active) {
-  GravityStats stats;
-  if (particles.empty() || active.empty()) return stats;
-
-  const int builds_before = ctx.buildsThisStep();
-  const double t0 = util::wtime();
-  const fdps::SourceTree& tree = ctx.gravityTree(particles, let_entries, params.leaf_size);
-  const auto& groups = ctx.activeGravityGroups(particles, active, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  gravityOverGroups(ctx, tree, groups, particles, params, stats);
   return stats;
 }
 

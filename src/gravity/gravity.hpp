@@ -48,9 +48,9 @@ struct GravityParams {
 struct GravityStats {
   std::uint64_t ep_interactions = 0;  ///< particle-particle pairs evaluated
   std::uint64_t sp_interactions = 0;  ///< particle-monopole pairs evaluated
-  /// Target particles evaluated by this pass. For the active-set overload
-  /// this is the rung-decomposed work unit the block-timestep scheme saves:
-  /// summing it over sub-steps must equal StepStats::rung_force_evals.
+  /// Target particles evaluated by this pass. On block-timestep sub-steps
+  /// this is the rung-decomposed work unit the scheme saves: summing it over
+  /// sub-steps must equal StepStats::rung_force_evals.
   std::uint64_t targets = 0;
   int tree_builds = 0;   ///< trees actually (re)built by this call (0 = cached)
   double t_build = 0.0;  ///< seconds: tree + target-group construction (~0 when cached)
@@ -67,30 +67,21 @@ struct GravityStats {
 void accumulateDirect(std::span<Particle> targets, std::span<const SourceEntry> sources,
                       double G);
 
-/// Barnes-Hut tree force over local particles + imported LET entries.
-/// Adds into Particle::acc and sets Particle::pot contributions; callers
-/// zero acc/pot beforehand. This overload builds a throwaway tree per call.
-GravityStats accumulateTreeGravity(std::span<Particle> particles,
-                                   std::span<const SourceEntry> let_entries,
-                                   const GravityParams& params);
-
-/// Cached-pipeline overload: the tree and target groups live in `ctx` and
-/// are reused while valid (see fdps/context.hpp for the invariants), so a
-/// force pass whose positions did not change since the last build pays for
-/// the walk and the kernel only.
+/// Barnes-Hut tree force on the particles named by `targets` (indices into
+/// `particles`) from every particle in `particles` plus the imported LET
+/// entries.
+/// Adds into Particle::acc and Particle::pot; callers zero both on the
+/// targets beforehand. The source tree and the targets' Morton groups live
+/// in `ctx` and are reused while valid (see fdps/context.hpp), so a pass
+/// whose positions did not change since the last build pays for the walk
+/// and the kernel only. A full pass names every particle
+/// (fdps::targetIndices); a block-timestep sub-step names its closing set
+/// and pairs the call with StepContext::refreshGravityPositions after each
+/// drift, so the moments match the drifted sources without a rebuild.
 GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> particles,
                                    std::span<const SourceEntry> let_entries,
+                                   std::span<const std::uint32_t> targets,
                                    const GravityParams& params);
-
-/// Active-set overload (block timesteps): accumulate into only the particles
-/// named by `active` (indices into `particles`), walking Morton groups built
-/// over the subset. The cached source tree is reused as-is — pair it with
-/// StepContext::refreshGravityPositions after each drift so the moments
-/// match the drifted source positions without a rebuild.
-GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> particles,
-                                   std::span<const SourceEntry> let_entries,
-                                   const GravityParams& params,
-                                   std::span<const std::uint32_t> active);
 
 /// Hand-written double-precision SoA conformance kernel (absolute
 /// positions, `#pragma omp simd` wide loop, branch-free self-pair mask).

@@ -27,12 +27,19 @@ pikg::gen::SphKernelTables sphTablesFor(const SphParams& params) {
   return pikg::gen::sphTables(params.kernel.type == KernelType::WendlandC2 ? 1 : 0);
 }
 
-/// Group loop of the density solve, shared by the full-set and active-set
-/// overloads. `stats` arrives with t_build/tree_builds filled by the caller.
-void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
-                       const std::vector<TargetGroup>& groups,
-                       std::span<Particle> work, const SphParams& params,
-                       DensityStats& stats) {
+}  // namespace
+
+DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
+                          std::span<const std::uint32_t> targets, const SphParams& params) {
+  DensityStats stats;
+  if (targets.empty()) return stats;
+  const int builds_before = ctx.buildsThisStep();
+  const double t0 = util::wtime();
+  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
+  if (tree.empty()) return stats;
+  const auto& groups = ctx.gasGroups(work, targets, params.group_size);
+  stats.t_build = util::wtime() - t0;
+  stats.tree_builds = ctx.buildsThisStep() - builds_before;
   const auto& entries = tree.entries();
   // Kernel sums run through the PIKG-generated backend for the requested
   // ISA (resolved once per pass; all threads run the same backend).
@@ -217,16 +224,23 @@ void densityOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
   stats.interactions = interactions;
   stats.t_walk = walk_s;
   stats.t_kernel = kernel_s;
+  return stats;
 }
 
-/// Group loop of the hydro force, shared by the full-set and active-set
-/// overloads. With `wake_out` non-null the pass doubles as the Saitoh–Makino
-/// limiter's detection sweep: every evaluated pair whose target rung exceeds
-/// the neighbour's by more than kLimiterGap emits a wake request.
-void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
-                     const std::vector<TargetGroup>& groups,
-                     std::span<Particle> work, const SphParams& params,
-                     ForceStats& stats, std::vector<std::uint64_t>* wake_out) {
+ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
+                                std::span<const std::uint32_t> targets,
+                                const SphParams& params,
+                                std::vector<std::uint64_t>* wake_out) {
+  ForceStats stats;
+  if (wake_out != nullptr) wake_out->clear();
+  if (targets.empty()) return stats;
+  const int builds_before = ctx.buildsThisStep();
+  const double t0 = util::wtime();
+  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
+  if (tree.empty()) return stats;
+  const auto& groups = ctx.gasGroups(work, targets, params.group_size);
+  stats.t_build = util::wtime() - t0;
+  stats.tree_builds = ctx.buildsThisStep() - builds_before;
   const auto& entries = tree.entries();
   // Pair math runs through the PIKG-generated backend; the host keeps the
   // prefilter, neighbour selection, and limiter bookkeeping.
@@ -409,85 +423,6 @@ void hydroOverGroups(fdps::StepContext& ctx, const SourceTree& tree,
   stats.t_walk = walk_s;
   stats.t_kernel = kernel_s;
   stats.dt_cfl_min = dt_cfl;
-}
-
-}  // namespace
-
-DensityStats solveDensity(std::span<Particle> work, std::size_t n_local,
-                          const SphParams& params) {
-  fdps::StepContext ctx;  // throwaway context: build-per-call semantics
-  return solveDensity(ctx, work, n_local, params);
-}
-
-DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
-                          std::size_t n_local, const SphParams& params) {
-  DensityStats stats;
-  const int builds_before = ctx.buildsThisStep();
-  const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
-  if (tree.empty()) return stats;
-  const auto& groups = ctx.gasGroups(work, n_local, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  densityOverGroups(ctx, tree, groups, work, params, stats);
-  return stats;
-}
-
-DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
-                          std::size_t n_local, const SphParams& params,
-                          std::span<const std::uint32_t> active) {
-  (void)n_local;  // the subset names the targets explicitly
-  DensityStats stats;
-  if (active.empty()) return stats;
-  const int builds_before = ctx.buildsThisStep();
-  const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
-  if (tree.empty()) return stats;
-  const auto& groups = ctx.activeGasGroups(work, active, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  densityOverGroups(ctx, tree, groups, work, params, stats);
-  return stats;
-}
-
-ForceStats accumulateHydroForce(std::span<Particle> work, std::size_t n_local,
-                                const SphParams& params) {
-  fdps::StepContext ctx;  // throwaway context: build-per-call semantics
-  return accumulateHydroForce(ctx, work, n_local, params, nullptr);
-}
-
-ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
-                                std::size_t n_local, const SphParams& params,
-                                std::vector<std::uint64_t>* wake_out) {
-  ForceStats stats;
-  if (wake_out != nullptr) wake_out->clear();
-  const int builds_before = ctx.buildsThisStep();
-  const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
-  if (tree.empty()) return stats;
-  const auto& groups = ctx.gasGroups(work, n_local, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  hydroOverGroups(ctx, tree, groups, work, params, stats, wake_out);
-  return stats;
-}
-
-ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
-                                std::size_t n_local, const SphParams& params,
-                                std::span<const std::uint32_t> active,
-                                std::vector<std::uint64_t>* wake_out) {
-  (void)n_local;
-  ForceStats stats;
-  if (wake_out != nullptr) wake_out->clear();
-  if (active.empty()) return stats;
-  const int builds_before = ctx.buildsThisStep();
-  const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
-  if (tree.empty()) return stats;
-  const auto& groups = ctx.activeGasGroups(work, active, params.group_size);
-  stats.t_build = util::wtime() - t0;
-  stats.tree_builds = ctx.buildsThisStep() - builds_before;
-  hydroOverGroups(ctx, tree, groups, work, params, stats, wake_out);
   return stats;
 }
 

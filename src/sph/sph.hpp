@@ -6,8 +6,12 @@
 /// solve — "usually twice if we can set the initial guess of the kernel size
 /// properly", §5.2.5) and "2nd Calc_Force" phases. The working array is the
 /// concatenation of local particles followed by ghost particles imported by
-/// fdps::exchangeHydroGhostsCached; only the local prefix [0, n_local) is
-/// updated.
+/// fdps::exchangeHydroGhostsCached. Each pass updates only its targets, a
+/// list of local gas indices: every local gas particle on a full pass
+/// (fdps::targetIndices), the closing set on a block-timestep sub-step.
+/// Every gas particle in the working array is a neighbour; the ones that
+/// are not targets contribute with their held state, as in standard
+/// individual-timestep SPH.
 ///
 /// FLOP accounting matches Table 4: 73 operations per density/pressure
 /// interaction, 101 per hydro-force interaction.
@@ -85,50 +89,28 @@ struct ForceStats {
   [[nodiscard]] double flops() const { return 101.0 * static_cast<double>(interactions); }
 };
 
-/// Solve for h (support radius), rho, nngb, divv, curlv, pres, cs of all
-/// *local gas* particles (indices < n_local). Ghost entries contribute as
-/// neighbours only. Particles must carry a positive initial h guess.
-DensityStats solveDensity(std::span<Particle> work, std::size_t n_local,
-                          const SphParams& params);
-
-/// Cached-pipeline overload: the gas tree and target groups live in `ctx`
-/// (see fdps/context.hpp). On return the cached tree's smoothing lengths
-/// have been refreshed to the converged h, so a following hydro-force call
-/// on the same context reuses the tree without a rebuild.
+/// Solve for h (support radius), rho, nngb, divv, curlv, pres, cs of the
+/// gas particles named by `targets` (indices into `work`). Targets must
+/// carry a positive initial h guess. The gas tree and the targets' Morton
+/// groups live in `ctx` (see fdps/context.hpp); on return the cached tree's
+/// smoothing lengths have been refreshed to the converged h, so a following
+/// hydro-force call on the same context reuses the tree without a rebuild.
 DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
-                          std::size_t n_local, const SphParams& params);
+                          std::span<const std::uint32_t> targets, const SphParams& params);
 
-/// Active-set overload (block timesteps): solve h/rho for only the gas
-/// particles named by `active` (indices into `work`, all gas), walking
-/// Morton groups built over the subset while reusing the cached gas tree as
-/// the neighbour source. Inactive neighbours contribute with their held
-/// rho/h, as in standard individual-timestep SPH.
-DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
-                          std::size_t n_local, const SphParams& params,
-                          std::span<const std::uint32_t> active);
-
-/// Accumulate hydrodynamic accelerations and du/dt into local gas particles;
-/// also records the max signal velocity (Particle::vsig) for the CFL clock
-/// and the deepest neighbour rung (Particle::rung_ngb) for the limiter.
-/// Requires density/pressure fields to be current on locals AND ghosts.
-ForceStats accumulateHydroForce(std::span<Particle> work, std::size_t n_local,
-                                const SphParams& params);
-
-/// Cached-pipeline overload (shares the gas tree built by solveDensity).
-/// When `wake_out` is non-null the pass also collects Saitoh–Makino wake
-/// requests (cleared at entry): one packWake(target, neighbour) per evaluated
-/// pair whose rung gap exceeds kLimiterGap. The request multiset depends only
-/// on particle state, never on thread count or scheduling.
+/// Accumulate hydrodynamic accelerations and du/dt into the gas particles
+/// named by `targets`; also records the max signal velocity (Particle::vsig)
+/// for the CFL clock and the deepest neighbour rung (Particle::rung_ngb) for
+/// the limiter. Requires density/pressure fields to be current on targets
+/// AND neighbours (ghosts included), and shares the gas tree solveDensity
+/// left in `ctx`. When `wake_out` is non-null the pass also collects
+/// Saitoh–Makino wake requests (cleared at entry): one packWake(target,
+/// neighbour) per evaluated pair whose rung gap exceeds kLimiterGap. The
+/// request multiset depends only on particle state, never on thread count
+/// or scheduling.
 ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
-                                std::size_t n_local, const SphParams& params,
-                                std::vector<std::uint64_t>* wake_out = nullptr);
-
-/// Active-set overload (block timesteps): accumulate hydro accelerations
-/// into only the gas particles named by `active`, optionally collecting wake
-/// requests as above.
-ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work,
-                                std::size_t n_local, const SphParams& params,
-                                std::span<const std::uint32_t> active,
+                                std::span<const std::uint32_t> targets,
+                                const SphParams& params,
                                 std::vector<std::uint64_t>* wake_out = nullptr);
 
 /// Minimum CFL timestep over local gas: dt = cfl * (h/2) / vsig. Note the

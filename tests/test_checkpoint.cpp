@@ -710,6 +710,62 @@ TEST(Checkpoint, RestoreRejectsGhostCacheNotSizedToRanks) {
   }
 }
 
+/// Serialized form of `v`, the needle a payload rewrite searches for.
+template <class T>
+std::vector<char> encoded(const T& v) {
+  asura::io::ByteWriter w;
+  w(v);
+  return w.bytes();
+}
+
+TEST(Checkpoint, RestoreRejectsOutOfRangeParticleIndices) {
+  // A real 2-rank payload after one step, with one index into the locals
+  // rewritten to the local count: first a ghost-export entry, then a LET
+  // record perm entry. restoreState must name the field instead of leaving
+  // the next step's value refresh to index past the locals mid-collective.
+  const auto ic = gasBall(300, 8.0, 1.0, 23, 3000.0);
+  for (const std::string field : {"export_idx", "perm"}) {
+    Cluster cluster(2);
+    try {
+      cluster.run([&](Comm& comm) {
+        Simulation a(blockPartition(ic, comm.rank(), 2), quietConfig());
+        a.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+        a.step();
+        auto bytes = stateBytes(a);
+        const auto n_local = static_cast<std::uint32_t>(a.nLocal());
+        std::vector<char> good, bad;
+        if (field == "export_idx") {
+          auto lists = a.distributed()->ghostExports().export_idx;
+          const auto list = std::find_if(lists.begin(), lists.end(),
+                                         [](const auto& l) { return !l.empty(); });
+          ASSERT_NE(list, lists.end());
+          good = encoded(lists);
+          list->front() = n_local;
+          bad = encoded(lists);
+        } else {
+          auto perm = a.distributed()->letRecord().perm;
+          ASSERT_FALSE(perm.empty());
+          good = encoded(perm);
+          perm.front() = n_local;
+          bad = encoded(perm);
+        }
+        const auto at = findBytes(bytes, good);
+        ASSERT_NE(at, std::string::npos);
+        ASSERT_EQ(findBytes(bytes, good, at + 1), std::string::npos);
+        std::copy(bad.begin(), bad.end(), bytes.begin() + static_cast<std::ptrdiff_t>(at));
+
+        Simulation b(blockPartition(ic, comm.rank(), 2), quietConfig());
+        b.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+        asura::io::ByteReader r(bytes.data(), bytes.size());
+        b.restoreState(r);
+      });
+      ADD_FAILURE() << "an out-of-range " << field << " entry restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent writers (the scenario service hosts many instances on one
 // process: checkpointing must be instance-local state only)

@@ -222,7 +222,8 @@ TEST(Tree, NeighborGatherFindsAllInRadius) {
 
 TEST(Tree, TargetGroupsPartitionAndRespectSize) {
   const auto parts = randomParticles(500, 13);
-  const auto groups = asura::fdps::makeTargetGroups(parts, 64);
+  const auto groups =
+      asura::fdps::makeTargetGroups(parts, asura::fdps::targetIndices(parts), 64);
   std::set<std::uint32_t> seen;
   for (const auto& g : groups) {
     EXPECT_LE(g.indices.size(), 64u);
@@ -237,7 +238,8 @@ TEST(Tree, TargetGroupsPartitionAndRespectSize) {
 
 TEST(Tree, GasOnlyGroups) {
   const auto parts = randomParticles(300, 17);
-  const auto groups = asura::fdps::makeTargetGroups(parts, 32, /*gas_only=*/true);
+  const auto groups = asura::fdps::makeTargetGroups(
+      parts, asura::fdps::targetIndices(parts, /*gas_only=*/true), 32);
   std::size_t n_gas = 0;
   for (const auto& p : parts) n_gas += p.isGas() ? 1 : 0;
   std::size_t in_groups = 0;

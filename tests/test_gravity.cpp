@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "comm/comm.hpp"
+#include "fdps/context.hpp"
 #include "fdps/domain.hpp"
 #include "fdps/let.hpp"
 #include "gravity/gravity.hpp"
@@ -23,6 +24,15 @@ using asura::fdps::Species;
 using asura::gravity::GravityParams;
 using asura::util::Pcg32;
 using asura::util::Vec3d;
+
+/// Tree force on every particle of `parts` through a fresh pass context.
+asura::gravity::GravityStats treeForce(std::vector<Particle>& parts,
+                                       std::span<const SourceEntry> let,
+                                       const GravityParams& gp) {
+  asura::fdps::StepContext ctx;
+  return asura::gravity::accumulateTreeGravity(ctx, parts, let,
+                                               asura::fdps::targetIndices(parts), gp);
+}
 
 std::vector<Particle> plummerSphere(int n, std::uint64_t seed, double a = 10.0,
                                     double total_mass = 1000.0) {
@@ -133,7 +143,7 @@ TEST_P(TreeAccuracyTest, TreeErrorBoundedByTheta) {
   GravityParams gp;
   gp.theta = theta;
   gp.kernel = GravityParams::Kernel::ScalarF64;
-  const auto stats = asura::gravity::accumulateTreeGravity(parts, {}, gp);
+  const auto stats = treeForce(parts, {}, gp);
   EXPECT_GT(stats.ep_interactions + stats.sp_interactions, 0u);
 
   const double err = rmsRelativeAccError(parts, reference);
@@ -154,7 +164,7 @@ TEST(TreeGravity, ThetaZeroMatchesDirectExactly) {
   GravityParams gp;
   gp.theta = 0.0;
   gp.kernel = GravityParams::Kernel::ScalarF64;
-  asura::gravity::accumulateTreeGravity(parts, {}, gp);
+  treeForce(parts, {}, gp);
   EXPECT_LT(rmsRelativeAccError(parts, reference), 1e-12);
 }
 
@@ -165,12 +175,12 @@ TEST(TreeGravity, MixedPrecisionCloseToDouble) {
   GravityParams gp;
   gp.theta = 0.5;
   gp.kernel = GravityParams::Kernel::ScalarF64;
-  asura::gravity::accumulateTreeGravity(f64, {}, gp);
+  treeForce(f64, {}, gp);
 
   auto f32 = parts;
   zeroForces(f32);
   gp.kernel = GravityParams::Kernel::MixedF32;
-  asura::gravity::accumulateTreeGravity(f32, {}, gp);
+  treeForce(f32, {}, gp);
 
   // The group-relative conversion keeps single-precision error tiny compared
   // with the theta-induced tree error.
@@ -191,8 +201,8 @@ TEST(TreeGravity, StatsScaleAsNLogN) {
   auto large = plummerSphere(8000, 6);
   zeroForces(small);
   zeroForces(large);
-  const auto s1 = asura::gravity::accumulateTreeGravity(small, {}, gp);
-  const auto s2 = asura::gravity::accumulateTreeGravity(large, {}, gp);
+  const auto s1 = treeForce(small, {}, gp);
+  const auto s2 = treeForce(large, {}, gp);
   const double per1 =
       static_cast<double>(s1.ep_interactions + s1.sp_interactions) / 1000.0;
   const double per2 =
@@ -235,7 +245,7 @@ TEST(TreeGravity, DistributedLetMatchesSerialDirect) {
     GravityParams gp;
     gp.theta = 0.4;
     gp.kernel = GravityParams::Kernel::ScalarF64;
-    asura::gravity::accumulateTreeGravity(mine, let, gp);
+    treeForce(mine, let, gp);
 
     double err2 = 0.0;
     for (const auto& p : mine) {

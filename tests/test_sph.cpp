@@ -7,7 +7,9 @@
 #include <cmath>
 #include <numbers>
 
+#include "fdps/context.hpp"
 #include "fdps/particle.hpp"
+#include "fdps/tree.hpp"
 #include "sph/eos.hpp"
 #include "sph/kernels.hpp"
 #include "sph/sph.hpp"
@@ -18,6 +20,8 @@ namespace {
 
 using asura::fdps::Particle;
 using asura::fdps::Species;
+using asura::fdps::StepContext;
+using asura::fdps::targetIndices;
 using asura::sph::Kernel;
 using asura::sph::KernelType;
 using asura::sph::SphParams;
@@ -145,7 +149,9 @@ TEST(Density, UniformLatticeRecovered) {
   auto parts = latticeGas(12, spacing, 0.05, 21);
   SphParams sp;
   sp.n_ngb = 40;
-  const auto stats = asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  const auto stats =
+      asura::sph::solveDensity(ctx, parts, targetIndices(parts, /*gas_only=*/true), sp);
   EXPECT_GT(stats.interactions, 0u);
 
   // Interior particles (avoid edges of the finite lattice).
@@ -169,7 +175,9 @@ TEST(Density, NewtonConvergesFast) {
   auto parts = latticeGas(10, 1.0, 0.02, 22);
   SphParams sp;
   sp.n_ngb = 40;
-  const auto stats = asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  const auto stats =
+      asura::sph::solveDensity(ctx, parts, targetIndices(parts, /*gas_only=*/true), sp);
   // Paper: "The iterations are usually twice, if we can set the initial
   // guess of the kernel size properly." Allow slack for edge particles.
   EXPECT_LE(stats.max_iterations, 12);
@@ -180,7 +188,8 @@ TEST(Density, BadInitialGuessStillConverges) {
   for (auto& p : parts) p.h = 0.3;  // far too small
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  asura::sph::solveDensity(ctx, parts, targetIndices(parts, /*gas_only=*/true), sp);
   const double rho0 = 1.0;
   for (const auto& p : parts) {
     if (p.pos.x < 2.5 || p.pos.x > 5.5 || p.pos.y < 2.5 || p.pos.y > 5.5 ||
@@ -198,7 +207,8 @@ TEST(Density, DivergenceOfHubbleFlow) {
   for (auto& p : parts) p.vel = H0 * p.pos;
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  asura::sph::solveDensity(ctx, parts, targetIndices(parts, /*gas_only=*/true), sp);
   for (const auto& p : parts) {
     if (p.pos.x < 4 || p.pos.x > 8 || p.pos.y < 4 || p.pos.y > 8 || p.pos.z < 4 ||
         p.pos.z > 8) {
@@ -216,7 +226,8 @@ TEST(Density, RigidRotationCurl) {
   for (auto& p : parts) p.vel = omega.cross(p.pos);
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  asura::sph::solveDensity(ctx, parts, targetIndices(parts, /*gas_only=*/true), sp);
   for (const auto& p : parts) {
     if (p.pos.x < 4 || p.pos.x > 8 || p.pos.y < 4 || p.pos.y > 8 || p.pos.z < 4 ||
         p.pos.z > 8) {
@@ -241,9 +252,11 @@ TEST(HydroForce, PressureGradientPushesApart) {
   }
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  const auto gas = targetIndices(parts, /*gas_only=*/true);
+  asura::sph::solveDensity(ctx, parts, gas, sp);
   for (auto& p : parts) p.acc = Vec3d{};
-  asura::sph::accumulateHydroForce(parts, parts.size(), sp);
+  asura::sph::accumulateHydroForce(ctx, parts, gas, sp);
 
   double outward = 0.0;
   int n = 0;
@@ -268,9 +281,11 @@ TEST(HydroForce, MomentumConserved) {
   }
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  const auto gas = targetIndices(parts, /*gas_only=*/true);
+  asura::sph::solveDensity(ctx, parts, gas, sp);
   for (auto& p : parts) p.acc = Vec3d{};
-  asura::sph::accumulateHydroForce(parts, parts.size(), sp);
+  asura::sph::accumulateHydroForce(ctx, parts, gas, sp);
 
   Vec3d ptot{};
   double scale = 0.0;
@@ -293,9 +308,11 @@ TEST(HydroForce, EnergyConserved) {
   }
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  const auto gas = targetIndices(parts, /*gas_only=*/true);
+  asura::sph::solveDensity(ctx, parts, gas, sp);
   for (auto& p : parts) p.acc = Vec3d{};
-  asura::sph::accumulateHydroForce(parts, parts.size(), sp);
+  asura::sph::accumulateHydroForce(ctx, parts, gas, sp);
 
   double de = 0.0, scale = 0.0;
   for (const auto& p : parts) {
@@ -315,9 +332,11 @@ TEST(HydroForce, CompressionHeats) {
   }
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  const auto gas = targetIndices(parts, /*gas_only=*/true);
+  asura::sph::solveDensity(ctx, parts, gas, sp);
   for (auto& p : parts) p.acc = Vec3d{};
-  asura::sph::accumulateHydroForce(parts, parts.size(), sp);
+  asura::sph::accumulateHydroForce(ctx, parts, gas, sp);
 
   double dudt_interface = 0.0;
   int n = 0;
@@ -337,9 +356,11 @@ TEST(HydroForce, ExpansionCools) {
   for (auto& p : parts) p.vel = 0.5 * (p.pos - centre);
   SphParams sp;
   sp.n_ngb = 40;
-  asura::sph::solveDensity(parts, parts.size(), sp);
+  StepContext ctx;
+  const auto gas = targetIndices(parts, /*gas_only=*/true);
+  asura::sph::solveDensity(ctx, parts, gas, sp);
   for (auto& p : parts) p.acc = Vec3d{};
-  asura::sph::accumulateHydroForce(parts, parts.size(), sp);
+  asura::sph::accumulateHydroForce(ctx, parts, gas, sp);
 
   double dudt = 0.0;
   int n = 0;

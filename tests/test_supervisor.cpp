@@ -30,9 +30,11 @@ namespace {
 using asura::comm::Cluster;
 using asura::comm::Comm;
 using asura::comm::FaultPlan;
+using asura::core::AttemptPlan;
 using asura::core::blockPartition;
 using asura::core::DistributedConfig;
 using asura::core::DistributedEngine;
+using asura::core::escalateConfig;
 using asura::core::SedovOracleBackend;
 using asura::core::Simulation;
 using asura::core::SimulationConfig;
@@ -75,7 +77,7 @@ std::string tmpPath(const std::string& name) {
 /// plan's (possibly escalated) config, oracle backend when the ladder asks
 /// for it, engine attached for P > 1.
 Supervisor::Factory makeFactory(const std::vector<Particle>& ic, int P) {
-  return [&ic, P](Comm& comm, const Supervisor::AttemptPlan& plan) {
+  return [&ic, P](Comm& comm, const AttemptPlan& plan) {
     std::shared_ptr<asura::core::SurrogateBackend> backend;
     if (plan.force_oracle) backend = std::make_shared<SedovOracleBackend>();
     auto sim = std::make_unique<Simulation>(blockPartition(ic, comm.rank(), P),
@@ -329,21 +331,21 @@ TEST(Supervisor, EscalateSetsLadderKnobsMonotonically) {
   SimulationConfig base = quietConfig();
   base.kernel_isa = asura::pikg::Isa::Auto;
 
-  const auto l0 = Supervisor::escalate(base, 0);
+  const auto l0 = escalateConfig(base, 0);
   EXPECT_FALSE(l0.validate_steps);
   EXPECT_EQ(l0.kernel_isa, asura::pikg::Isa::Auto);
 
-  const auto l1 = Supervisor::escalate(base, 1);
+  const auto l1 = escalateConfig(base, 1);
   EXPECT_TRUE(l1.validate_steps);
   EXPECT_EQ(l1.kernel_isa, asura::pikg::Isa::Auto);
 
-  const auto l3 = Supervisor::escalate(base, 3);
+  const auto l3 = escalateConfig(base, 3);
   EXPECT_TRUE(l3.validate_steps);
   EXPECT_EQ(l3.kernel_isa, asura::pikg::Isa::Scalar);
 
   // Idempotent: re-escalating an escalated config changes nothing — the
   // supervisor re-applies levels on top of ring-restored configs.
-  const auto l3b = Supervisor::escalate(l3, 3);
+  const auto l3b = escalateConfig(l3, 3);
   EXPECT_TRUE(l3b.validate_steps);
   EXPECT_EQ(l3b.kernel_isa, asura::pikg::Isa::Scalar);
 }

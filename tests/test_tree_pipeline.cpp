@@ -195,17 +195,20 @@ TEST(StepContext, CachedGravityMatchesScalarF64Baseline) {
   gp.theta = 0.5;
   gp.kernel = asura::gravity::GravityParams::Kernel::ScalarF64;
 
+  const auto all = asura::fdps::targetIndices(parts);
+
   auto reference = parts;
   for (auto& p : reference) { p.acc = Vec3d{}; p.pot = 0.0; }
-  asura::gravity::accumulateTreeGravity(reference, {}, gp);  // fresh build
+  StepContext fresh;
+  asura::gravity::accumulateTreeGravity(fresh, reference, {}, all, gp);
 
   StepContext ctx;
   auto cached = parts;
   for (auto& p : cached) { p.acc = Vec3d{}; p.pot = 0.0; }
-  asura::gravity::accumulateTreeGravity(ctx, cached, {}, gp);  // builds
+  asura::gravity::accumulateTreeGravity(ctx, cached, {}, all, gp);  // builds
   EXPECT_EQ(ctx.buildsThisStep(), 1);
   for (auto& p : cached) { p.acc = Vec3d{}; p.pot = 0.0; }
-  asura::gravity::accumulateTreeGravity(ctx, cached, {}, gp);  // cache hit
+  asura::gravity::accumulateTreeGravity(ctx, cached, {}, all, gp);  // cache hit
   EXPECT_EQ(ctx.buildsThisStep(), 1) << "second evaluation must reuse the tree";
 
   EXPECT_LT(rmsRelativeAccError(cached, reference), 1e-12);
@@ -217,14 +220,17 @@ TEST(StepContext, SharedGasTreeMatchesFreshSphPasses) {
   asura::sph::SphParams sp;
   sp.n_ngb = 32;
 
+  const auto gas = asura::fdps::targetIndices(parts, /*gas_only=*/true);
+
   auto reference = parts;
-  asura::sph::solveDensity(reference, reference.size(), sp);     // fresh tree
-  asura::sph::accumulateHydroForce(reference, reference.size(), sp);  // fresh tree
+  StepContext density_ctx, force_ctx;  // one fresh tree per pass
+  asura::sph::solveDensity(density_ctx, reference, gas, sp);
+  asura::sph::accumulateHydroForce(force_ctx, reference, gas, sp);
 
   StepContext ctx;
   auto shared = parts;
-  asura::sph::solveDensity(ctx, shared, shared.size(), sp);
-  asura::sph::accumulateHydroForce(ctx, shared, shared.size(), sp);
+  asura::sph::solveDensity(ctx, shared, gas, sp);
+  asura::sph::accumulateHydroForce(ctx, shared, gas, sp);
   EXPECT_EQ(ctx.buildsThisStep(), 1) << "density and hydro force must share one tree";
   EXPECT_GE(ctx.refreshesThisStep(), 1);
 
@@ -243,14 +249,42 @@ TEST(StepContext, SharedGasTreeMatchesFreshSphPasses) {
 TEST(StepContext, InvalidateForcesRebuild) {
   auto parts = randomParticles(500, 23);
   asura::gravity::GravityParams gp;
+  const auto all = asura::fdps::targetIndices(parts);
   StepContext ctx;
   for (auto& p : parts) { p.acc = Vec3d{}; p.pot = 0.0; }
-  asura::gravity::accumulateTreeGravity(ctx, parts, {}, gp);
+  asura::gravity::accumulateTreeGravity(ctx, parts, {}, all, gp);
   EXPECT_EQ(ctx.buildsThisStep(), 1);
   ctx.invalidate();
   for (auto& p : parts) { p.acc = Vec3d{}; p.pot = 0.0; }
-  asura::gravity::accumulateTreeGravity(ctx, parts, {}, gp);
+  asura::gravity::accumulateTreeGravity(ctx, parts, {}, all, gp);
   EXPECT_EQ(ctx.buildsThisStep(), 2);
+}
+
+TEST(StepContext, GroupSlotIsKeyedByTargetContent) {
+  auto parts = randomParticles(600, 31);
+  StepContext ctx;
+  const auto covers = [](const std::vector<asura::fdps::TargetGroup>& groups,
+                         std::vector<std::uint32_t> want) {
+    std::vector<std::uint32_t> got;
+    for (const auto& g : groups) got.insert(got.end(), g.indices.begin(), g.indices.end());
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    return got == want;
+  };
+  // Two target lists of equal length but different content: a size
+  // fingerprint would serve the first list's groups for the second.
+  std::vector<std::uint32_t> evens, odds;
+  for (std::uint32_t i = 0; i < parts.size(); ++i) (i % 2 == 0 ? evens : odds).push_back(i);
+  EXPECT_TRUE(covers(ctx.gravityGroups(parts, evens, 64), evens));
+  EXPECT_TRUE(covers(ctx.gravityGroups(parts, odds, 64), odds));
+
+  // Same list after a drift: the position refresh drops the slot, so the
+  // group boxes follow the moved particles.
+  for (auto& p : parts) p.pos += Vec3d{1000.0, 0.0, 0.0};
+  ctx.refreshGravityPositions(parts);
+  for (const auto& g : ctx.gravityGroups(parts, odds, 64)) {
+    for (const auto i : g.indices) EXPECT_LE(g.bbox.distance(parts[i].pos), 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -35,4 +35,14 @@ if [ "${archived}" -eq 0 ]; then
   exit 1
 fi
 
-cd "${build_dir}" && ctest --output-on-failure -j "$(nproc)"
+# Parallel ctest without oversubscribing the CPU: every test process starts
+# OMP_NUM_THREADS OpenMP threads, so jobs x threads stays <= nproc. Each test
+# gets 2 threads where the host has them (tier-1 still runs the OpenMP
+# paths), or the caller's OMP_NUM_THREADS when set.
+cores="$(nproc)"
+threads="${OMP_NUM_THREADS:-$(( cores < 2 ? cores : 2 ))}"
+threads="${threads%%,*}"  # a nested-parallelism list starts with the outer count
+case "${threads}" in ''|0|*[!0-9]*) threads=1 ;; esac
+jobs=$(( cores / threads ))
+if [ "${jobs}" -lt 1 ]; then jobs=1; fi
+cd "${build_dir}" && OMP_NUM_THREADS="${threads}" ctest --output-on-failure -j "${jobs}"
