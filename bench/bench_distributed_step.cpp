@@ -1,8 +1,11 @@
 // Distributed step-driver benchmark: a multi-rank MW-mini window stepped
 // over the in-process SPMD cluster with the cached LET/ghost exchange
-// (global and hierarchical timesteps), plus an SN-storm window comparing the
-// work-weighted Morton-segment decomposition against the equal-count
-// rectilinear split. BENCH_distributed_step.json also keeps the recorded
+// (global and hierarchical timesteps), plus an SN-storm window comparing
+// work-weighted multisection cuts (re-cut when the measured rank load
+// exceeds the threshold) against equal-count cuts re-cut every step. The
+// recorded BM_SnStormWeighted row predates the weighted multisection: it
+// measured the deleted Morton-segment decomposer.
+// BENCH_distributed_step.json also keeps the recorded
 // exchange-every-pass baseline rows this bench no longer runs; keep them
 // when regenerating. The headline counters: exportLet walks per step (P-1,
 // exactly one exchange reused by the second pass and every sub-step), comm
@@ -92,7 +95,7 @@ struct WindowResult {
   /// deterministic per-rank force-evaluation imbalance (the ISSUE 10
   /// acceptance metric — scheduler-noise free).
   double eval_imbalance = 0.0;
-  double rebalances = 0.0;  ///< maintain() reassignments over the window
+  double rebalances = 0.0;  ///< imbalance-triggered re-cuts over the window
 };
 
 WindowResult runWindow(const std::vector<asura::fdps::Particle>& ic,
@@ -231,12 +234,12 @@ void runBench(benchmark::State& state, bool hierarchical) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * kTimedSteps);
 }
 
-/// SN-storm window: staggered SNe in a dense off-centre clump, weighted vs
-/// equal-count decomposition. The warm steps let the storm fire and the
-/// work counters accrue (and, in weighted mode, the first maintain()
-/// rebalances land) before the timed window measures the realized
-/// imbalance. ISSUE 10 acceptance: (imbalance - 1) of the weighted run is
-/// at least 1.5x smaller than the equal-count run's.
+/// SN-storm window: staggered SNe in a dense off-centre clump, weighted
+/// cuts vs equal-count cuts. The warm steps let the storm fire and the
+/// work counters accrue (and, in weighted mode, the first imbalance-
+/// triggered re-cuts land) before the timed window measures the realized
+/// imbalance. Acceptance floor: (imbalance - 1) of the weighted run is at
+/// least 1.5x smaller than the equal-count run's.
 void runStormBench(benchmark::State& state, bool weighted) {
   const auto ic = asura::testing::snStormIc(static_cast<int>(state.range(0)),
                                             20260808, /*n_sn=*/4);
@@ -244,7 +247,7 @@ void runStormBench(benchmark::State& state, bool weighted) {
   dcfg.skin = 1.0;
   dcfg.weighted_decomposition = weighted;
   if (weighted) {
-    dcfg.decompose_interval = 0;  // decompose once, maintain thereafter
+    dcfg.decompose_interval = 0;  // cut once, re-cut past the threshold
     dcfg.imbalance_threshold = 1.1;
   }
   WindowResult last;

@@ -36,7 +36,7 @@ int main() {
     auto mine = asura::galaxy::generateGalaxySlice(model, counts, comm.rank(), P);
     asura::fdps::DomainDecomposer local_dd(px, py, pz);
     asura::util::Pcg32 rng(9, static_cast<std::uint64_t>(comm.rank()));
-    local_dd.decompose(comm, mine, rng);
+    local_dd.decompose(comm, mine, rng, false);
     auto owned = local_dd.exchange(comm, mine);
     std::lock_guard<std::mutex> lk(out_mutex);
     loads[static_cast<std::size_t>(comm.rank())] = static_cast<int>(owned.size());

@@ -1,21 +1,18 @@
-// Once-per-pass tree pipeline benchmark: radix-sorted parallel build vs the
-// seed's comparator-based std::sort build, Morton target grouping with
-// precomputed keys vs the key-recomputing comparator, tree walks, and the
+// Once-per-pass tree pipeline benchmark: the radix-sorted parallel tree
+// build, Morton target grouping with precomputed keys, tree walks, and the
 // end-to-end Simulation::step with the StepContext cache (tree-build counter
-// reported alongside).
+// reported alongside). The seed's comparator-based build and grouping
+// baselines were deleted once CHANGES.md recorded the speedups over them.
 //
 // Machine-readable output for the perf trajectory:
 //   bench_tree_pipeline --benchmark_format=json > BENCH_tree_pipeline.json
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <vector>
 
 #include "core/simulation.hpp"
-#include "fdps/morton.hpp"
 #include "fdps/tree.hpp"
 #include "gravity/gravity.hpp"
 #include "sph/sph.hpp"
@@ -23,9 +20,7 @@
 
 namespace {
 
-using asura::fdps::Box;
 using asura::fdps::Particle;
-using asura::fdps::SourceEntry;
 using asura::fdps::SourceTree;
 using asura::fdps::Species;
 using asura::util::Pcg32;
@@ -49,92 +44,8 @@ std::vector<Particle> randomParticles(int n, std::uint64_t seed, double box = 10
 }
 
 // ---------------------------------------------------------------------------
-// Reference: the seed's build algorithm (comparator-based indirect std::sort
-// + per-node recursive moment summation), kept here so the speedup stays
-// measurable after the production code moved on.
-// ---------------------------------------------------------------------------
-
-struct LegacyTree {
-  std::vector<SourceEntry> entries;
-  std::vector<std::uint64_t> keys;
-  struct Node {
-    Box bbox;
-    double mass = 0.0;
-    Vec3d com{};
-    std::uint32_t first = 0, count = 0;
-  };
-  std::vector<Node> nodes;
-
-  void build(std::vector<SourceEntry> in, int leaf_size) {
-    entries = std::move(in);
-    nodes.clear();
-    keys.clear();
-    if (entries.empty()) return;
-    Box all;
-    for (const auto& e : entries) all.extend(e.pos);
-    const Box cube = all.boundingCube();
-    keys.resize(entries.size());
-    std::vector<std::uint32_t> order(entries.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::vector<std::uint64_t> raw(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      raw[i] = asura::fdps::mortonKey(entries[i].pos, cube);
-    }
-    std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return raw[a] < raw[b] || (raw[a] == raw[b] && a < b);
-    });
-    std::vector<SourceEntry> sorted(entries.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      sorted[i] = entries[order[i]];
-      keys[i] = raw[order[i]];
-    }
-    entries = std::move(sorted);
-    buildNode(0, static_cast<std::uint32_t>(entries.size()), 0, std::max(leaf_size, 1));
-  }
-
-  void buildNode(std::uint32_t first, std::uint32_t count, int level, int leaf_size) {
-    Node n;
-    n.first = first;
-    n.count = count;
-    // Seed behaviour: every node re-sums its whole entry range (O(N depth)).
-    for (std::uint32_t i = first; i < first + count; ++i) {
-      n.bbox.extend(entries[i].pos);
-      n.mass += entries[i].mass;
-      n.com += entries[i].mass * entries[i].pos;
-    }
-    if (n.mass > 0.0) n.com /= n.mass;
-    nodes.push_back(n);
-    if (static_cast<int>(count) <= leaf_size || level >= asura::fdps::kMortonMaxLevel) {
-      return;
-    }
-    std::uint32_t pos = first;
-    for (unsigned oct = 0; oct < 8; ++oct) {
-      const std::uint32_t cf = pos;
-      while (pos < first + count &&
-             asura::fdps::octantAtLevel(keys[pos], level) == oct) {
-        ++pos;
-      }
-      if (pos > cf) buildNode(cf, pos - cf, level + 1, leaf_size);
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Tree build
 // ---------------------------------------------------------------------------
-
-void BM_TreeBuildLegacyStdSort(benchmark::State& state) {
-  const auto parts = randomParticles(static_cast<int>(state.range(0)), 42);
-  const auto entries = asura::fdps::makeSourceEntries(parts);
-  LegacyTree tree;
-  for (auto _ : state) {
-    auto copy = entries;
-    tree.build(std::move(copy), 16);
-    benchmark::DoNotOptimize(tree.nodes.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TreeBuildLegacyStdSort)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_TreeBuildRadix(benchmark::State& state) {
   const auto parts = randomParticles(static_cast<int>(state.range(0)), 42);
@@ -152,25 +63,6 @@ BENCHMARK(BM_TreeBuildRadix)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisec
 // ---------------------------------------------------------------------------
 // Target grouping
 // ---------------------------------------------------------------------------
-
-void BM_TargetGroupsLegacyComparator(benchmark::State& state) {
-  const auto parts = randomParticles(static_cast<int>(state.range(0)), 7);
-  for (auto _ : state) {
-    // Seed behaviour: mortonKey re-derived inside the comparator.
-    std::vector<std::uint32_t> sel(parts.size());
-    std::iota(sel.begin(), sel.end(), 0u);
-    Box all;
-    for (const auto& p : parts) all.extend(p.pos);
-    const Box cube = all.boundingCube();
-    std::sort(sel.begin(), sel.end(), [&](std::uint32_t a, std::uint32_t b) {
-      return asura::fdps::mortonKey(parts[a].pos, cube) <
-             asura::fdps::mortonKey(parts[b].pos, cube);
-    });
-    benchmark::DoNotOptimize(sel.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TargetGroupsLegacyComparator)->Arg(100000)->Unit(benchmark::kMillisecond);
 
 void BM_TargetGroupsRadix(benchmark::State& state) {
   const auto parts = randomParticles(static_cast<int>(state.range(0)), 7);

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
 
       asura::fdps::DomainDecomposer dd(px, py, pz);
       asura::util::Pcg32 rng(1, static_cast<std::uint64_t>(comm.rank()));
-      dd.decompose(comm, mine, rng);
+      dd.decompose(comm, mine, rng, false);
       mine = dd.exchange(comm, mine, router);
 
       asura::fdps::SourceTree tree;

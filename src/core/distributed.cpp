@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "fdps/box.hpp"
 #include "io/particle_codec.hpp"
@@ -33,10 +34,31 @@ fdps::DomainDecomposer factoredGrid(int ranks) {
   return {px, py, pz};
 }
 
+/// Reject a config whose fields would silently disable the cache or the
+/// balancer: a NaN skin never expires the cache, a NaN margin exports no
+/// ghosts, and a NaN threshold re-cuts every step.
+void validate(const DistributedConfig& cfg) {
+  const auto bad = [](const char* field, const char* rule) {
+    throw std::invalid_argument(std::string("DistributedConfig: ") + field + " must be " +
+                                rule);
+  };
+  if (cfg.decompose_interval != 0 && cfg.decompose_interval != 1) {
+    bad("decompose_interval", "0 or 1");
+  }
+  if (!std::isfinite(cfg.skin) || cfg.skin < 0.0) bad("skin", "finite and >= 0");
+  if (!std::isfinite(cfg.ghost_h_margin) || cfg.ghost_h_margin < 1.0) {
+    bad("ghost_h_margin", "finite and >= 1");
+  }
+  if (!std::isfinite(cfg.imbalance_threshold) || cfg.imbalance_threshold < 1.0) {
+    bad("imbalance_threshold", "finite and >= 1");
+  }
+}
+
 }  // namespace
 
 DistributedEngine::DistributedEngine(comm::Comm& comm, DistributedConfig cfg)
     : comm_(comm), cfg_(cfg), dd_(factoredGrid(comm.size())) {
+  validate(cfg_);
   if (cfg_.use_torus) {
     torus_ = std::make_unique<comm::TorusTopology>(comm_, dd_.px(), dd_.py(), dd_.pz());
   }
@@ -74,26 +96,15 @@ void DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
   comm_.cluster().noteStep(comm_.worldRank(comm_.rank()), step);
 
   bool decomposed = false;
-  if (!dd_.ready() ||
-      (cfg_.decompose_interval > 0 && step % cfg_.decompose_interval == 0)) {
-    if (cfg_.weighted_decomposition) {
-      dd_.decomposeWeighted(comm_, parts, rng);
-    } else {
-      dd_.decompose(comm_, parts, rng);
-    }
+  if (!dd_.ready() || cfg_.decompose_interval == 1) {
+    dd_.decompose(comm_, parts, rng, cfg_.weighted_decomposition);
     decomposed = true;
-    ++stats_.decompositions;
-  } else if (cfg_.weighted_decomposition && dd_.weighted()) {
-    // Between full re-decompositions: re-weigh the unchanged segments from
-    // the current work counters and move only boundary segments when the
-    // imbalance drifted past the threshold. A below-threshold step changes
-    // nothing — the exchange cache survives intact.
-    double imbalance = 0.0;
-    if (dd_.maintain(comm_, parts, cfg_.imbalance_threshold, &imbalance)) {
-      decomposed = true;
-      ++stats_.rebalances;
-    }
-    stats_.balance_max_over_mean = imbalance;
+  } else {
+    // Measure, then re-cut only past the threshold: a balanced step changes
+    // nothing, so the exchange cache survives it unless particles migrate.
+    decomposed = dd_.maintain(comm_, parts, rng, cfg_.weighted_decomposition,
+                              cfg_.imbalance_threshold, &stats_.balance_max_over_mean);
+    if (decomposed) ++stats_.rebalances;
   }
 
   long moved_local = 0;
@@ -388,8 +399,7 @@ void DistributedEngine::stateFields(Io& io, Engine& e, fdps::StepContext& ctx,
                                     bool& let_valid, bool& ghosts_valid,
                                     fdps::DomainDecomposer::Cuts& cuts) {
   io(ctx.letImports(), ctx.ghostImports(), let_valid, ghosts_valid, cuts.x, cuts.y, cuts.z,
-     e.ghost_cache_, e.drift_accum_, e.dirty_local_, cuts.weighted, cuts.cube, cuts.seg_keys,
-     cuts.seg_rank, cuts.seg_weight, e.let_record_, e.let_drift_);
+     e.ghost_cache_, e.drift_accum_, e.dirty_local_, e.let_record_, e.let_drift_);
 }
 
 void DistributedEngine::serializeState(io::ByteWriter& w, fdps::StepContext& ctx) const {

@@ -75,47 +75,47 @@ namespace asura::core {
 using fdps::Particle;
 
 /// The domain grid is always comm.size() factored into near-cubes
-/// (comm::factor3); the decomposition sample budget and the weighted mode's
-/// segments per rank are fdps::DomainDecomposer constants.
+/// (comm::factor3); the decomposition sample budget is
+/// fdps::DomainDecomposer::kSampleCap. The engine constructor validates the
+/// fields and throws std::invalid_argument naming the first bad one.
 struct DistributedConfig {
   /// Route the all-to-alls through the 3-phase 3D-torus algorithm (§3.4).
   bool use_torus = false;
-  /// Steps between re-decompositions (1 = every step, the paper's cadence).
-  /// Owned-particle migration still runs every step; the exchange cache
-  /// survives a step boundary only when neither fired.
+  /// 1: re-cut the domain grid every step (the paper's cadence). 0: cut on
+  /// the first step, then re-cut only when the measured rank load max/mean
+  /// exceeds imbalance_threshold. Owned-particle migration still runs every
+  /// step; the exchange cache survives a step boundary only when neither a
+  /// re-cut nor a migration happened. Other values are rejected.
   int decompose_interval = 1;
   /// Drift budget [pc] of the LET/ghost cache: both sides of an exchange may
   /// accumulate skin/2 of displacement before a collective re-exchange.
+  /// Finite and >= 0.
   double skin = 0.5;
   /// Density-solver growth allowance on every exported reach (stale-reach
-  /// fix); 1.0 reproduces the pre-fix export radii.
+  /// fix); 1.0 reproduces the pre-fix export radii. Finite and >= 1.
   double ghost_h_margin = 1.3;
-  /// Work-weighted Morton-segment decomposition instead of the equal-count
-  /// rectilinear split: segments weighted by the decayed per-particle work
-  /// counters, greedy segment->rank assignment, and a cheap maintain() pass
-  /// between full re-decompositions. Pair with decompose_interval = 0 so
-  /// maintain() is the only rebalancer after the initial decomposition and
-  /// the exchange cache survives quiet step boundaries.
+  /// Weigh every decomposition sample, and every local in the rank load,
+  /// by 1 + Particle::work (the decayed force-pass work counter) instead of
+  /// 1, so cuts split sampled work instead of particle count.
   bool weighted_decomposition = false;
-  /// maintain() re-runs the greedy assignment only when the per-rank
-  /// segment-weight imbalance max/mean exceeds this.
+  /// With decompose_interval = 0, a step re-cuts when the rank load max/mean
+  /// exceeds this. Finite and >= 1 (a max/mean is never below 1).
   double imbalance_threshold = 1.15;
 };
 
 /// Per-step exchange statistics of one rank (also exported via StepStats).
 struct ExchangeStats {
   int migrated = 0;          ///< locals that changed owner this step (global)
-  int decompositions = 0;    ///< 1 when the domain grid was recut this step
   int reach_retries = 0;     ///< density re-solves forced by reach escapes
   /// Passes that exhausted kMaxReachRetries with some rank's reach STILL
   /// escaped: densities near boundaries were computed on a truncated
   /// neighbour set. Nonzero means ghost_h_margin needs raising for this
   /// scenario.
   int reach_giveups = 0;
-  /// Incremental maintain() reassignments this step (weighted mode only).
+  /// Imbalance-triggered re-cuts this step (decompose_interval = 0 only).
   int rebalances = 0;
-  /// Per-rank segment-weight imbalance max/mean measured by the last
-  /// maintain() this step; 0 when maintain() did not run.
+  /// Rank load max/mean measured this step (decompose_interval = 0 only);
+  /// 0 on steps that did not measure it.
   double balance_max_over_mean = 0.0;
 };
 
@@ -125,6 +125,7 @@ class DistributedEngine {
   static constexpr int kMaxReachRetries = 4;
 
   /// Collective: splits the torus communicators when use_torus is set.
+  /// Throws std::invalid_argument naming the field for an invalid `cfg`.
   DistributedEngine(comm::Comm& comm, DistributedConfig cfg);
 
   [[nodiscard]] comm::Comm& comm() { return comm_; }
@@ -133,10 +134,11 @@ class DistributedEngine {
   [[nodiscard]] const ExchangeStats& stats() const { return stats_; }
   void beginStep() { stats_ = ExchangeStats{}; }
 
-  /// Collective. Phase 0 of the distributed step: re-decompose when due,
-  /// ship every local to its owner, sort locals by id (deterministic force
-  /// summation order), and invalidate the exchange cache iff the domains
-  /// changed or any particle migrated. `parts` must hold locals only.
+  /// Collective. Phase 0 of the distributed step: re-cut the domain grid
+  /// when due (see DistributedConfig::decompose_interval), ship every local
+  /// to its owner, sort locals by id (deterministic force summation order),
+  /// and invalidate the exchange cache iff the domains changed or any
+  /// particle migrated. `parts` must hold locals only.
   void exchangeParticles(std::vector<Particle>& parts, fdps::StepContext& ctx,
                          util::Pcg32& rng, long step);
 
@@ -230,8 +232,8 @@ class DistributedEngine {
 
   /// The engine block of a rank's checkpoint payload: everything a restarted
   /// engine needs to behave bitwise like the original — the rank's exchange
-  /// cache in `ctx` (LET imports, coasted ghosts, validity flags), the domain
-  /// cuts or segment map (re-decomposing would consume rng and reshuffle
+  /// cache in `ctx` (LET imports, coasted ghosts, validity flags), the three
+  /// domain cut vectors (re-decomposing would consume rng and reshuffle
   /// owners), the live ghost-export lists/reach, the LET export record, and
   /// the cache-invalidation inputs (accumulated drifts, the local dirty
   /// flag). stats_ is per-step scratch and the export tree is rebuilt on the
@@ -240,12 +242,12 @@ class DistributedEngine {
   /// list (stateFields), so the reader cannot disagree with the writer.
   void serializeState(io::ByteWriter& w, fdps::StepContext& ctx) const;
   /// Throws std::runtime_error naming the field when the block breaks an
-  /// invariant the next step would index by: the domain map (see
-  /// DomainDecomposer::Cuts), a ghost-export cache whose per-rank lists are
-  /// not comm().size() long, an export_idx or LET-record perm entry that is
-  /// not below `n_local` (the restored local count), or a LET item whose
-  /// entry range leaves perm. A throw leaves the engine unusable until a
-  /// restore succeeds.
+  /// invariant the next step would index by: domain cut counts that do not
+  /// match the grid (see DomainDecomposer::Cuts), a ghost-export cache whose
+  /// per-rank lists are not comm().size() long, an export_idx or LET-record
+  /// perm entry that is not below `n_local` (the restored local count), or a
+  /// LET item whose entry range leaves perm. A throw leaves the engine
+  /// unusable until a restore succeeds.
   void restoreState(io::ByteReader& r, fdps::StepContext& ctx, std::size_t n_local);
 
   /// The live ghost-export cache and LET export record (read-only).

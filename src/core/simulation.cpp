@@ -1246,12 +1246,12 @@ void Simulation::validateStepInvariants() {
 
 namespace {
 
-/// Payload format of serializeState. v3 (the only version read or written)
+/// Payload format of serializeState. v4 (the only version read or written)
 /// is: config, clocks, rng, particles (with their work counters), pending
 /// pool predictions with job ids plus the submission counter, and the engine
-/// block with the weighted-decomposition segment map and the LET export
-/// record. A payload of any other version fails restore loudly.
-constexpr std::uint32_t kStateVersion = 3;
+/// block with the domain cuts and the LET export record. A payload of any
+/// other version fails restore loudly.
+constexpr std::uint32_t kStateVersion = 4;
 
 }  // namespace
 

@@ -284,9 +284,9 @@ struct StepStats {
   int reach_giveups = 0;
   // --- work-weighted balancing (zero on serial steps except work_seconds) ---
   int let_value_refreshes = 0;   ///< payload-style refreshes of cached LET imports
-  int rebalances = 0;            ///< domain_maintain segment reassignments this step
-  /// Max-over-mean of the per-rank segment work weights seen by the last
-  /// maintain() sweep (0 when weighted decomposition is off).
+  int rebalances = 0;            ///< imbalance-triggered domain re-cuts this step
+  /// Rank load max/mean measured by this step's DomainDecomposer::maintain
+  /// (0 unless the engine runs with decompose_interval = 0).
   double balance_max_over_mean = 0.0;
   /// Wall-clock seconds this rank spent in the pure-compute sections of the
   /// step (density solves, gravity and hydro force accumulation). The

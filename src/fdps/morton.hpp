@@ -6,7 +6,6 @@
 /// by bit-partitioning the sorted key array level by level.
 
 #include <cstdint>
-#include <vector>
 
 #include "fdps/box.hpp"
 
@@ -41,60 +40,5 @@ constexpr unsigned octantAtLevel(std::uint64_t key, int level) {
 }
 
 constexpr int kMortonMaxLevel = 20;
-
-/// One past the largest 63-bit Morton key: the key space is [0, kMortonKeyEnd).
-constexpr std::uint64_t kMortonKeyEnd = 1ULL << 63;
-
-/// Inverse of spreadBits21: gather every 3rd bit back into the low 21 bits.
-constexpr std::uint64_t compactBits21(std::uint64_t v) {
-  v &= 0x1249249249249249ULL;
-  v = (v | (v >> 2)) & 0x10c30c30c30c30c3ULL;
-  v = (v | (v >> 4)) & 0x100f00f00f00f00fULL;
-  v = (v | (v >> 8)) & 0x1f0000ff0000ffULL;
-  v = (v | (v >> 16)) & 0x1f00000000ffffULL;
-  v = (v | (v >> 32)) & 0x1fffffULL;
-  return v;
-}
-
-/// An octree cell aligned to the Morton curve: `key` is the cell's first key
-/// and `depth` its tree depth (depth 0 = the whole root cube, depth 21 = a
-/// single finest-resolution grid cell). The cell spans mortonCellSpan(depth)
-/// consecutive keys.
-struct MortonCell {
-  std::uint64_t key = 0;
-  int depth = 0;
-};
-
-/// Number of Morton keys covered by a cell at `depth` (8^(21-depth)).
-constexpr std::uint64_t mortonCellSpan(int depth) { return 1ULL << (3 * (21 - depth)); }
-
-/// Integer lattice coordinates (at 2^21 resolution) of a cell's low corner,
-/// plus its side length in lattice units.
-struct MortonCellCoords {
-  std::uint64_t ix = 0, iy = 0, iz = 0;
-  std::uint64_t side = 0;
-};
-
-inline MortonCellCoords mortonCellCoords(const MortonCell& cell) {
-  return {compactBits21(cell.key >> 2), compactBits21(cell.key >> 1),
-          compactBits21(cell.key), 1ULL << (21 - cell.depth)};
-}
-
-/// Decompose a half-open key range [lo, hi) into the minimal list of aligned
-/// octree cells, in curve order. Any contiguous key range needs at most
-/// 7 cells per depth per side (~O(depth) cells total).
-inline void mortonRangeCells(std::uint64_t lo, std::uint64_t hi,
-                             std::vector<MortonCell>& out) {
-  while (lo < hi) {
-    int depth = 21;  // a single lattice cell always fits and is always aligned
-    while (depth > 0) {
-      const std::uint64_t span = mortonCellSpan(depth - 1);
-      if ((lo & (span - 1)) != 0 || span > hi - lo) break;
-      --depth;
-    }
-    out.push_back({lo, depth});
-    lo += mortonCellSpan(depth);
-  }
-}
 
 }  // namespace asura::fdps

@@ -76,8 +76,9 @@ struct Particle {
   /// plus 1 per closing kick (2 for gas), the whole multiplied by
   /// Config::work_decay at every step start so quiet particles forget old
   /// storms. Never read by physics — it only weights the domain
-  /// decomposition's Morton segments, so balancing cannot perturb
-  /// trajectories. Travels with the particle through migration/capture.
+  /// decomposition's samples (1 + work) when weighted decomposition is on,
+  /// so balancing cannot perturb trajectories. Travels with the particle
+  /// through migration/capture.
   double work = 0.0;
 
   [[nodiscard]] bool isGas() const { return type == Species::Gas; }

@@ -6,7 +6,8 @@
 // restore that returns; never in a crash, a sanitizer report or another
 // exception type. The sources are
 //   * a 1-rank run holding undelivered surrogate predictions, and
-//   * a 2-rank run with the work-weighted domain decomposition.
+//   * a 2-rank run with the work-weighted domain decomposition, whose
+//     engine block carries the domain cuts.
 // Run under ASan/UBSan this is the robustness gate for every byte parser a
 // checkpoint reaches.
 

@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -422,6 +425,73 @@ TEST(Distributed, TorusRoutingMatchesFlat) {
   EXPECT_EQ(m.pos, 0.0);
   EXPECT_EQ(m.vel, 0.0);
   EXPECT_EQ(m.u, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Config validation at engine construction
+// ---------------------------------------------------------------------------
+
+/// Builds an engine from each config: the first `n_bad` must be rejected
+/// with a std::invalid_argument naming `field`, the rest must construct.
+void expectValidation(const std::string& field, const std::vector<DistributedConfig>& cfgs,
+                      std::size_t n_bad) {
+  Cluster cluster(1);
+  cluster.run([&](Comm& comm) {
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+      try {
+        DistributedEngine engine(comm, cfgs[i]);
+        EXPECT_GE(i, n_bad) << field << " case " << i << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_LT(i, n_bad) << field << " case " << i << " was rejected: " << e.what();
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      }
+    }
+  });
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(DistributedConfigValidation, SkinMustBeFiniteAndNonNegative) {
+  // A NaN skin would never expire the LET/ghost caches on drift.
+  std::vector<DistributedConfig> cfgs(5, engineConfig());
+  cfgs[0].skin = kNaN;
+  cfgs[1].skin = kInf;
+  cfgs[2].skin = -0.5;
+  cfgs[3].skin = 0.0;
+  cfgs[4].skin = 5.0;
+  expectValidation("skin", cfgs, 3);
+}
+
+TEST(DistributedConfigValidation, GhostHMarginMustBeFiniteAndAtLeastOne) {
+  // A NaN margin would export no gas particle at all.
+  std::vector<DistributedConfig> cfgs(5, engineConfig());
+  cfgs[0].ghost_h_margin = kNaN;
+  cfgs[1].ghost_h_margin = kInf;
+  cfgs[2].ghost_h_margin = 0.9;
+  cfgs[3].ghost_h_margin = 1.0;
+  cfgs[4].ghost_h_margin = 1.3;
+  expectValidation("ghost_h_margin", cfgs, 3);
+}
+
+TEST(DistributedConfigValidation, ImbalanceThresholdMustBeFiniteAndAtLeastOne) {
+  // A NaN threshold would re-cut the grid every step.
+  std::vector<DistributedConfig> cfgs(5, engineConfig());
+  cfgs[0].imbalance_threshold = kNaN;
+  cfgs[1].imbalance_threshold = kInf;
+  cfgs[2].imbalance_threshold = 0.99;
+  cfgs[3].imbalance_threshold = 1.0;
+  cfgs[4].imbalance_threshold = 1.15;
+  expectValidation("imbalance_threshold", cfgs, 3);
+}
+
+TEST(DistributedConfigValidation, DecomposeIntervalMustBeZeroOrOne) {
+  std::vector<DistributedConfig> cfgs(4, engineConfig());
+  cfgs[0].decompose_interval = -1;
+  cfgs[1].decompose_interval = 2;
+  cfgs[2].decompose_interval = 0;
+  cfgs[3].decompose_interval = 1;
+  expectValidation("decompose_interval", cfgs, 2);
 }
 
 }  // namespace

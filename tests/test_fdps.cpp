@@ -320,7 +320,7 @@ TEST(Domain, ParallelDecomposeMatchesAcrossRanks) {
     auto parts = randomParticles(1000, 100 + static_cast<std::uint64_t>(comm.rank()));
     DomainDecomposer dd(2, 2, 2);
     Pcg32 rng(1, static_cast<std::uint64_t>(comm.rank()));
-    dd.decompose(comm, parts, rng);
+    dd.decompose(comm, parts, rng, false);
     // All ranks agree on the decomposition: compare a fingerprint.
     double fp = 0.0;
     for (int r = 0; r < P; ++r) {
@@ -339,7 +339,7 @@ TEST(Domain, ExchangeDeliversEveryParticleToItsOwner) {
     auto parts = randomParticles(500, 200 + static_cast<std::uint64_t>(comm.rank()));
     DomainDecomposer dd(2, 2, 2);
     Pcg32 rng(2, static_cast<std::uint64_t>(comm.rank()));
-    dd.decompose(comm, parts, rng);
+    dd.decompose(comm, parts, rng, false);
     auto mine = dd.exchange(comm, parts);
     for (const auto& p : mine) EXPECT_EQ(dd.ownerOf(p.pos), comm.rank());
     // Global particle count conserved.
@@ -356,7 +356,7 @@ TEST(Domain, ExchangeViaTorusMatchesFlat) {
     auto parts = randomParticles(300, 300 + static_cast<std::uint64_t>(comm.rank()));
     DomainDecomposer dd(2, 2, 2);
     Pcg32 rng(3, static_cast<std::uint64_t>(comm.rank()));
-    dd.decompose(comm, parts, rng);
+    dd.decompose(comm, parts, rng, false);
     TorusTopology torus(comm, 2, 2, 2);
     auto flat = dd.exchange(comm, parts);
     auto via_torus = dd.exchange(comm, parts, &torus);
@@ -408,7 +408,7 @@ TEST(Let, GravityLetExchangeMassConsistency) {
     auto parts = randomParticles(400, 500 + static_cast<std::uint64_t>(comm.rank()));
     DomainDecomposer dd(2, 2, 2);
     Pcg32 rng(4, static_cast<std::uint64_t>(comm.rank()));
-    dd.decompose(comm, parts, rng);
+    dd.decompose(comm, parts, rng, false);
     auto mine = dd.exchange(comm, parts);
 
     SourceTree tree;
@@ -437,7 +437,7 @@ TEST(Let, HydroGhostsContainAllKernelOverlaps) {
     }
     DomainDecomposer dd(2, 2, 2);
     Pcg32 rng(5, static_cast<std::uint64_t>(comm.rank()));
-    dd.decompose(comm, parts, rng);
+    dd.decompose(comm, parts, rng, false);
     auto mine = dd.exchange(comm, parts);
 
     double max_h = 0.0;

@@ -234,7 +234,7 @@ TEST(TreeGravity, DistributedLetMatchesSerialDirect) {
     }
     asura::fdps::DomainDecomposer dd(2, 2, 2);
     Pcg32 rng(11, static_cast<std::uint64_t>(comm.rank()));
-    dd.decompose(comm, mine, rng);
+    dd.decompose(comm, mine, rng, false);
     mine = dd.exchange(comm, mine);
     zeroForces(mine);
 
