@@ -30,6 +30,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace asura::comm {
@@ -419,5 +420,30 @@ class Comm {
   std::shared_ptr<const std::vector<int>> world_ranks_;
   std::uint64_t collective_seq_ = 0;
 };
+
+/// Factor p into (px, py, pz) as close to cubic as possible (px>=py>=pz):
+/// the rank grid of the domain decomposer and of the torus router.
+inline void factor3(int p, int& px, int& py, int& pz) {
+  px = py = pz = 1;
+  // Greedy: repeatedly give the smallest axis the largest remaining factor.
+  int rest = p;
+  auto smallest = [&]() -> int& {
+    if (px <= py && px <= pz) return px;
+    if (py <= pz) return py;
+    return pz;
+  };
+  for (int f = 2; f * f <= rest; ++f) {
+    while (rest % f == 0) {
+      // collect factors from small to large; assign later
+      rest /= f;
+      smallest() *= f;
+    }
+  }
+  if (rest > 1) smallest() *= rest;
+  // Sort descending for a deterministic orientation.
+  if (px < py) std::swap(px, py);
+  if (py < pz) std::swap(py, pz);
+  if (px < py) std::swap(px, py);
+}
 
 }  // namespace asura::comm

@@ -160,29 +160,4 @@ class TorusTopology {
   Comm comm_x_, comm_y_, comm_z_;
 };
 
-/// Factor p into (px, py, pz) as close to cubic as possible (px>=py>=pz).
-/// Used both by the torus router and the domain decomposer.
-inline void factor3(int p, int& px, int& py, int& pz) {
-  px = py = pz = 1;
-  // Greedy: repeatedly give the smallest axis the largest remaining factor.
-  int rest = p;
-  auto smallest = [&]() -> int& {
-    if (px <= py && px <= pz) return px;
-    if (py <= pz) return py;
-    return pz;
-  };
-  for (int f = 2; f * f <= rest; ++f) {
-    while (rest % f == 0) {
-      // collect factors from small to large; assign later
-      rest /= f;
-      smallest() *= f;
-    }
-  }
-  if (rest > 1) smallest() *= rest;
-  // Sort descending for a deterministic orientation.
-  if (px < py) std::swap(px, py);
-  if (py < pz) std::swap(py, pz);
-  if (px < py) std::swap(px, py);
-}
-
 }  // namespace asura::comm

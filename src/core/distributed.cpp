@@ -59,9 +59,6 @@ void validate(const DistributedConfig& cfg) {
 DistributedEngine::DistributedEngine(comm::Comm& comm, DistributedConfig cfg)
     : comm_(comm), cfg_(cfg), dd_(factoredGrid(comm.size())) {
   validate(cfg_);
-  if (cfg_.use_torus) {
-    torus_ = std::make_unique<comm::TorusTopology>(comm_, dd_.px(), dd_.py(), dd_.pz());
-  }
 }
 
 int DistributedEngine::reduceMaxInt(int v) { return comm_.allreduce(v, Op::Max); }
@@ -87,114 +84,90 @@ void DistributedEngine::allreduceSum(double* vals, int n) {
 }
 
 void DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
-                                          fdps::StepContext& ctx, util::Pcg32& rng,
-                                          long step) {
-  if (attached_) throw std::logic_error("exchangeParticles: detach ghosts first");
-
+                                          std::size_t& n_local, fdps::StepContext& ctx,
+                                          util::Pcg32& rng, long step) {
   // Arm any step-gated fault plan: "kill rank r at step s" triggers on the
   // first communication this rank performs once it has entered step s.
   comm_.cluster().noteStep(comm_.worldRank(comm_.rank()), step);
 
+  const std::span<const Particle> locals(parts.data(), n_local);
   bool decomposed = false;
   if (!dd_.ready() || cfg_.decompose_interval == 1) {
-    dd_.decompose(comm_, parts, rng, cfg_.weighted_decomposition);
+    dd_.decompose(comm_, locals, rng, cfg_.weighted_decomposition);
     decomposed = true;
   } else {
     // Measure, then re-cut only past the threshold: a balanced step changes
     // nothing, so the exchange cache survives it unless particles migrate.
-    decomposed = dd_.maintain(comm_, parts, rng, cfg_.weighted_decomposition,
+    decomposed = dd_.maintain(comm_, locals, rng, cfg_.weighted_decomposition,
                               cfg_.imbalance_threshold, &stats_.balance_max_over_mean);
     if (decomposed) ++stats_.rebalances;
   }
 
   long moved_local = 0;
-  for (const auto& p : parts) {
+  for (const auto& p : locals) {
     if (dd_.ownerOf(p.pos) != comm_.rank()) ++moved_local;
   }
-  parts = dd_.exchange(comm_, std::move(parts), torus());
+  auto owned = dd_.exchange(comm_, locals);
   const long moved = comm_.allreduce(moved_local, Op::Sum);
   stats_.migrated = static_cast<int>(moved);
   if (decomposed || moved > 0) {
     // Deterministic local order: force sums, captures and diagnostics
     // iterate in id order regardless of which rank shipped what when. A
-    // no-migration, no-recut step preserves the previous step's sorted
-    // order bitwise (own-bucket routing keeps iteration order), so the
-    // O(N log N) sweep only runs when the exchange actually moved data.
-    std::sort(parts.begin(), parts.end(),
+    // no-migration, no-recut step routes every local to its own bucket in
+    // order, so the received locals equal the sent ones and the O(N log N)
+    // sweep only runs when the exchange actually moved data.
+    std::sort(owned.begin(), owned.end(),
               [](const Particle& a, const Particle& b) { return a.id < b.id; });
     // Domain change / migration: both the trees (array content changed) and
     // the imported sets (domain boxes or source populations changed) die.
     ctx.invalidate();
-    ctx.invalidateExchange();
-    dirty_local_ = true;
+    stale_ = true;
   }
-}
-
-void DistributedEngine::attachGhosts(std::vector<Particle>& parts,
-                                     std::size_t& n_local, fdps::StepContext& ctx) {
-  if (attached_) return;
-  n_local = parts.size();
-  const auto& ghosts = ctx.ghostImports();
-  parts.insert(parts.end(), ghosts.begin(), ghosts.end());
-  attached_ = true;
-}
-
-void DistributedEngine::detachGhosts(std::vector<Particle>& parts,
-                                     std::size_t& n_local, fdps::StepContext& ctx) {
-  if (!attached_) {
+  if (stale_) {
+    // The cache will be rebuilt: drop the ghost suffix with it.
+    parts = std::move(owned);
     n_local = parts.size();
-    return;
   }
-  auto& ghosts = ctx.ghostImports();
-  if (n_local > parts.size()) throw std::logic_error("detachGhosts: bad n_local");
-  // Preserve the coasted state so a later re-attach resumes mid-step drift.
-  ghosts.assign(parts.begin() + static_cast<std::ptrdiff_t>(n_local), parts.end());
-  parts.resize(n_local);
-  attached_ = false;
 }
 
-void DistributedEngine::fullExchange(std::vector<Particle>& parts,
-                                     std::size_t& n_local, fdps::StepContext& ctx,
+void DistributedEngine::fullExchange(std::vector<Particle>& parts, std::size_t n_local,
+                                     fdps::StepContext& ctx,
                                      const gravity::GravityParams& grav) {
-  detachGhosts(parts, n_local, ctx);
-
   // Locals-only tree for the export walks (the cached gravity tree holds
   // imports and cannot serve exportLet). The walk provenance is recorded so
   // later passes can refresh the entry *values* without re-walking.
-  export_tree_.build(fdps::makeSourceEntries(parts), grav.leaf_size);
-  ctx.letImports() = fdps::exchangeGravityLet(comm_, dd_, export_tree_, grav.theta,
-                                              torus(), &let_record_);
+  const std::span<const Particle> locals(parts.data(), n_local);
+  export_tree_.build(fdps::makeSourceEntries(locals), grav.leaf_size);
+  let_imports_ =
+      fdps::exchangeGravityLet(comm_, dd_, export_tree_, grav.theta, &let_record_);
+  ++stats_.let_exchanges;
   // exchangeGravityLet skips the walk loop entirely for an empty local
   // tree, so an empty rank reports 0 walks, not P-1.
-  ctx.noteLetExchange(export_tree_.empty() ? 0 : comm_.size() - 1);
+  stats_.let_export_walks += export_tree_.empty() ? 0 : comm_.size() - 1;
   let_drift_ = 0.0;
 
-  const double reach = sph::maxGatherRadius(parts, parts.size());
-  ghost_cache_ = fdps::exchangeHydroGhostsCached(comm_, dd_, parts, parts.size(),
-                                                 reach, cfg_.ghost_h_margin,
-                                                 cfg_.skin, torus());
-  ctx.ghostImports() = ghost_cache_.ghosts;
-  ctx.noteGhostExchange();
+  const double reach = sph::maxGatherRadius(parts, n_local);
+  ghost_cache_ = fdps::exchangeHydroGhostsCached(comm_, dd_, parts, n_local, reach,
+                                                 cfg_.ghost_h_margin, cfg_.skin);
+  ++stats_.ghost_exchanges;
 
   ctx.invalidate();  // import content changed: trees rebuild lazily
   drift_accum_ = 0.0;
-  dirty_local_ = false;
-  attachGhosts(parts, n_local, ctx);
+  stale_ = false;
 }
 
-void DistributedEngine::ensureExchanged(std::vector<Particle>& parts,
-                                        std::size_t& n_local, fdps::StepContext& ctx,
+void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_t n_local,
+                                        fdps::StepContext& ctx,
                                         const gravity::GravityParams& grav,
                                         bool allow_value_refresh) {
-  const bool dirty_mine = dirty_local_ || !ctx.letValid() || !ctx.ghostsValid() ||
-                          drift_accum_ > 0.5 * cfg_.skin;
+  const bool dirty_mine = stale_ || drift_accum_ > 0.5 * cfg_.skin;
   const int dirty = comm_.allreduce(dirty_mine ? 1 : 0, Op::Max);
   if (dirty != 0) {
     fullExchange(parts, n_local, ctx, grav);
     return;
   }
 
-  ctx.noteLetReuse();
+  ++stats_.let_reuses;
   if (allow_value_refresh && comm_.size() > 1) {
     // Payload-style LET refresh: if any rank drifted since the entry values
     // were last synced, every rank recomputes its exported values from live
@@ -206,12 +179,11 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts,
     const int ready = comm_.allreduce(let_record_.ready(comm_.size()) ? 1 : 0, Op::Min);
     const int drifted = comm_.allreduce(let_drift_ > 0.0 ? 1 : 0, Op::Max);
     if (ready != 0 && drifted != 0) {
-      const bool was_attached = attached_;
-      detachGhosts(parts, n_local, ctx);
-      ctx.letImports() = fdps::refreshLetValues(comm_, let_record_, parts, torus());
-      ctx.noteLetValueRefresh();
+      let_imports_ = fdps::refreshLetValues(comm_, let_record_, parts);
+      // Same entry count, new values: only the gravity tree holds them.
+      ctx.invalidateGravityTree();
+      ++stats_.let_value_refreshes;
       let_drift_ = 0.0;
-      if (was_attached) attachGhosts(parts, n_local, ctx);
     }
   }
   if (allow_value_refresh) {
@@ -221,18 +193,15 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts,
     // feeding this branch is uniform across ranks by construction.
     refreshGhostPayloads(parts, n_local, ctx);
   } else {
-    ctx.noteGhostReuse();
-    attachGhosts(parts, n_local, ctx);
+    ++stats_.ghost_reuses;
   }
 }
 
 void DistributedEngine::refreshGhostPayloads(std::vector<Particle>& parts,
-                                             std::size_t& n_local,
+                                             std::size_t n_local,
                                              fdps::StepContext& ctx) {
-  detachGhosts(parts, n_local, ctx);
-  ctx.ghostImports() = fdps::refreshGhostValues(comm_, ghost_cache_, parts, torus());
-  ctx.noteGhostValueRefresh();
-  attachGhosts(parts, n_local, ctx);
+  fdps::refreshGhostValues(comm_, ghost_cache_, parts, n_local);
+  ++stats_.ghost_value_refreshes;
   // Positions and supports moved within an unchanged layout: an O(N)
   // in-place refresh (entry pos + h, node moments) keeps the cached gas
   // tree consistent without a rebuild.
@@ -240,7 +209,7 @@ void DistributedEngine::refreshGhostPayloads(std::vector<Particle>& parts,
 }
 
 bool DistributedEngine::reexchangeIfReachEscaped(std::vector<Particle>& parts,
-                                                 std::size_t& n_local,
+                                                 std::size_t n_local,
                                                  fdps::StepContext& ctx) {
   const double reach = sph::maxGatherRadius(parts, n_local);
   const bool escaped_mine = reach > ghost_cache_.exported_reach;
@@ -249,14 +218,9 @@ bool DistributedEngine::reexchangeIfReachEscaped(std::vector<Particle>& parts,
 
   // Some rank's supports outgrew what anyone exported to it: rebuild the
   // ghost set around the grown radii. The LET is position-only and stays.
-  detachGhosts(parts, n_local, ctx);
-  const double grown = sph::maxGatherRadius(parts, parts.size());
-  ghost_cache_ = fdps::exchangeHydroGhostsCached(comm_, dd_, parts, parts.size(),
-                                                 grown, cfg_.ghost_h_margin,
-                                                 cfg_.skin, torus());
-  ctx.ghostImports() = ghost_cache_.ghosts;
-  ctx.noteGhostExchange();
-  attachGhosts(parts, n_local, ctx);
+  ghost_cache_ = fdps::exchangeHydroGhostsCached(comm_, dd_, parts, n_local, reach,
+                                                 cfg_.ghost_h_margin, cfg_.skin);
+  ++stats_.ghost_exchanges;
   // Ghost membership (and with it the work-array suffix) changed.
   ctx.invalidate();
   ++stats_.reach_retries;
@@ -318,8 +282,7 @@ int DistributedEngine::captureAndSubmit(std::vector<Particle>& parts,
     }
   }
 
-  const auto incoming = torus() ? torus()->alltoallv3d(outgoing)
-                                : comm_.alltoallv(outgoing);
+  const auto incoming = comm_.alltoallv(outgoing);
   for (int r = 0; r < p; ++r) {
     if (r == comm_.rank()) continue;
     for (const auto& c : incoming[static_cast<std::size_t>(r)]) {
@@ -395,31 +358,24 @@ void DistributedEngine::directFeedback(std::vector<Particle>& parts,
 }
 
 template <class Io, class Engine>
-void DistributedEngine::stateFields(Io& io, Engine& e, fdps::StepContext& ctx,
-                                    bool& let_valid, bool& ghosts_valid,
-                                    fdps::DomainDecomposer::Cuts& cuts) {
-  io(ctx.letImports(), ctx.ghostImports(), let_valid, ghosts_valid, cuts.x, cuts.y, cuts.z,
-     e.ghost_cache_, e.drift_accum_, e.dirty_local_, e.let_record_, e.let_drift_);
+void DistributedEngine::stateFields(Io& io, Engine& e, fdps::DomainDecomposer::Cuts& cuts) {
+  io(e.let_imports_, e.stale_, cuts.x, cuts.y, cuts.z, e.ghost_cache_, e.drift_accum_,
+     e.let_record_, e.let_drift_);
 }
 
-void DistributedEngine::serializeState(io::ByteWriter& w, fdps::StepContext& ctx) const {
-  if (attached_) throw std::logic_error("serializeState: detach ghosts first");
-  bool let_valid = ctx.letValid();
-  bool ghosts_valid = ctx.ghostsValid();
+void DistributedEngine::serializeState(io::ByteWriter& w) const {
   auto cuts = dd_.saveCuts();
-  stateFields(w, *this, ctx, let_valid, ghosts_valid, cuts);
+  stateFields(w, *this, cuts);
 }
 
-void DistributedEngine::restoreState(io::ByteReader& r, fdps::StepContext& ctx,
-                                     std::size_t n_local) {
-  bool let_valid = false;
-  bool ghosts_valid = false;
+void DistributedEngine::restoreState(io::ByteReader& r, std::size_t n_local,
+                                     std::size_t n_ghosts) {
   fdps::DomainDecomposer::Cuts cuts;
-  stateFields(r, *this, ctx, let_valid, ghosts_valid, cuts);
+  stateFields(r, *this, cuts);
   // refreshGhostValues indexes both lists by rank; only an engine that has
   // never exchanged holds neither.
   const auto ranks = static_cast<std::size_t>(comm_.size());
-  const bool never_exchanged = !ghosts_valid && ghost_cache_.export_idx.empty() &&
+  const bool never_exchanged = stale_ && ghost_cache_.export_idx.empty() &&
                                ghost_cache_.import_counts.empty();
   if (!never_exchanged && (ghost_cache_.export_idx.size() != ranks ||
                            ghost_cache_.import_counts.size() != ranks)) {
@@ -450,9 +406,20 @@ void DistributedEngine::restoreState(io::ByteReader& r, fdps::StepContext& ctx,
       }
     }
   }
+  // A clean cache is refreshed in place on the next full pass, which needs
+  // the suffix to hold exactly the imports the layout describes.
+  if (!stale_) {
+    std::size_t imported = 0;
+    for (const auto c : ghost_cache_.import_counts) {
+      // Clamped, so corrupt counts cannot wrap the sum around to n_ghosts.
+      imported += std::min<std::size_t>(c, n_ghosts + 1);
+    }
+    if (imported != n_ghosts) {
+      throw std::runtime_error(
+          "checkpoint: ghost cache import_counts do not sum to the restored ghost count");
+    }
+  }
   dd_.restoreCuts(std::move(cuts));
-  ctx.restoreExchangeCache(let_valid, ghosts_valid);
-  attached_ = false;
   stats_ = ExchangeStats{};
 }
 

@@ -21,9 +21,11 @@
 ///
 /// # Exchange caching (the ASURA-FDPS-ML production-loop optimization)
 ///
-/// The imported LET entry set and the hydro ghost list live in the rank's
-/// fdps::StepContext and are *reused* across force passes and block-
-/// timestep sub-steps. Validity contract (mirrored in context.hpp):
+/// The engine is the one home of the exchange state: the imported LET entry
+/// set, the ghost export layout, one staleness flag and the per-step
+/// counters. The ghosts themselves live only in the rank's working array
+/// (see below). Both imported sets are *reused* across force passes and
+/// block-timestep sub-steps. Validity contract:
 ///
 ///  * invalidated by a new domain decomposition, any owned-particle
 ///    migration, star formation / surrogate replacement (count, species or
@@ -45,19 +47,19 @@
 ///
 /// # Working-array layout
 ///
-/// Between ensureExchanged() and detachGhosts() the rank's particle array
-/// is [locals | ghost imports] with Simulation::nLocal() marking the
-/// boundary. Ghosts coast ballistically through drift sweeps (their home
-/// rank integrates the real particle); kicks, rung bookkeeping, star
-/// formation, cooling, capture and diagnostics touch the local prefix
-/// only.
+/// The rank's particle array is [locals | ghost imports], with
+/// Simulation::nLocal() marking the boundary. The suffix is the only copy of
+/// the ghosts: a ghost exchange rewrites it, a payload refresh overwrites it
+/// in place, and it stays attached between steps. Phase 0 keeps it when the
+/// cache survives and drops it otherwise. Ghosts coast ballistically through
+/// drift sweeps (their home rank integrates the real particle); kicks, rung
+/// bookkeeping, star formation, cooling, capture and diagnostics touch the
+/// local prefix only.
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "comm/comm.hpp"
-#include "comm/torus.hpp"
 #include "core/pool.hpp"
 #include "fdps/context.hpp"
 #include "fdps/domain.hpp"
@@ -79,8 +81,6 @@ using fdps::Particle;
 /// fdps::DomainDecomposer::kSampleCap. The engine constructor validates the
 /// fields and throws std::invalid_argument naming the first bad one.
 struct DistributedConfig {
-  /// Route the all-to-alls through the 3-phase 3D-torus algorithm (§3.4).
-  bool use_torus = false;
   /// 1: re-cut the domain grid every step (the paper's cadence). 0: cut on
   /// the first step, then re-cut only when the measured rank load max/mean
   /// exceeds imbalance_threshold. Owned-particle migration still runs every
@@ -103,8 +103,16 @@ struct DistributedConfig {
   double imbalance_threshold = 1.15;
 };
 
-/// Per-step exchange statistics of one rank (also exported via StepStats).
+/// Per-step exchange statistics of one rank; Simulation::step copies them
+/// into the StepStats fields of the same names.
 struct ExchangeStats {
+  int let_exchanges = 0;          ///< full LET exchanges
+  int let_export_walks = 0;       ///< exportLet tree walks (P-1 per exchange)
+  int let_reuses = 0;             ///< passes served from the cached LET set
+  int let_value_refreshes = 0;    ///< payload-style refreshes of the LET values
+  int ghost_exchanges = 0;        ///< full ghost selections + alltoalls
+  int ghost_value_refreshes = 0;  ///< payload-only refreshes of the ghost suffix
+  int ghost_reuses = 0;           ///< passes that reused the coasted suffix as-is
   int migrated = 0;          ///< locals that changed owner this step (global)
   int reach_retries = 0;     ///< density re-solves forced by reach escapes
   /// Passes that exhausted kMaxReachRetries with some rank's reach STILL
@@ -124,7 +132,6 @@ class DistributedEngine {
   /// Safety bound on the solve -> reach-escaped -> re-exchange loop.
   static constexpr int kMaxReachRetries = 4;
 
-  /// Collective: splits the torus communicators when use_torus is set.
   /// Throws std::invalid_argument naming the field for an invalid `cfg`.
   DistributedEngine(comm::Comm& comm, DistributedConfig cfg);
 
@@ -136,24 +143,26 @@ class DistributedEngine {
 
   /// Collective. Phase 0 of the distributed step: re-cut the domain grid
   /// when due (see DistributedConfig::decompose_interval), ship every local
-  /// to its owner, sort locals by id (deterministic force summation order),
-  /// and invalidate the exchange cache iff the domains changed or any
-  /// particle migrated. `parts` must hold locals only.
-  void exchangeParticles(std::vector<Particle>& parts, fdps::StepContext& ctx,
-                         util::Pcg32& rng, long step);
+  /// parts[0, n_local) to its owner, sort locals by id (deterministic force
+  /// summation order), and mark the cache stale iff the domains changed or
+  /// any particle migrated. Updates n_local. The ghost suffix stays exactly
+  /// when the cache is still valid afterwards (no re-cut, no migration, not
+  /// stale) and is dropped otherwise.
+  void exchangeParticles(std::vector<Particle>& parts, std::size_t& n_local,
+                         fdps::StepContext& ctx, util::Pcg32& rng, long step);
 
-  /// Collective. Guarantee valid LET imports + ghosts and attach the ghost
-  /// suffix to `parts` (updating n_local). Reuses the cached sets when every
-  /// rank is clean; `allow_value_refresh` (uniform across ranks: full passes
-  /// pass true, sub-steps false) re-ships ghost payloads on reuse.
-  void ensureExchanged(std::vector<Particle>& parts, std::size_t& n_local,
+  /// Collective. Guarantee valid LET imports and a valid ghost suffix in
+  /// parts[n_local, end). Reuses the cached sets when every rank is clean;
+  /// `allow_value_refresh` (uniform across ranks: full passes pass true,
+  /// sub-steps false) re-ships LET values and ghost payloads on reuse.
+  void ensureExchanged(std::vector<Particle>& parts, std::size_t n_local,
                        fdps::StepContext& ctx, const gravity::GravityParams& grav,
                        bool allow_value_refresh);
 
   /// Collective. Stale-reach check after a density solve: if any rank's
   /// gather radius escaped its exported reach, re-exchange ghosts (with the
   /// grown supports) and return true — the caller must re-solve.
-  bool reexchangeIfReachEscaped(std::vector<Particle>& parts, std::size_t& n_local,
+  bool reexchangeIfReachEscaped(std::vector<Particle>& parts, std::size_t n_local,
                                 fdps::StepContext& ctx);
 
   /// Collective, read-only: does any rank's gather radius still exceed its
@@ -169,15 +178,9 @@ class DistributedEngine {
   /// zeros on the very first pass — and the force kernel divides by rho^2.
   /// All ranks solve in lockstep, so by the time this refresh runs every
   /// home rank's locals hold post-solve state. No exportLet walk, no
-  /// selection scan.
-  void refreshGhostPayloads(std::vector<Particle>& parts, std::size_t& n_local,
+  /// selection scan; the suffix is overwritten in place.
+  void refreshGhostPayloads(std::vector<Particle>& parts, std::size_t n_local,
                             fdps::StepContext& ctx);
-
-  /// Move the ghost suffix back into the context cache (preserving the
-  /// coasted state) so star formation, cooling, capture and diagnostics see
-  /// pure locals. No comm.
-  void detachGhosts(std::vector<Particle>& parts, std::size_t& n_local,
-                    fdps::StepContext& ctx);
 
   /// Accumulate a bound on local displacement since the last exchange (and
   /// since the last LET value sync, which resets independently).
@@ -187,7 +190,7 @@ class DistributedEngine {
   }
   /// Flag this rank dirty (surrogate replacement, star formation); the next
   /// ensureExchanged turns it into a collective re-exchange.
-  void markDirty() { dirty_local_ = true; }
+  void markDirty() { stale_ = true; }
 
   /// Collective max-reduction (the block-timestep loop uses it to keep every
   /// rank's sub-step cadence in lockstep so mid-loop collectives can't
@@ -231,52 +234,55 @@ class DistributedEngine {
   // --- checkpoint support ---------------------------------------------------
 
   /// The engine block of a rank's checkpoint payload: everything a restarted
-  /// engine needs to behave bitwise like the original — the rank's exchange
-  /// cache in `ctx` (LET imports, coasted ghosts, validity flags), the three
-  /// domain cut vectors (re-decomposing would consume rng and reshuffle
-  /// owners), the live ghost-export lists/reach, the LET export record, and
-  /// the cache-invalidation inputs (accumulated drifts, the local dirty
-  /// flag). stats_ is per-step scratch and the export tree is rebuilt on the
-  /// next full exchange — neither is state. Call with ghosts detached;
-  /// restoreState leaves them detached. Both directions share one field
-  /// list (stateFields), so the reader cannot disagree with the writer.
-  void serializeState(io::ByteWriter& w, fdps::StepContext& ctx) const;
-  /// Throws std::runtime_error naming the field when the block breaks an
-  /// invariant the next step would index by: domain cut counts that do not
-  /// match the grid (see DomainDecomposer::Cuts), a ghost-export cache whose
-  /// per-rank lists are not comm().size() long, an export_idx or LET-record
-  /// perm entry that is not below `n_local` (the restored local count), or a
-  /// LET item whose entry range leaves perm. A throw leaves the engine
+  /// engine needs to behave bitwise like the original — the LET imports, the
+  /// staleness flag, the three domain cut vectors (re-decomposing would
+  /// consume rng and reshuffle owners), the ghost export layout, the
+  /// accumulated drift, the LET export record and the LET drift. The ghosts
+  /// are in the particle list Simulation writes. stats_ is per-step scratch
+  /// and the export tree is rebuilt on the next full exchange — neither is
+  /// state. Both directions share one field list (stateFields), so the
+  /// reader cannot disagree with the writer.
+  void serializeState(io::ByteWriter& w) const;
+  /// `n_local` and `n_ghosts` are the restored local count and suffix
+  /// length. Throws std::runtime_error naming the field when the block
+  /// breaks an invariant the next step would index by: domain cut counts
+  /// that do not match the grid (see DomainDecomposer::Cuts), a ghost-export
+  /// cache whose per-rank lists are not comm().size() long, an export_idx or
+  /// LET-record perm entry that is not below `n_local`, a LET item whose
+  /// entry range leaves perm, or a cache that is not stale whose
+  /// import_counts do not sum to `n_ghosts`. A throw leaves the engine
   /// unusable until a restore succeeds.
-  void restoreState(io::ByteReader& r, fdps::StepContext& ctx, std::size_t n_local);
+  void restoreState(io::ByteReader& r, std::size_t n_local, std::size_t n_ghosts);
 
+  /// The imported LET entries (remote monopoles + boundary particles) the
+  /// gravity passes merge with the locals.
+  [[nodiscard]] const std::vector<fdps::SourceEntry>& letImports() const {
+    return let_imports_;
+  }
   /// The live ghost-export cache and LET export record (read-only).
   [[nodiscard]] const fdps::GhostExchange& ghostExports() const { return ghost_cache_; }
   [[nodiscard]] const fdps::LetExportRecord& letRecord() const { return let_record_; }
 
  private:
   template <class Io, class Engine>
-  static void stateFields(Io& io, Engine& e, fdps::StepContext& ctx, bool& let_valid,
-                          bool& ghosts_valid, fdps::DomainDecomposer::Cuts& cuts);
+  static void stateFields(Io& io, Engine& e, fdps::DomainDecomposer::Cuts& cuts);
 
-  void fullExchange(std::vector<Particle>& parts, std::size_t& n_local,
+  void fullExchange(std::vector<Particle>& parts, std::size_t n_local,
                     fdps::StepContext& ctx, const gravity::GravityParams& grav);
-  void attachGhosts(std::vector<Particle>& parts, std::size_t& n_local,
-                    fdps::StepContext& ctx);
-  [[nodiscard]] comm::TorusTopology* torus() { return torus_ ? torus_.get() : nullptr; }
 
   comm::Comm& comm_;
   DistributedConfig cfg_;
   fdps::DomainDecomposer dd_;
-  std::unique_ptr<comm::TorusTopology> torus_;
 
   fdps::SourceTree export_tree_;     ///< locals-only tree for exportLet walks
+  std::vector<fdps::SourceEntry> let_imports_;  ///< the live LET entry set
   fdps::GhostExchange ghost_cache_;  ///< export lists + reach of the live set
   fdps::LetExportRecord let_record_; ///< walk provenance of the live LET set
   double drift_accum_ = 0.0;         ///< local displacement since exchange
   double let_drift_ = 0.0;           ///< displacement since last LET value sync
-  bool dirty_local_ = false;
-  bool attached_ = false;
+  /// The cache must be rebuilt before its next use: set by a new engine, a
+  /// re-cut or migration, and markDirty; cleared by a full exchange.
+  bool stale_ = true;
   ExchangeStats stats_;
 };
 

@@ -78,17 +78,15 @@ StepStats Simulation::step() {
   // diverges from kernel_isa shows in its own params, not here.
   stats.kernel_isa = pikg::resolveIsa(cfg_.kernel_isa);
 
-  // (0) Distributed phase 0: the previous step's ghost suffix detaches,
-  // domains recut when due, and every local ships to its owner. Runs before
-  // SN identification so captures, boxes and owner lookups all see settled
-  // ownership; positions have not moved since the last force pass, so the
-  // exchange cache survives exactly when nothing migrated and no recut ran.
+  // (0) Distributed phase 0: domains recut when due, and every local ships
+  // to its owner. Runs before SN identification so captures, boxes and owner
+  // lookups all see settled ownership; positions have not moved since the
+  // last force pass, so the exchange cache — and with it the ghost suffix —
+  // survives exactly when nothing migrated and no recut ran.
   if (dist_) {
     util::TimerRegistry::Scope scope(timers_, "Exchange_Particle");
     dist_->beginStep();
-    dist_->detachGhosts(parts_, n_local_, step_ctx_);
-    dist_->exchangeParticles(parts_, step_ctx_, rng_, step_);
-    n_local_ = parts_.size();
+    dist_->exchangeParticles(parts_, n_local_, step_ctx_, rng_, step_);
     id_index_valid_ = false;
   } else {
     n_local_ = parts_.size();
@@ -218,10 +216,6 @@ StepStats Simulation::step() {
 
   reportProgress(1);  // integration done
 
-  // Star formation, cooling, capture bookkeeping and the receive path all
-  // operate on pure locals; the force passes re-attach imports on demand.
-  if (dist_) dist_->detachGhosts(parts_, n_local_, step_ctx_);
-
   // (4) Receive predictions due this step; replace particles by id.
   if (cfg_.use_surrogate) {
     util::TimerRegistry::Scope scope(timers_, "Receive_SNe");
@@ -256,13 +250,13 @@ StepStats Simulation::step() {
     // Keep particles sorted by id for deterministic id-based replacement.
   }
 
-  // (6) Star formation, cooling and heating (locals only — ghosts are
-  // detached, their home ranks run the same physics on the originals).
+  // (6) Star formation, cooling and heating (locals only — the ghosts'
+  // home ranks run the same physics on the originals).
   {
     util::TimerRegistry::Scope scope(timers_, "Star_Formation");
     if (cfg_.enable_star_formation) {
       const int formed =
-          stellar::formStars(parts_, t_, dt, cfg_.star_formation, imf_, rng_);
+          stellar::formStars(localSpan(), t_, dt, cfg_.star_formation, imf_, rng_);
       stats.stars_formed = formed;
       if (formed > 0) {
         step_ctx_.invalidate();  // gas became stars
@@ -271,7 +265,7 @@ StepStats Simulation::step() {
         if (dist_) dist_->markDirty();
       }
       double mass_formed = 0.0;
-      for (const auto& p : parts_) {
+      for (const auto& p : localSpan()) {
         if (p.isStar() && p.t_form == t_) mass_formed += p.mass;
       }
       sfr_history_.push_back(mass_formed / dt);
@@ -281,7 +275,7 @@ StepStats Simulation::step() {
   }
   {
     util::TimerRegistry::Scope scope(timers_, "Feedback_and_Cooling");
-    if (cfg_.enable_cooling) stellar::coolAndHeat(parts_, dt, cfg_.cooling);
+    if (cfg_.enable_cooling) stellar::coolAndHeat(localSpan(), dt, cfg_.cooling);
   }
 
   // (7) Recalculate hydro quantities after the internal energy changed.
@@ -302,20 +296,21 @@ StepStats Simulation::step() {
 
   stats.tree_builds = step_ctx_.buildsThisStep();
   stats.tree_refreshes = step_ctx_.refreshesThisStep();
-  stats.let_exchanges = step_ctx_.letExchangesThisStep();
-  stats.let_export_walks = step_ctx_.letExportWalksThisStep();
-  stats.let_reuses = step_ctx_.letReusesThisStep();
-  stats.ghost_exchanges = step_ctx_.ghostExchangesThisStep();
-  stats.ghost_value_refreshes = step_ctx_.ghostValueRefreshesThisStep();
-  stats.ghost_reuses = step_ctx_.ghostReusesThisStep();
-  stats.let_value_refreshes = step_ctx_.letValueRefreshesThisStep();
   stats.work_seconds = work_seconds_accum_;
   if (dist_) {
-    stats.migrated = dist_->stats().migrated;
-    stats.reach_retries = dist_->stats().reach_retries;
-    stats.reach_giveups = dist_->stats().reach_giveups;
-    stats.rebalances = dist_->stats().rebalances;
-    stats.balance_max_over_mean = dist_->stats().balance_max_over_mean;
+    const ExchangeStats& xs = dist_->stats();
+    stats.let_exchanges = xs.let_exchanges;
+    stats.let_export_walks = xs.let_export_walks;
+    stats.let_reuses = xs.let_reuses;
+    stats.let_value_refreshes = xs.let_value_refreshes;
+    stats.ghost_exchanges = xs.ghost_exchanges;
+    stats.ghost_value_refreshes = xs.ghost_value_refreshes;
+    stats.ghost_reuses = xs.ghost_reuses;
+    stats.migrated = xs.migrated;
+    stats.reach_retries = xs.reach_retries;
+    stats.reach_giveups = xs.reach_giveups;
+    stats.rebalances = xs.rebalances;
+    stats.balance_max_over_mean = xs.balance_max_over_mean;
     // Imbalance diagnostics: every rank publishes its compute-section wall
     // clock and its force-evaluation count; the max/mean ratios are the
     // step's realized load imbalance (wall-based and deterministic).
@@ -570,8 +565,10 @@ void Simulation::applySyncRungFloor(StepStats& stats) {
 
 void Simulation::syncStepArrays() {
   if (step_end_.size() != parts_.size()) {
-    // New slots are ghost imports: a sentinel end keeps them out of every
-    // opening scan, closing set and kick (ghosts only ever coast).
+    // Slots past n_local_ are ghost imports: a sentinel end keeps them out of
+    // every opening scan, closing set and kick (ghosts only ever coast).
+    // Every ghost slot holds the same sentinel, so a suffix that shrinks or
+    // grows keeps the rule.
     step_begin_.resize(parts_.size(), 0);
     step_end_.resize(parts_.size(), -1);
   }
@@ -591,8 +588,9 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
   // integers, so any thread count produces the identical result.
   {
     util::TimerRegistry::Scope scope(timers_, "Integration");
-    step_begin_.assign(parts_.size(), 0);
-    step_end_.assign(parts_.size(), 0);  // "opens at sub-unit 0"
+    // Locals only: syncStepArrays() gives the ghost suffix its sentinel.
+    step_begin_.assign(n_local_, 0);
+    step_end_.assign(n_local_, 0);  // "opens at sub-unit 0"
     int hist[kMaxRungs] = {};
 #pragma omp parallel for schedule(static) reduction(+ : hist[:kMaxRungs])
     for (std::int64_t i = 0; i < n_loc; ++i) {
@@ -613,10 +611,10 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     return (n & ((nfull >> rung) - 1)) == 0;
   };
 
-  // Distributed: attach (or exchange) the ghost suffix BEFORE the first
+  // Distributed: validate (or exchange) the ghost suffix BEFORE the first
   // drift, so sub-step 1's density gather sees boundary neighbours at the
   // same epoch as locals — the serial loop drifts every neighbour every
-  // sub-step, and a suffix attached only after the first drift would lag
+  // sub-step, and a suffix exchanged only after the first drift would lag
   // it by one sub_dt. Collective; runs once per rank per step.
   if (dist_) {
     util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
@@ -712,8 +710,8 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     }
 
     // Distributed: make the imports valid for this sub-step *before* the
-    // closing set is collected — an attach/re-exchange resizes the work
-    // array. Quiet sub-steps reuse both cached sets (no exportLet walk, no
+    // closing set is collected — a re-exchange resizes the work array.
+    // Quiet sub-steps reuse both cached sets (no exportLet walk, no
     // ghost traffic beyond the one-int dirty reduce).
     if (dist_) {
       util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
@@ -877,7 +875,6 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
   if (dist_) {
     util::TimerRegistry::Scope scope(timers_, let_cat);
     dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_);
-    syncStepArrays();
   }
   if (targets.empty()) return;
 
@@ -895,7 +892,7 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
   {
     util::TimerRegistry::Scope scope(timers_, force_cat);
     const double t0 = util::wtime();
-    const auto let = dist_ ? std::span<const fdps::SourceEntry>(step_ctx_.letImports())
+    const auto let = dist_ ? std::span<const fdps::SourceEntry>(dist_->letImports())
                            : std::span<const fdps::SourceEntry>{};
     const auto gs = gravity::accumulateTreeGravity(step_ctx_, localSpan(), let, targets,
                                                    gravityParams());
@@ -1246,12 +1243,14 @@ void Simulation::validateStepInvariants() {
 
 namespace {
 
-/// Payload format of serializeState. v4 (the only version read or written)
-/// is: config, clocks, rng, particles (with their work counters), pending
-/// pool predictions with job ids plus the submission counter, and the engine
-/// block with the domain cuts and the LET export record. A payload of any
-/// other version fails restore loudly.
-constexpr std::uint32_t kStateVersion = 4;
+/// Payload format of serializeState. v5 (the only version read or written)
+/// is: config, clocks, rng, the working array (locals, then ghosts, with
+/// their work counters) and the local count, pending pool predictions with
+/// job ids plus the submission counter, and the engine block with the LET
+/// imports, the staleness flag, the domain cuts, the ghost export layout and
+/// the LET export record. A payload of any other version fails restore
+/// loudly.
+constexpr std::uint32_t kStateVersion = 5;
 
 }  // namespace
 
@@ -1273,19 +1272,16 @@ void fields(Io& io, C& c) {
 }
 
 template <class Io>
-void Simulation::clockAndParticleFields(Io& io, util::Pcg32::State& rng) {
-  io(t_, step_, last_cfl_dt_, rng, sfr_history_, parts_);
+void Simulation::clockAndParticleFields(Io& io, util::Pcg32::State& rng,
+                                        std::uint64_t& n_local) {
+  io(t_, step_, last_cfl_dt_, rng, sfr_history_, parts_, n_local);
 }
 
 void Simulation::serializeState(io::ByteWriter& w) {
-  // Detach the ghost suffix first: the serialized particle set is pure
-  // locals, and step() detaches at entry anyway, so a run that checkpoints
-  // and continues is indistinguishable from one that never did.
-  if (dist_) dist_->detachGhosts(parts_, n_local_, step_ctx_);
-
   w(kStateVersion, cfg_);
   auto rng_state = rng_.saveState();
-  clockAndParticleFields(w, rng_state);
+  std::uint64_t n_local = localSpan().size();
+  clockAndParticleFields(w, rng_state, n_local);
 
   // Undelivered pool predictions. snapshotResults drains the pipeline —
   // predictions are pure functions of their jobs, so the drained results
@@ -1302,7 +1298,7 @@ void Simulation::serializeState(io::ByteWriter& w) {
   // decisions (and with them the bitwise trajectory) identical to the
   // continuous run even when the cache would have survived the boundary.
   w(dist_ != nullptr);
-  if (dist_) dist_->serializeState(w, step_ctx_);
+  if (dist_) dist_->serializeState(w);
 }
 
 void Simulation::restoreState(io::ByteReader& r) {
@@ -1325,9 +1321,16 @@ void Simulation::restoreState(io::ByteReader& r) {
   cfg_ = std::move(saved);
 
   util::Pcg32::State rng_state;
-  clockAndParticleFields(r, rng_state);
+  std::uint64_t n_local = 0;
+  clockAndParticleFields(r, rng_state, n_local);
   rng_.restoreState(rng_state);
-  n_local_ = parts_.size();
+  // Only a distributed rank carries a ghost suffix past its locals.
+  if (n_local > parts_.size() || (!dist_ && n_local != parts_.size())) {
+    throw std::runtime_error("checkpoint: local count " + std::to_string(n_local) +
+                             " does not match the " + std::to_string(parts_.size()) +
+                             "-particle list");
+  }
+  n_local_ = static_cast<std::size_t>(n_local);
   id_index_valid_ = false;
   stats_ = StepStats{};
   wake_requests_.clear();
@@ -1347,10 +1350,9 @@ void Simulation::restoreState(io::ByteReader& r) {
   if (r.read<bool>() != (dist_ != nullptr)) {
     throw std::runtime_error("checkpoint: distributed-engine presence mismatch");
   }
-  if (dist_) dist_->restoreState(r, step_ctx_, parts_.size());
+  if (dist_) dist_->restoreState(r, n_local_, parts_.size() - n_local_);
 
-  // Tree caches rebuild from the restored positions (invalidate touches the
-  // tree cache only — the exchange-cache flags restored above survive).
+  // Tree caches rebuild from the restored positions.
   step_ctx_.invalidate();
 }
 

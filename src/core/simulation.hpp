@@ -98,9 +98,10 @@
 /// imported LET entries + hydro ghosts, prediction return by id-allgather,
 /// and collective cache decisions everywhere a rank-local choice could
 /// diverge (see distributed.hpp). The particle array then holds
-/// [locals | ghosts] between exchanges with nLocal() marking the boundary;
-/// every local-state loop in this file is bounded by n_local_, every
-/// all-particle drift spans the ghosts too (ballistic coasting). In the
+/// [locals | ghosts] with nLocal() marking the boundary; the suffix is the
+/// only copy of the ghosts and stays attached between steps. Every
+/// local-state loop in this file is bounded by n_local_, every all-particle
+/// drift spans the ghosts too (ballistic coasting). In the
 /// hierarchical scheme the per-sub-step deepest rung is max-reduced across
 /// ranks so all ranks run the same sub-step cadence (mid-loop collectives
 /// would otherwise deadlock), and mid-step wakes apply to local neighbours
@@ -387,16 +388,16 @@ class Simulation {
   // The byte-level container (file header, per-rank gather, CRC framing)
   // lives in io/checkpoint.hpp; these two methods (de)serialize ONE rank's
   // complete restart state. Call between steps only. serializeState drains
-  // the pool pipeline and detaches ghosts first — both are equivalent
-  // transformations (predictions are pure functions of their jobs, and
-  // step() re-detaches at entry), so a run that checkpoints and continues
-  // stays bitwise identical to one that never checkpointed.
+  // the pool pipeline first — an equivalent transformation (predictions are
+  // pure functions of their jobs) — and leaves the particle array as it is,
+  // so a run that checkpoints and continues stays bitwise identical to one
+  // that never checkpointed.
 
   /// Serialize this rank's full restart state: config, clocks, rng stream,
-  /// locally owned particles, undelivered pool predictions, the exchange
-  /// cache (LET imports + coasted ghosts + validity flags) and the
-  /// distributed engine state (domain cuts, ghost-export lists, drift
-  /// accumulator). Not const: ghosts detach and the pool drains.
+  /// the working array (locals, then the coasted ghost suffix) and the local
+  /// count, undelivered pool predictions, and the distributed engine block
+  /// (LET imports, staleness flag, domain cuts, ghost export layout, drift
+  /// accumulators). Not const: the pool drains.
   void serializeState(io::ByteWriter& w);
 
   /// Liveness hook for run supervisors: called with (current step, phase id)
@@ -415,7 +416,8 @@ class Simulation {
   /// n_pool_nodes, engine attached iff the checkpoint had one) — the pool
   /// and engine are construction-time objects; everything else is
   /// overwritten from the checkpoint. Throws std::runtime_error on any
-  /// mismatch or malformed payload.
+  /// mismatch or malformed payload, including a local count above the
+  /// particle-list length (or, serially, any count but the length).
   void restoreState(io::ByteReader& r);
 
   /// Reject configurations step() cannot integrate (non-positive dt/eta/box
@@ -441,11 +443,12 @@ class Simulation {
   }
 
  private:
-  /// The clocks, rng stream, SFR history and particles in checkpoint wire
-  /// order; serializeState and restoreState both call it. `rng` stages the
-  /// stream's state, which Pcg32 keeps private.
+  /// The clocks, rng stream, SFR history, working array and local count in
+  /// checkpoint wire order; serializeState and restoreState both call it.
+  /// `rng` stages the stream's state, which Pcg32 keeps private; `n_local`
+  /// stages the local count, which restore validates before installing.
   template <class Io>
-  void clockAndParticleFields(Io& io, util::Pcg32::State& rng);
+  void clockAndParticleFields(Io& io, util::Pcg32::State& rng, std::uint64_t& n_local);
 
   /// Per-pass parameter sets with the effective PIKG backend resolved: an
   /// explicitly pinned params.isa (non-Auto) wins, otherwise the run-level
@@ -511,10 +514,10 @@ class Simulation {
   /// targets.
   sph::DensityStats solveDensityWithReachRetries(
       std::span<const std::uint32_t> gas_targets);
-  /// Resize the per-particle step bookkeeping after a ghost attach/detach
-  /// changed parts_.size() mid-sub-step-loop; new (ghost) slots get a
-  /// sentinel end that never matches a sub-unit, so they never open, close
-  /// or join an active set.
+  /// Size the per-particle step bookkeeping to parts_.size() after the rung
+  /// assignment (sized to the locals) or a ghost exchange resized the suffix
+  /// mid-sub-step-loop; ghost slots get a sentinel end that never matches a
+  /// sub-unit, so they never open, close or join an active set.
   void syncStepArrays();
   /// Id -> index lookup, rebuilt lazily after the particle array changes
   /// (add/reorder) instead of on every surrogate receive.
@@ -531,8 +534,8 @@ class Simulation {
   }
 
   std::vector<fdps::Particle> parts_;
-  /// Owned-particle count; parts_[n_local_, end) is the attached ghost
-  /// suffix of a distributed step (== parts_.size() on serial runs).
+  /// Owned-particle count; parts_[n_local_, end) is the ghost suffix of a
+  /// distributed rank (== parts_.size() on serial runs).
   std::size_t n_local_ = 0;
   SimulationConfig cfg_;
   std::shared_ptr<SurrogateBackend> backend_;

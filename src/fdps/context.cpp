@@ -18,13 +18,6 @@ void StepContext::ensureArenas() {
 void StepContext::beginStep() {
   builds_step_ = 0;
   refreshes_step_ = 0;
-  let_exchanges_step_ = 0;
-  let_walks_step_ = 0;
-  let_reuses_step_ = 0;
-  let_refreshes_step_ = 0;
-  ghost_exchanges_step_ = 0;
-  ghost_refreshes_step_ = 0;
-  ghost_reuses_step_ = 0;
 }
 
 void StepContext::invalidate() {
@@ -39,15 +32,13 @@ SourceTree& StepContext::gravityTree(std::span<const Particle> particles,
                                      int leaf_size) {
   ensureArenas();
   if (!gravity_tree_valid_ || gravity_n_ != particles.size() ||
-      gravity_let_n_ != let_entries.size() || gravity_leaf_ != leaf_size ||
-      gravity_let_epoch_ != let_epoch_) {
+      gravity_let_n_ != let_entries.size() || gravity_leaf_ != leaf_size) {
     std::vector<SourceEntry> sources = makeSourceEntries(particles);
     sources.insert(sources.end(), let_entries.begin(), let_entries.end());
     gravity_tree_.build(std::move(sources), leaf_size);
     gravity_tree_valid_ = true;
     gravity_n_ = particles.size();
     gravity_let_n_ = let_entries.size();
-    gravity_let_epoch_ = let_epoch_;
     gravity_leaf_ = leaf_size;
     ++builds_step_;
     ++builds_total_;

@@ -28,39 +28,22 @@
 /// positions unchanged implies identical Morton order and topology.
 ///
 /// **Mismatch guards.** As a belt-and-braces check, each cached tree also
-/// remembers the (count, leaf_size, LET size and epoch) it was built from
-/// and rebuilds automatically when a caller asks with different parameters.
+/// remembers the (count, leaf_size, LET size) it was built from and
+/// rebuilds automatically when a caller asks with different parameters.
 /// Target groups are keyed by the content of the caller's target list and
 /// the group size instead. This guards against count changes; *silent
 /// position mutation cannot be detected* and is the caller's
 /// responsibility.
 ///
-/// # Exchange cache (distributed steps)
+/// # Distributed steps
 ///
-/// On a multi-rank step the context additionally caches the *imported*
-/// communication products: the gravity LET entry set (letImports) and the
-/// hydro ghost list (ghostImports). Their validity contract is distinct
-/// from the tree cache — a small drift does NOT invalidate them:
-///
-///  * **valid while** every rank's locals have drifted less than half the
-///    exchange skin since the sets were built, the domain decomposition is
-///    unchanged, no particle migrated ranks, no local count/species change
-///    occurred, and no local gather support escaped the margin-inflated
-///    reach the ghosts were exported with (the stale-reach rule);
-///  * **invalidated by** a new decomposition, any owned-particle migration,
-///    star formation / surrogate replacement, accumulated drift beyond
-///    skin/2 on any rank, or a density solve growing some local h past the
-///    exported reach. The *decision* to re-exchange is collective (an
-///    allreduce over the per-rank dirty flags) so every rank re-enters the
-///    exchange together — the cache only stores the data, flags and
-///    counters; DistributedEngine owns the comm protocol.
-///
-/// `invalidate()` (the position/species/count tree invalidation) does NOT
-/// clear the exchange cache: the whole point is that trees rebuild from
-/// locals + the *cached* imports without re-walking exportLet or
-/// re-selecting ghosts. noteLetExchange(), noteLetValueRefresh() and
-/// restoreExchangeCache() bump the LET epoch the gravity-tree guard keys on,
-/// so a same-size re-exchange can never serve a stale tree.
+/// The context caches trees, groups and arenas only. The distributed
+/// exchange state (LET imports, the ghost export layout, the staleness flag
+/// and its counters) lives in core::DistributedEngine, and the ghosts live
+/// in the working array's suffix, so a gas tree over that array covers them.
+/// The gravity tree holds the engine's LET imports: the engine calls
+/// `invalidateGravityTree()` when a value refresh changes them in place;
+/// full exchanges and restores call `invalidate()`.
 ///
 /// **Scratch arenas.** `arena(tid)` hands each OpenMP thread a private
 /// ThreadArena holding interaction-list and SoA staging buffers. Arenas are
@@ -148,6 +131,9 @@ class StepContext {
   /// import set changed.
   void invalidate();
 
+  /// Drop the gravity tree only: the LET import values changed in place.
+  void invalidateGravityTree() { gravity_tree_valid_ = false; }
+
   /// Gravity tree over all `particles` plus the imported LET entries.
   /// Builds lazily; returns the cached tree while valid.
   SourceTree& gravityTree(std::span<const Particle> particles,
@@ -187,76 +173,6 @@ class StepContext {
   void refreshGravityPositions(std::span<const Particle> particles);
   void refreshGasPositions(std::span<const Particle> work);
 
-  // --- distributed exchange cache -----------------------------------------
-  // Storage, validity flags and counters for the imported LET entry set and
-  // ghost list (see the "Exchange cache" invariants above). The comm
-  // protocol that fills these lives in core::DistributedEngine; serial runs
-  // never touch them.
-
-  /// Imported gravity LET entries (remote monopoles + boundary particles).
-  [[nodiscard]] std::vector<SourceEntry>& letImports() { return let_imports_; }
-  /// Imported hydro ghosts in source-rank order. Canonical storage: the
-  /// driver appends a copy to the working particle array between exchanges
-  /// and moves the (drift-coasted) suffix back here when it detaches.
-  [[nodiscard]] std::vector<Particle>& ghostImports() { return ghost_imports_; }
-
-  [[nodiscard]] bool letValid() const { return let_valid_; }
-  [[nodiscard]] bool ghostsValid() const { return ghosts_valid_; }
-  /// Drop both imported sets (domain change, migration, count/species
-  /// change, skin escape). Tree caches are NOT touched — callers decide.
-  void invalidateExchange() { let_valid_ = false; ghosts_valid_ = false; }
-
-  /// Record a completed LET exchange: `export_walks` exportLet tree walks
-  /// were performed (P-1 for a flat exchange). Bumps the LET epoch so the
-  /// cached gravity tree rebuilds over the new import set.
-  void noteLetExchange(int export_walks) {
-    let_valid_ = true;
-    ++let_epoch_;
-    let_exchanges_step_ += 1;
-    let_walks_step_ += export_walks;
-    ++let_exchanges_total_;
-  }
-  void noteLetReuse() { ++let_reuses_step_; }
-  /// Record a completed full ghost exchange (selection scan + alltoall).
-  void noteGhostExchange() {
-    ghosts_valid_ = true;
-    ghost_exchanges_step_ += 1;
-    ++ghost_exchanges_total_;
-  }
-  /// Record a ghost *value* refresh: same ghost list, payloads re-shipped
-  /// along the remembered export index lists (no selection, no reach
-  /// allgather, no exportLet walk).
-  void noteGhostValueRefresh() { ++ghost_refreshes_step_; }
-  /// Record a LET *value* refresh: same entry set, values recomputed from
-  /// live particles along the remembered walk structure (no exportLet walk).
-  /// Counts as neither an exchange nor a reuse; bumps the LET epoch because
-  /// the imported values changed under the cached gravity tree.
-  void noteLetValueRefresh() {
-    ++let_epoch_;
-    ++let_refreshes_step_;
-  }
-
-  /// Checkpoint restore: the import sets were read in place through
-  /// letImports()/ghostImports(); install their validity flags without
-  /// counting an exchange (nothing was shipped). The LET epoch still bumps so
-  /// a cached gravity tree can never serve the pre-restore import set.
-  void restoreExchangeCache(bool let_valid, bool ghosts_valid) {
-    let_valid_ = let_valid;
-    ghosts_valid_ = ghosts_valid;
-    ++let_epoch_;
-  }
-  void noteGhostReuse() { ++ghost_reuses_step_; }
-
-  [[nodiscard]] int letExchangesThisStep() const { return let_exchanges_step_; }
-  [[nodiscard]] int letExportWalksThisStep() const { return let_walks_step_; }
-  [[nodiscard]] int letReusesThisStep() const { return let_reuses_step_; }
-  [[nodiscard]] int ghostExchangesThisStep() const { return ghost_exchanges_step_; }
-  [[nodiscard]] int ghostValueRefreshesThisStep() const { return ghost_refreshes_step_; }
-  [[nodiscard]] int letValueRefreshesThisStep() const { return let_refreshes_step_; }
-  [[nodiscard]] int ghostReusesThisStep() const { return ghost_reuses_step_; }
-  [[nodiscard]] std::uint64_t letExchangesTotal() const { return let_exchanges_total_; }
-  [[nodiscard]] std::uint64_t ghostExchangesTotal() const { return ghost_exchanges_total_; }
-
   [[nodiscard]] ThreadArena& arena(int tid) { return arenas_[static_cast<std::size_t>(tid)]; }
   [[nodiscard]] int numArenas() const { return static_cast<int>(arenas_.size()); }
 
@@ -288,23 +204,12 @@ class StepContext {
   bool gravity_tree_valid_ = false, gas_tree_valid_ = false;
   // Build-parameter fingerprints for the mismatch guard.
   std::size_t gravity_n_ = 0, gravity_let_n_ = 0, gas_n_ = 0;
-  std::uint64_t gravity_let_epoch_ = 0;  ///< let_epoch_ the tree was built at
   int gravity_leaf_ = 0, gas_leaf_ = 0;
 
   std::vector<ThreadArena> arenas_;
 
   int builds_step_ = 0, refreshes_step_ = 0;
   std::uint64_t builds_total_ = 0, refreshes_total_ = 0;
-
-  // --- distributed exchange cache ---
-  std::vector<SourceEntry> let_imports_;
-  std::vector<Particle> ghost_imports_;
-  bool let_valid_ = false, ghosts_valid_ = false;
-  std::uint64_t let_epoch_ = 0;
-  int let_exchanges_step_ = 0, let_walks_step_ = 0, let_reuses_step_ = 0;
-  int let_refreshes_step_ = 0;
-  int ghost_exchanges_step_ = 0, ghost_refreshes_step_ = 0, ghost_reuses_step_ = 0;
-  std::uint64_t let_exchanges_total_ = 0, ghost_exchanges_total_ = 0;
 };
 
 }  // namespace asura::fdps

@@ -99,7 +99,7 @@ DomainDecomposer::DomainDecomposer(int px, int py, int pz) : px_(px), py_(py), p
   }
 }
 
-void DomainDecomposer::decompose(comm::Comm& comm, const std::vector<Particle>& local,
+void DomainDecomposer::decompose(comm::Comm& comm, std::span<const Particle> local,
                                  util::Pcg32& rng, bool weighted) {
   if (comm.size() != ranks()) {
     throw std::invalid_argument("DomainDecomposer: comm size != px*py*pz");
@@ -143,7 +143,7 @@ void DomainDecomposer::decomposeSerial(const std::vector<Particle>& all) {
   multisection(std::move(samples), px_, py_, pz_, xcuts_, ycuts_, zcuts_);
 }
 
-bool DomainDecomposer::maintain(comm::Comm& comm, const std::vector<Particle>& local,
+bool DomainDecomposer::maintain(comm::Comm& comm, std::span<const Particle> local,
                                 util::Pcg32& rng, bool weighted, double threshold,
                                 double* imbalance_out) {
   if (comm.size() != ranks()) {
@@ -187,7 +187,7 @@ int DomainDecomposer::ownerOf(const Vec3d& pos) const {
       &zcuts_[(static_cast<std::size_t>(ix) * py_ + static_cast<std::size_t>(iy)) *
               (pz_ + 1)],
       pz_, pos.z);
-  return comm::TorusTopology::rankOf(ix, iy, iz, px_, py_);
+  return ix + px_ * (iy + py_ * iz);
 }
 
 Box DomainDecomposer::domainOf(int rank) const {
@@ -217,15 +217,13 @@ Box DomainDecomposer::domainOfClamped(int rank, const Box& frame) const {
 }
 
 std::vector<Particle> DomainDecomposer::exchange(comm::Comm& comm,
-                                                 std::vector<Particle> parts,
-                                                 comm::TorusTopology* torus) const {
+                                                 std::span<const Particle> parts) const {
   const auto p = static_cast<std::size_t>(comm.size());
   std::vector<std::vector<Particle>> outgoing(p);
   for (const auto& part : parts) {
     outgoing[static_cast<std::size_t>(ownerOf(part.pos))].push_back(part);
   }
-  const auto incoming =
-      torus ? torus->alltoallv3d(outgoing) : comm.alltoallv(outgoing);
+  const auto incoming = comm.alltoallv(outgoing);
   std::vector<Particle> result;
   std::size_t total = 0;
   for (const auto& v : incoming) total += v.size();

@@ -15,13 +15,14 @@
 /// weights), so each domain holds an equal share of the sampled force-pass
 /// work. Either way every rank owns one disjoint box.
 ///
-/// The exchange itself is an all-to-all with O(p^{1/3}) structure when a
-/// TorusTopology is supplied (§3.4), or a flat alltoallv otherwise.
+/// The particle exchange is one flat alltoallv. The paper's 3-D torus
+/// all-to-all (§3.4) stays in the comm layer; examples/scaling_cluster
+/// routes a decomposition's owner buckets through it.
 
+#include <span>
 #include <vector>
 
 #include "comm/comm.hpp"
-#include "comm/torus.hpp"
 #include "fdps/box.hpp"
 #include "fdps/particle.hpp"
 #include "util/rng.hpp"
@@ -38,7 +39,7 @@ class DomainDecomposer {
   /// Collective over `comm`: sample up to kSampleCap local positions, each
   /// weighted 1 + work when `weighted` (1 otherwise), compute the cut
   /// hierarchy on rank 0 and broadcast it.
-  void decompose(comm::Comm& comm, const std::vector<Particle>& local, util::Pcg32& rng,
+  void decompose(comm::Comm& comm, std::span<const Particle> local, util::Pcg32& rng,
                  bool weighted);
 
   /// Serial convenience (single "rank"): equal-count cuts from the full set.
@@ -49,7 +50,7 @@ class DomainDecomposer {
   /// max/mean over ranks exceeds `threshold`. Returns true iff it re-cut;
   /// `imbalance_out` (optional) receives the measured max/mean, identical
   /// on every rank.
-  bool maintain(comm::Comm& comm, const std::vector<Particle>& local, util::Pcg32& rng,
+  bool maintain(comm::Comm& comm, std::span<const Particle> local, util::Pcg32& rng,
                 bool weighted, double threshold, double* imbalance_out = nullptr);
 
   [[nodiscard]] int ranks() const { return px_ * py_ * pz_; }
@@ -81,11 +82,10 @@ class DomainDecomposer {
   [[nodiscard]] Cuts saveCuts() const { return {xcuts_, ycuts_, zcuts_}; }
   void restoreCuts(Cuts cuts);
 
-  /// Ship every particle to its owner; returns the new local population.
-  /// Uses the 3-phase torus alltoallv when `torus` is non-null.
+  /// Ship every particle to its owner; returns the new local population in
+  /// source-rank order (a particle that stays keeps its relative order).
   [[nodiscard]] std::vector<Particle> exchange(comm::Comm& comm,
-                                               std::vector<Particle> parts,
-                                               comm::TorusTopology* torus = nullptr) const;
+                                               std::span<const Particle> parts) const;
 
  private:
   int px_, py_, pz_;

@@ -7,7 +7,6 @@ namespace asura::fdps {
 
 std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm, const DomainDecomposer& dd,
                                             const SourceTree& local_tree, double theta,
-                                            comm::TorusTopology* torus,
                                             LetExportRecord* record) {
   const int p = comm.size();
   std::vector<std::vector<SourceEntry>> outgoing(static_cast<std::size_t>(p));
@@ -21,7 +20,7 @@ std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm, const DomainDecomp
     local_tree.exportLet(dd.domainOf(r), theta, outgoing[static_cast<std::size_t>(r)],
                          record ? &record->items[static_cast<std::size_t>(r)] : nullptr);
   }
-  const auto incoming = torus ? torus->alltoallv3d(outgoing) : comm.alltoallv(outgoing);
+  const auto incoming = comm.alltoallv(outgoing);
   std::vector<SourceEntry> result;
   if (record) record->import_counts.assign(static_cast<std::size_t>(p), 0);
   for (int r = 0; r < p; ++r) {
@@ -38,8 +37,7 @@ std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm, const DomainDecomp
 }
 
 std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecord& record,
-                                          const std::vector<Particle>& particles,
-                                          comm::TorusTopology* torus) {
+                                          const std::vector<Particle>& particles) {
   const int p = comm.size();
   if (!record.ready(p)) {
     throw std::logic_error("refreshLetValues: record does not match comm size");
@@ -85,7 +83,7 @@ std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecor
       buf.push_back(e);
     }
   }
-  const auto incoming = torus ? torus->alltoallv3d(outgoing) : comm.alltoallv(outgoing);
+  const auto incoming = comm.alltoallv(outgoing);
   std::vector<SourceEntry> result;
   for (int r = 0; r < p; ++r) {
     if (r == comm.rank()) continue;
@@ -99,12 +97,10 @@ std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecor
 }
 
 GhostExchange exchangeHydroGhostsCached(comm::Comm& comm, const DomainDecomposer& dd,
-                                        const std::vector<Particle>& particles,
-                                        std::size_t n_local, double local_max_h,
-                                        double h_margin, double skin,
-                                        comm::TorusTopology* torus) {
+                                        std::vector<Particle>& parts, std::size_t n_local,
+                                        double local_max_h, double h_margin, double skin) {
   const int p = comm.size();
-  n_local = std::min(n_local, particles.size());
+  n_local = std::min(n_local, parts.size());
   GhostExchange out;
   out.exported_reach = local_max_h * h_margin + skin;
   // Every rank needs to know how far the others' (margin-inflated) gather
@@ -120,7 +116,7 @@ GhostExchange exchangeHydroGhostsCached(comm::Comm& comm, const DomainDecomposer
     const Box remote = dd.domainOf(r);
     const double remote_reach = reach[static_cast<std::size_t>(r)];
     for (std::size_t i = 0; i < n_local; ++i) {
-      const auto& part = particles[i];
+      const auto& part = parts[i];
       if (!part.isGas()) continue;
       const double d = remote.distance(part.pos);
       if (d <= std::max(part.h * h_margin + skin, remote_reach)) {
@@ -130,40 +126,48 @@ GhostExchange exchangeHydroGhostsCached(comm::Comm& comm, const DomainDecomposer
       }
     }
   }
-  const auto incoming = torus ? torus->alltoallv3d(outgoing) : comm.alltoallv(outgoing);
+  const auto incoming = comm.alltoallv(outgoing);
   out.import_counts.assign(static_cast<std::size_t>(p), 0);
+  parts.resize(n_local);
   for (int r = 0; r < p; ++r) {
     if (r == comm.rank()) continue;
     const auto& v = incoming[static_cast<std::size_t>(r)];
     out.import_counts[static_cast<std::size_t>(r)] = v.size();
-    out.ghosts.insert(out.ghosts.end(), v.begin(), v.end());
+    parts.insert(parts.end(), v.begin(), v.end());
   }
   return out;
 }
 
-std::vector<Particle> refreshGhostValues(comm::Comm& comm, const GhostExchange& cache,
-                                         const std::vector<Particle>& particles,
-                                         comm::TorusTopology* torus) {
+void refreshGhostValues(comm::Comm& comm, const GhostExchange& cache,
+                        std::vector<Particle>& parts, std::size_t n_local) {
   const int p = comm.size();
   std::vector<std::vector<Particle>> outgoing(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     const auto& idx = cache.export_idx[static_cast<std::size_t>(r)];
     auto& buf = outgoing[static_cast<std::size_t>(r)];
     buf.reserve(idx.size());
-    for (const auto i : idx) buf.push_back(particles.at(i));
+    for (const auto i : idx) buf.push_back(parts.at(i));
   }
-  const auto incoming = torus ? torus->alltoallv3d(outgoing) : comm.alltoallv(outgoing);
-  std::vector<Particle> result;
-  result.reserve(cache.ghosts.size());
+  const auto incoming = comm.alltoallv(outgoing);
+  std::size_t total = 0;
+  for (int r = 0; r < p; ++r) {
+    if (r == comm.rank()) continue;
+    const auto n = incoming[static_cast<std::size_t>(r)].size();
+    if (n != cache.import_counts[static_cast<std::size_t>(r)]) {
+      throw std::runtime_error("refreshGhostValues: import layout changed");
+    }
+    total += n;
+  }
+  if (n_local > parts.size() || parts.size() - n_local != total) {
+    throw std::runtime_error(
+        "refreshGhostValues: ghost suffix length is not the sum of import_counts");
+  }
+  auto at = parts.begin() + static_cast<std::ptrdiff_t>(n_local);
   for (int r = 0; r < p; ++r) {
     if (r == comm.rank()) continue;
     const auto& v = incoming[static_cast<std::size_t>(r)];
-    if (v.size() != cache.import_counts[static_cast<std::size_t>(r)]) {
-      throw std::runtime_error("refreshGhostValues: import layout changed");
-    }
-    result.insert(result.end(), v.begin(), v.end());
+    at = std::copy(v.begin(), v.end(), at);
   }
-  return result;
 }
 
 }  // namespace asura::fdps

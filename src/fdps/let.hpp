@@ -11,12 +11,14 @@
 ///
 /// SPH needs ghost neighbours instead: gas particles near a remote domain
 /// are exported if their own support radius reaches the remote box (scatter)
-/// or if they lie within the remote rank's maximum gather radius.
+/// or if they lie within the remote rank's maximum gather radius. The
+/// imported ghosts have one home, the suffix parts[n_local, end) of the
+/// rank's working array: a ghost exchange rewrites that suffix, a value
+/// refresh overwrites it in place along the remembered layout.
 
 #include <vector>
 
 #include "comm/comm.hpp"
-#include "comm/torus.hpp"
 #include "fdps/domain.hpp"
 #include "fdps/tree.hpp"
 
@@ -46,7 +48,6 @@ struct LetExportRecord {
 std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm,
                                             const DomainDecomposer& dd,
                                             const SourceTree& local_tree, double theta,
-                                            comm::TorusTopology* torus = nullptr,
                                             LetExportRecord* record = nullptr);
 
 /// Payload-style LET refresh: rebuild every previously exported entry's
@@ -55,14 +56,14 @@ std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm,
 /// straight from the particle — and exchange them along the remembered
 /// layout. No exportLet walk, no tree build. The returned vector has exactly
 /// `record.import_counts` entries per source, in the same order as the
-/// original exchange; throws if any count changed.
+/// original exchange; throws if any count changed. `particles` may carry a
+/// ghost suffix: the record indexes locals only.
 std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecord& record,
-                                          const std::vector<Particle>& particles,
-                                          comm::TorusTopology* torus = nullptr);
+                                          const std::vector<Particle>& particles);
 
-/// Result of a cacheable ghost exchange.
+/// Layout of a cacheable ghost exchange (the ghosts themselves live in the
+/// working array's suffix).
 struct GhostExchange {
-  std::vector<Particle> ghosts;  ///< imported, concatenated in source-rank order
   /// Local particle indices shipped to each destination rank, remembered so
   /// refreshGhostValues can re-send current payloads without re-running the
   /// O(N * P) selection scan or the reach allgather.
@@ -82,21 +83,21 @@ struct GhostExchange {
 /// remote rank — is inflated by `h_margin` (the density solver's growth
 /// allowance, >= 1) and widened by `skin` (the drift budget both sides may
 /// consume before re-exchange). `local_max_h` is this rank's maximum gather
-/// support at export time.
+/// support at export time. Exports are selected from parts[0, n_local);
+/// `parts` is then truncated to n_local and the imports are appended in
+/// source-rank order.
 GhostExchange exchangeHydroGhostsCached(comm::Comm& comm, const DomainDecomposer& dd,
-                                        const std::vector<Particle>& particles,
-                                        std::size_t n_local, double local_max_h,
-                                        double h_margin, double skin,
-                                        comm::TorusTopology* torus = nullptr);
+                                        std::vector<Particle>& parts, std::size_t n_local,
+                                        double local_max_h, double h_margin, double skin);
 
 /// Re-ship current payloads for a previously established ghost list: every
-/// rank re-sends particles[idx] for its remembered export_idx lists and
-/// overwrites nothing structurally — the returned vector has exactly
-/// `import_counts` entries per source in the same order as the original
-/// exchange. No selection walk, no allgather; the cheap per-pass freshness
-/// path between full exchanges.
-std::vector<Particle> refreshGhostValues(comm::Comm& comm, const GhostExchange& cache,
-                                         const std::vector<Particle>& particles,
-                                         comm::TorusTopology* torus = nullptr);
+/// rank re-sends parts[idx] for its remembered export_idx lists, and each
+/// source's payload overwrites its slice of the suffix parts[n_local, end)
+/// in place. No selection walk, no allgather; the cheap per-pass freshness
+/// path between full exchanges. Throws std::runtime_error, before writing
+/// anything, when a source's count differs from import_counts or the suffix
+/// length is not their sum.
+void refreshGhostValues(comm::Comm& comm, const GhostExchange& cache,
+                        std::vector<Particle>& parts, std::size_t n_local);
 
 }  // namespace asura::fdps

@@ -1,7 +1,7 @@
 #pragma once
 /// \file particle_codec.hpp
 /// \brief Checkpoint field lists of the particle-level records: Particle,
-/// SourceEntry, the LET export record, the ghost-export cache, Box and the
+/// SourceEntry, the LET export record, the ghost export layout, Box and the
 /// rng state.
 ///
 /// Each list is the single statement of its record's wire layout, in
@@ -41,7 +41,7 @@ void fields(Io& io, R& rec) {
 
 template <class Io, Record<fdps::GhostExchange> G>
 void fields(Io& io, G& g) {
-  io(g.ghosts, g.export_idx, g.import_counts, g.exported_reach);
+  io(g.export_idx, g.import_counts, g.exported_reach);
 }
 
 template <class Io, Record<fdps::Box> B>

@@ -25,6 +25,7 @@
 #include "core/surrogate.hpp"
 #include "ic_fixtures.hpp"
 #include "io/checkpoint.hpp"
+#include "io/particle_codec.hpp"
 #include "io/serialize.hpp"
 #include "util/units.hpp"
 
@@ -487,12 +488,12 @@ TEST(Checkpoint, UnsupportedFileVersionRejected) {
 }
 
 TEST(Checkpoint, UnsupportedStateVersionRejected) {
-  // Only state payload version 4 is read; the version word leads the payload.
+  // Only state payload version 5 is read; the version word leads the payload.
   const auto ic = gasBall(60, 5.0, 1.0, 8, 3000.0);
   const SimulationConfig cfg = quietConfig();
   Simulation sim(ic, cfg);
   const auto good = stateBytes(sim);
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
     auto bytes = good;
     bytes[0] = static_cast<char>(version);
     Simulation fresh(ic, cfg);
@@ -559,7 +560,7 @@ TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
 // Wire layout pin
 //
 // CRC-32 of serializeState for fixed, unstepped states built from literal
-// values, recorded for state v4. A codec change that adds, drops, reorders
+// values, recorded for state v5. A codec change that adds, drops, reorders
 // or re-types a field moves these; such a change must also bump
 // kStateVersion, and re-record the constants with it.
 // ---------------------------------------------------------------------------
@@ -617,7 +618,7 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
                     std::make_shared<asura::core::NullBackend>());
   serial.pool()->submit(0, literalParticles(2, 900), {0.0, 0.0, 0.0},
                         asura::units::E_SN, 0.1);
-  EXPECT_EQ(stateCrc(serial), 0xa8bb427eu);
+  EXPECT_EQ(stateCrc(serial), 0xafbc3a9du);
 
   // Two ranks with an engine attached, before any step.
   std::vector<std::uint32_t> crcs(2);
@@ -627,8 +628,8 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
     sim.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
     crcs[static_cast<std::size_t>(comm.rank())] = stateCrc(sim);
   });
-  EXPECT_EQ(crcs[0], 0xad5aa842u);
-  EXPECT_EQ(crcs[1], 0x2e10cb2du);
+  EXPECT_EQ(crcs[0], 0x07d7420cu);
+  EXPECT_EQ(crcs[1], 0xe0f69a17u);
 }
 
 // ---------------------------------------------------------------------------
@@ -643,14 +644,14 @@ std::size_t findBytes(const std::vector<char>& hay, const std::vector<char>& nee
 }
 
 TEST(Checkpoint, RestoreRejectsGhostCacheNotSizedToRanks) {
-  // An unstepped 2-rank payload holds an empty ghost-export cache. Claiming
-  // its ghosts valid would let the next step refresh payloads along export
-  // lists it indexes by rank. The flag sits 98 bytes before the end of the
-  // payload: after it come the three cut vectors, the ghost list and its two
-  // per-rank vectors (all empty, 8 bytes each), reach and drift (8 each),
-  // the dirty flag (1), the three LET-record vectors (8 each), and the LET
+  // An unstepped 2-rank payload holds an empty ghost-export cache and a
+  // stale flag. Claiming the cache clean would let the next step refresh
+  // payloads along export lists it indexes by rank. The flag sits 89 bytes
+  // before the end of the payload: after it come the three cut vectors and
+  // the ghost layout's two per-rank vectors (all empty, 8 bytes each), reach
+  // and drift (8 each), the three LET-record vectors (8 each), and the LET
   // drift (8).
-  constexpr std::size_t kGhostsValidFromEnd = 98;
+  constexpr std::size_t kStaleFromEnd = 89;
   Cluster cluster(2);
   try {
     cluster.run([&](Comm& comm) {
@@ -658,16 +659,16 @@ TEST(Checkpoint, RestoreRejectsGhostCacheNotSizedToRanks) {
       Simulation a(ic, quietConfig());
       a.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
       auto bytes = stateBytes(a);
-      auto& ghosts_valid = bytes[bytes.size() - kGhostsValidFromEnd];
-      ASSERT_EQ(ghosts_valid, 0);
-      ghosts_valid = 1;
+      auto& stale = bytes[bytes.size() - kStaleFromEnd];
+      ASSERT_EQ(stale, 1);
+      stale = 0;
 
       Simulation b(ic, quietConfig());
       b.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
       asura::io::ByteReader r(bytes.data(), bytes.size());
       b.restoreState(r);
     });
-    FAIL() << "valid ghosts without per-rank export lists restored";
+    FAIL() << "a clean ghost cache without per-rank export lists restored";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("export_idx"), std::string::npos) << e.what();
   }
@@ -727,6 +728,83 @@ TEST(Checkpoint, RestoreRejectsOutOfRangeParticleIndices) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
     }
   }
+}
+
+TEST(Checkpoint, RestoreRejectsGhostCountNotMatchingImports) {
+  // A real 2-rank payload after one step. The next full pass refreshes the
+  // ghost suffix in place, so a clean cache whose import_counts do not sum
+  // to the stored ghost count must fail at restore, not mid-collective. The
+  // second case claims one local more than the particle list holds.
+  const auto ic = gasBall(300, 8.0, 1.0, 23, 3000.0);
+  for (const std::string field : {"import_counts", "local count"}) {
+    Cluster cluster(2);
+    try {
+      cluster.run([&](Comm& comm) {
+        Simulation a(blockPartition(ic, comm.rank(), 2), quietConfig());
+        a.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+        a.step();
+        auto bytes = stateBytes(a);
+        std::vector<char> good, bad;
+        if (field == "import_counts") {
+          auto counts = a.distributed()->ghostExports().import_counts;
+          const auto c = std::find_if(counts.begin(), counts.end(),
+                                      [](std::size_t n) { return n > 0; });
+          ASSERT_NE(c, counts.end());
+          good = encoded(counts);
+          *c += 1;
+          bad = encoded(counts);
+        } else {
+          // The u64 local count follows the last particle of the list.
+          good = encoded(a.particles().back());
+          bad = good;
+          const auto count = encoded(std::uint64_t{a.nLocal()});
+          const auto past = encoded(std::uint64_t{a.particles().size() + 1});
+          good.insert(good.end(), count.begin(), count.end());
+          bad.insert(bad.end(), past.begin(), past.end());
+        }
+        const auto at = findBytes(bytes, good);
+        ASSERT_NE(at, std::string::npos);
+        ASSERT_EQ(findBytes(bytes, good, at + 1), std::string::npos);
+        std::copy(bad.begin(), bad.end(), bytes.begin() + static_cast<std::ptrdiff_t>(at));
+
+        Simulation b(blockPartition(ic, comm.rank(), 2), quietConfig());
+        b.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+        asura::io::ByteReader r(bytes.data(), bytes.size());
+        b.restoreState(r);
+      });
+      ADD_FAILURE() << "a payload with a wrong " << field << " restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Checkpoint, DistributedPayloadStoresEachGhostOnce) {
+  // After one 2-rank step the ghost suffix is attached. Each ghost's encoded
+  // (id, type, mass) prefix must occur exactly once in its rank's payload:
+  // the working array is the ghosts' only home.
+  const auto ic = gasBall(300, 8.0, 1.0, 23, 3000.0);
+  Cluster cluster(2);
+  cluster.run([&](Comm& comm) {
+    Simulation sim(blockPartition(ic, comm.rank(), 2), quietConfig());
+    sim.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+    sim.step();
+    const auto& parts = sim.particles();
+    ASSERT_GT(parts.size(), sim.nLocal()) << "rank " << comm.rank() << " holds no ghosts";
+    std::vector<std::vector<char>> prefixes;
+    for (std::size_t i = sim.nLocal(); i < parts.size(); ++i) {
+      asura::io::ByteWriter w;
+      w(parts[i].id, parts[i].type, parts[i].mass);
+      prefixes.push_back(w.take());
+    }
+    const auto bytes = stateBytes(sim);
+    for (const auto& prefix : prefixes) {
+      const auto at = findBytes(bytes, prefix);
+      ASSERT_NE(at, std::string::npos) << "a ghost is not stored";
+      EXPECT_EQ(findBytes(bytes, prefix, at + 1), std::string::npos)
+          << "a ghost is stored more than once";
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

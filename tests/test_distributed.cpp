@@ -408,26 +408,6 @@ TEST(Distributed, SnRegionCapturedAcrossRanksAndReplacedById) {
 }
 
 // ---------------------------------------------------------------------------
-// Torus routing drop-in
-// ---------------------------------------------------------------------------
-
-TEST(Distributed, TorusRoutingMatchesFlat) {
-  const auto ic = gasBall(600, 10.0, 1.0, 5, 3000.0);
-  SimulationConfig cfg = quietConfig();
-  DistributedConfig flat = engineConfig();
-  DistributedConfig torus = engineConfig();
-  torus.use_torus = true;
-  const auto a = runDistributed(ic, 8, cfg, flat, 2);
-  const auto b = runDistributed(ic, 8, cfg, torus, 2);
-  const auto m = compare(a, b);
-  // Identical message content, identical arrival order (rank-major
-  // concatenation both ways): the routed run is bitwise equal.
-  EXPECT_EQ(m.pos, 0.0);
-  EXPECT_EQ(m.vel, 0.0);
-  EXPECT_EQ(m.u, 0.0);
-}
-
-// ---------------------------------------------------------------------------
 // Config validation at engine construction
 // ---------------------------------------------------------------------------
 

@@ -9,7 +9,6 @@
 #include <set>
 
 #include "comm/comm.hpp"
-#include "comm/torus.hpp"
 #include "fdps/box.hpp"
 #include "fdps/domain.hpp"
 #include "fdps/let.hpp"
@@ -21,7 +20,6 @@ namespace {
 
 using asura::comm::Cluster;
 using asura::comm::Comm;
-using asura::comm::TorusTopology;
 using asura::fdps::Box;
 using asura::fdps::DomainDecomposer;
 using asura::fdps::Particle;
@@ -349,28 +347,6 @@ TEST(Domain, ExchangeDeliversEveryParticleToItsOwner) {
   });
 }
 
-TEST(Domain, ExchangeViaTorusMatchesFlat) {
-  const int P = 8;
-  Cluster cluster(P);
-  cluster.run([&](Comm& comm) {
-    auto parts = randomParticles(300, 300 + static_cast<std::uint64_t>(comm.rank()));
-    DomainDecomposer dd(2, 2, 2);
-    Pcg32 rng(3, static_cast<std::uint64_t>(comm.rank()));
-    dd.decompose(comm, parts, rng, false);
-    TorusTopology torus(comm, 2, 2, 2);
-    auto flat = dd.exchange(comm, parts);
-    auto via_torus = dd.exchange(comm, parts, &torus);
-    // Same multiset of particle ids.
-    auto key = [](const Particle& p) { return p.id; };
-    std::vector<std::uint64_t> a, b;
-    for (const auto& p : flat) a.push_back(key(p));
-    for (const auto& p : via_torus) b.push_back(key(p));
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    EXPECT_EQ(a, b);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // LET
 // ---------------------------------------------------------------------------
@@ -442,9 +418,11 @@ TEST(Let, HydroGhostsContainAllKernelOverlaps) {
 
     double max_h = 0.0;
     for (const auto& p : mine) max_h = std::max(max_h, p.h);
-    const auto ghosts =
-        asura::fdps::exchangeHydroGhostsCached(comm, dd, mine, mine.size(), max_h, 1.0, 0.0)
-            .ghosts;
+    const std::size_t n_local = mine.size();
+    auto work = mine;
+    (void)asura::fdps::exchangeHydroGhostsCached(comm, dd, work, n_local, max_h, 1.0, 0.0);
+    const std::vector<Particle> ghosts(work.begin() + static_cast<std::ptrdiff_t>(n_local),
+                                       work.end());
 
     // Check against a global gather: every remote particle within max(h_i,
     // h_j) of our domain must be in the ghost list.
@@ -475,6 +453,47 @@ TEST(Let, HydroGhostsContainAllKernelOverlaps) {
       }
     }
   });
+}
+
+TEST(Let, GhostRefreshRejectsSuffixNotMatchingLayout) {
+  // A value refresh overwrites the ghost suffix parts[n_local, end) in place
+  // along the exchange's layout. A suffix one particle short or one long
+  // must throw instead of writing past the array or keeping a stray ghost.
+  for (const int delta : {-1, 1}) {
+    Cluster cluster(2);
+    EXPECT_THROW(cluster.run([&](Comm& comm) {
+      auto parts = randomParticles(200, 900 + static_cast<std::uint64_t>(comm.rank()));
+      for (auto& p : parts) {
+        p.type = Species::Gas;
+        p.h = 20.0;
+      }
+      DomainDecomposer dd(2, 1, 1);
+      Pcg32 rng(6, static_cast<std::uint64_t>(comm.rank()));
+      dd.decompose(comm, parts, rng, false);
+      auto work = dd.exchange(comm, parts);
+      const std::size_t n_local = work.size();
+      const auto cache =
+          asura::fdps::exchangeHydroGhostsCached(comm, dd, work, n_local, 20.0, 1.0, 0.0);
+      std::vector<std::uint64_t> before;
+      for (std::size_t i = n_local; i < work.size(); ++i) before.push_back(work[i].id);
+      EXPECT_FALSE(before.empty());
+
+      // The matching suffix refreshes in place, same ghosts in the same slots.
+      asura::fdps::refreshGhostValues(comm, cache, work, n_local);
+      std::vector<std::uint64_t> after;
+      for (std::size_t i = n_local; i < work.size(); ++i) after.push_back(work[i].id);
+      EXPECT_EQ(after, before);
+
+      if (delta < 0) {
+        work.pop_back();
+      } else {
+        work.push_back(work.back());
+      }
+      asura::fdps::refreshGhostValues(comm, cache, work, n_local);
+    }),
+                 std::runtime_error)
+        << "suffix " << (delta < 0 ? "short" : "long") << " by one particle";
+  }
 }
 
 }  // namespace
