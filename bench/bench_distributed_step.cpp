@@ -4,13 +4,11 @@
 // work-weighted multisection cuts (re-cut when the measured rank load
 // exceeds the threshold) against equal-count cuts re-cut every step. The
 // recorded BM_SnStormWeighted row predates the weighted multisection: it
-// measured the deleted Morton-segment decomposer.
-// BENCH_distributed_step.json also keeps the recorded
-// exchange-every-pass baseline rows this bench no longer runs; keep them
-// when regenerating. The headline counters: exportLet walks per step (P-1,
-// exactly one exchange reused by the second pass and every sub-step), comm
-// bytes per step, and — for the storm — the per-rank compute-time imbalance
-// work_imbalance = mean over timed steps of rank_work_max / rank_work_mean.
+// measured the deleted Morton-segment decomposer. The headline counters:
+// exportLet walks per step (P-1, exactly one exchange reused by the second
+// pass and every sub-step), comm bytes per step, and — for the storm — the
+// per-rank compute-time imbalance work_imbalance = mean over timed steps of
+// rank_work_max / rank_work_mean.
 //
 //   ./build/bench_distributed_step --benchmark_format=json > BENCH_distributed_step.json
 //

@@ -3,9 +3,7 @@
 // AVX2 / AVX-512, runtime-dispatched). Measured GFLOPS use the paper's
 // operation counts (27 / 73 / 101 per interaction); the paper's A64FX /
 // genoa / GH200 rows are printed (stderr) as reference alongside this
-// host's measurements. BENCH_kernel_codegen.json also keeps the recorded
-// rows of the hand-written baselines this bench no longer runs; keep them
-// when regenerating.
+// host's measurements.
 //
 // Machine-readable record:
 //   bench_table4_kernels --benchmark_format=json > BENCH_kernel_codegen.json

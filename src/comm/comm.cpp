@@ -64,6 +64,14 @@ void Cluster::run(const std::function<void(Comm&)>& body) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
+Comm Cluster::selfComm() {
+  if (nranks_ != 1) {
+    throw std::logic_error("Cluster::selfComm: the cluster has more than one rank");
+  }
+  return Comm(this, next_comm_id_.fetch_add(1), 0, 1,
+              std::make_shared<const std::vector<int>>(1, 0));
+}
+
 void Cluster::resetRunState() {
   abort_flag_.store(false, std::memory_order_release);
   for (auto& box : boxes_) {

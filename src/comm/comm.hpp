@@ -116,6 +116,13 @@ class Cluster {
   /// aborted run leaves no residue for the next one.
   void run(const std::function<void(Comm&)>& body);
 
+  /// Rank 0's communicator on a one-rank cluster, for code that runs outside
+  /// run(): the in-process MPI_COMM_SELF. Every collective on it completes
+  /// locally, because each send loop skips the own rank, so nothing is sent.
+  /// Each call returns a fresh communicator. Throws std::logic_error unless
+  /// size() == 1.
+  [[nodiscard]] Comm selfComm();
+
   struct Traffic {
     std::uint64_t messages = 0;
     std::uint64_t bytes = 0;

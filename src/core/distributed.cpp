@@ -2,30 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "fdps/box.hpp"
 #include "io/particle_codec.hpp"
 
 namespace asura::core {
 
 using comm::Op;
-using fdps::Box;
-using util::Vec3d;
 
 namespace {
-
-/// Captured particle routed to an SN event's owner rank.
-struct EvCapture {
-  std::int32_t ev = 0;  ///< index into the globally sorted event list
-  Particle p;
-};
-static_assert(std::is_trivially_copyable_v<EvCapture>);
-
-static_assert(std::is_trivially_copyable_v<stellar::SnEvent>,
-              "SN events must be shippable through the comm layer");
 
 /// The domain grid: `ranks` factored into near-cubes.
 fdps::DomainDecomposer factoredGrid(int ranks) {
@@ -59,28 +45,6 @@ void validate(const DistributedConfig& cfg) {
 DistributedEngine::DistributedEngine(comm::Comm& comm, DistributedConfig cfg)
     : comm_(comm), cfg_(cfg), dd_(factoredGrid(comm.size())) {
   validate(cfg_);
-}
-
-int DistributedEngine::reduceMaxInt(int v) { return comm_.allreduce(v, Op::Max); }
-
-void DistributedEngine::allreduceSum(double* vals, int n) {
-  if (n <= 0) return;
-  const std::vector<double> local(vals, vals + n);
-  // allgather + rank-ordered summation: every rank computes the same sum of
-  // the same addends in the same order, so the result is bitwise identical
-  // across ranks and across repeated calls (a scalar allreduce per element
-  // would give the same bits, at n collectives instead of one).
-  const auto parts = comm_.allgatherv(local);
-  for (int k = 0; k < n; ++k) vals[k] = 0.0;
-  for (const auto& p : parts) {
-    if (static_cast<int>(p.size()) != n) {
-      // A mismatched contribution means the collective was entered with
-      // diverging n across ranks — a silent partial sum would break the
-      // bitwise rank-invariance contract undetectably.
-      throw std::runtime_error("allreduceSum: rank contribution size mismatch");
-    }
-    for (int k = 0; k < n; ++k) vals[k] += p[k];
-  }
 }
 
 void DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
@@ -234,127 +198,6 @@ bool DistributedEngine::noteReachGiveupIfStillEscaped(
   const int escaped = comm_.allreduce(escaped_mine ? 1 : 0, Op::Max);
   if (escaped != 0) ++stats_.reach_giveups;
   return escaped != 0;
-}
-
-std::vector<stellar::SnEvent> DistributedEngine::gatherEvents(
-    std::vector<stellar::SnEvent> local) {
-  const auto parts = comm_.allgatherv(local);
-  std::vector<stellar::SnEvent> all;
-  for (const auto& v : parts) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return std::pair(a.t_explode, a.star_id) < std::pair(b.t_explode, b.star_id);
-  });
-  return all;
-}
-
-int DistributedEngine::captureAndSubmit(std::vector<Particle>& parts,
-                                        std::size_t n_local,
-                                        const std::vector<stellar::SnEvent>& events,
-                                        PoolNodeScheduler* pool, double box_size,
-                                        double horizon, long step) {
-  // No pool, no capture: freezing gas with nobody to ever unfreeze it would
-  // silently halt its thermodynamics. Pool presence is uniform across ranks
-  // (it follows use_surrogate), so the early return is collectively safe.
-  if (pool == nullptr) return 0;
-  const int p = comm_.size();
-  const double half = 0.5 * box_size;
-  std::vector<std::vector<EvCapture>> outgoing(static_cast<std::size_t>(p));
-  // Per-event local captures kept at home (owner == this rank).
-  std::vector<std::vector<Particle>> mine(events.size());
-
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    const auto& ev = events[e];
-    const int owner = dd_.ownerOf(ev.pos);
-    Box box;
-    box.extend(ev.pos - Vec3d{half, half, half});
-    box.extend(ev.pos + Vec3d{half, half, half});
-    for (std::size_t i = 0; i < n_local; ++i) {
-      auto& q = parts[i];
-      if (!q.isGas() || q.frozen) continue;  // one pending prediction at a time
-      if (!box.contains(q.pos)) continue;
-      q.frozen = 1;
-      if (owner == comm_.rank()) {
-        mine[e].push_back(q);
-      } else {
-        outgoing[static_cast<std::size_t>(owner)].push_back(
-            {static_cast<std::int32_t>(e), q});
-      }
-    }
-  }
-
-  const auto incoming = comm_.alltoallv(outgoing);
-  for (int r = 0; r < p; ++r) {
-    if (r == comm_.rank()) continue;
-    for (const auto& c : incoming[static_cast<std::size_t>(r)]) {
-      mine[static_cast<std::size_t>(c.ev)].push_back(c.p);
-    }
-  }
-
-  int sent = 0;
-  for (std::size_t e = 0; e < events.size(); ++e) {
-    if (dd_.ownerOf(events[e].pos) != comm_.rank()) continue;
-    auto& region = mine[e];
-    if (region.empty()) continue;
-    std::sort(region.begin(), region.end(),
-              [](const Particle& a, const Particle& b) { return a.id < b.id; });
-    if (pool != nullptr) {
-      pool->submit(step, std::move(region), events[e].pos, events[e].energy, horizon);
-      ++sent;
-    }
-  }
-  return sent;
-}
-
-std::vector<Particle> DistributedEngine::gatherPredictions(
-    const std::vector<std::vector<Particle>>& due) {
-  std::vector<Particle> flat;
-  for (const auto& region : due) flat.insert(flat.end(), region.begin(), region.end());
-  const auto all = comm_.allgatherv(flat);
-  std::vector<Particle> merged;
-  for (const auto& v : all) merged.insert(merged.end(), v.begin(), v.end());
-  return merged;
-}
-
-void DistributedEngine::directFeedback(std::vector<Particle>& parts,
-                                       std::size_t n_local,
-                                       const std::vector<stellar::SnEvent>& events,
-                                       double feedback_radius) {
-  for (const auto& ev : events) {
-    std::vector<std::size_t> sel;
-    double mass_local = 0.0;
-    for (std::size_t i = 0; i < n_local; ++i) {
-      const auto& q = parts[i];
-      if (!q.isGas()) continue;
-      if ((q.pos - ev.pos).norm() < feedback_radius) {
-        sel.push_back(i);
-        mass_local += q.mass;
-      }
-    }
-    const double mass_total = comm_.allreduce(mass_local, Op::Sum);
-    if (mass_total > 0.0) {
-      for (const auto i : sel) parts[i].u += ev.energy / mass_total;
-      continue;
-    }
-    // Nearest-particle fallback, resolved collectively: global minimum
-    // distance, ties broken toward the lowest rank.
-    double best = std::numeric_limits<double>::max();
-    std::size_t arg = n_local;
-    for (std::size_t i = 0; i < n_local; ++i) {
-      if (!parts[i].isGas()) continue;
-      const double d = (parts[i].pos - ev.pos).norm();
-      if (d < best) {
-        best = d;
-        arg = i;
-      }
-    }
-    const double global_best = comm_.allreduce(best, Op::Min);
-    if (global_best >= std::numeric_limits<double>::max()) continue;  // no gas at all
-    const int claim = (arg < n_local && best == global_best)
-                          ? comm_.rank()
-                          : std::numeric_limits<int>::max();
-    const int winner = comm_.allreduce(claim, Op::Min);
-    if (winner == comm_.rank()) parts[arg].u += ev.energy / parts[arg].mass;
-  }
 }
 
 template <class Io, class Engine>

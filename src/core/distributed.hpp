@@ -1,23 +1,24 @@
 #pragma once
 /// \file distributed.hpp
-/// \brief Multi-rank step driver over the in-process SPMD Cluster
-/// (paper §3.4, §5.2.1-§5.2.3).
+/// \brief The exchange state of a multi-rank step over the in-process SPMD
+/// Cluster (paper §3.4, §5.2.1-§5.2.3).
 ///
 /// The paper calls the LET all-to-all "the most time-consuming part with
-/// the full system of Fugaku". This engine makes Simulation::step run the
-/// full distributed step anatomy per rank:
+/// the full system of Fugaku". This engine holds what a rank exchanges with
+/// its peers and Simulation::step does not own:
 ///
-///   decompose -> exchange owned particles -> exchange gravity LET + hydro
-///   ghosts -> density/force passes over locals + imports -> SN
-///   identify/send/receive with cross-rank region capture -> star
-///   formation / cooling
+///   domain decomposition -> migration of owned particles -> gravity LET
+///   and hydro ghosts (with their cache and its checkpoint block)
 ///
-/// while reusing the serial pipeline (cached trees, hierarchical rungs,
-/// Saitoh-Makino limiter) within each rank. One DistributedEngine is
-/// attached to each rank's Simulation; every method marked *collective*
-/// must be entered by all ranks of the communicator in the same order —
-/// the engine guarantees this internally by making every cache decision a
-/// collective reduction over per-rank dirty flags.
+/// Everything else — the force passes, the cached trees, hierarchical
+/// rungs, the Saitoh-Makino limiter, the SN phases and every step
+/// reduction — is Simulation's, and runs on the engine's communicator
+/// (Simulation::comm()) through the same code a serial run executes on its
+/// self communicator. One DistributedEngine is attached to each rank's
+/// Simulation; every method marked *collective* must be entered by all
+/// ranks of the communicator in the same order — the engine guarantees this
+/// internally by making every cache decision a collective reduction over
+/// per-rank dirty flags.
 ///
 /// # Exchange caching (the ASURA-FDPS-ML production-loop optimization)
 ///
@@ -60,7 +61,6 @@
 #include <vector>
 
 #include "comm/comm.hpp"
-#include "core/pool.hpp"
 #include "fdps/context.hpp"
 #include "fdps/domain.hpp"
 #include "fdps/let.hpp"
@@ -69,7 +69,6 @@
 #include "gravity/gravity.hpp"
 #include "io/serialize.hpp"
 #include "sph/sph.hpp"
-#include "stellar/stellar.hpp"
 #include "util/rng.hpp"
 
 namespace asura::core {
@@ -191,45 +190,6 @@ class DistributedEngine {
   /// Flag this rank dirty (surrogate replacement, star formation); the next
   /// ensureExchanged turns it into a collective re-exchange.
   void markDirty() { stale_ = true; }
-
-  /// Collective max-reduction (the block-timestep loop uses it to keep every
-  /// rank's sub-step cadence in lockstep so mid-loop collectives can't
-  /// deadlock on diverging iteration counts).
-  [[nodiscard]] int reduceMaxInt(int v);
-
-  /// Collective sum-reduction of `n` doubles in place, the energy/momentum
-  /// tally primitive for drivers (Simulation::globalEnergyReport and
-  /// friends). Deterministic and identical on every rank: contributions are
-  /// summed in rank order, not arrival order.
-  void allreduceSum(double* vals, int n);
-
-  // --- SN routing (all collective) -----------------------------------------
-
-  /// Gather every rank's SN events; returns the global list sorted by
-  /// (t_explode, star_id) so all ranks process events in the same order.
-  [[nodiscard]] std::vector<stellar::SnEvent> gatherEvents(
-      std::vector<stellar::SnEvent> local);
-
-  /// Cross-rank region capture: freeze local gas inside each event's
-  /// (box_size)^3 box, route the copies to the event's owner rank, and
-  /// submit each merged id-sorted region to `pool` there. Returns the number
-  /// of regions submitted on this rank.
-  int captureAndSubmit(std::vector<Particle>& parts, std::size_t n_local,
-                       const std::vector<stellar::SnEvent>& events,
-                       PoolNodeScheduler* pool, double box_size, double horizon,
-                       long step);
-
-  /// Allgather the predictions due on every rank this step; returns the
-  /// flattened particle list every rank replaces its own locals from by id.
-  [[nodiscard]] std::vector<Particle> gatherPredictions(
-      const std::vector<std::vector<Particle>>& due);
-
-  /// Conventional direct feedback with a *global* mass normalization: gas
-  /// within feedback_radius of each event shares E_SN by mass across ranks;
-  /// the nearest-particle fallback resolves its owner collectively.
-  void directFeedback(std::vector<Particle>& parts, std::size_t n_local,
-                      const std::vector<stellar::SnEvent>& events,
-                      double feedback_radius);
 
   // --- checkpoint support ---------------------------------------------------
 

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "core/distributed.hpp"
 #include "fdps/box.hpp"
@@ -17,12 +20,27 @@ using fdps::Box;
 using fdps::Particle;
 using util::Vec3d;
 
+namespace {
+
+/// Captured particle routed to an SN event's owner rank.
+struct EvCapture {
+  std::int32_t ev = 0;  ///< index into the globally sorted event list
+  Particle p;
+};
+static_assert(std::is_trivially_copyable_v<EvCapture>);
+
+static_assert(std::is_trivially_copyable_v<stellar::SnEvent>,
+              "SN events must be shippable through the comm layer");
+
+}  // namespace
+
 Simulation::Simulation(std::vector<Particle> particles, SimulationConfig cfg,
                        std::shared_ptr<SurrogateBackend> backend)
     : parts_(std::move(particles)),
       n_local_(parts_.size()),
       cfg_(cfg),
       backend_(std::move(backend)),
+      self_comm_(self_cluster_.selfComm()),
       rng_(cfg.seed, 0x51D) {
   if (cfg_.use_surrogate) {
     if (!backend_) backend_ = std::make_shared<SedovOracleBackend>();
@@ -42,6 +60,8 @@ Simulation::~Simulation() = default;
 void Simulation::attachDistributed(std::unique_ptr<DistributedEngine> engine) {
   dist_ = std::move(engine);
 }
+
+comm::Comm& Simulation::comm() { return dist_ ? dist_->comm() : self_comm_; }
 
 gravity::GravityParams Simulation::gravityParams() const {
   gravity::GravityParams p = cfg_.gravity;
@@ -141,36 +161,31 @@ StepStats Simulation::step() {
     if (!std::isfinite(last_cfl_dt_)) {
       last_cfl_dt_ = sph::cflTimestep(localSpan(), cfg_.sph);
     }
-    dt = std::clamp(std::min(cfg_.dt_global, last_cfl_dt_), cfg_.cfl_dt_min,
+    // The floor never exceeds dt_global: a step below cfl_dt_min is legal
+    // and takes dt_global.
+    dt = std::clamp(last_cfl_dt_, std::min(cfg_.cfl_dt_min, cfg_.dt_global),
                     cfg_.dt_global);
     // Every rank must take the same step: the CFL minimum is global.
-    if (dist_) dt = dist_->comm().allreduce(dt, comm::Op::Min);
+    dt = comm().allreduce(dt, comm::Op::Min);
   }
   stats.dt_used = dt;
 
-  // (1) Identify stars exploding between t and t + dt. Distributed: the
-  // per-rank lists merge into one globally ordered list so every rank
-  // processes the same events in the same order.
+  // (1) Identify stars exploding between t and t + dt. The per-rank lists
+  // merge into one globally ordered list so every rank processes the same
+  // events in the same order.
   std::vector<stellar::SnEvent> events;
   {
     util::TimerRegistry::Scope scope(timers_, "Identify_SNe");
-    events = stellar::identifySupernovae(localSpan(), t_, dt);
-    if (dist_) events = dist_->gatherEvents(std::move(events));
+    events = gatherEvents(stellar::identifySupernovae(localSpan(), t_, dt));
     stats.sn_identified = static_cast<int>(events.size());
   }
 
-  // (2) Pick up (60 pc)^3 regions and send them to pool nodes. Distributed:
-  // a region near a domain boundary is captured from every contributing
-  // rank and merged on the event's owner, which submits to its own pool.
+  // (2) Pick up (60 pc)^3 regions and send them to pool nodes. A region
+  // near a domain boundary is captured from every contributing rank and
+  // merged on the event's owner, which submits to its own pool.
   if (cfg_.use_surrogate) {
     util::TimerRegistry::Scope scope(timers_, "Send_SNe");
-    if (dist_) {
-      stats.regions_sent = dist_->captureAndSubmit(parts_, n_local_, events,
-                                                   pool_.get(), cfg_.sn_box_size,
-                                                   cfg_.surrogate_horizon, step_);
-    } else {
-      captureAndSendRegions(events, stats);
-    }
+    captureAndSendRegions(events, stats);
   }
 
   // (3) Integration to t + dt: either the fixed global kick-drift-kick or
@@ -219,38 +234,15 @@ StepStats Simulation::step() {
   // (4) Receive predictions due this step; replace particles by id.
   if (cfg_.use_surrogate) {
     util::TimerRegistry::Scope scope(timers_, "Receive_SNe");
-    if (dist_) {
-      // Per-rank pools hold only regions this rank owns; the predictions
-      // allgather so a frozen particle that migrated since capture is still
-      // found by id wherever it now lives.
-      auto due = pool_ ? pool_->collectDue(step_)
-                       : std::vector<std::vector<Particle>>{};
-      stats.regions_received += static_cast<int>(due.size());
-      const auto merged = dist_->gatherPredictions(due);
-      applyPredictions(merged, stats);
-    } else {
-      receiveAndReplace(stats);
-    }
+    receiveAndReplace(stats);
   } else if (!events.empty()) {
     // Conventional path: direct thermal injection (the timestep killer).
     util::TimerRegistry::Scope scope(timers_, "Preprocess_of_Feedback");
-    if (dist_) {
-      dist_->directFeedback(parts_, n_local_, events, cfg_.feedback_radius);
-      dist_->markDirty();  // remote pressures near boundaries changed
-    } else {
-      directFeedback(events);
-    }
+    directFeedback(events);
+    if (dist_) dist_->markDirty();  // remote pressures near boundaries changed
   }
 
-  // (5) Domain decomposition and particle exchange: the distributed driver
-  // ran it as phase 0 (before captures needed settled ownership); the
-  // serial driver keeps the bookkeeping category only.
-  if (!dist_) {
-    util::TimerRegistry::Scope scope(timers_, "Exchange_Particle");
-    // Keep particles sorted by id for deterministic id-based replacement.
-  }
-
-  // (6) Star formation, cooling and heating (locals only — the ghosts'
+  // (5) Star formation, cooling and heating (locals only — the ghosts'
   // home ranks run the same physics on the originals).
   {
     util::TimerRegistry::Scope scope(timers_, "Star_Formation");
@@ -278,7 +270,7 @@ StepStats Simulation::step() {
     if (cfg_.enable_cooling) stellar::coolAndHeat(localSpan(), dt, cfg_.cooling);
   }
 
-  // (7) Recalculate hydro quantities after the internal energy changed.
+  // (6) Recalculate hydro quantities after the internal energy changed.
   // When neither the surrogate nor star formation touched positions or
   // species this step, the cached trees from the first pass are still
   // valid and this pass performs no builds at all — and on a distributed
@@ -311,13 +303,15 @@ StepStats Simulation::step() {
     stats.reach_giveups = xs.reach_giveups;
     stats.rebalances = xs.rebalances;
     stats.balance_max_over_mean = xs.balance_max_over_mean;
-    // Imbalance diagnostics: every rank publishes its compute-section wall
-    // clock and its force-evaluation count; the max/mean ratios are the
-    // step's realized load imbalance (wall-based and deterministic).
-    // Uniform collective — all ranks reach this at the same step phase.
+  }
+  // Imbalance diagnostics: every rank publishes its compute-section wall
+  // clock and its force-evaluation count; the max/mean ratios are the
+  // step's realized load imbalance (wall-based and deterministic).
+  // Uniform collective — all ranks reach this at the same step phase.
+  {
     const std::array<double, 2> mine{
         work_seconds_accum_, static_cast<double>(stats.force_evaluations)};
-    const auto all = dist_->comm().allgather(mine);
+    const auto all = comm().allgather(mine);
     double wmax = 0.0, wsum = 0.0, emax = 0.0, esum = 0.0;
     for (const auto& a : all) {
       wmax = std::max(wmax, a[0]);
@@ -327,14 +321,9 @@ StepStats Simulation::step() {
     }
     const auto n_ranks = static_cast<double>(all.size());
     stats.rank_work_max = wmax;
-    stats.rank_work_mean = all.empty() ? 0.0 : wsum / n_ranks;
+    stats.rank_work_mean = wsum / n_ranks;
     stats.rank_evals_max = emax;
-    stats.rank_evals_mean = all.empty() ? 0.0 : esum / n_ranks;
-  } else {
-    stats.rank_work_max = work_seconds_accum_;
-    stats.rank_work_mean = work_seconds_accum_;
-    stats.rank_evals_max = static_cast<double>(stats.force_evaluations);
-    stats.rank_evals_mean = stats.rank_evals_max;
+    stats.rank_evals_mean = esum / n_ranks;
   }
   // Degradation visibility: jobs completed since the last step whose result
   // came from the fallback backend (or the identity last resort).
@@ -429,7 +418,7 @@ void Simulation::collectClosingSet(long n, StepStats& stats) {
   // histograms and every downstream kick are bitwise reproducible at any
   // OMP_NUM_THREADS.
   constexpr std::int64_t kChunk = 4096;
-  const auto n_parts = static_cast<std::int64_t>(parts_.size());
+  const auto n_parts = static_cast<std::int64_t>(n_local_);
   const std::int64_t n_chunks = (n_parts + kChunk - 1) / kChunk;
   sweep_counts_.assign(static_cast<std::size_t>(2 * n_chunks), 0);
 
@@ -563,17 +552,6 @@ void Simulation::applySyncRungFloor(StepStats& stats) {
   wake_requests_.clear();
 }
 
-void Simulation::syncStepArrays() {
-  if (step_end_.size() != parts_.size()) {
-    // Slots past n_local_ are ghost imports: a sentinel end keeps them out of
-    // every opening scan, closing set and kick (ghosts only ever coast).
-    // Every ghost slot holds the same sentinel, so a suffix that shrinks or
-    // grows keeps the rule.
-    step_begin_.resize(parts_.size(), 0);
-    step_end_.resize(parts_.size(), -1);
-  }
-}
-
 void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
   const int kmax = std::clamp(cfg_.max_rung, 0, kMaxRungs - 1);
   const long nfull = 1L << kmax;
@@ -588,7 +566,7 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
   // integers, so any thread count produces the identical result.
   {
     util::TimerRegistry::Scope scope(timers_, "Integration");
-    // Locals only: syncStepArrays() gives the ghost suffix its sentinel.
+    // Locals only: ghosts never open, close or join an active set.
     step_begin_.assign(n_local_, 0);
     step_end_.assign(n_local_, 0);  // "opens at sub-unit 0"
     int hist[kMaxRungs] = {};
@@ -620,7 +598,6 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
     dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
                            /*allow_value_refresh=*/false);
-    syncStepArrays();
   }
 
   long n = 0;
@@ -660,7 +637,7 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     // Every rank advances by the globally deepest occupied rung: quiet
     // ranks walk empty active sets, but all ranks reach the mid-loop
     // collectives (cache decisions, reach checks) in lockstep.
-    if (dist_) k_deep = dist_->reduceMaxInt(k_deep);
+    k_deep = comm().allreduce(k_deep, comm::Op::Max);
     const long stride = nfull >> k_deep;
     const double sub_dt = dt_min * static_cast<double>(stride);
 
@@ -717,7 +694,6 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
       util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
       dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
                              /*allow_value_refresh=*/false);
-      syncStepArrays();
     }
 
     // Closing set: particles whose step ends at the updated n. The deepest
@@ -822,7 +798,6 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
   int retries = 0;
   while (retries < max_retries &&
          dist_->reexchangeIfReachEscaped(parts_, n_local_, step_ctx_)) {
-    syncStepArrays();
     restore_h();
     accumulate(ds, solve());
     ++retries;
@@ -919,24 +894,67 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
   stats.force_evaluations += targets.size() + gas_targets.size();
 }
 
+std::vector<stellar::SnEvent> Simulation::gatherEvents(
+    std::vector<stellar::SnEvent> local) {
+  const auto parts = comm().allgatherv(local);
+  std::vector<stellar::SnEvent> all;
+  for (const auto& v : parts) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return std::pair(a.t_explode, a.star_id) < std::pair(b.t_explode, b.star_id);
+  });
+  return all;
+}
+
 void Simulation::captureAndSendRegions(const std::vector<stellar::SnEvent>& events,
                                        StepStats& stats) {
+  // No pool, no capture: freezing gas with nobody to ever unfreeze it would
+  // silently halt its thermodynamics. Pool presence is uniform across ranks
+  // (it follows use_surrogate), so the early return is collectively safe.
   if (!pool_) return;
+  comm::Comm& c = comm();
+  const auto ownerOf = [&](const Vec3d& pos) {
+    return dist_ ? dist_->domains().ownerOf(pos) : 0;
+  };
   const double half = 0.5 * cfg_.sn_box_size;
-  for (const auto& ev : events) {
+  std::vector<std::vector<EvCapture>> outgoing(static_cast<std::size_t>(c.size()));
+  // Per-event local captures kept at home (owner == this rank).
+  std::vector<std::vector<Particle>> mine(events.size());
+
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    const auto& ev = events[e];
+    const int owner = ownerOf(ev.pos);
     Box box;
     box.extend(ev.pos - Vec3d{half, half, half});
     box.extend(ev.pos + Vec3d{half, half, half});
-    std::vector<Particle> region;
-    for (auto& p : parts_) {
-      if (!p.isGas() || p.frozen) continue;
-      if (box.contains(p.pos)) {
-        p.frozen = 1;  // one pending prediction per particle at a time
-        region.push_back(p);
+    for (std::size_t i = 0; i < n_local_; ++i) {
+      auto& q = parts_[i];
+      if (!q.isGas() || q.frozen) continue;  // one pending prediction at a time
+      if (!box.contains(q.pos)) continue;
+      q.frozen = 1;
+      if (owner == c.rank()) {
+        mine[e].push_back(q);
+      } else {
+        outgoing[static_cast<std::size_t>(owner)].push_back(
+            {static_cast<std::int32_t>(e), q});
       }
     }
+  }
+
+  const auto incoming = c.alltoallv(outgoing);
+  for (int r = 0; r < c.size(); ++r) {
+    if (r == c.rank()) continue;
+    for (const auto& cap : incoming[static_cast<std::size_t>(r)]) {
+      mine[static_cast<std::size_t>(cap.ev)].push_back(cap.p);
+    }
+  }
+
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    if (ownerOf(events[e].pos) != c.rank()) continue;
+    auto& region = mine[e];
     if (region.empty()) continue;
-    pool_->submit(step_, std::move(region), ev.pos, ev.energy,
+    std::sort(region.begin(), region.end(),
+              [](const Particle& a, const Particle& b) { return a.id < b.id; });
+    pool_->submit(step_, std::move(region), events[e].pos, events[e].energy,
                   cfg_.surrogate_horizon);
     ++stats.regions_sent;
   }
@@ -953,13 +971,17 @@ const std::unordered_map<std::uint64_t, std::size_t>& Simulation::idIndex() {
 }
 
 void Simulation::receiveAndReplace(StepStats& stats) {
-  if (!pool_) return;
-  const auto due = pool_->collectDue(step_);
-  if (due.empty()) return;
-  for (const auto& prediction : due) {
-    ++stats.regions_received;
-    applyPredictions(prediction, stats);
-  }
+  // Per-rank pools hold only regions this rank owns; the predictions
+  // allgather so a frozen particle that migrated since capture is still
+  // found by id wherever it now lives.
+  const auto due = pool_ ? pool_->collectDue(step_) : std::vector<std::vector<Particle>>{};
+  stats.regions_received += static_cast<int>(due.size());
+  std::vector<Particle> flat;
+  for (const auto& region : due) flat.insert(flat.end(), region.begin(), region.end());
+  const auto all = comm().allgatherv(flat);
+  std::vector<Particle> merged;
+  for (const auto& v : all) merged.insert(merged.end(), v.begin(), v.end());
+  applyPredictions(merged, stats);
 }
 
 void Simulation::applyPredictions(std::span<const Particle> preds, StepStats& stats) {
@@ -1008,33 +1030,61 @@ void Simulation::applyPredictions(std::span<const Particle> preds, StepStats& st
 void Simulation::directFeedback(const std::vector<stellar::SnEvent>& events) {
   // Conventional scheme: dump E_SN as thermal energy into the gas within
   // feedback_radius of the progenitor (falling back to the nearest particle).
+  comm::Comm& c = comm();
   for (const auto& ev : events) {
-    double mass_sum = 0.0;
     std::vector<std::size_t> sel;
+    double mass_local = 0.0;
     for (std::size_t i = 0; i < n_local_; ++i) {
-      const auto& p = parts_[i];
-      if (!p.isGas()) continue;
-      if ((p.pos - ev.pos).norm() < cfg_.feedback_radius) {
+      const auto& q = parts_[i];
+      if (!q.isGas()) continue;
+      if ((q.pos - ev.pos).norm() < cfg_.feedback_radius) {
         sel.push_back(i);
-        mass_sum += p.mass;
+        mass_local += q.mass;
       }
     }
-    if (sel.empty()) {
-      double best = 1e300;
-      std::size_t arg = n_local_;
-      for (std::size_t i = 0; i < n_local_; ++i) {
-        if (!parts_[i].isGas()) continue;
-        const double d = (parts_[i].pos - ev.pos).norm();
-        if (d < best) {
-          best = d;
-          arg = i;
-        }
-      }
-      if (arg == n_local_) continue;
-      sel.push_back(arg);
-      mass_sum = parts_[arg].mass;
+    const double mass_total = c.allreduce(mass_local, comm::Op::Sum);
+    if (mass_total > 0.0) {
+      for (const auto i : sel) parts_[i].u += ev.energy / mass_total;
+      continue;
     }
-    for (const auto i : sel) parts_[i].u += ev.energy / mass_sum;
+    // Nearest-particle fallback, resolved collectively: global minimum
+    // distance, ties broken toward the lowest rank.
+    double best = std::numeric_limits<double>::max();
+    std::size_t arg = n_local_;
+    for (std::size_t i = 0; i < n_local_; ++i) {
+      if (!parts_[i].isGas()) continue;
+      const double d = (parts_[i].pos - ev.pos).norm();
+      if (d < best) {
+        best = d;
+        arg = i;
+      }
+    }
+    const double global_best = c.allreduce(best, comm::Op::Min);
+    if (global_best >= std::numeric_limits<double>::max()) continue;  // no gas at all
+    const int claim =
+        (arg < n_local_ && best == global_best) ? c.rank() : std::numeric_limits<int>::max();
+    const int winner = c.allreduce(claim, comm::Op::Min);
+    if (winner == c.rank()) parts_[arg].u += ev.energy / parts_[arg].mass;
+  }
+}
+
+void Simulation::allreduceSum(double* vals, int n) {
+  if (n <= 0) return;
+  const std::vector<double> local(vals, vals + n);
+  // allgather + rank-ordered summation: every rank computes the same sum of
+  // the same addends in the same order, so the result is bitwise identical
+  // across ranks and across repeated calls (a scalar allreduce per element
+  // would give the same bits, at n collectives instead of one).
+  const auto parts = comm().allgatherv(local);
+  for (int k = 0; k < n; ++k) vals[k] = 0.0;
+  for (const auto& p : parts) {
+    if (static_cast<int>(p.size()) != n) {
+      // A mismatched contribution means the collective was entered with
+      // diverging n across ranks — a silent partial sum would break the
+      // bitwise rank-invariance contract undetectably.
+      throw std::runtime_error("allreduceSum: rank contribution size mismatch");
+    }
+    for (int k = 0; k < n; ++k) vals[k] += p[k];
   }
 }
 
@@ -1065,35 +1115,24 @@ Vec3d Simulation::totalAngularMomentum() const {
 }
 
 EnergyReport Simulation::globalEnergyReport() {
-  EnergyReport e = energyReport();
-  if (dist_) {
-    double v[3] = {e.kinetic, e.thermal, e.potential};
-    dist_->allreduceSum(v, 3);
-    e.kinetic = v[0];
-    e.thermal = v[1];
-    e.potential = v[2];
-  }
-  return e;
+  const EnergyReport e = energyReport();
+  double v[3] = {e.kinetic, e.thermal, e.potential};
+  allreduceSum(v, 3);
+  return {v[0], v[1], v[2]};
 }
 
 Vec3d Simulation::globalMomentum() {
-  Vec3d m = totalMomentum();
-  if (dist_) {
-    double v[3] = {m.x, m.y, m.z};
-    dist_->allreduceSum(v, 3);
-    m = Vec3d{v[0], v[1], v[2]};
-  }
-  return m;
+  const Vec3d m = totalMomentum();
+  double v[3] = {m.x, m.y, m.z};
+  allreduceSum(v, 3);
+  return {v[0], v[1], v[2]};
 }
 
 Vec3d Simulation::globalAngularMomentum() {
-  Vec3d l = totalAngularMomentum();
-  if (dist_) {
-    double v[3] = {l.x, l.y, l.z};
-    dist_->allreduceSum(v, 3);
-    l = Vec3d{v[0], v[1], v[2]};
-  }
-  return l;
+  const Vec3d l = totalAngularMomentum();
+  double v[3] = {l.x, l.y, l.z};
+  allreduceSum(v, 3);
+  return {v[0], v[1], v[2]};
 }
 
 util::Histogram Simulation::densityPdf(int bins) const {
@@ -1190,11 +1229,8 @@ void Simulation::validateStepInvariants() {
   // Global conservation tallies (collective and uniform: validate_steps must
   // be set on every rank, like every other config knob).
   double v[2] = {static_cast<double>(n_local_), mass};
-  std::uint64_t gid = id_sum;
-  if (dist_) {
-    dist_->allreduceSum(v, 2);
-    gid = dist_->comm().allreduce(id_sum, comm::Op::Sum);
-  }
+  allreduceSum(v, 2);
+  const std::uint64_t gid = comm().allreduce(id_sum, comm::Op::Sum);
   const long gcount = static_cast<long>(v[0] + 0.5);
   const double gmass = v[1];
 
@@ -1222,14 +1258,11 @@ void Simulation::validateStepInvariants() {
   // The trip decision is collective: either every rank proceeds to the
   // (collective) post-mortem checkpoint and throws, or none does — a locally
   // detected fault can never strand peers inside a collective.
-  int tripped = err.empty() ? 0 : 1;
-  if (dist_) tripped = dist_->comm().allreduce(tripped, comm::Op::Max);
-  if (tripped == 0) return;
+  if (comm().allreduce(err.empty() ? 0 : 1, comm::Op::Max) == 0) return;
 
   if (err.empty()) err = "a peer rank failed step validation";
-  const int rank = dist_ ? dist_->comm().rank() : 0;
   std::string diag = "step validation failed at step " + std::to_string(step_) +
-                     " on rank " + std::to_string(rank) + ": " + err;
+                     " on rank " + std::to_string(comm().rank()) + ": " + err;
   if (!cfg_.abort_checkpoint_path.empty()) {
     try {
       io::writeCheckpoint(cfg_.abort_checkpoint_path, *this);

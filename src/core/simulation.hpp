@@ -4,6 +4,8 @@
 /// SN-bypassing surrogate and a fixed global timestep (paper §3.2).
 ///
 /// One global step (categories bracket the paper's Fig. 6/7 legend):
+///  0. Exchange_Particle      — domain decomposition + migration (with an
+///                              engine attached only)
 ///  1. Identify_SNe           — stars exploding in (t, t + dt_global]
 ///  2. Send_SNe               — ship (60 pc)^3 regions to pool nodes
 ///  3. Integration            — first kick + drift (no feedback energy)
@@ -12,11 +14,10 @@
 ///     2nd Calc_Force (pre-kick hydro) + Final_kick
 ///  4. Receive_SNe            — predictions due this step replace particles
 ///                              by id
-///  5. Exchange_Particle      — domain decomposition (serial: bookkeeping)
-///  6. Star_Formation + Feedback_and_Cooling
-///  7. 2nd Calc_Kernel_Size / 2nd Make_Tree / 2nd Exchange_LET /
+///  5. Star_Formation + Feedback_and_Cooling
+///  6. 2nd Calc_Kernel_Size / 2nd Make_Tree / 2nd Exchange_LET /
 ///     2nd Calc_Force         — recompute hydro after energy changes
-///  8. next step (fixed dt_global; the conventional baseline instead obeys
+///  7. next step (fixed dt_global; the conventional baseline instead obeys
 ///     the global CFL minimum and injects SN energy directly).
 ///
 /// # Hierarchical block timesteps (cfg.hierarchical_timestep)
@@ -90,22 +91,34 @@
 /// independent, reductions are over integers, and the closing set is
 /// collected by fixed-chunk count-then-fill in index order.
 ///
+/// # One communicator at every rank count (comm())
+///
+/// Every Simulation steps on a communicator: the attached engine's, or else
+/// a one-rank self communicator it owns, on which every collective completes
+/// locally (comm::Cluster::selfComm). The SN phases (event gather, region
+/// capture and submission, prediction return, direct feedback), the step's
+/// reductions (adaptive dt, the sub-step deepest rung, the rank-imbalance
+/// allgather), the global* tallies, the step validator and the checkpoint
+/// collectives run on it through one implementation, so a serial step is
+/// the one-rank case of the distributed step: SN events are handled in
+/// (t_explode, star_id) order and regions are submitted id-sorted at every
+/// rank count.
+///
 /// # Distributed steps (attachDistributed)
 ///
-/// With a core::DistributedEngine attached, step() runs the multi-rank
-/// anatomy over the in-process SPMD cluster: decompose + migrate owned
-/// particles (phase 0), cross-rank SN capture, force passes over locals +
-/// imported LET entries + hydro ghosts, prediction return by id-allgather,
-/// and collective cache decisions everywhere a rank-local choice could
-/// diverge (see distributed.hpp). The particle array then holds
-/// [locals | ghosts] with nLocal() marking the boundary; the suffix is the
-/// only copy of the ghosts and stays attached between steps. Every
-/// local-state loop in this file is bounded by n_local_, every all-particle
-/// drift spans the ghosts too (ballistic coasting). In the
-/// hierarchical scheme the per-sub-step deepest rung is max-reduced across
-/// ranks so all ranks run the same sub-step cadence (mid-loop collectives
-/// would otherwise deadlock), and mid-step wakes apply to local neighbours
-/// only — a ghost's home rank wakes the real particle at its own passes.
+/// With a core::DistributedEngine attached, step() adds the exchange state
+/// the engine owns (see distributed.hpp): decompose + migrate owned
+/// particles (phase 0), force passes over locals + imported LET entries +
+/// hydro ghosts, and collective cache decisions everywhere a rank-local
+/// choice could diverge. The particle array then holds [locals | ghosts]
+/// with nLocal() marking the boundary; the suffix is the only copy of the
+/// ghosts and stays attached between steps. Every local-state loop in this
+/// file is bounded by n_local_, every all-particle drift spans the ghosts
+/// too (ballistic coasting). In the hierarchical scheme the per-sub-step
+/// deepest rung is max-reduced across ranks so all ranks run the same
+/// sub-step cadence (mid-loop collectives would otherwise deadlock), and
+/// mid-step wakes apply to local neighbours only — a ghost's home rank
+/// wakes the real particle at its own passes.
 
 #include <array>
 #include <functional>
@@ -117,6 +130,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "comm/comm.hpp"
 #include "core/pool.hpp"
 #include "core/surrogate.hpp"
 #include "fdps/context.hpp"
@@ -324,6 +338,10 @@ class Simulation {
   /// step, by every rank of the engine's communicator.
   void attachDistributed(std::unique_ptr<DistributedEngine> engine);
   [[nodiscard]] DistributedEngine* distributed() { return dist_.get(); }
+  /// The communicator step(), the global* tallies and the checkpoint entry
+  /// points run their collectives on: the attached engine's, or else this
+  /// simulation's one-rank self communicator, which sends nothing.
+  [[nodiscard]] comm::Comm& comm();
 
   /// Advance one global step; returns per-step statistics. With an engine
   /// attached this is collective across ranks.
@@ -365,11 +383,10 @@ class Simulation {
   [[nodiscard]] util::Vec3d totalMomentum() const;
   [[nodiscard]] util::Vec3d totalAngularMomentum() const;
 
-  /// Whole-system energy/momentum. Serial: identical to the local variants.
-  /// With a DistributedEngine attached these are *collective* (every rank
-  /// must call in the same order) and return the deterministic rank-ordered
-  /// sum on every rank — drivers and tests no longer gather particle arrays
-  /// host-side to total them.
+  /// Whole-system energy/momentum: the local variants summed over comm()
+  /// by allreduceSum. *Collective* with an engine attached (every rank must
+  /// call in the same order); every rank gets the deterministic rank-ordered
+  /// sum, so drivers and tests never gather particle arrays to total them.
   [[nodiscard]] EnergyReport globalEnergyReport();
   [[nodiscard]] util::Vec3d globalMomentum();
   [[nodiscard]] util::Vec3d globalAngularMomentum();
@@ -474,8 +491,8 @@ class Simulation {
   /// to [0, max_rung].
   [[nodiscard]] int desiredRung(const fdps::Particle& p, double dt_global) const;
   /// Deterministic fixed-chunk count-then-fill of the closing set at
-  /// sub-unit `n` into targets_/gas_targets_ (exact index order for
-  /// any thread count), accumulating per-rung force-eval counters.
+  /// sub-unit `n` over the locals into targets_/gas_targets_ (exact index
+  /// order for any thread count), accumulating per-rung force-eval counters.
   void collectClosingSet(long n, StepStats& stats);
   /// Saitoh–Makino wake processing after the closing kick of the sub-step
   /// ending at `n`: resolve the per-neighbour target rung from the sorted
@@ -488,13 +505,35 @@ class Simulation {
   /// boundary, so promotion needs no kick resync and publishes a
   /// limiter-consistent rung state to observers.
   void applySyncRungFloor(StepStats& stats);
+
+  // --- SN phases (all collective on comm()) ---------------------------------
+
+  /// Gather every rank's SN events; returns the global list sorted by
+  /// (t_explode, star_id) so all ranks process events in the same order.
+  [[nodiscard]] std::vector<stellar::SnEvent> gatherEvents(
+      std::vector<stellar::SnEvent> local);
+  /// Region capture: freeze local gas inside each event's (sn_box_size)^3
+  /// box, route the copies to the event's owner rank (rank 0 without an
+  /// engine), and submit each merged id-sorted region to the pool there.
+  /// Counts the submissions in stats.regions_sent.
   void captureAndSendRegions(const std::vector<stellar::SnEvent>& events,
                              StepStats& stats);
+  /// Collect the predictions due this step from this rank's pool, allgather
+  /// them, and replace every rank's own locals by id from the merged list —
+  /// a frozen particle that migrated since capture is found wherever it
+  /// now lives.
   void receiveAndReplace(StepStats& stats);
-  /// Replace locals by id from a batch of predicted particles (shared by
-  /// the serial receive path and the distributed id-allgather path).
+  /// Replace locals by id from a list of predicted particles.
   void applyPredictions(std::span<const fdps::Particle> preds, StepStats& stats);
+  /// Conventional direct feedback with a *global* mass normalization: gas
+  /// within feedback_radius of each event shares E_SN by mass across ranks;
+  /// the nearest-particle fallback resolves its owner collectively.
   void directFeedback(const std::vector<stellar::SnEvent>& events);
+  /// Collective sum-reduction of `n` doubles in place, the energy/momentum
+  /// tally primitive. Deterministic and identical on every rank:
+  /// contributions are summed in rank order, not arrival order.
+  void allreduceSum(double* vals, int n);
+
   /// Local span of the working array ([0, n_local_)): force targets, kicks,
   /// rung bookkeeping and diagnostics never touch the ghost suffix. A
   /// serial Simulation has no ghost suffix, so the span covers the whole
@@ -514,18 +553,13 @@ class Simulation {
   /// targets.
   sph::DensityStats solveDensityWithReachRetries(
       std::span<const std::uint32_t> gas_targets);
-  /// Size the per-particle step bookkeeping to parts_.size() after the rung
-  /// assignment (sized to the locals) or a ghost exchange resized the suffix
-  /// mid-sub-step-loop; ghost slots get a sentinel end that never matches a
-  /// sub-unit, so they never open, close or join an active set.
-  void syncStepArrays();
   /// Id -> index lookup, rebuilt lazily after the particle array changes
   /// (add/reorder) instead of on every surrogate receive.
   const std::unordered_map<std::uint64_t, std::size_t>& idIndex();
   /// Post-step run-integrity validator (cfg_.validate_steps): finite local
-  /// state plus global count/mass/id conservation. Collective when
-  /// distributed (the trip decision is an allreduce, so either every rank
-  /// throws or none does — no rank is left blocked in a collective).
+  /// state plus global count/mass/id conservation, reduced over comm() (the
+  /// trip decision is an allreduce, so either every rank throws or none
+  /// does — no rank is left blocked in a collective).
   void validateStepInvariants();
   /// Publish a liveness phase through the progress reporter (no-op when none
   /// is installed).
@@ -541,6 +575,9 @@ class Simulation {
   std::shared_ptr<SurrogateBackend> backend_;
   std::unique_ptr<PoolNodeScheduler> pool_;
   std::unique_ptr<DistributedEngine> dist_;
+  /// The one-rank cluster behind comm() while no engine is attached.
+  comm::Cluster self_cluster_{1};
+  comm::Comm self_comm_;
   util::TimerRegistry timers_;
   util::Pcg32 rng_;
   stellar::KroupaImf imf_;
@@ -568,7 +605,8 @@ class Simulation {
   /// subset on a full pass, the closing set on a sub-step), reused across
   /// passes.
   std::vector<std::uint32_t> targets_, gas_targets_;
-  /// Per-particle step bookkeeping of the sub-step loop, in sub-units of
+  /// Per-local step bookkeeping of the sub-step loop (sized to n_local_;
+  /// ghosts never open, close or join an active set), in sub-units of
   /// dt_global / 2^max_rung: the boundary each particle's current step
   /// opened at and the boundary it will close at. PR 2 derived both from
   /// the rung alone (per-sub-step-static); the limiter makes them explicit

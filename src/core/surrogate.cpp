@@ -72,32 +72,17 @@ std::string validatePrediction(const std::vector<Particle>& input,
 std::vector<Particle> UNetSurrogateBackend::predict(std::vector<Particle> region,
                                                     const Vec3d& sn_pos, double energy,
                                                     double horizon) {
-  (void)energy;
-  (void)horizon;
-  if (region.empty()) return region;
-  ml::InferenceModeScope inference;
-  util::Pcg32 job_rng(seed_, jobStream(region, sn_pos));
-  // Fig. 3 pipeline: particles -> 5-field voxel cube -> 8 log channels ->
-  // U-Net -> decode -> Gibbs-sample particles (ids & masses preserved).
-  const sph::Kernel kernel{};
-  const auto grid =
-      voxel::depositParticles(region, sn_pos, box_size_, vparams_, kernel);
-  const auto channels = voxel::encodeGrid(grid, vparams_);
-  // Residual parametrization: the network predicts the *change* of the
-  // 8-channel state over the horizon, so an untrained net is the identity
-  // and training concentrates capacity on the blast wave itself.
-  auto predicted = net_.forward(channels);
-  for (std::size_t i = 0; i < predicted.numel(); ++i) predicted[i] += channels[i];
-  const auto out_grid = voxel::decodeGrid(predicted, box_size_, grid.origin, vparams_);
-  return voxel::gridToParticles(out_grid, region, vparams_, job_rng);
+  std::vector<SurrogateRequest> one;
+  one.push_back({std::move(region), sn_pos, energy, horizon});
+  return std::move(predictBatch(std::move(one)).front());
 }
 
 std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
     std::vector<SurrogateRequest> requests) {
   std::vector<std::vector<Particle>> out(requests.size());
-  // Empty regions bypass the network entirely, exactly like predict()'s
-  // early return — they must not occupy a batch slot (an all-zero cube
-  // would still be voxel-decoded, changing nothing but wasting a forward).
+  // Empty regions bypass the network entirely — they must not occupy a
+  // batch slot (an all-zero cube would still be voxel-decoded, changing
+  // nothing but wasting a forward).
   std::vector<std::size_t> live;
   live.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -109,6 +94,8 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
   }
   if (live.empty()) return out;
 
+  // Fig. 3 pipeline: particles -> 5-field voxel cube -> 8 log channels ->
+  // U-Net -> decode -> Gibbs-sample particles (ids & masses preserved).
   ml::InferenceModeScope inference;
   const sph::Kernel kernel{};
   const int m = static_cast<int>(live.size());
@@ -134,12 +121,15 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
               enc[static_cast<std::size_t>(j)].data() + per,
               x.data() + static_cast<std::size_t>(j) * per);
   }
+  // Residual parametrization: the network predicts the *change* of the
+  // 8-channel state over the horizon, so an untrained net is the identity
+  // and training concentrates capacity on the blast wave itself.
   auto y = net_.forward(x);
-  for (std::size_t i = 0; i < y.numel(); ++i) y[i] += x[i];  // residual
+  for (std::size_t i = 0; i < y.numel(); ++i) y[i] += x[i];
 
-  // Stage 3: de-voxelize per region with each job's private rng stream —
-  // the same (seed, jobStream) derivation as predict(), so the sampled
-  // particles don't depend on who shared the batch.
+  // Stage 3: de-voxelize per region with each job's private rng stream
+  // (seed, jobStream), so the sampled particles don't depend on who shared
+  // the batch.
 #pragma omp parallel for schedule(static)
   for (int j = 0; j < m; ++j) {
     const std::size_t i = live[static_cast<std::size_t>(j)];

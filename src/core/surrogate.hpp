@@ -98,14 +98,16 @@ class UNetSurrogateBackend final : public SurrogateBackend {
   void loadWeights(const std::string& path) { net_.load(path); }
   [[nodiscard]] ml::UNet3D& network() { return net_; }
 
+  /// The single result of predictBatch on a one-request batch.
   [[nodiscard]] std::vector<Particle> predict(std::vector<Particle> region,
                                               const Vec3d& sn_pos, double energy,
                                               double horizon) override;
 
   /// Stacks the non-empty regions' voxel encodings along the tensor batch
   /// dimension and runs ONE network forward, then de-voxelizes per region
-  /// with each job's private rng stream. Bitwise identical to per-region
-  /// predict() at any batch size (see ml/gemm.hpp for why).
+  /// with each job's private rng stream. Every region's output is bitwise
+  /// independent of the batch size and of who shared the batch (see
+  /// ml/gemm.hpp for why), so predict() is the same bytes as its slot here.
   [[nodiscard]] std::vector<std::vector<Particle>> predictBatch(
       std::vector<SurrogateRequest> requests) override;
 

@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/distributed.hpp"
+#include "comm/comm.hpp"
 #include "core/simulation.hpp"
 #include "io/serialize.hpp"
 
@@ -40,28 +40,19 @@ std::vector<char> readWholeFile(const std::string& path) {
 void writeCheckpoint(const std::string& path, core::Simulation& sim) {
   ByteWriter w;
   sim.serializeState(w);
-  std::vector<char> blob = w.take();
-
-  auto* dist = sim.distributed();
-  const int rank = dist ? dist->comm().rank() : 0;
+  comm::Comm& comm = sim.comm();
 
   // Gather every rank's payload; all ranks hold the full set afterwards
   // (allgatherv keeps the collective machinery simple and lets any rank act
   // as the writer if rank 0's I/O ever needs to move).
-  std::vector<std::vector<char>> sections;
-  if (dist) {
-    sections = dist->comm().allgatherv(blob);
-  } else {
-    sections.push_back(std::move(blob));
-  }
-
-  if (rank == 0) {
+  const auto sections = comm.allgatherv(w.take());
+  if (comm.rank() == 0) {
     writeCheckpointRaw(path, sim.stepCount(), sim.time(), sections);
   }
 
   // Peers wait for the file to exist before returning: a caller that
   // checkpoints and immediately restarts must never race the writer.
-  if (dist) dist->comm().barrier();
+  comm.barrier();
 }
 
 void writeCheckpointRaw(const std::string& path, long step, double time,
@@ -85,8 +76,8 @@ void writeCheckpointRaw(const std::string& path, long step, double time,
 }
 
 void restoreCheckpoint(const std::string& path, core::Simulation& sim) {
-  auto* dist = sim.distributed();
-  const int rank = dist ? dist->comm().rank() : 0;
+  comm::Comm& comm = sim.comm();
+  const int rank = comm.rank();
 
   // Rank 0 reads, everyone receives the full file bytes. Broadcasting the
   // whole file (rather than scattering sections) keeps the hot path one
@@ -100,29 +91,21 @@ void restoreCheckpoint(const std::string& path, core::Simulation& sim) {
       read_err = e.what();
     }
   }
-  if (dist) {
-    // A read failure must not strand peers in bcast: ship the (possibly
-    // empty) buffer regardless and re-raise the error collectively.
-    int failed = read_err.empty() ? 0 : 1;
-    failed = dist->comm().allreduce(failed, comm::Op::Max);
-    if (failed) {
-      throw std::runtime_error(read_err.empty()
-                                   ? "checkpoint: read failed on rank 0"
-                                   : read_err);
-    }
-    file = dist->comm().bcast(std::move(file), 0);
-  } else if (!read_err.empty()) {
-    throw std::runtime_error(read_err);
+  // A read failure must not strand peers in bcast: the decision is
+  // collective, so every rank raises the error.
+  if (comm.allreduce(read_err.empty() ? 0 : 1, comm::Op::Max) != 0) {
+    throw std::runtime_error(read_err.empty() ? "checkpoint: read failed on rank 0"
+                                              : read_err);
   }
+  file = comm.bcast(std::move(file), 0);
 
   // Every rank sees the same bytes, so every rank throws the same defect.
   const auto insp = inspectCheckpoint(file, path);
   if (!insp.ok()) throw std::runtime_error(insp.defect);
-  const int nranks = dist ? dist->comm().size() : 1;
-  if (insp.info.nranks != nranks) {
+  if (insp.info.nranks != comm.size()) {
     throw std::runtime_error("checkpoint: " + path + " was written by " +
                              std::to_string(insp.info.nranks) + " ranks, this run has " +
-                             std::to_string(nranks));
+                             std::to_string(comm.size()));
   }
 
   const auto& sec = insp.sections[static_cast<std::size_t>(rank)];
@@ -132,7 +115,7 @@ void restoreCheckpoint(const std::string& path, core::Simulation& sim) {
     throw std::runtime_error("checkpoint: trailing bytes in rank " +
                              std::to_string(rank) + " section of " + path);
   }
-  if (dist) dist->comm().barrier();
+  comm.barrier();
 }
 
 CheckpointInspection inspectCheckpoint(const std::vector<char>& file,

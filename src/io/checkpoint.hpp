@@ -22,9 +22,10 @@
 /// that first defect.
 ///
 /// Both entry points that take a Simulation are **collective** on
-/// distributed runs: every rank of the simulation's communicator must call
+/// Simulation::comm(): every rank of the simulation's communicator must call
 /// them, in the same step, or peers deadlock in the underlying collectives.
-/// On serial runs they are plain file I/O. Writing gathers all rank payloads
+/// A serial run's communicator is its one-rank self communicator, on which
+/// the same collectives complete locally. Writing gathers all rank payloads
 /// to rank 0 which performs the single file write; restoring reads the file
 /// on rank 0, broadcasts the bytes, and every rank walks the framing and
 /// parses its own section — a corrupt byte anywhere is reported as a

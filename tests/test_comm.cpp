@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -183,6 +184,29 @@ TEST(Comm, TrafficCountersGrow) {
   const auto t = cluster.traffic();
   EXPECT_GT(t.messages, 0u);
   EXPECT_GT(t.bytes, 0u);
+}
+
+TEST(Comm, SelfCommCompletesCollectivesLocally) {
+  // The in-process MPI_COMM_SELF, used outside run(): every collective
+  // returns the caller's own contribution and sends nothing.
+  Cluster cluster(1);
+  Comm self = cluster.selfComm();
+  EXPECT_EQ(self.rank(), 0);
+  EXPECT_EQ(self.size(), 1);
+  EXPECT_EQ(self.allreduce(2.5, Op::Sum), 2.5);
+  EXPECT_EQ(self.allreduce(-3, Op::Min), -3);
+  EXPECT_EQ(self.allreduce(7L, Op::Max), 7L);
+  EXPECT_EQ(self.allgather(42), std::vector<int>{42});
+  const std::vector<int> v{1, 2, 3};
+  EXPECT_EQ(self.allgatherv(v), std::vector<std::vector<int>>{v});
+  EXPECT_EQ(self.alltoallv(std::vector<std::vector<int>>{v}), std::vector<std::vector<int>>{v});
+  EXPECT_EQ(self.bcast(v, 0), v);
+  self.barrier();
+  EXPECT_EQ(cluster.traffic().messages, 0u);
+  EXPECT_EQ(cluster.traffic().bytes, 0u);
+
+  Cluster two(2);
+  EXPECT_THROW((void)two.selfComm(), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -391,6 +391,19 @@ TEST(Simulation, PotentialEnergyCountsEachPairOnce) {
   EXPECT_NEAR(e.total(), e.kinetic + e.thermal + e.potential, 0.0);
 }
 
+TEST(Simulation, AdaptiveStepBelowCflFloorTakesDtGlobal) {
+  // A global step below the CFL floor (cfl_dt_min, default 1e-6) is legal:
+  // the adaptive baseline clamps the CFL minimum into [min(floor, dt_global),
+  // dt_global] — never a range with its floor above its ceiling — and the
+  // cold ball's CFL step is far above dt_global, so every step takes it.
+  auto parts = gasBall(300, 15.0, 1.0, 14);
+  SimulationConfig cfg = quietConfig();
+  cfg.adaptive_timestep = true;
+  cfg.dt_global = 1e-9;
+  Simulation sim(parts, cfg);
+  for (int s = 0; s < 2; ++s) EXPECT_EQ(sim.step().dt_used, cfg.dt_global);
+}
+
 TEST(Simulation, MomentumConserved) {
   auto parts = gasBall(1000, 30.0, 0.05, 8);
   SimulationConfig cfg = quietConfig();

@@ -1,7 +1,8 @@
 // Tests for the distributed step driver: 1-vs-P rank invariance (global and
-// hierarchical modes), exact conservation across exchanges, the LET/ghost
-// exchange-cache counters (one exchange per step, zero exportLet walks on
-// the second pass), the stale-reach regression, and cross-rank SN capture.
+// hierarchical modes, and overlapping SNe at one rank), exact conservation
+// across exchanges, the LET/ghost exchange-cache counters (one exchange per
+// step, zero exportLet walks on the second pass), the stale-reach
+// regression, and cross-rank SN capture.
 
 #include <gtest/gtest.h>
 
@@ -133,6 +134,38 @@ TEST(Distributed, OneRankMatchesSerialBitwise) {
   EXPECT_EQ(m.u, 0.0);
 }
 
+TEST(Distributed, OneRankMatchesSerialWithOverlappingSupernovae) {
+  // Two SNe fire in step 1 with overlapping capture boxes, and their ids run
+  // against their explosion times. A serial step handles them in
+  // (t_explode, star_id) order and submits id-sorted regions, exactly like
+  // a 1-rank distributed step: both run the same SN code.
+  auto ic = gasBall(600, 10.0, 1.0, 42, 3000.0);
+  const auto progenitor = [](std::uint64_t id, asura::util::Vec3d pos, double t_sn) {
+    Particle star;
+    star.id = id;
+    star.type = Species::Star;
+    star.mass = 20.0;
+    star.star_mass = 20.0;
+    star.pos = pos;
+    star.t_sn = t_sn;
+    star.eps = 0.5;
+    return star;
+  };
+  ic.push_back(progenitor(900000, {0.0, 0.0, 0.0}, 0.004));
+  ic.push_back(progenitor(900001, {0.3, 0.0, 0.0}, 0.002));
+
+  SimulationConfig cfg = quietConfig();
+  cfg.use_surrogate = true;  // default backend: the Sedov oracle
+  cfg.sn_box_size = 8.0;
+  cfg.return_interval = 1;
+  const auto serial = runSerial(ic, cfg, 3);
+  const auto dist = runDistributed(ic, 1, cfg, engineConfig(), 3);
+  const auto m = compare(serial, dist);
+  EXPECT_EQ(m.pos, 0.0);
+  EXPECT_EQ(m.vel, 0.0);
+  EXPECT_EQ(m.u, 0.0);
+}
+
 TEST(Distributed, OneRankMatchesSerialBitwiseHierarchical) {
   auto ic = asura::testing::multiphaseBall(500, 7);
   SimulationConfig cfg = quietConfig();
@@ -211,12 +244,13 @@ TEST(Distributed, MassAndMomentumExactAcrossExchanges) {
 // ---------------------------------------------------------------------------
 
 TEST(Distributed, GlobalReductionHelpersMatchSerialWithoutGathering) {
-  // The global* accessors reduce in-band (DistributedEngine::allreduceSum,
-  // rank-ordered summation) instead of the old pattern of gathering every
-  // rank's particles host-side and totalling them there. Every rank must
-  // see the same bits; the totals must match a serial run of the same IC to
-  // FP-summation noise (exactConfig: theta = 0, ScalarF64 — the only
-  // serial-vs-distributed difference is summation order).
+  // The global* accessors reduce in-band (Simulation::allreduceSum on
+  // Simulation::comm(), rank-ordered summation) instead of the old pattern
+  // of gathering every rank's particles host-side and totalling them
+  // there. Every rank must see the same bits; the totals must match a
+  // serial run of the same IC to FP-summation noise (exactConfig: theta = 0,
+  // ScalarF64 — the only serial-vs-distributed difference is summation
+  // order).
   const auto ic = gasBall(600, 10.0, 1.0, 77, 3000.0);
   SimulationConfig cfg = exactConfig();
 
