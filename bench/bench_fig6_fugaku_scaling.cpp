@@ -59,7 +59,8 @@ int main() {
 
   // --- weak scaling: 2M per node (run weakMW2M) ---
   const auto weak = model.weakScaling({128, 512, 2048, 8192, 32768, 148896}, 2.0e6);
-  printSeries("Figure 6 (left): Fugaku weak scaling, 2M particles/node", weak, true);
+  printSeries("Figure 6 (left): Fugaku weak scaling, 2M particles/node — "
+              "analytic model (src/perf), not a measurement", weak, true);
 
   const double eff_raw = weak.front().second.at("Total") / weak.back().second.at("Total");
   const double logn_ratio = std::log2(weak.back().first.n_total) /
@@ -70,11 +71,14 @@ int main() {
 
   // --- strong scaling: the three tiers of Table 2 ---
   const auto strong_m = model.strongScaling({128, 256, 512, 1024}, 1.8e10 / 3.5);
-  printSeries("Figure 6 (right, tier strongMWm): N = 5.1e9", strong_m, false);
+  printSeries("Figure 6 (right, tier strongMWm): N = 5.1e9 — analytic model "
+              "(src/perf), not a measurement", strong_m, false);
   const auto strong_s = model.strongScaling({4096, 8192, 16384, 40608}, 2.3e10);
-  printSeries("Figure 6 (right, tier strongMWs): N = 2.3e10", strong_s, false);
+  printSeries("Figure 6 (right, tier strongMWs): N = 2.3e10 — analytic model "
+              "(src/perf), not a measurement", strong_s, false);
   const auto strong_l = model.strongScaling({67680, 148896}, 1.5e11);
-  printSeries("Figure 6 (right, tier strongMW): N = 1.5e11", strong_l, false);
+  printSeries("Figure 6 (right, tier strongMW): N = 1.5e11 — analytic model "
+              "(src/perf), not a measurement", strong_l, false);
 
   std::printf("shape check: Calc_Force scales ~1/p, Exchange_LET / Exchange_Particle "
               "flatten at large p (the paper's communication bottleneck, §5.2.3).\n");

@@ -35,7 +35,8 @@ int main() {
 
   // Weak scaling: 1.2e9 particles per node (run weakMW_rusty, 25M per rank).
   const auto weak = model.weakScaling({11, 24, 48, 96, 193}, 1.2e9);
-  printSeries("Figure 7 (left): Rusty weak scaling, 1.2e9 particles/node", weak);
+  printSeries("Figure 7 (left): Rusty weak scaling, 1.2e9 particles/node — "
+              "analytic model (src/perf), not a measurement", weak);
 
   const double t11 = weak.front().second.at("Total");
   const double t193 = weak.back().second.at("Total");
@@ -47,7 +48,8 @@ int main() {
 
   // Strong scaling: N = 5.1e10 (runs strongMW_rusty / strongMWs_rusty).
   const auto strong = model.strongScaling({11, 24, 43, 96, 193}, 5.1e10);
-  printSeries("Figure 7 (right): Rusty strong scaling, N = 5.1e10", strong);
+  printSeries("Figure 7 (right): Rusty strong scaling, N = 5.1e10 — analytic "
+              "model (src/perf), not a measurement", strong);
 
   std::printf("note: the weakMW2M-equivalent on Rusty reaches 2.3e11 particles — "
               "\"approximately the same as the number of particles in the full system "

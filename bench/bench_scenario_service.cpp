@@ -28,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_context.hpp"
 #include "core/simulation.hpp"
 #include "io/serialize.hpp"
 #include "service/scenario_service.hpp"
@@ -225,6 +226,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"bench\": \"scenario_service\",\n");
     std::fprintf(f, "  \"schema_version\": \"%s\",\n", kSchemaVersion);
     std::fprintf(f, "  \"fixture_version\": \"%s\",\n", kFixtureVersion);
+    asura::bench::writeContext(f);
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f,
                  "  \"fixture\": {\"particles_per_instance\": %d, \"steps\": %ld, "
@@ -245,7 +247,6 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "  ],\n");
     std::fprintf(f, "  \"scaling_8x_vs_1x\": %.3f,\n", scaling);
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", hw);
     std::fprintf(f,
                  "  \"gates\": {\"bitwise\": %s, \"scaling_3x\": %s, "
                  "\"scaling_gate_armed\": %s}\n",

@@ -11,13 +11,17 @@
 // serialized state size), so supervised-over-raw overhead at interval k is
 // ~push/k per step plus heartbeat noise — sub-percent at realistic cadences.
 //
-//   ./build/bench_supervisor --benchmark_format=json > BENCH_supervisor.json
+//   ./build/bench_supervisor --benchmark_repetitions=5 \
+//     --benchmark_report_aggregates_only=true \
+//     --benchmark_format=json > BENCH_supervisor.json
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "bench_context.hpp"
 #include "comm/comm.hpp"
 #include "core/simulation.hpp"
 #include "core/supervisor.hpp"
@@ -129,6 +133,8 @@ BENCHMARK(BM_SupervisedStepLoop)
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("schema_version", "asura-bench-2");
   benchmark::AddCustomContext("fixture_version", "supervisor-gasball-1");
+  benchmark::AddCustomContext("build_type", asura::bench::kBuildType);
+  benchmark::AddCustomContext("omp_threads", std::to_string(asura::bench::ompThreads()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

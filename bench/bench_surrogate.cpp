@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_context.hpp"
 #include "core/surrogate.hpp"
 #include "ml/gemm.hpp"
 #include "ml/layers.hpp"
@@ -299,6 +300,7 @@ int main(int argc, char** argv) {
     // IC + config generation so numbers stay comparable across runs.
     std::fprintf(f, "  \"schema_version\": \"asura-bench-2\",\n");
     std::fprintf(f, "  \"fixture_version\": \"surrogate-sedov-1\",\n");
+    asura::bench::writeContext(f);
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
     std::fprintf(f,
                  "  \"fixture\": {\"regions\": %d, \"particles_per_region\": %d, "

@@ -5,14 +5,18 @@
 // genoa / GH200 rows are printed (stderr) as reference alongside this
 // host's measurements.
 //
-// Machine-readable record:
-//   bench_table4_kernels --benchmark_format=json > BENCH_kernel_codegen.json
+// Machine-readable record (Release build):
+//   bench_table4_kernels --benchmark_repetitions=5 \
+//     --benchmark_report_aggregates_only=true \
+//     --benchmark_format=json > BENCH_kernel_codegen.json
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
+#include "bench_context.hpp"
 #include "kernels/registry.hpp"
 #include "perf/machines.hpp"
 #include "util/rng.hpp"
@@ -233,6 +237,8 @@ void printPaperReference() {
 
 int main(int argc, char** argv) {
   printPaperReference();
+  benchmark::AddCustomContext("build_type", asura::bench::kBuildType);
+  benchmark::AddCustomContext("omp_threads", std::to_string(asura::bench::ompThreads()));
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -86,10 +86,13 @@ int main() {
 
   // --- (a) the 113x arithmetic at full scale ---
   asura::perf::TimeToSolution tts;  // 3e11 particles, 20 s/step, 2,000 yr
-  asura::util::Table t2("Section 5.3: time-to-solution at 3e11 particles");
+  asura::util::Table t2(
+      "Section 5.3: time-to-solution at 3e11 particles — analytic model (src/perf), "
+      "not a measurement");
   t2.setHeader({"quantity", "value"});
   t2.addRow({"steps for 1 Myr", fmt(1.0e6 / tts.dt_years, 0)});
-  t2.addRow({"wall-clock for 1 Myr (this work)", fmt(tts.hoursFor(1.0), 2) + " h"});
+  t2.addRow({"wall-clock for 1 Myr (this work, model)",
+             fmt(tts.hoursFor(1.0), 2) + " h"});
   t2.addRow({"wall-clock for 1 Myr (GIZMO-extrapolated)",
              fmt(asura::perf::TimeToSolution::conventionalHoursFor(1.0, 3.0e11), 0) +
                  " h"});

@@ -124,31 +124,23 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
                                         fdps::StepContext& ctx,
                                         const gravity::GravityParams& grav,
                                         bool allow_value_refresh) {
-  const bool dirty_mine = stale_ || drift_accum_ > 0.5 * cfg_.skin;
-  const int dirty = comm_.allreduce(dirty_mine ? 1 : 0, Op::Max);
-  if (dirty != 0) {
+  // 2 if any rank is stale or past skin/2, else 1 if any moved since the LET value sync.
+  const int mine = stale_ || drift_accum_ > 0.5 * cfg_.skin ? 2 : let_drift_ > 0.0 ? 1 : 0;
+  const int state = comm_.allreduce(mine, Op::Max);
+  if (state == 2) {
     fullExchange(parts, n_local, ctx, grav);
     return;
   }
 
   ++stats_.let_reuses;
-  if (allow_value_refresh && comm_.size() > 1) {
-    // Payload-style LET refresh: if any rank drifted since the entry values
-    // were last synced, every rank recomputes its exported values from live
-    // particle state along the recorded walk structure and re-ships them —
-    // an alltoallv, no exportLet walk, no tree build. Both gates are
-    // collective reductions so ranks cannot disagree about the exchange
-    // (a pre-record checkpoint restores with an empty record on *every*
-    // rank, so the Min keeps the cluster out of the refresh together).
-    const int ready = comm_.allreduce(let_record_.ready(comm_.size()) ? 1 : 0, Op::Min);
-    const int drifted = comm_.allreduce(let_drift_ > 0.0 ? 1 : 0, Op::Max);
-    if (ready != 0 && drifted != 0) {
-      let_imports_ = fdps::refreshLetValues(comm_, let_record_, parts);
-      // Same entry count, new values: only the gravity tree holds them.
-      ctx.invalidateGravityTree();
-      ++stats_.let_value_refreshes;
-      let_drift_ = 0.0;
-    }
+  if (allow_value_refresh && comm_.size() > 1 && state == 1) {
+    // Payload-style LET refresh: recompute the exported values from live particles
+    // along the recorded walks and re-ship them — no exportLet walk, no tree build.
+    let_imports_ = fdps::refreshLetValues(comm_, let_record_, parts);
+    // Same entry count, new values: only the gravity tree holds them.
+    ctx.invalidateGravityTree();
+    ++stats_.let_value_refreshes;
+    let_drift_ = 0.0;
   }
   if (allow_value_refresh) {
     // Same ghost list, fresh payloads: remote kicks/cooling updates become
@@ -172,17 +164,22 @@ void DistributedEngine::refreshGhostPayloads(std::vector<Particle>& parts,
   ctx.refreshGasPositions(parts);
 }
 
+std::optional<double> DistributedEngine::escapedReach(std::span<const Particle> parts,
+                                                     std::size_t n_local) {
+  const double reach = sph::maxGatherRadius(parts, n_local);
+  const int any = comm_.allreduce(reach > ghost_cache_.exported_reach ? 1 : 0, Op::Max);
+  return any != 0 ? std::optional(reach) : std::nullopt;
+}
+
 bool DistributedEngine::reexchangeIfReachEscaped(std::vector<Particle>& parts,
                                                  std::size_t n_local,
                                                  fdps::StepContext& ctx) {
-  const double reach = sph::maxGatherRadius(parts, n_local);
-  const bool escaped_mine = reach > ghost_cache_.exported_reach;
-  const int escaped = comm_.allreduce(escaped_mine ? 1 : 0, Op::Max);
-  if (escaped == 0) return false;
+  const auto reach = escapedReach(parts, n_local);
+  if (!reach) return false;
 
   // Some rank's supports outgrew what anyone exported to it: rebuild the
   // ghost set around the grown radii. The LET is position-only and stays.
-  ghost_cache_ = fdps::exchangeHydroGhostsCached(comm_, dd_, parts, n_local, reach,
+  ghost_cache_ = fdps::exchangeHydroGhostsCached(comm_, dd_, parts, n_local, *reach,
                                                  cfg_.ghost_h_margin, cfg_.skin);
   ++stats_.ghost_exchanges;
   // Ghost membership (and with it the work-array suffix) changed.
@@ -191,13 +188,9 @@ bool DistributedEngine::reexchangeIfReachEscaped(std::vector<Particle>& parts,
   return true;
 }
 
-bool DistributedEngine::noteReachGiveupIfStillEscaped(
-    std::span<const Particle> parts, std::size_t n_local) {
-  const double reach = sph::maxGatherRadius(parts, n_local);
-  const bool escaped_mine = reach > ghost_cache_.exported_reach;
-  const int escaped = comm_.allreduce(escaped_mine ? 1 : 0, Op::Max);
-  if (escaped != 0) ++stats_.reach_giveups;
-  return escaped != 0;
+void DistributedEngine::noteReachGiveupIfStillEscaped(std::span<const Particle> parts,
+                                                      std::size_t n_local) {
+  if (escapedReach(parts, n_local)) ++stats_.reach_giveups;
 }
 
 template <class Io, class Engine>
@@ -249,8 +242,11 @@ void DistributedEngine::restoreState(io::ByteReader& r, std::size_t n_local,
       }
     }
   }
-  // A clean cache is refreshed in place on the next full pass, which needs
-  // the suffix to hold exactly the imports the layout describes.
+  // The next full pass refreshes a clean cache in place: it needs a per-rank LET
+  // record and a suffix holding exactly the imports the layout describes.
+  if (!stale_ && !let_record_.ready(comm_.size())) {
+    throw std::runtime_error("checkpoint: clean cache without a per-rank LET record");
+  }
   if (!stale_) {
     std::size_t imported = 0;
     for (const auto c : ghost_cache_.import_counts) {

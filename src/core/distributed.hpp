@@ -58,6 +58,7 @@
 /// local prefix only.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -164,10 +165,10 @@ class DistributedEngine {
   bool reexchangeIfReachEscaped(std::vector<Particle>& parts, std::size_t n_local,
                                 fdps::StepContext& ctx);
 
-  /// Collective, read-only: does any rank's gather radius still exceed its
-  /// exported reach? Called after the retry cap to record the give-up in
-  /// stats().reach_giveups instead of degrading silently.
-  bool noteReachGiveupIfStillEscaped(std::span<const Particle> parts,
+  /// Collective: count a give-up in stats().reach_giveups if any rank's
+  /// gather radius still exceeds its exported reach. Called after the retry
+  /// cap, so a degraded pass is recorded instead of passing silently.
+  void noteReachGiveupIfStillEscaped(std::span<const Particle> parts,
                                      std::size_t n_local);
 
   /// Collective. Ship fresh payloads for the cached ghost list along the
@@ -209,9 +210,9 @@ class DistributedEngine {
   /// that do not match the grid (see DomainDecomposer::Cuts), a ghost-export
   /// cache whose per-rank lists are not comm().size() long, an export_idx or
   /// LET-record perm entry that is not below `n_local`, a LET item whose
-  /// entry range leaves perm, or a cache that is not stale whose
-  /// import_counts do not sum to `n_ghosts`. A throw leaves the engine
-  /// unusable until a restore succeeds.
+  /// entry range leaves perm, or a clean cache whose LET record is not per
+  /// rank or whose import_counts do not sum to `n_ghosts`. A throw leaves
+  /// the engine unusable until a restore succeeds.
   void restoreState(io::ByteReader& r, std::size_t n_local, std::size_t n_ghosts);
 
   /// The imported LET entries (remote monopoles + boundary particles) the
@@ -229,6 +230,8 @@ class DistributedEngine {
 
   void fullExchange(std::vector<Particle>& parts, std::size_t n_local,
                     fdps::StepContext& ctx, const gravity::GravityParams& grav);
+  /// Collective: the local gather radius if any rank's escaped its exported reach.
+  std::optional<double> escapedReach(std::span<const Particle> parts, std::size_t n_local);
 
   comm::Comm& comm_;
   DistributedConfig cfg_;

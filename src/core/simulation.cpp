@@ -805,7 +805,7 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
   // Exhausted the cap with the reach possibly still escaped: record the
   // degraded pass instead of proceeding silently.
   if (retries == max_retries) {
-    (void)dist_->noteReachGiveupIfStillEscaped(parts_, n_local_);
+    dist_->noteReachGiveupIfStillEscaped(parts_, n_local_);
   }
   return ds;
 }

@@ -81,7 +81,7 @@
 /// margin is no longer a *stability* requirement and its default relaxes
 /// from 0.35 to 0.8: on the SN blastwave this cuts active force work
 /// ~1.4-1.6x at the honest cost of ~1.8x in energy-drift rate (absolute
-/// drift a few percent/Myr either way — see BENCH_timestep_limiter.json),
+/// drift a few percent per 0.01 Myr either way — see BENCH_timestep.json),
 /// while the un-limited relaxed run both violates the pair gap (6 vs 2)
 /// and tracks cold-side thermal state worse.
 ///

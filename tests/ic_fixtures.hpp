@@ -99,9 +99,8 @@ inline std::vector<fdps::Particle> multiphaseBall(int n, std::uint64_t seed,
 /// The staggered explosions drive the clump to deep rungs while the ambient
 /// medium idles at the coarse rung, so with a spatial split the clump's
 /// owner rank does nearly all of the closing-kick work — the pathological
-/// load imbalance the work-weighted decomposition exists to fix. Shared by
-/// the balancing tests and bench_distributed_step so the benchmarked
-/// scenario can never silently diverge from the tested one.
+/// load imbalance the work-weighted decomposition exists to fix. Used by
+/// the balancing tests in test_distributed_balance.cpp.
 inline std::vector<fdps::Particle> snStormIc(int n, std::uint64_t seed,
                                              int n_sn = 4) {
   // Ambient: ~3/4 of the particles, diffuse and cool.

@@ -779,6 +779,46 @@ TEST(Checkpoint, RestoreRejectsGhostCountNotMatchingImports) {
   }
 }
 
+TEST(Checkpoint, RestoreRejectsCleanCacheWithoutLetRecord) {
+  // An engine block written field by field in stateFields order: real cuts,
+  // a clean cache, a ghost layout of one empty list and a zero count per
+  // rank, and a LET record. The next full pass refreshes the LET values
+  // along the record's per-rank lists, so a clean cache with an empty record
+  // must fail at restore; the same block with a two-rank record restores.
+  for (const bool per_rank_record : {false, true}) {
+    Cluster cluster(2);
+    try {
+      cluster.run([&](Comm& comm) {
+        const auto ic = blockPartition(gasBall(40, 5.0, 1.0, 29, 3000.0), comm.rank(), 2);
+        int px = 0, py = 0, pz = 0;
+        asura::comm::factor3(2, px, py, pz);
+        asura::fdps::DomainDecomposer dd(px, py, pz);
+        asura::util::Pcg32 rng(5);
+        dd.decompose(comm, ic, rng, /*weighted=*/false);
+        const auto cuts = dd.saveCuts();
+        asura::fdps::GhostExchange ghosts;
+        ghosts.export_idx.assign(2, {});
+        ghosts.import_counts.assign(2, 0);
+        asura::fdps::LetExportRecord record;
+        if (per_rank_record) {
+          record.items.assign(2, {});
+          record.import_counts.assign(2, 0);
+        }
+        asura::io::ByteWriter w;
+        w(std::vector<asura::fdps::SourceEntry>{}, /*stale=*/false, cuts.x, cuts.y, cuts.z,
+          ghosts, /*drift_accum=*/0.0, record, /*let_drift=*/0.0);
+        DistributedEngine engine(comm, engineConfig());
+        asura::io::ByteReader r(w.bytes().data(), w.bytes().size());
+        engine.restoreState(r, ic.size(), /*n_ghosts=*/0);
+      });
+      EXPECT_TRUE(per_rank_record) << "a clean cache without a LET record restored";
+    } catch (const std::runtime_error& e) {
+      EXPECT_FALSE(per_rank_record) << e.what();
+      EXPECT_NE(std::string(e.what()).find("LET record"), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(Checkpoint, DistributedPayloadStoresEachGhostOnce) {
   // After one 2-rank step the ghost suffix is attached. Each ghost's encoded
   // (id, type, mass) prefix must occur exactly once in its rank's payload:

@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <numbers>
+#include <set>
+#include <string>
 
 #include "core/pool.hpp"
 #include "core/simulation.hpp"
@@ -538,25 +540,34 @@ TEST(Simulation, DiagnosticsAndMaps) {
   // Centre is denser than the corner.
   EXPECT_GT(face_on[8 * 16 + 8], face_on[0]);
 
-  EXPECT_GT(sim.totalAngularMomentum().norm(), -1.0);  // well-defined
+  const auto l = sim.totalAngularMomentum();
+  EXPECT_TRUE(std::isfinite(l.x) && std::isfinite(l.y) && std::isfinite(l.z));
 }
 
 TEST(Simulation, TimersCoverTheEightStepScheme) {
+  // perfbench folds these names into its layers: a renamed or dropped
+  // category would move its time into unattributed_ms without an error.
+  // Presence, not time: with cooling off Feedback_and_Cooling records 0 s.
   auto parts = gasBall(300, 15.0, 1.0, 14);
   SimulationConfig cfg = quietConfig();
   cfg.use_surrogate = true;
   Simulation sim(parts, cfg);
   sim.step();
-  const auto& timers = sim.timers();
+  std::set<std::string> recorded;
+  for (const auto& [name, seconds] : sim.timers().entries()) recorded.insert(name);
   for (const char* cat :
        {"Identify_SNe", "Send_SNe", "Integration", "1st Calc_Kernel_Size_and_Density",
         "1st Make_Local_Tree", "1st Calc_Force", "Final_kick", "Receive_SNe",
-        "Exchange_Particle", "Star_Formation", "Feedback_and_Cooling",
-        "2nd Calc_Kernel_Size", "2nd Make_Tree", "2nd Calc_Force"}) {
-    EXPECT_GE(timers.total(cat), 0.0) << cat;
+        "Star_Formation", "Feedback_and_Cooling", "2nd Calc_Kernel_Size", "2nd Make_Tree",
+        "2nd Calc_Force", "Tree_Build", "Tree_Walk (cpu)", "Interaction_Kernel (cpu)"}) {
+    EXPECT_EQ(recorded.count(cat), 1u) << cat;
+  }
+  // A serial step exchanges nothing (test_distributed checks the ranks do).
+  for (const char* cat : {"Exchange_Particle", "1st Exchange_LET", "2nd Exchange_LET"}) {
+    EXPECT_EQ(recorded.count(cat), 0u) << cat;
   }
   // The force evaluation must actually have consumed time.
-  EXPECT_GT(timers.total("1st Calc_Force"), 0.0);
+  EXPECT_GT(sim.timers().total("1st Calc_Force"), 0.0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Tests for the distributed step driver: 1-vs-P rank invariance (global and
 // hierarchical modes, and overlapping SNe at one rank), exact conservation
 // across exchanges, the LET/ghost exchange-cache counters (one exchange per
-// step, zero exportLet walks on the second pass), the stale-reach
-// regression, and cross-rank SN capture.
+// step, zero exportLet walks on the second pass), the exchange timer
+// categories, the stale-reach regression, and cross-rank SN capture.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -340,6 +341,25 @@ TEST(Distributed, QuietSubStepsDoNoExportWalks) {
     EXPECT_GE(stats[s].let_reuses, stats[s].substeps) << "step " << s;
   }
   EXPECT_TRUE(saw_multi_substep);
+}
+
+TEST(Distributed, EveryRankTimesTheExchangeCategories) {
+  // The twin of Simulation.TimersCoverTheEightStepScheme: perfbench folds
+  // these names into its exchange layers, so every rank of a global step
+  // must record them.
+  const auto ic = gasBall(400, 10.0, 1.0, 17, 3000.0);
+  Cluster cluster(2);
+  cluster.run([&](Comm& comm) {
+    Simulation sim(blockPartition(ic, comm.rank(), 2), quietConfig());
+    sim.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+    sim.step();
+    std::set<std::string> recorded;
+    for (const auto& [name, seconds] : sim.timers().entries()) recorded.insert(name);
+    for (const char* cat :
+         {"Exchange_Particle", "1st Exchange_LET", "2nd Exchange_LET"}) {
+      EXPECT_EQ(recorded.count(cat), 1u) << "rank " << comm.rank() << ": " << cat;
+    }
+  });
 }
 
 // ---------------------------------------------------------------------------

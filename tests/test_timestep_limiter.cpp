@@ -136,7 +136,7 @@ TEST(TimestepLimiter, RelaxedSafetyMatchesPr2DriftWithFewerForceEvals) {
   // the limiter targets. Relaxing the CFL margin 0.35 -> 0.8 trades shock
   // accuracy for active-set work roughly linearly in dt: the bench records
   // ~1.4x fewer evals at ~1.8x the drift *rate* at N = 8000 (absolute drift
-  // a few percent/Myr either way; BENCH_timestep_limiter.json). This test
+  // a few percent per 0.01 Myr either way; BENCH_timestep.json). This test
   // pins that envelope at N = 3000 — a broken limiter or a mis-scaled
   // criterion blows through the drift gate, an un-relaxed margin blows
   // through the evals gate.
