@@ -1,18 +1,20 @@
 // Scenario-service hosting benchmark.
 //
 // Measures what the multi-tenant layer is for: how much simulation the host
-// delivers when many instances share one worker pool. For 1, 4 and 8
-// concurrent instances it records
-//   - aggregate throughput (steps/s across the fleet, and instances/s),
+// delivers when many instances share one worker pool. Each of 1, 4 and 8
+// concurrent instances runs kRuns times, each time on a fresh service, and
+// the record gives the median and min-max over the runs of
+//   - aggregate throughput (steps/s across the fleet),
 //   - per-step latency p50 / p99 (from the service's per-instance latency
-//     rings — the fairness quantum shows up here, not in throughput),
-// and verifies the hosting contract on the way: every instance's final
-// snapshot must be bitwise identical to an unhosted rerun of the same IC.
+//     rings — the fairness quantum shows up here, not in throughput).
+// The first run of each level verifies the hosting contract: every
+// instance's final snapshot must be bitwise identical to an unhosted rerun
+// of the same IC.
 //
-// Gate (non-smoke): aggregate steps/s at 8 concurrent instances must be at
-// least 3x the single-instance figure — cooperative multi-tenancy has to
-// actually scale, not just interleave. Exits non-zero on a gate or bitwise
-// failure.
+// Gate (non-smoke): median aggregate steps/s at 8 concurrent instances must
+// be at least 3x the single-instance median — cooperative multi-tenancy has
+// to actually scale, not just interleave. Exits non-zero on a gate or
+// bitwise failure.
 //
 // Usage: bench_scenario_service [--smoke] [--out PATH]
 //   --smoke    tiny fixture for CI: gates on bitwise correctness only (the
@@ -39,8 +41,11 @@ namespace {
 // Schema version for the JSON record: bump when field names/meaning change
 // so downstream tooling can tell records apart. The fixture version pins
 // the IC generator + config so throughput numbers stay comparable.
-constexpr const char* kSchemaVersion = "asura-bench-2";
-constexpr const char* kFixtureVersion = "scenario-fleet-1";
+constexpr const char* kSchemaVersion = "asura-bench-3";
+constexpr const char* kFixtureVersion = "scenario-fleet-2";
+/// Runs per concurrency level: one short run's p99 rests on a few hundred
+/// latencies and moved 2x between recordings of one build.
+constexpr int kRuns = 5;
 
 using asura::core::Simulation;
 using asura::core::SimulationConfig;
@@ -112,18 +117,31 @@ double percentile(std::vector<double> v, double p) {
   return v[lo] + frac * (v[hi] - v[lo]);
 }
 
-struct LevelResult {
-  int concurrency = 0;
-  double wall_s = 0.0;
-  double steps_per_s = 0.0;      ///< aggregate across the fleet
-  double instances_per_s = 0.0;  ///< completed instances / wall
+struct RunResult {
+  double steps_per_s = 0.0;  ///< aggregate across the fleet
   double p50_ms = 0.0;
   double p99_ms = 0.0;
   bool bitwise_ok = true;
 };
 
-LevelResult runLevel(int concurrency, int particles, long steps, int workers,
-                     const SimulationConfig& cfg, bool verify) {
+/// Median and range of one quantity over a level's runs.
+struct Spread {
+  double median = 0.0, min = 0.0, max = 0.0;
+};
+
+Spread spread(const std::vector<double>& v) {
+  const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+  return {percentile(v, 0.5), *lo, *hi};
+}
+
+struct LevelResult {
+  int concurrency = 0;
+  Spread steps_per_s, p50_ms, p99_ms;
+  bool bitwise_ok = true;
+};
+
+RunResult runOnce(int concurrency, int particles, long steps, int workers,
+                  const SimulationConfig& cfg, bool verify) {
   ServiceConfig scfg;
   scfg.n_workers = workers;
   scfg.step_budget = 4;
@@ -142,11 +160,8 @@ LevelResult runLevel(int concurrency, int particles, long steps, int workers,
   svc.waitIdle();
   const double wall = nowSeconds() - t0;
 
-  LevelResult r;
-  r.concurrency = concurrency;
-  r.wall_s = wall;
+  RunResult r;
   r.steps_per_s = static_cast<double>(concurrency) * static_cast<double>(steps) / wall;
-  r.instances_per_s = static_cast<double>(concurrency) / wall;
 
   std::vector<double> lat;
   for (InstanceId id : ids) {
@@ -165,6 +180,31 @@ LevelResult runLevel(int concurrency, int particles, long steps, int workers,
     }
   }
   return r;
+}
+
+/// kRuns runs of one level, each on a fresh service; the first verifies.
+LevelResult runLevel(int concurrency, int particles, long steps, int workers,
+                     const SimulationConfig& cfg) {
+  std::vector<double> sps, p50, p99;
+  LevelResult level;
+  level.concurrency = concurrency;
+  for (int run = 0; run < kRuns; ++run) {
+    const RunResult r = runOnce(concurrency, particles, steps, workers, cfg, run == 0);
+    sps.push_back(r.steps_per_s);
+    p50.push_back(r.p50_ms);
+    p99.push_back(r.p99_ms);
+    level.bitwise_ok = level.bitwise_ok && r.bitwise_ok;
+  }
+  level.steps_per_s = spread(sps);
+  level.p50_ms = spread(p50);
+  level.p99_ms = spread(p99);
+  return level;
+}
+
+/// `"name": {"median": m, "min": lo, "max": hi}` with `digits` decimals.
+void writeSpread(std::FILE* f, const char* name, const Spread& s, int digits) {
+  std::fprintf(f, "\"%s\": {\"median\": %.*f, \"min\": %.*f, \"max\": %.*f}", name, digits,
+               s.median, digits, s.min, digits, s.max);
 }
 
 }  // namespace
@@ -189,25 +229,28 @@ int main(int argc, char** argv) {
   const SimulationConfig cfg = fleetConfig();
 
   // Warm-up: fault in code pages and the allocator before the timed levels.
-  (void)runLevel(1, particles, 2, workers, cfg, /*verify=*/false);
+  (void)runOnce(1, particles, 2, workers, cfg, /*verify=*/false);
 
   const int levels[] = {1, 4, 8};
   std::vector<LevelResult> results;
   std::printf("scenario service hosting (%d particles/instance, %ld steps, "
-              "%d workers, budget 4):\n", particles, steps, workers);
-  std::printf("  %11s %9s %12s %12s %9s %9s  %s\n", "concurrency", "wall [s]",
-              "steps/s", "instances/s", "p50 [ms]", "p99 [ms]", "bitwise");
+              "%d workers, budget 4; median [min, max] of %d runs):\n",
+              particles, steps, workers, kRuns);
+  std::printf("  %11s %26s %24s %24s  %s\n", "concurrency", "steps/s", "p50 [ms]",
+              "p99 [ms]", "bitwise");
   bool bitwise_ok = true;
   for (int c : levels) {
-    const LevelResult r = runLevel(c, particles, steps, workers, cfg, true);
-    std::printf("  %11d %9.3f %12.1f %12.2f %9.3f %9.3f  %s\n", r.concurrency,
-                r.wall_s, r.steps_per_s, r.instances_per_s, r.p50_ms, r.p99_ms,
-                r.bitwise_ok ? "ok" : "DIVERGED");
+    const LevelResult r = runLevel(c, particles, steps, workers, cfg);
+    std::printf("  %11d %8.1f [%7.1f, %7.1f] %6.3f [%6.3f, %6.3f] %6.3f [%6.3f, %6.3f]  %s\n",
+                r.concurrency, r.steps_per_s.median, r.steps_per_s.min, r.steps_per_s.max,
+                r.p50_ms.median, r.p50_ms.min, r.p50_ms.max, r.p99_ms.median, r.p99_ms.min,
+                r.p99_ms.max, r.bitwise_ok ? "ok" : "DIVERGED");
     bitwise_ok = bitwise_ok && r.bitwise_ok;
     results.push_back(r);
   }
 
-  const double scaling = results.back().steps_per_s / results.front().steps_per_s;
+  const double scaling =
+      results.back().steps_per_s.median / results.front().steps_per_s.median;
   std::printf("  aggregate throughput at 8 instances vs single: %.2fx\n", scaling);
   // The 3x gate only means something where the hardware can express it: on
   // an 8-thread host, 8 cooperatively hosted instances must deliver at
@@ -231,18 +274,18 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "  \"fixture\": {\"particles_per_instance\": %d, \"steps\": %ld, "
                  "\"workers\": %d, \"step_budget\": 4, "
-                 "\"omp_threads_per_instance\": 1},\n",
-                 particles, steps, workers);
+                 "\"omp_threads_per_instance\": 1, \"runs_per_level\": %d},\n",
+                 particles, steps, workers, kRuns);
     std::fprintf(f, "  \"levels\": [\n");
     for (std::size_t i = 0; i < results.size(); ++i) {
       const LevelResult& r = results[i];
-      std::fprintf(f,
-                   "    {\"concurrency\": %d, \"wall_s\": %.4f, "
-                   "\"steps_per_s\": %.2f, \"instances_per_s\": %.3f, "
-                   "\"step_latency_p50_ms\": %.4f, \"step_latency_p99_ms\": %.4f, "
-                   "\"bitwise_vs_solo\": %s}%s\n",
-                   r.concurrency, r.wall_s, r.steps_per_s, r.instances_per_s,
-                   r.p50_ms, r.p99_ms, r.bitwise_ok ? "true" : "false",
+      std::fprintf(f, "    {\"concurrency\": %d, ", r.concurrency);
+      writeSpread(f, "steps_per_s", r.steps_per_s, 2);
+      std::fprintf(f, ", ");
+      writeSpread(f, "step_latency_p50_ms", r.p50_ms, 4);
+      std::fprintf(f, ", ");
+      writeSpread(f, "step_latency_p99_ms", r.p99_ms, 4);
+      std::fprintf(f, ", \"bitwise_vs_solo\": %s}%s\n", r.bitwise_ok ? "true" : "false",
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");

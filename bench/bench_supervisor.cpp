@@ -3,13 +3,20 @@
 //
 //   BM_RingSnapshotPush     — one in-memory ring push (serializeState +
 //                             CRC-32), the per-interval unit cost;
-//   BM_RawStepLoop          — the unsupervised step loop (baseline);
+//   BM_RawStepLoop          — the unsupervised kLoopSteps-step loop
+//                             (baseline);
 //   BM_SupervisedStepLoop   — the same loop under the Supervisor at
 //                             snapshot intervals 1 and 10 (watchdog on).
 //
+// kLoopSteps = 40 lets interval 10 take four pushes after the one at
+// attempt start, so the record shows the cadence and not the set-up.
+//
 // The ring push is memory-bandwidth bound (SetBytesProcessed reports the
-// serialized state size), so supervised-over-raw overhead at interval k is
-// ~push/k per step plus heartbeat noise — sub-percent at realistic cadences.
+// serialized state size). Measured (BENCH_supervisor.json, 1,000 particles,
+// ~4.5 ms steps): a 1.2 ms push, and a supervised loop 18 % slower than the
+// raw one at interval 10 and 50 % at interval 1. Fitting both intervals
+// gives ~1.6 ms per push and ~24 ms per supervised run outside the pushes,
+// so at interval 10 the pushes are under a quarter of the overhead.
 //
 //   ./build/bench_supervisor --benchmark_repetitions=5 \
 //     --benchmark_report_aggregates_only=true \
@@ -38,6 +45,9 @@ using asura::core::SimulationConfig;
 using asura::core::Supervisor;
 using asura::core::SupervisorConfig;
 using asura::fdps::Particle;
+
+/// Steps per timed loop, raw and supervised.
+constexpr long kLoopSteps = 40;
 
 SimulationConfig benchConfig() {
   SimulationConfig cfg;
@@ -90,33 +100,31 @@ BENCHMARK(BM_RingSnapshotPush)->Arg(1000)->Arg(4000)->Unit(benchmark::kMilliseco
 void BM_RawStepLoop(benchmark::State& state) {
   const auto ic = benchIc(static_cast<int>(state.range(0)));
   const auto cfg = benchConfig();
-  constexpr long kSteps = 4;
   for (auto _ : state) {
     Simulation sim(ic, cfg);
-    for (long s = 0; s < kSteps; ++s) sim.step();
+    for (long s = 0; s < kLoopSteps; ++s) sim.step();
     benchmark::DoNotOptimize(sim.time());
   }
-  state.counters["steps"] = kSteps;
+  state.counters["steps"] = kLoopSteps;
 }
 BENCHMARK(BM_RawStepLoop)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_SupervisedStepLoop(benchmark::State& state) {
   const auto ic = benchIc(static_cast<int>(state.range(0)));
   const auto cfg = benchConfig();
-  constexpr long kSteps = 4;
   Cluster cluster(1);
   SupervisorConfig scfg;
   scfg.snapshot_interval = state.range(1);
   for (auto _ : state) {
     Supervisor sup(cluster, scfg);
     const auto rep = sup.run(
-        kSteps, cfg, [&ic](Comm&, const asura::core::AttemptPlan& plan) {
+        kLoopSteps, cfg, [&ic](Comm&, const asura::core::AttemptPlan& plan) {
           return std::make_unique<Simulation>(ic, plan.cfg);
         });
     if (!rep.completed) state.SkipWithError("supervised run failed");
     benchmark::DoNotOptimize(rep.final_step);
   }
-  state.counters["steps"] = kSteps;
+  state.counters["steps"] = kLoopSteps;
   state.counters["snapshot_interval"] = static_cast<double>(state.range(1));
 }
 BENCHMARK(BM_SupervisedStepLoop)
@@ -132,7 +140,7 @@ BENCHMARK(BM_SupervisedStepLoop)
 // comparable across fixture versions).
 int main(int argc, char** argv) {
   benchmark::AddCustomContext("schema_version", "asura-bench-2");
-  benchmark::AddCustomContext("fixture_version", "supervisor-gasball-1");
+  benchmark::AddCustomContext("fixture_version", "supervisor-gasball-2");
   benchmark::AddCustomContext("build_type", asura::bench::kBuildType);
   benchmark::AddCustomContext("omp_threads", std::to_string(asura::bench::ompThreads()));
   benchmark::Initialize(&argc, argv);

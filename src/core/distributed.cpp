@@ -47,7 +47,7 @@ DistributedEngine::DistributedEngine(comm::Comm& comm, DistributedConfig cfg)
   validate(cfg_);
 }
 
-void DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
+bool DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
                                           std::size_t& n_local, fdps::StepContext& ctx,
                                           util::Pcg32& rng, long step) {
   // Arm any step-gated fault plan: "kill rank r at step s" triggers on the
@@ -57,8 +57,7 @@ void DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
   const std::span<const Particle> locals(parts.data(), n_local);
   bool decomposed = false;
   if (!dd_.ready() || cfg_.decompose_interval == 1) {
-    dd_.decompose(comm_, locals, rng, cfg_.weighted_decomposition);
-    decomposed = true;
+    decomposed = dd_.decompose(comm_, locals, rng, cfg_.weighted_decomposition);
   } else {
     // Measure, then re-cut only past the threshold: a balanced step changes
     // nothing, so the exchange cache survives it unless particles migrate.
@@ -71,27 +70,28 @@ void DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
   for (const auto& p : locals) {
     if (dd_.ownerOf(p.pos) != comm_.rank()) ++moved_local;
   }
-  auto owned = dd_.exchange(comm_, locals);
   const long moved = comm_.allreduce(moved_local, Op::Sum);
   stats_.migrated = static_cast<int>(moved);
-  if (decomposed || moved > 0) {
-    // Deterministic local order: force sums, captures and diagnostics
-    // iterate in id order regardless of which rank shipped what when. A
-    // no-migration, no-recut step routes every local to its own bucket in
-    // order, so the received locals equal the sent ones and the O(N log N)
-    // sweep only runs when the exchange actually moved data.
-    std::sort(owned.begin(), owned.end(),
-              [](const Particle& a, const Particle& b) { return a.id < b.id; });
-    // Domain change / migration: both the trees (array content changed) and
-    // the imported sets (domain boxes or source populations changed) die.
-    ctx.invalidate();
-    stale_ = true;
+  if (!decomposed && moved == 0) {
+    // The exchange would route every local to its own bucket in order, so
+    // skipping it leaves the locals bitwise as shipping would. A stale cache
+    // will be rebuilt: drop the ghost suffix with it.
+    if (stale_) parts.resize(n_local);
+    return false;
   }
-  if (stale_) {
-    // The cache will be rebuilt: drop the ghost suffix with it.
-    parts = std::move(owned);
-    n_local = parts.size();
-  }
+  auto owned = dd_.exchange(comm_, locals);
+  // Deterministic local order: force sums, captures and diagnostics iterate
+  // in id order regardless of which rank shipped what when.
+  std::sort(owned.begin(), owned.end(),
+            [](const Particle& a, const Particle& b) { return a.id < b.id; });
+  // Domain change / migration: the trees (array content changed), the
+  // imported sets (domain boxes or source populations changed) and the
+  // ghost suffix die.
+  ctx.invalidate();
+  stale_ = true;
+  parts = std::move(owned);
+  n_local = parts.size();
+  return true;
 }
 
 void DistributedEngine::fullExchange(std::vector<Particle>& parts, std::size_t n_local,
@@ -124,6 +124,7 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
                                         fdps::StepContext& ctx,
                                         const gravity::GravityParams& grav,
                                         bool allow_value_refresh) {
+  if (comm_.size() == 1) return;  // no peer, nothing to import
   // 2 if any rank is stale or past skin/2, else 1 if any moved since the LET value sync.
   const int mine = stale_ || drift_accum_ > 0.5 * cfg_.skin ? 2 : let_drift_ > 0.0 ? 1 : 0;
   const int state = comm_.allreduce(mine, Op::Max);
@@ -133,7 +134,7 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
   }
 
   ++stats_.let_reuses;
-  if (allow_value_refresh && comm_.size() > 1 && state == 1) {
+  if (allow_value_refresh && state == 1) {
     // Payload-style LET refresh: recompute the exported values from live particles
     // along the recorded walks and re-ship them — no exportLet walk, no tree build.
     let_imports_ = fdps::refreshLetValues(comm_, let_record_, parts);
@@ -156,6 +157,7 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
 void DistributedEngine::refreshGhostPayloads(std::vector<Particle>& parts,
                                              std::size_t n_local,
                                              fdps::StepContext& ctx) {
+  if (comm_.size() == 1) return;
   fdps::refreshGhostValues(comm_, ghost_cache_, parts, n_local);
   ++stats_.ghost_value_refreshes;
   // Positions and supports moved within an unchanged layout: an O(N)
@@ -166,6 +168,7 @@ void DistributedEngine::refreshGhostPayloads(std::vector<Particle>& parts,
 
 std::optional<double> DistributedEngine::escapedReach(std::span<const Particle> parts,
                                                      std::size_t n_local) {
+  if (comm_.size() == 1) return std::nullopt;
   const double reach = sph::maxGatherRadius(parts, n_local);
   const int any = comm_.allreduce(reach > ghost_cache_.exported_reach ? 1 : 0, Op::Max);
   return any != 0 ? std::optional(reach) : std::nullopt;
@@ -242,12 +245,22 @@ void DistributedEngine::restoreState(io::ByteReader& r, std::size_t n_local,
       }
     }
   }
-  // The next full pass refreshes a clean cache in place: it needs a per-rank LET
-  // record and a suffix holding exactly the imports the layout describes.
-  if (!stale_ && !let_record_.ready(comm_.size())) {
-    throw std::runtime_error("checkpoint: clean cache without a per-rank LET record");
-  }
-  if (!stale_) {
+  if (stale_) {
+    // Phase 0 drops a stale cache's ghost suffix, so a suffix here holds
+    // miscounted locals. Every real payload passes: a stepped multi-rank
+    // cache is clean, and a one-rank cache never holds a suffix.
+    if (n_ghosts != 0) {
+      throw std::runtime_error("checkpoint: stale cache with a ghost suffix: local count " +
+                               std::to_string(n_local) + " of " +
+                               std::to_string(n_local + n_ghosts) + " particles");
+    }
+  } else {
+    // The next full pass refreshes a clean cache in place: it needs a
+    // per-rank LET record and a suffix holding exactly the imports the
+    // layout describes.
+    if (!let_record_.ready(comm_.size())) {
+      throw std::runtime_error("checkpoint: clean cache without a per-rank LET record");
+    }
     std::size_t imported = 0;
     for (const auto c : ghost_cache_.import_counts) {
       // Clamped, so corrupt counts cannot wrap the sum around to n_ghosts.

@@ -13,12 +13,20 @@
 /// Everything else — the force passes, the cached trees, hierarchical
 /// rungs, the Saitoh-Makino limiter, the SN phases and every step
 /// reduction — is Simulation's, and runs on the engine's communicator
-/// (Simulation::comm()) through the same code a serial run executes on its
-/// self communicator. One DistributedEngine is attached to each rank's
-/// Simulation; every method marked *collective* must be entered by all
-/// ranks of the communicator in the same order — the engine guarantees this
-/// internally by making every cache decision a collective reduction over
-/// per-rank dirty flags.
+/// (Simulation::comm()). Every Simulation owns one engine: a default one on
+/// its one-rank self communicator, or the one attachDistributed installs.
+/// Every method marked *collective* must be entered by all ranks of the
+/// communicator in the same order — the engine guarantees this internally
+/// by making every cache decision a collective reduction over per-rank
+/// dirty flags.
+///
+/// # One rank is the serial path
+///
+/// Three rules make a one-rank engine free, so a serial run needs no second
+/// step path: a one-cell grid is never cut or sampled (no rng draw); phase 0
+/// ships and sorts only when a re-cut ran or a particle moved; the cache
+/// methods return at once without a peer (no export tree, no tree
+/// invalidation, no counter), so the cache stays stale and the suffix empty.
 ///
 /// # Exchange caching (the ASURA-FDPS-ML production-loop optimization)
 ///
@@ -141,20 +149,20 @@ class DistributedEngine {
   [[nodiscard]] const ExchangeStats& stats() const { return stats_; }
   void beginStep() { stats_ = ExchangeStats{}; }
 
-  /// Collective. Phase 0 of the distributed step: re-cut the domain grid
-  /// when due (see DistributedConfig::decompose_interval), ship every local
-  /// parts[0, n_local) to its owner, sort locals by id (deterministic force
-  /// summation order), and mark the cache stale iff the domains changed or
-  /// any particle migrated. Updates n_local. The ghost suffix stays exactly
-  /// when the cache is still valid afterwards (no re-cut, no migration, not
-  /// stale) and is dropped otherwise.
-  void exchangeParticles(std::vector<Particle>& parts, std::size_t& n_local,
+  /// Collective. Phase 0 of the step: re-cut the domain grid when due (see
+  /// DistributedConfig::decompose_interval). Iff that cut or any rank
+  /// holds a local parts[0, n_local) another rank owns, ship every local to
+  /// its owner, sort locals by id (deterministic force summation order),
+  /// update n_local, mark the cache stale and return true. Otherwise the
+  /// ghost suffix stays exactly when the cache is clean.
+  bool exchangeParticles(std::vector<Particle>& parts, std::size_t& n_local,
                          fdps::StepContext& ctx, util::Pcg32& rng, long step);
 
   /// Collective. Guarantee valid LET imports and a valid ghost suffix in
   /// parts[n_local, end). Reuses the cached sets when every rank is clean;
   /// `allow_value_refresh` (uniform across ranks: full passes pass true,
   /// sub-steps false) re-ships LET values and ghost payloads on reuse.
+  /// Returns at once without a peer.
   void ensureExchanged(std::vector<Particle>& parts, std::size_t n_local,
                        fdps::StepContext& ctx, const gravity::GravityParams& grav,
                        bool allow_value_refresh);
@@ -178,7 +186,8 @@ class DistributedEngine {
   /// zeros on the very first pass — and the force kernel divides by rho^2.
   /// All ranks solve in lockstep, so by the time this refresh runs every
   /// home rank's locals hold post-solve state. No exportLet walk, no
-  /// selection scan; the suffix is overwritten in place.
+  /// selection scan; the suffix is overwritten in place. Returns at once
+  /// without a peer.
   void refreshGhostPayloads(std::vector<Particle>& parts, std::size_t n_local,
                             fdps::StepContext& ctx);
 
@@ -210,9 +219,11 @@ class DistributedEngine {
   /// that do not match the grid (see DomainDecomposer::Cuts), a ghost-export
   /// cache whose per-rank lists are not comm().size() long, an export_idx or
   /// LET-record perm entry that is not below `n_local`, a LET item whose
-  /// entry range leaves perm, or a clean cache whose LET record is not per
-  /// rank or whose import_counts do not sum to `n_ghosts`. A throw leaves
-  /// the engine unusable until a restore succeeds.
+  /// entry range leaves perm, a stale cache with a ghost suffix (phase 0
+  /// would drop it; the message names the local count), or a clean cache
+  /// whose LET record is not per rank or whose import_counts do not sum to
+  /// `n_ghosts`. A throw leaves the engine unusable until a restore
+  /// succeeds.
   void restoreState(io::ByteReader& r, std::size_t n_local, std::size_t n_ghosts);
 
   /// The imported LET entries (remote monopoles + boundary particles) the
@@ -230,7 +241,8 @@ class DistributedEngine {
 
   void fullExchange(std::vector<Particle>& parts, std::size_t n_local,
                     fdps::StepContext& ctx, const gravity::GravityParams& grav);
-  /// Collective: the local gather radius if any rank's escaped its exported reach.
+  /// Collective: the local gather radius if any rank's escaped its exported
+  /// reach (never without a peer).
   std::optional<double> escapedReach(std::span<const Particle> parts, std::size_t n_local);
 
   comm::Comm& comm_;

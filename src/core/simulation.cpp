@@ -41,6 +41,7 @@ Simulation::Simulation(std::vector<Particle> particles, SimulationConfig cfg,
       cfg_(cfg),
       backend_(std::move(backend)),
       self_comm_(self_cluster_.selfComm()),
+      dist_(std::make_unique<DistributedEngine>(self_comm_, DistributedConfig{})),
       rng_(cfg.seed, 0x51D) {
   if (cfg_.use_surrogate) {
     if (!backend_) backend_ = std::make_shared<SedovOracleBackend>();
@@ -61,7 +62,7 @@ void Simulation::attachDistributed(std::unique_ptr<DistributedEngine> engine) {
   dist_ = std::move(engine);
 }
 
-comm::Comm& Simulation::comm() { return dist_ ? dist_->comm() : self_comm_; }
+comm::Comm& Simulation::comm() { return dist_->comm(); }
 
 gravity::GravityParams Simulation::gravityParams() const {
   gravity::GravityParams p = cfg_.gravity;
@@ -98,18 +99,17 @@ StepStats Simulation::step() {
   // diverges from kernel_isa shows in its own params, not here.
   stats.kernel_isa = pikg::resolveIsa(cfg_.kernel_isa);
 
-  // (0) Distributed phase 0: domains recut when due, and every local ships
-  // to its owner. Runs before SN identification so captures, boxes and owner
-  // lookups all see settled ownership; positions have not moved since the
-  // last force pass, so the exchange cache — and with it the ghost suffix —
-  // survives exactly when nothing migrated and no recut ran.
-  if (dist_) {
+  // (0) Phase 0: domains recut when due, and every local ships to its
+  // owner when anything moves. Runs before SN identification so captures,
+  // boxes and owner lookups all see settled ownership; positions have not
+  // moved since the last force pass, so the exchange cache, the ghost
+  // suffix and the id index survive exactly when nothing moved.
+  {
     util::TimerRegistry::Scope scope(timers_, "Exchange_Particle");
     dist_->beginStep();
-    dist_->exchangeParticles(parts_, n_local_, step_ctx_, rng_, step_);
-    id_index_valid_ = false;
-  } else {
-    n_local_ = parts_.size();
+    if (dist_->exchangeParticles(parts_, n_local_, step_ctx_, rng_, step_)) {
+      id_index_valid_ = false;
+    }
   }
 
   // Decay the per-particle work counters (weighted-decomposition signal)
@@ -118,9 +118,8 @@ StepStats Simulation::step() {
   // target every local (gravity + hydro for gas) regardless of rung, so a
   // work signal made of closing kicks alone would overweight deep-rung
   // pockets ~3x and starve the ranks carrying the O(N) full-pass load.
-  // Runs identically in serial and distributed mode over the owned span —
-  // work is carried through migrations and checkpoints but never read by
-  // physics.
+  // Runs over the owned span at every rank count — work is carried through
+  // migrations and checkpoints but never read by physics.
   {
     const auto n_loc = static_cast<std::int64_t>(n_local_);
     const double decay = cfg_.work_decay;
@@ -133,12 +132,12 @@ StepStats Simulation::step() {
 
   // A full force pass (the global step's two passes, the block-timestep
   // sync pass) targets every local for gravity and every local gas
-  // particle for SPH. Distributed: the LET imports and ghost suffix are
-  // made valid first (collective); a clean pass reuses both cached sets —
-  // zero exportLet walks — shipping only fresh ghost payloads along the
+  // particle for SPH. The LET imports and ghost suffix are made valid
+  // first (collective); a clean pass reuses both cached sets — zero
+  // exportLet walks — shipping only fresh ghost payloads along the
   // remembered export lists.
   const auto full_pass = [&](bool final_pass) {
-    if (dist_) {
+    {
       util::TimerRegistry::Scope scope(
           timers_, final_pass ? "2nd Exchange_LET" : "1st Exchange_LET");
       dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
@@ -196,24 +195,19 @@ StepStats Simulation::step() {
     {
       util::TimerRegistry::Scope scope(timers_, "Integration");
       const auto n_loc = static_cast<std::int64_t>(n_local_);
-#pragma omp parallel for schedule(static)
+      double v2max = 0.0;
+#pragma omp parallel for schedule(static) reduction(max : v2max)
       for (std::int64_t i = 0; i < n_loc; ++i) {
         auto& p = parts_[static_cast<std::size_t>(i)];
         p.vel += 0.5 * dt * p.acc;
         p.pos += dt * p.vel;
+        v2max = std::max(v2max, p.vel.norm2());
         if (p.isGas() && !p.frozen) {
           p.u = std::max(p.u + dt * p.du_dt, 1e-12);
         }
       }
       step_ctx_.invalidate();  // drift moved every particle
-      if (dist_) {
-        double v2max = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : v2max)
-        for (std::int64_t i = 0; i < n_loc; ++i) {
-          v2max = std::max(v2max, parts_[static_cast<std::size_t>(i)].vel.norm2());
-        }
-        dist_->noteDrift(dt * std::sqrt(v2max));
-      }
+      dist_->noteDrift(dt * std::sqrt(v2max));
     }
 
     // Force evaluation (tree gravity + SPH) and second kick.
@@ -239,7 +233,7 @@ StepStats Simulation::step() {
     // Conventional path: direct thermal injection (the timestep killer).
     util::TimerRegistry::Scope scope(timers_, "Preprocess_of_Feedback");
     directFeedback(events);
-    if (dist_) dist_->markDirty();  // remote pressures near boundaries changed
+    dist_->markDirty();  // remote pressures near boundaries changed
   }
 
   // (5) Star formation, cooling and heating (locals only — the ghosts'
@@ -254,7 +248,7 @@ StepStats Simulation::step() {
         step_ctx_.invalidate();  // gas became stars
         // Species changed: remote ranks may hold ghost copies of the
         // converted particles, so the exchanged sets must rebuild.
-        if (dist_) dist_->markDirty();
+        dist_->markDirty();
       }
       double mass_formed = 0.0;
       for (const auto& p : localSpan()) {
@@ -289,21 +283,19 @@ StepStats Simulation::step() {
   stats.tree_builds = step_ctx_.buildsThisStep();
   stats.tree_refreshes = step_ctx_.refreshesThisStep();
   stats.work_seconds = work_seconds_accum_;
-  if (dist_) {
-    const ExchangeStats& xs = dist_->stats();
-    stats.let_exchanges = xs.let_exchanges;
-    stats.let_export_walks = xs.let_export_walks;
-    stats.let_reuses = xs.let_reuses;
-    stats.let_value_refreshes = xs.let_value_refreshes;
-    stats.ghost_exchanges = xs.ghost_exchanges;
-    stats.ghost_value_refreshes = xs.ghost_value_refreshes;
-    stats.ghost_reuses = xs.ghost_reuses;
-    stats.migrated = xs.migrated;
-    stats.reach_retries = xs.reach_retries;
-    stats.reach_giveups = xs.reach_giveups;
-    stats.rebalances = xs.rebalances;
-    stats.balance_max_over_mean = xs.balance_max_over_mean;
-  }
+  const ExchangeStats& xs = dist_->stats();
+  stats.let_exchanges = xs.let_exchanges;
+  stats.let_export_walks = xs.let_export_walks;
+  stats.let_reuses = xs.let_reuses;
+  stats.let_value_refreshes = xs.let_value_refreshes;
+  stats.ghost_exchanges = xs.ghost_exchanges;
+  stats.ghost_value_refreshes = xs.ghost_value_refreshes;
+  stats.ghost_reuses = xs.ghost_reuses;
+  stats.migrated = xs.migrated;
+  stats.reach_retries = xs.reach_retries;
+  stats.reach_giveups = xs.reach_giveups;
+  stats.rebalances = xs.rebalances;
+  stats.balance_max_over_mean = xs.balance_max_over_mean;
   // Imbalance diagnostics: every rank publishes its compute-section wall
   // clock and its force-evaluation count; the max/mean ratios are the
   // step's realized load imbalance (wall-based and deterministic).
@@ -589,12 +581,12 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     return (n & ((nfull >> rung) - 1)) == 0;
   };
 
-  // Distributed: validate (or exchange) the ghost suffix BEFORE the first
-  // drift, so sub-step 1's density gather sees boundary neighbours at the
-  // same epoch as locals — the serial loop drifts every neighbour every
-  // sub-step, and a suffix exchanged only after the first drift would lag
-  // it by one sub_dt. Collective; runs once per rank per step.
-  if (dist_) {
+  // Validate (or exchange) the ghost suffix BEFORE the first drift, so
+  // sub-step 1's density gather sees boundary neighbours at the same epoch
+  // as locals — every local neighbour drifts every sub-step, and a suffix
+  // exchanged only after the first drift would lag it by one sub_dt.
+  // Collective; runs once per rank per step.
+  {
     util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
     dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
                            /*allow_value_refresh=*/false);
@@ -610,28 +602,34 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     // by prediction"). Openings are recognized from the explicit per-
     // particle step bookkeeping — after a mid-step wake shortened a step,
     // rung alignment alone no longer describes who opens where. Locals
-    // only: ghost rungs belong to their home rank's loop.
+    // only: ghost rungs belong to their home rank's loop. The sweep also
+    // takes the fastest local speed the drift below moves by: the skin
+    // budgets each rank's OWN displacement (the remote side budgets its
+    // half), so a fast imported ghost must not force a re-exchange.
     int k_deep = 0;
+    double v2max = 0.0;
     {
       util::TimerRegistry::Scope scope(timers_, "Integration");
-#pragma omp parallel for schedule(static) reduction(max : k_deep)
+#pragma omp parallel for schedule(static) reduction(max : k_deep, v2max)
       for (std::int64_t i = 0; i < n_loc; ++i) {
         auto& p = parts_[static_cast<std::size_t>(i)];
         k_deep = std::max(k_deep, static_cast<int>(p.rung));
         const auto is = static_cast<std::size_t>(i);
-        if (step_end_[is] != n) continue;
-        step_begin_[is] = n;
-        step_end_[is] = n + (nfull >> p.rung);
-        const double dt_p = dt_min * static_cast<double>(nfull >> p.rung);
-        p.vel += 0.5 * dt_p * p.acc;
-        if (p.isGas() && !p.frozen) {
-          // u takes the seed's forward update over the whole step (matching
-          // the global path bitwise at max_rung = 0); the *prediction*
-          // restarts from the pre-kick value so neighbour lookups track
-          // u(t) instead of this end-of-step extrapolation.
-          p.u_pred = p.u;
-          p.u = std::max(p.u + dt_p * p.du_dt, 1e-12);
+        if (step_end_[is] == n) {
+          step_begin_[is] = n;
+          step_end_[is] = n + (nfull >> p.rung);
+          const double dt_p = dt_min * static_cast<double>(nfull >> p.rung);
+          p.vel += 0.5 * dt_p * p.acc;
+          if (p.isGas() && !p.frozen) {
+            // u takes the seed's forward update over the whole step
+            // (matching the global path bitwise at max_rung = 0); the
+            // *prediction* restarts from the pre-kick value so neighbour
+            // lookups track u(t) instead of this end-of-step extrapolation.
+            p.u_pred = p.u;
+            p.u = std::max(p.u + dt_p * p.du_dt, 1e-12);
+          }
         }
+        v2max = std::max(v2max, p.vel.norm2());
       }
     }
     // Every rank advances by the globally deepest occupied rung: quiet
@@ -658,17 +656,7 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
           p.u_pred = std::max(p.u_pred + sub_dt * p.du_dt, 1e-12);
         }
       }
-      if (dist_) {
-        // Locals only: the skin budgets each rank's OWN displacement (the
-        // remote side budgets its half), and a fast imported ghost must
-        // not stampede every rank into a spurious full re-exchange.
-        double v2max = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : v2max)
-        for (std::int64_t i = 0; i < n_loc; ++i) {
-          v2max = std::max(v2max, parts_[static_cast<std::size_t>(i)].vel.norm2());
-        }
-        dist_->noteDrift(sub_dt * std::sqrt(v2max));
-      }
+      dist_->noteDrift(sub_dt * std::sqrt(v2max));
     }
     n += stride;
     stats.substep_units += stride;
@@ -686,11 +674,11 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
       step_ctx_.refreshGasPositions(parts_);
     }
 
-    // Distributed: make the imports valid for this sub-step *before* the
-    // closing set is collected — a re-exchange resizes the work array.
-    // Quiet sub-steps reuse both cached sets (no exportLet walk, no
-    // ghost traffic beyond the one-int dirty reduce).
-    if (dist_) {
+    // Make the imports valid for this sub-step *before* the closing set is
+    // collected — a re-exchange resizes the work array. Quiet sub-steps
+    // reuse both cached sets (no exportLet walk, no ghost traffic beyond
+    // the one-int dirty reduce).
+    {
       util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
       dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
                              /*allow_value_refresh=*/false);
@@ -758,17 +746,14 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
 
 sph::DensityStats Simulation::solveDensityWithReachRetries(
     std::span<const std::uint32_t> gas_targets) {
-  const auto snapshot_h = [&] {
-    if (!dist_) return;
-    // Snapshot the pre-solve supports: a stale-reach re-solve must start
-    // from the same initial guesses the serial solve gets, or the closure
-    // (which accepts any H inside its tolerance band) converges to a point
-    // a rank-count-invariant run can't reach.
-    h_save_.resize(gas_targets.size());
-    for (std::size_t k = 0; k < gas_targets.size(); ++k) {
-      h_save_[k] = parts_[gas_targets[k]].h;
-    }
-  };
+  // Snapshot the pre-solve supports: a stale-reach re-solve must start from
+  // the same initial guesses the first solve got, or the closure (which
+  // accepts any H inside its tolerance band) converges to a point a
+  // rank-count-invariant run can't reach.
+  h_save_.resize(gas_targets.size());
+  for (std::size_t k = 0; k < gas_targets.size(); ++k) {
+    h_save_[k] = parts_[gas_targets[k]].h;
+  }
   const auto restore_h = [&] {
     for (std::size_t k = 0; k < gas_targets.size(); ++k) {
       parts_[gas_targets[k]].h = h_save_[k];
@@ -783,9 +768,7 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
     return ds;
   };
 
-  snapshot_h();
   auto ds = solve();
-  if (!dist_) return ds;
 
   // Stale-reach loop (collective): if the solve grew any rank's gather
   // radius past its exported reach, the pre-exchanged ghost set under-
@@ -793,7 +776,7 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
   // re-solve instead of silently under-importing neighbours. The retry
   // count is uniform across ranks because the escape decision is an
   // allreduce, so the collective call sequence never diverges between
-  // ranks whose target sets differ (or are empty).
+  // ranks whose target sets differ (or are empty). Never entered at one rank.
   constexpr int max_retries = DistributedEngine::kMaxReachRetries;
   int retries = 0;
   while (retries < max_retries &&
@@ -822,10 +805,6 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
   // pass's wake list or CFL minimum into this pass's consumers.
   wake_requests_.clear();
   last_cfl_dt_ = std::numeric_limits<double>::infinity();
-  // A distributed rank with an empty target set still participates in the
-  // collective stale-reach checks and payload refresh below.
-  if (!dist_ && targets.empty()) return;
-
   // SPH kernel size + density (+ div/curl, pressure). The gas tree built
   // here (or reused from the previous pass) is shared with the hydro force
   // below through step_ctx_; only the smoothing lengths are refreshed.
@@ -842,12 +821,12 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
     if (!final_pass) accumulate(stats.density_stats, ds);
   }
 
-  // Distributed: the exchange selected ghosts *before* the density solve,
-  // so the imported copies still carry pre-solve rho/pres/h (zeros on the
-  // very first pass). Ship every home rank's post-solve payloads along the
+  // The exchange selected ghosts *before* the density solve, so the
+  // imported copies still carry pre-solve rho/pres/h (zeros on the very
+  // first pass). Ship every home rank's post-solve payloads along the
   // cached export lists before any kernel divides by a neighbour's rho^2.
-  // Collective, so it precedes the rank-dependent early return below.
-  if (dist_) {
+  // Collective, so a rank with no targets returns only after it.
+  {
     util::TimerRegistry::Scope scope(timers_, let_cat);
     dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_);
   }
@@ -867,10 +846,8 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
   {
     util::TimerRegistry::Scope scope(timers_, force_cat);
     const double t0 = util::wtime();
-    const auto let = dist_ ? std::span<const fdps::SourceEntry>(dist_->letImports())
-                           : std::span<const fdps::SourceEntry>{};
-    const auto gs = gravity::accumulateTreeGravity(step_ctx_, localSpan(), let, targets,
-                                                   gravityParams());
+    const auto gs = gravity::accumulateTreeGravity(step_ctx_, localSpan(), dist_->letImports(),
+                                                   targets, gravityParams());
     timers_.add("Tree_Build", gs.t_build);
     timers_.add("Tree_Walk (cpu)", gs.t_walk);
     timers_.add("Interaction_Kernel (cpu)", gs.t_kernel);
@@ -912,9 +889,7 @@ void Simulation::captureAndSendRegions(const std::vector<stellar::SnEvent>& even
   // (it follows use_surrogate), so the early return is collectively safe.
   if (!pool_) return;
   comm::Comm& c = comm();
-  const auto ownerOf = [&](const Vec3d& pos) {
-    return dist_ ? dist_->domains().ownerOf(pos) : 0;
-  };
+  const auto& domains = dist_->domains();
   const double half = 0.5 * cfg_.sn_box_size;
   std::vector<std::vector<EvCapture>> outgoing(static_cast<std::size_t>(c.size()));
   // Per-event local captures kept at home (owner == this rank).
@@ -922,7 +897,7 @@ void Simulation::captureAndSendRegions(const std::vector<stellar::SnEvent>& even
 
   for (std::size_t e = 0; e < events.size(); ++e) {
     const auto& ev = events[e];
-    const int owner = ownerOf(ev.pos);
+    const int owner = domains.ownerOf(ev.pos);
     Box box;
     box.extend(ev.pos - Vec3d{half, half, half});
     box.extend(ev.pos + Vec3d{half, half, half});
@@ -949,7 +924,7 @@ void Simulation::captureAndSendRegions(const std::vector<stellar::SnEvent>& even
   }
 
   for (std::size_t e = 0; e < events.size(); ++e) {
-    if (ownerOf(events[e].pos) != c.rank()) continue;
+    if (domains.ownerOf(events[e].pos) != c.rank()) continue;
     auto& region = mine[e];
     if (region.empty()) continue;
     std::sort(region.begin(), region.end(),
@@ -986,26 +961,19 @@ void Simulation::receiveAndReplace(StepStats& stats) {
 
 void Simulation::applyPredictions(std::span<const Particle> preds, StepStats& stats) {
   if (preds.empty()) return;
-  // The persistent id index survives across receives: in-place replacement
-  // keeps both ids and array positions stable, so the O(N log N) rebuild
-  // the seed performed per receive is needed only after add/reorder.
+  // The persistent id index survives across receives and steps: in-place
+  // replacement keeps both ids and array positions stable, so it rebuilds
+  // only after phase 0 reorders the locals (or their count changes).
   const auto* index = &idIndex();
-  bool rebuilt = false;
   int replaced = 0;
   for (const auto& q : preds) {
     auto it = index->find(q.id);
-    const bool stale_hit = it != index->end() && parts_[it->second].id != q.id;
-    // A mismatched hit proves the index is stale (external mutation through
-    // particles()); a serial miss merely might be — rebuild once per
-    // receive before concluding the particle really left the domain. On a
-    // distributed receive misses are the NORM, not an anomaly: the
-    // prediction list is global and ~(P-1)/P of its ids live on other
-    // ranks, while phase 0 already rebuilt this step's index — so only a
-    // provably stale hit triggers the O(n_local) rebuild there.
-    if ((stale_hit || (it == index->end() && !rebuilt && !dist_))) {
+    // A mismatched hit proves the index stale (an external reorder through
+    // particles()). A miss is no such proof: the prediction list is global,
+    // and ~(P-1)/P of its ids live on other ranks.
+    if (it != index->end() && parts_[it->second].id != q.id) {
       id_index_valid_ = false;
       index = &idIndex();
-      rebuilt = true;
       it = index->find(q.id);
     }
     if (it == index->end()) continue;  // lives on another rank / left the domain
@@ -1023,7 +991,7 @@ void Simulation::applyPredictions(std::span<const Particle> preds, StepStats& st
     step_ctx_.invalidate();  // surrogate moved particles
     // Replaced locals may be ghost-exported elsewhere: positions jumped, so
     // the exchanged sets must rebuild before the next force pass.
-    if (dist_) dist_->markDirty();
+    dist_->markDirty();
   }
 }
 
@@ -1276,14 +1244,14 @@ void Simulation::validateStepInvariants() {
 
 namespace {
 
-/// Payload format of serializeState. v5 (the only version read or written)
+/// Payload format of serializeState. v6 (the only version read or written)
 /// is: config, clocks, rng, the working array (locals, then ghosts, with
 /// their work counters) and the local count, pending pool predictions with
-/// job ids plus the submission counter, and the engine block with the LET
-/// imports, the staleness flag, the domain cuts, the ghost export layout and
-/// the LET export record. A payload of any other version fails restore
-/// loudly.
-constexpr std::uint32_t kStateVersion = 5;
+/// job ids plus the submission counter, and the engine block every payload
+/// carries: the LET imports, the staleness flag, the domain cuts, the ghost
+/// export layout and the LET export record. A payload of any other version
+/// fails restore loudly.
+constexpr std::uint32_t kStateVersion = 6;
 
 }  // namespace
 
@@ -1313,7 +1281,7 @@ void Simulation::clockAndParticleFields(Io& io, util::Pcg32::State& rng,
 void Simulation::serializeState(io::ByteWriter& w) {
   w(kStateVersion, cfg_);
   auto rng_state = rng_.saveState();
-  std::uint64_t n_local = localSpan().size();
+  std::uint64_t n_local = n_local_;
   clockAndParticleFields(w, rng_state, n_local);
 
   // Undelivered pool predictions. snapshotResults drains the pipeline —
@@ -1330,8 +1298,7 @@ void Simulation::serializeState(io::ByteWriter& w) {
   // Exchange cache + engine state: restoring these keeps the cache-reuse
   // decisions (and with them the bitwise trajectory) identical to the
   // continuous run even when the cache would have survived the boundary.
-  w(dist_ != nullptr);
-  if (dist_) dist_->serializeState(w);
+  dist_->serializeState(w);
 }
 
 void Simulation::restoreState(io::ByteReader& r) {
@@ -1357,10 +1324,11 @@ void Simulation::restoreState(io::ByteReader& r) {
   std::uint64_t n_local = 0;
   clockAndParticleFields(r, rng_state, n_local);
   rng_.restoreState(rng_state);
-  // Only a distributed rank carries a ghost suffix past its locals.
-  if (n_local > parts_.size() || (!dist_ && n_local != parts_.size())) {
+  // Whether the rest may be ghosts is the engine's to check (a stale cache
+  // holds none).
+  if (n_local > parts_.size()) {
     throw std::runtime_error("checkpoint: local count " + std::to_string(n_local) +
-                             " does not match the " + std::to_string(parts_.size()) +
+                             " exceeds the " + std::to_string(parts_.size()) +
                              "-particle list");
   }
   n_local_ = static_cast<std::size_t>(n_local);
@@ -1380,10 +1348,7 @@ void Simulation::restoreState(io::ByteReader& r) {
     fallback_baseline_ = pool_->jobsFallback();
   }
 
-  if (r.read<bool>() != (dist_ != nullptr)) {
-    throw std::runtime_error("checkpoint: distributed-engine presence mismatch");
-  }
-  if (dist_) dist_->restoreState(r, n_local_, parts_.size() - n_local_);
+  dist_->restoreState(r, n_local_, parts_.size() - n_local_);
 
   // Tree caches rebuild from the restored positions.
   step_ctx_.invalidate();

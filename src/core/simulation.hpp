@@ -4,8 +4,8 @@
 /// SN-bypassing surrogate and a fixed global timestep (paper §3.2).
 ///
 /// One global step (categories bracket the paper's Fig. 6/7 legend):
-///  0. Exchange_Particle      — domain decomposition + migration (with an
-///                              engine attached only)
+///  0. Exchange_Particle      — domain decomposition + migration (free at
+///                              one rank)
 ///  1. Identify_SNe           — stars exploding in (t, t + dt_global]
 ///  2. Send_SNe               — ship (60 pc)^3 regions to pool nodes
 ///  3. Integration            — first kick + drift (no feedback energy)
@@ -91,28 +91,23 @@
 /// independent, reductions are over integers, and the closing set is
 /// collected by fixed-chunk count-then-fill in index order.
 ///
-/// # One communicator at every rank count (comm())
+/// # One step driver at every rank count (comm(), attachDistributed)
 ///
-/// Every Simulation steps on a communicator: the attached engine's, or else
-/// a one-rank self communicator it owns, on which every collective completes
-/// locally (comm::Cluster::selfComm). The SN phases (event gather, region
-/// capture and submission, prediction return, direct feedback), the step's
-/// reductions (adaptive dt, the sub-step deepest rung, the rank-imbalance
-/// allgather), the global* tallies, the step validator and the checkpoint
-/// collectives run on it through one implementation, so a serial step is
-/// the one-rank case of the distributed step: SN events are handled in
-/// (t_explode, star_id) order and regions are submitted id-sorted at every
-/// rank count.
+/// Every Simulation owns a core::DistributedEngine (see distributed.hpp):
+/// by default one on a one-rank self communicator, on which every
+/// collective completes locally (comm::Cluster::selfComm); attachDistributed
+/// replaces it with one on a multi-rank communicator. step() is one program
+/// on the engine's communicator (comm()): phase 0 (decompose + migrate),
+/// force passes over locals + LET imports + hydro ghosts with collective
+/// cache decisions, the SN phases, the step's reductions, the global*
+/// tallies, the validator and the checkpoint collectives. The engine's
+/// one-rank rules make a serial step the one-rank step, not a second path:
+/// SN events are handled in (t_explode, star_id) order and regions are
+/// submitted id-sorted at every rank count.
 ///
-/// # Distributed steps (attachDistributed)
-///
-/// With a core::DistributedEngine attached, step() adds the exchange state
-/// the engine owns (see distributed.hpp): decompose + migrate owned
-/// particles (phase 0), force passes over locals + imported LET entries +
-/// hydro ghosts, and collective cache decisions everywhere a rank-local
-/// choice could diverge. The particle array then holds [locals | ghosts]
-/// with nLocal() marking the boundary; the suffix is the only copy of the
-/// ghosts and stays attached between steps. Every local-state loop in this
+/// The particle array holds [locals | ghosts] with nLocal() marking the
+/// boundary; the suffix is the only copy of the ghosts, stays attached
+/// between steps, and is empty at one rank. Every local-state loop in this
 /// file is bounded by n_local_, every all-particle drift spans the ghosts
 /// too (ballistic coasting). In the hierarchical scheme the per-sub-step
 /// deepest rung is max-reduced across ranks so all ranks run the same
@@ -285,7 +280,7 @@ struct StepStats {
   gravity::GravityStats gravity_stats{};  ///< hierarchical: summed over sub-steps
   sph::DensityStats density_stats{};
   sph::ForceStats force_stats{};
-  // --- distributed exchange cache (all zero on serial steps) ---
+  // --- distributed exchange cache (all zero at one rank) ---
   int let_exchanges = 0;         ///< full LET exchanges this step
   int let_export_walks = 0;      ///< exportLet tree walks (P-1 per exchange)
   int let_reuses = 0;            ///< force passes served from the cached LET set
@@ -297,7 +292,7 @@ struct StepStats {
   /// Passes that hit kMaxReachRetries with the reach still escaped — the
   /// pass proceeded on a truncated neighbour set (raise ghost_h_margin).
   int reach_giveups = 0;
-  // --- work-weighted balancing (zero on serial steps except work_seconds) ---
+  // --- work-weighted balancing (the first three are zero at one rank) ---
   int let_value_refreshes = 0;   ///< payload-style refreshes of cached LET imports
   int rebalances = 0;            ///< imbalance-triggered domain re-cuts this step
   /// Rank load max/mean measured by this step's DomainDecomposer::maintain
@@ -333,18 +328,20 @@ class Simulation {
              std::shared_ptr<SurrogateBackend> backend = nullptr);
   ~Simulation();
 
-  /// Switch this rank's step() onto the multi-rank anatomy (see the
-  /// distributed-steps section above). Must be called before the first
-  /// step, by every rank of the engine's communicator.
+  /// Replace the default one-rank engine with `engine` (see the step-driver
+  /// section above). Must be called before the first step, by every rank of
+  /// the engine's communicator.
   void attachDistributed(std::unique_ptr<DistributedEngine> engine);
+  /// The engine (never null).
   [[nodiscard]] DistributedEngine* distributed() { return dist_.get(); }
-  /// The communicator step(), the global* tallies and the checkpoint entry
-  /// points run their collectives on: the attached engine's, or else this
-  /// simulation's one-rank self communicator, which sends nothing.
+  /// The engine's communicator, on which step(), the global* tallies and
+  /// the checkpoint entry points run their collectives. Without an attached
+  /// engine it is this simulation's one-rank self communicator, which sends
+  /// nothing.
   [[nodiscard]] comm::Comm& comm();
 
-  /// Advance one global step; returns per-step statistics. With an engine
-  /// attached this is collective across ranks.
+  /// Advance one global step; returns per-step statistics. Collective
+  /// across the engine's ranks.
   StepStats step();
 
   /// Statistics of the most recent step. Backed by a member that step()
@@ -363,14 +360,16 @@ class Simulation {
   [[nodiscard]] double time() const { return t_; }
   [[nodiscard]] long stepCount() const { return step_; }
   /// Count of locally *owned* particles: particles()[0, nLocal()) are
-  /// locals, anything beyond is an imported ghost (distributed runs only;
-  /// serial runs always have nLocal() == particles().size()).
+  /// locals, anything beyond is an imported ghost (none at one rank). The
+  /// engine sets it at every rank count and nothing resyncs it.
   [[nodiscard]] std::size_t nLocal() const { return n_local_; }
   [[nodiscard]] const std::vector<fdps::Particle>& particles() const { return parts_; }
-  /// Mutable access for drivers/tests. External mutation of thermodynamic
-  /// state (u, vel) between steps is only reflected in the timestep logic
-  /// after the next force pass refreshes cs/vsig — true of the adaptive
-  /// baseline's recorded CFL minimum and of the rung criteria alike.
+  /// Mutable access for drivers/tests: particle state, not the array's
+  /// length — nLocal() would not follow a resize, so changing the length is
+  /// unsupported. External mutation of thermodynamic state (u, vel) between
+  /// steps is only reflected in the timestep logic after the next force
+  /// pass refreshes cs/vsig — true of the adaptive baseline's recorded CFL
+  /// minimum and of the rung criteria alike.
   [[nodiscard]] std::vector<fdps::Particle>& particles() { return parts_; }
   [[nodiscard]] const util::TimerRegistry& timers() const { return timers_; }
   [[nodiscard]] const std::vector<double>& sfrHistory() const { return sfr_history_; }
@@ -384,9 +383,9 @@ class Simulation {
   [[nodiscard]] util::Vec3d totalAngularMomentum() const;
 
   /// Whole-system energy/momentum: the local variants summed over comm()
-  /// by allreduceSum. *Collective* with an engine attached (every rank must
-  /// call in the same order); every rank gets the deterministic rank-ordered
-  /// sum, so drivers and tests never gather particle arrays to total them.
+  /// by allreduceSum. *Collective* (every rank of comm() must call in the
+  /// same order); every rank gets the deterministic rank-ordered sum, so
+  /// drivers and tests never gather particle arrays to total them.
   [[nodiscard]] EnergyReport globalEnergyReport();
   [[nodiscard]] util::Vec3d globalMomentum();
   [[nodiscard]] util::Vec3d globalAngularMomentum();
@@ -430,11 +429,11 @@ class Simulation {
 
   /// Inverse of serializeState. The Simulation must have been constructed
   /// with a compatible shape (same use_surrogate / return_interval /
-  /// n_pool_nodes, engine attached iff the checkpoint had one) — the pool
-  /// and engine are construction-time objects; everything else is
-  /// overwritten from the checkpoint. Throws std::runtime_error on any
-  /// mismatch or malformed payload, including a local count above the
-  /// particle-list length (or, serially, any count but the length).
+  /// n_pool_nodes, an engine on the writer's rank count) — the pool and
+  /// engine are construction-time objects; everything else is overwritten
+  /// from the checkpoint. Throws std::runtime_error on any mismatch or
+  /// malformed payload, including a local count above the particle-list
+  /// length (the engine rejects a ghost suffix behind a stale cache).
   void restoreState(io::ByteReader& r);
 
   /// Reject configurations step() cannot integrate (non-positive dt/eta/box
@@ -513,8 +512,8 @@ class Simulation {
   [[nodiscard]] std::vector<stellar::SnEvent> gatherEvents(
       std::vector<stellar::SnEvent> local);
   /// Region capture: freeze local gas inside each event's (sn_box_size)^3
-  /// box, route the copies to the event's owner rank (rank 0 without an
-  /// engine), and submit each merged id-sorted region to the pool there.
+  /// box, route the copies to the event's owner rank, and submit each
+  /// merged id-sorted region to the pool there.
   /// Counts the submissions in stats.regions_sent.
   void captureAndSendRegions(const std::vector<stellar::SnEvent>& events,
                              StepStats& stats);
@@ -535,22 +534,15 @@ class Simulation {
   void allreduceSum(double* vals, int n);
 
   /// Local span of the working array ([0, n_local_)): force targets, kicks,
-  /// rung bookkeeping and diagnostics never touch the ghost suffix. A
-  /// serial Simulation has no ghost suffix, so the span covers the whole
-  /// array even when a driver appended particles through the mutable
-  /// particles() accessor since the last step (n_local_ resyncs at step
-  /// entry; mid-step external appends are only defined serially).
-  [[nodiscard]] std::span<fdps::Particle> localSpan() {
-    return {parts_.data(), dist_ ? n_local_ : parts_.size()};
-  }
+  /// rung bookkeeping and diagnostics never touch the ghost suffix.
+  [[nodiscard]] std::span<fdps::Particle> localSpan() { return {parts_.data(), n_local_}; }
   [[nodiscard]] std::span<const fdps::Particle> localSpan() const {
-    return {parts_.data(), dist_ ? n_local_ : parts_.size()};
+    return {parts_.data(), n_local_};
   }
   /// Density solve on `gas_targets` plus the distributed stale-reach
   /// protocol (snapshot the targets' pre-solve supports, re-exchange +
   /// restored-h re-solve while any rank's reach escaped, record a give-up
-  /// at the cap). Collective when distributed, also on a rank with no
-  /// targets.
+  /// at the cap). Collective, also on a rank with no targets.
   sph::DensityStats solveDensityWithReachRetries(
       std::span<const std::uint32_t> gas_targets);
   /// Id -> index lookup, rebuilt lazily after the particle array changes
@@ -568,16 +560,18 @@ class Simulation {
   }
 
   std::vector<fdps::Particle> parts_;
-  /// Owned-particle count; parts_[n_local_, end) is the ghost suffix of a
-  /// distributed rank (== parts_.size() on serial runs).
+  /// Owned-particle count; parts_[n_local_, end) is the ghost suffix (empty
+  /// at one rank).
   std::size_t n_local_ = 0;
   SimulationConfig cfg_;
   std::shared_ptr<SurrogateBackend> backend_;
   std::unique_ptr<PoolNodeScheduler> pool_;
-  std::unique_ptr<DistributedEngine> dist_;
-  /// The one-rank cluster behind comm() while no engine is attached.
+  /// The one-rank cluster behind the default engine, declared before dist_,
+  /// which refers to its communicator.
   comm::Cluster self_cluster_{1};
   comm::Comm self_comm_;
+  /// The exchange engine: the default one on self_comm_, or the attached one.
+  std::unique_ptr<DistributedEngine> dist_;
   util::TimerRegistry timers_;
   util::Pcg32 rng_;
   stellar::KroupaImf imf_;

@@ -97,13 +97,15 @@ DomainDecomposer::DomainDecomposer(int px, int py, int pz) : px_(px), py_(py), p
   if (px <= 0 || py <= 0 || pz <= 0) {
     throw std::invalid_argument("DomainDecomposer: grid dims must be positive");
   }
+  if (ranks() == 1) xcuts_ = ycuts_ = zcuts_ = {-kHuge, kHuge};
 }
 
-void DomainDecomposer::decompose(comm::Comm& comm, std::span<const Particle> local,
+bool DomainDecomposer::decompose(comm::Comm& comm, std::span<const Particle> local,
                                  util::Pcg32& rng, bool weighted) {
   if (comm.size() != ranks()) {
     throw std::invalid_argument("DomainDecomposer: comm size != px*py*pz");
   }
+  if (ranks() == 1) return false;  // the one cell's cuts are held from construction
   // Uniform sampling keeps the sample budget O(p * cap) independent of N.
   // Each sample travels as (x, y, z, w).
   std::vector<double> flat;
@@ -134,6 +136,7 @@ void DomainDecomposer::decompose(comm::Comm& comm, std::span<const Particle> loc
   xcuts_ = comm.bcast(xcuts_, 0);
   ycuts_ = comm.bcast(ycuts_, 0);
   zcuts_ = comm.bcast(zcuts_, 0);
+  return true;
 }
 
 void DomainDecomposer::decomposeSerial(const std::vector<Particle>& all) {
@@ -149,6 +152,7 @@ bool DomainDecomposer::maintain(comm::Comm& comm, std::span<const Particle> loca
   if (comm.size() != ranks()) {
     throw std::invalid_argument("DomainDecomposer: comm size != px*py*pz");
   }
+  if (ranks() == 1) return false;
   double load = 0.0;
   for (const auto& p : local) load += sampleWeight(p, weighted);
   // Rank-ordered sum: every rank sees the same total, bit for bit.
@@ -161,16 +165,15 @@ bool DomainDecomposer::maintain(comm::Comm& comm, std::span<const Particle> loca
   const double imbalance = mean > 0.0 ? max_load / mean : 1.0;
   if (imbalance_out) *imbalance_out = imbalance;
   if (imbalance <= threshold) return false;
-  decompose(comm, local, rng, weighted);
-  return true;
+  return decompose(comm, local, rng, weighted);
 }
 
 void DomainDecomposer::restoreCuts(Cuts cuts) {
   const auto px = static_cast<std::size_t>(px_), py = static_cast<std::size_t>(py_),
              pz = static_cast<std::size_t>(pz_);
-  const bool no_cuts = cuts.x.empty() && cuts.y.empty() && cuts.z.empty();
-  if (!no_cuts && (cuts.x.size() != px + 1 || cuts.y.size() != px * (py + 1) ||
-                   cuts.z.size() != px * py * (pz + 1))) {
+  const bool undecomposed = ranks() > 1 && cuts.x.empty() && cuts.y.empty() && cuts.z.empty();
+  if (!undecomposed && (cuts.x.size() != px + 1 || cuts.y.size() != px * (py + 1) ||
+                        cuts.z.size() != px * py * (pz + 1))) {
     throw std::runtime_error(
         "checkpoint: invalid domain cuts: x/y/z cut counts do not match the px*py*pz grid");
   }

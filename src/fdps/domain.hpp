@@ -31,6 +31,8 @@ namespace asura::fdps {
 
 class DomainDecomposer {
  public:
+  /// A one-cell (1x1x1) grid holds its only decomposition, every cut at
+  /// +-kHuge, from construction: it is never cut, sampled or measured.
   DomainDecomposer(int px, int py, int pz);
 
   /// Decomposition sample budget per rank.
@@ -38,8 +40,9 @@ class DomainDecomposer {
 
   /// Collective over `comm`: sample up to kSampleCap local positions, each
   /// weighted 1 + work when `weighted` (1 otherwise), compute the cut
-  /// hierarchy on rank 0 and broadcast it.
-  void decompose(comm::Comm& comm, std::span<const Particle> local, util::Pcg32& rng,
+  /// hierarchy on rank 0 and broadcast it. Returns whether it cut: false at
+  /// once on a one-cell grid, drawing nothing from `rng`.
+  bool decompose(comm::Comm& comm, std::span<const Particle> local, util::Pcg32& rng,
                  bool weighted);
 
   /// Serial convenience (single "rank"): equal-count cuts from the full set.
@@ -49,7 +52,7 @@ class DomainDecomposer {
   /// weight decompose() would give them) and re-run decompose() iff
   /// max/mean over ranks exceeds `threshold`. Returns true iff it re-cut;
   /// `imbalance_out` (optional) receives the measured max/mean, identical
-  /// on every rank.
+  /// on every rank. A one-cell grid returns false at once.
   bool maintain(comm::Comm& comm, std::span<const Particle> local, util::Pcg32& rng,
                 bool weighted, double threshold, double* imbalance_out = nullptr);
 
@@ -74,8 +77,8 @@ class DomainDecomposer {
   /// of a previous run makes ownerOf() bitwise identical to that run without
   /// re-sampling — re-decomposition would consume rng state and shift every
   /// downstream migration decision. restoreCuts rejects, with a
-  /// std::runtime_error, cut vectors that are neither empty (not yet
-  /// decomposed) nor px+1, px*(py+1) and px*py*(pz+1) long.
+  /// std::runtime_error, cut vectors that are neither empty (a multi-cell
+  /// grid not yet decomposed) nor px+1, px*(py+1) and px*py*(pz+1) long.
   struct Cuts {
     std::vector<double> x, y, z;
   };

@@ -488,12 +488,12 @@ TEST(Checkpoint, UnsupportedFileVersionRejected) {
 }
 
 TEST(Checkpoint, UnsupportedStateVersionRejected) {
-  // Only state payload version 5 is read; the version word leads the payload.
+  // Only state payload version 6 is read; the version word leads the payload.
   const auto ic = gasBall(60, 5.0, 1.0, 8, 3000.0);
   const SimulationConfig cfg = quietConfig();
   Simulation sim(ic, cfg);
   const auto good = stateBytes(sim);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
     auto bytes = good;
     bytes[0] = static_cast<char>(version);
     Simulation fresh(ic, cfg);
@@ -560,7 +560,7 @@ TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
 // Wire layout pin
 //
 // CRC-32 of serializeState for fixed, unstepped states built from literal
-// values, recorded for state v5. A codec change that adds, drops, reorders
+// values, recorded for state v6. A codec change that adds, drops, reorders
 // or re-types a field moves these; such a change must also bump
 // kStateVersion, and re-record the constants with it.
 // ---------------------------------------------------------------------------
@@ -618,7 +618,7 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
                     std::make_shared<asura::core::NullBackend>());
   serial.pool()->submit(0, literalParticles(2, 900), {0.0, 0.0, 0.0},
                         asura::units::E_SN, 0.1);
-  EXPECT_EQ(stateCrc(serial), 0xafbc3a9du);
+  EXPECT_EQ(stateCrc(serial), 0xeedef0bdu);
 
   // Two ranks with an engine attached, before any step.
   std::vector<std::uint32_t> crcs(2);
@@ -628,8 +628,8 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
     sim.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
     crcs[static_cast<std::size_t>(comm.rank())] = stateCrc(sim);
   });
-  EXPECT_EQ(crcs[0], 0x07d7420cu);
-  EXPECT_EQ(crcs[1], 0xe0f69a17u);
+  EXPECT_EQ(crcs[0], 0xaf3609d5u);
+  EXPECT_EQ(crcs[1], 0x36c315dbu);
 }
 
 // ---------------------------------------------------------------------------
@@ -730,6 +730,15 @@ TEST(Checkpoint, RestoreRejectsOutOfRangeParticleIndices) {
   }
 }
 
+/// The last particle of `sim`'s list followed by a u64 local count `n`: the
+/// needle a local-count rewrite searches for (the count follows the list).
+std::vector<char> lastParticleAndCount(const Simulation& sim, std::uint64_t n) {
+  auto bytes = encoded(sim.particles().back());
+  const auto count = encoded(n);
+  bytes.insert(bytes.end(), count.begin(), count.end());
+  return bytes;
+}
+
 TEST(Checkpoint, RestoreRejectsGhostCountNotMatchingImports) {
   // A real 2-rank payload after one step. The next full pass refreshes the
   // ghost suffix in place, so a clean cache whose import_counts do not sum
@@ -754,13 +763,8 @@ TEST(Checkpoint, RestoreRejectsGhostCountNotMatchingImports) {
           *c += 1;
           bad = encoded(counts);
         } else {
-          // The u64 local count follows the last particle of the list.
-          good = encoded(a.particles().back());
-          bad = good;
-          const auto count = encoded(std::uint64_t{a.nLocal()});
-          const auto past = encoded(std::uint64_t{a.particles().size() + 1});
-          good.insert(good.end(), count.begin(), count.end());
-          bad.insert(bad.end(), past.begin(), past.end());
+          good = lastParticleAndCount(a, a.nLocal());
+          bad = lastParticleAndCount(a, a.particles().size() + 1);
         }
         const auto at = findBytes(bytes, good);
         ASSERT_NE(at, std::string::npos);
@@ -776,6 +780,28 @@ TEST(Checkpoint, RestoreRejectsGhostCountNotMatchingImports) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
     }
+  }
+
+  // One rank: a serial payload after one step that claims one local fewer,
+  // leaving a one-particle ghost tail. A one-rank cache never exchanges, so
+  // it is stale, and the next phase 0 would drop that particle.
+  const auto serial_ic = gasBall(200, 8.0, 1.0, 23, 3000.0);
+  Simulation a(serial_ic, quietConfig());
+  a.step();
+  auto bytes = stateBytes(a);
+  const auto good = lastParticleAndCount(a, a.nLocal());
+  const auto bad = lastParticleAndCount(a, a.particles().size() - 1);
+  const auto at = findBytes(bytes, good);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(findBytes(bytes, good, at + 1), std::string::npos);
+  std::copy(bad.begin(), bad.end(), bytes.begin() + static_cast<std::ptrdiff_t>(at));
+  Simulation b(serial_ic, quietConfig());
+  asura::io::ByteReader r(bytes.data(), bytes.size());
+  try {
+    b.restoreState(r);
+    ADD_FAILURE() << "a serial payload with a ghost tail restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("local count"), std::string::npos) << e.what();
   }
 }
 

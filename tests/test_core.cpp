@@ -555,16 +555,16 @@ TEST(Simulation, TimersCoverTheEightStepScheme) {
   sim.step();
   std::set<std::string> recorded;
   for (const auto& [name, seconds] : sim.timers().entries()) recorded.insert(name);
+  // A serial step is the one-rank step: it records the exchange categories
+  // too, and they hold next to nothing (perfbench's mw_mini_p1 reads them).
   for (const char* cat :
-       {"Identify_SNe", "Send_SNe", "Integration", "1st Calc_Kernel_Size_and_Density",
-        "1st Make_Local_Tree", "1st Calc_Force", "Final_kick", "Receive_SNe",
-        "Star_Formation", "Feedback_and_Cooling", "2nd Calc_Kernel_Size", "2nd Make_Tree",
-        "2nd Calc_Force", "Tree_Build", "Tree_Walk (cpu)", "Interaction_Kernel (cpu)"}) {
+       {"Exchange_Particle", "Identify_SNe", "Send_SNe", "Integration",
+        "1st Exchange_LET", "1st Calc_Kernel_Size_and_Density", "1st Make_Local_Tree",
+        "1st Calc_Force", "Final_kick", "Receive_SNe", "Star_Formation",
+        "Feedback_and_Cooling", "2nd Calc_Kernel_Size", "2nd Make_Tree",
+        "2nd Exchange_LET", "2nd Calc_Force", "Tree_Build", "Tree_Walk (cpu)",
+        "Interaction_Kernel (cpu)"}) {
     EXPECT_EQ(recorded.count(cat), 1u) << cat;
-  }
-  // A serial step exchanges nothing (test_distributed checks the ranks do).
-  for (const char* cat : {"Exchange_Particle", "1st Exchange_LET", "2nd Exchange_LET"}) {
-    EXPECT_EQ(recorded.count(cat), 0u) << cat;
   }
   // The force evaluation must actually have consumed time.
   EXPECT_GT(sim.timers().total("1st Calc_Force"), 0.0);

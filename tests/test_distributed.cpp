@@ -1,8 +1,9 @@
 // Tests for the distributed step driver: 1-vs-P rank invariance (global and
-// hierarchical modes, and overlapping SNe at one rank), exact conservation
-// across exchanges, the LET/ghost exchange-cache counters (one exchange per
-// step, zero exportLet walks on the second pass), the exchange timer
-// categories, the stale-reach regression, and cross-rank SN capture.
+// hierarchical modes; at one rank also overlapping SNe, and star formation
+// above the decomposition sample cap), exact conservation across exchanges,
+// the LET/ghost exchange-cache counters (one exchange per step, zero
+// exportLet walks on the second pass), the exchange timer categories, the
+// stale-reach regression, and cross-rank SN capture.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "core/distributed.hpp"
 #include "core/simulation.hpp"
 #include "ic_fixtures.hpp"
+#include "io/particle_codec.hpp"
+#include "io/serialize.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -90,9 +93,13 @@ std::vector<Particle> runDistributed(const std::vector<Particle>& ic, int P,
 }
 
 std::vector<Particle> runSerial(const std::vector<Particle>& ic,
-                                SimulationConfig cfg, int steps) {
+                                SimulationConfig cfg, int steps,
+                                std::vector<StepStats>* stats = nullptr) {
   Simulation sim(ic, cfg);
-  for (int s = 0; s < steps; ++s) sim.step();
+  for (int s = 0; s < steps; ++s) {
+    const StepStats st = sim.step();
+    if (stats != nullptr) stats->push_back(st);
+  }
   auto parts = sim.particles();
   std::sort(parts.begin(), parts.end(),
             [](const Particle& a, const Particle& b) { return a.id < b.id; });
@@ -117,14 +124,28 @@ Mismatch compare(const std::vector<Particle>& a, const std::vector<Particle>& b)
   return m;
 }
 
+/// Particles of two id-sorted lists whose records, as the checkpoint codec
+/// encodes every field, differ.
+std::size_t bitwiseDifferences(const std::vector<Particle>& a, const std::vector<Particle>& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    asura::io::ByteWriter wa, wb;
+    wa(a[i]);
+    wb(b[i]);
+    if (wa.bytes() != wb.bytes()) ++n;
+  }
+  return n;
+}
+
 // ---------------------------------------------------------------------------
 // Rank invariance
 // ---------------------------------------------------------------------------
 
 TEST(Distributed, OneRankMatchesSerialBitwise) {
-  // A 1-rank distributed run is the serial pipeline plus no-op collectives:
-  // empty LET, empty ghost suffix, identity reductions. Any state
-  // difference means the distributed refactor leaked into the serial path.
+  // A 1-rank distributed run is the serial step: empty LET, empty ghost
+  // suffix, identity reductions. Any state difference means an engine
+  // rule leaked into the one-rank path.
   const auto ic = gasBall(600, 10.0, 1.0, 42, 3000.0);
   SimulationConfig cfg = quietConfig();
   const auto serial = runSerial(ic, cfg, 4);
@@ -133,6 +154,25 @@ TEST(Distributed, OneRankMatchesSerialBitwise) {
   EXPECT_EQ(m.pos, 0.0);
   EXPECT_EQ(m.vel, 0.0);
   EXPECT_EQ(m.u, 0.0);
+
+  // Above DomainDecomposer::kSampleCap a decomposition samples from the
+  // step rng, which star formation draws from too: on a cold dense ball any
+  // one-rank sampling shows as different stars.
+  const auto cold = gasBall(6000, 6.0, 50.0, 7, 30.0);
+  SimulationConfig sf;
+  sf.use_surrogate = false;
+  sf.sph.n_ngb = 32;
+  std::vector<StepStats> serial_stats, dist_stats;
+  const auto serial_sf = runSerial(cold, sf, 4, &serial_stats);
+  const auto dist_sf = runDistributed(cold, 1, sf, engineConfig(), 4, &dist_stats);
+  const auto formed = [](const std::vector<StepStats>& stats) {
+    int n = 0;
+    for (const auto& s : stats) n += s.stars_formed;
+    return n;
+  };
+  EXPECT_GT(formed(serial_stats), 0);
+  EXPECT_EQ(formed(dist_stats), formed(serial_stats));
+  EXPECT_EQ(bitwiseDifferences(serial_sf, dist_sf), 0u);
 }
 
 TEST(Distributed, OneRankMatchesSerialWithOverlappingSupernovae) {

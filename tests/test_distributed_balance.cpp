@@ -413,6 +413,13 @@ TEST(DomainBalance, RestoreCutsRejectsMapsOwnerOfCannotIndex) {
   dd.restoreCuts(cuts);
   EXPECT_EQ(dd.ownerOf({-0.5, 0.0, 0.0}), 0);
   EXPECT_EQ(dd.ownerOf({0.5, 0.0, 0.0}), 1);
+
+  // A one-cell grid holds its only cuts from construction: empty cuts mean
+  // "not yet decomposed" only on a multi-cell grid.
+  DomainDecomposer one(1, 1, 1);
+  EXPECT_THROW(one.restoreCuts({}), std::runtime_error);
+  one.restoreCuts(one.saveCuts());
+  EXPECT_EQ(one.ownerOf({-1.0e20, 0.0, 1.0e20}), 0);
 }
 
 TEST(DomainBalance, WeightedRestartMatchesContinuousBitwise) {
