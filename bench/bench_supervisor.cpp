@@ -1,22 +1,30 @@
 // Supervisor overhead benchmark: what does self-healing cost when nothing
-// goes wrong? Three measurements:
+// goes wrong? Four measurements:
 //
-//   BM_RingSnapshotPush     — one in-memory ring push (serializeState +
-//                             CRC-32), the per-interval unit cost;
-//   BM_RawStepLoop          — the unsupervised kLoopSteps-step loop
-//                             (baseline);
-//   BM_SupervisedStepLoop   — the same loop under the Supervisor at
-//                             snapshot intervals 1 and 10 (watchdog on).
+//   BM_RingSnapshotPush        — one in-memory ring push (serializeState +
+//                                CRC-32), the per-interval unit cost;
+//   BM_RawStepLoop             — the unsupervised kLoopSteps-step loop on
+//                                the calling thread (baseline);
+//   BM_RawStepLoopOnRankThread — the same raw loop on Cluster(1)'s rank
+//                                thread, where the Supervisor runs it;
+//   BM_SupervisedStepLoop      — the loop under the Supervisor at snapshot
+//                                intervals 1 and 10 (watchdog on).
 //
 // kLoopSteps = 40 lets interval 10 take four pushes after the one at
 // attempt start, so the record shows the cadence and not the set-up.
 //
 // The ring push is memory-bandwidth bound (SetBytesProcessed reports the
 // serialized state size). Measured (BENCH_supervisor.json, 1,000 particles,
-// ~4.5 ms steps): a 1.2 ms push, and a supervised loop 18 % slower than the
-// raw one at interval 10 and 50 % at interval 1. Fitting both intervals
-// gives ~1.6 ms per push and ~24 ms per supervised run outside the pushes,
-// so at interval 10 the pushes are under a quarter of the overhead.
+// OpenMP 4, shared 4-vCPU VM): a 1.4 ms push, and a raw loop of 209 ms on
+// the calling thread but 338 ms on the rank thread, with the supervised
+// loop at 341 ms (interval 10) and 277 ms (interval 1). The supervised rows
+// track the rank-thread row, not the pushes. A rank thread starts its own
+// OpenMP team while the calling thread's team, left by the rows before it,
+// sits idle, and the two contend: run alone in a process, the rank-thread
+// loop matches the raw one, and with OMP_WAIT_POLICY=active (the idle team
+// keeps spinning) it is 4x slower. So the fresh-thread rows move with the
+// host's load (rank-thread medians 215-1,187 ms over six recordings, raw
+// 192-265 ms).
 //
 //   ./build/bench_supervisor --benchmark_repetitions=5 \
 //     --benchmark_report_aggregates_only=true \
@@ -108,6 +116,23 @@ void BM_RawStepLoop(benchmark::State& state) {
   state.counters["steps"] = kLoopSteps;
 }
 BENCHMARK(BM_RawStepLoop)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+// The raw loop where the Supervisor runs it: on Cluster(1)'s rank thread, a
+// fresh std::thread per run. Sets the supervised loop apart from its thread.
+void BM_RawStepLoopOnRankThread(benchmark::State& state) {
+  const auto ic = benchIc(static_cast<int>(state.range(0)));
+  const auto cfg = benchConfig();
+  Cluster cluster(1);
+  for (auto _ : state) {
+    cluster.run([&](Comm&) {
+      Simulation sim(ic, cfg);
+      for (long s = 0; s < kLoopSteps; ++s) sim.step();
+      benchmark::DoNotOptimize(sim.time());
+    });
+  }
+  state.counters["steps"] = kLoopSteps;
+}
+BENCHMARK(BM_RawStepLoopOnRankThread)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_SupervisedStepLoop(benchmark::State& state) {
   const auto ic = benchIc(static_cast<int>(state.range(0)));

@@ -163,10 +163,10 @@ class Cluster {
   /// assert silent delivery (and zero-overhead production paths) keep the
   /// unguarded behaviour. Set before run().
   void setMessageGuard(bool on) {
-    guard_messages_.store(on, std::memory_order_release);
+    message_guard_.store(on, std::memory_order_release);
   }
   [[nodiscard]] bool messageGuard() const {
-    return guard_messages_.load(std::memory_order_acquire);
+    return message_guard_.load(std::memory_order_acquire);
   }
 
   // --- fault injection ------------------------------------------------------
@@ -258,7 +258,7 @@ class Cluster {
   std::atomic<int> next_comm_id_{1};
   std::atomic<std::uint64_t> msg_count_{0};
   std::atomic<std::uint64_t> byte_count_{0};
-  std::atomic<bool> guard_messages_{false};
+  std::atomic<bool> message_guard_{false};
 
   // --- cooperative abort ---
   std::atomic<bool> abort_flag_{false};

@@ -61,7 +61,7 @@ std::vector<long> SnapshotRing::validSteps() const {
   return steps;
 }
 
-void SnapshotRing::restoreEntry(SnapshotEntry& e, Simulation& sim,
+void SnapshotRing::restoreEntry(SnapshotEntry& e, Simulation& sim, int level,
                                 const std::string& who) {
   if (io::crc32(e.bytes.data(), e.bytes.size()) != e.crc) {
     e.valid = false;
@@ -75,6 +75,7 @@ void SnapshotRing::restoreEntry(SnapshotEntry& e, Simulation& sim,
     throw std::runtime_error(who + ": trailing ring bytes at step " +
                              std::to_string(e.step));
   }
+  sim.config() = escalateConfig(sim.config(), level);
 }
 
 SimulationConfig escalateConfig(SimulationConfig base, int level) {

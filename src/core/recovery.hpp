@@ -70,11 +70,13 @@ class SnapshotRing {
   [[nodiscard]] int slots() const { return static_cast<int>(slots_.size()); }
   [[nodiscard]] const std::vector<SnapshotEntry>& entries() const { return slots_; }
 
-  /// CRC-verify `e` and restore it into `sim`. On CRC mismatch or trailing
+  /// CRC-verify `e`, restore it into `sim` and re-apply ladder `level` to
+  /// the restored config (which predates the escalation; the backend choice
+  /// is construction-time and unaffected). On CRC mismatch or trailing
   /// bytes the entry is poisoned (valid = false) so the next rollback falls
   /// back to an older snapshot instead of re-reading the same corrupt bytes
   /// forever, and a std::runtime_error naming `who` is thrown.
-  static void restoreEntry(SnapshotEntry& e, Simulation& sim,
+  static void restoreEntry(SnapshotEntry& e, Simulation& sim, int level,
                            const std::string& who);
 
  private:

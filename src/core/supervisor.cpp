@@ -66,15 +66,10 @@ void Supervisor::attemptBody(comm::Comm& comm, long target_step,
                                " has no ring entry for step " +
                                std::to_string(resume_step));
     }
-    // A CRC mismatch or trailing bytes poisons the entry so the next attempt
-    // falls back to an older common step instead of re-reading the same
-    // corrupt bytes forever.
-    SnapshotRing::restoreEntry(*entry, *sim,
+    // A corrupt entry is poisoned, so the next attempt falls back to an
+    // older common step.
+    SnapshotRing::restoreEntry(*entry, *sim, plan.level,
                                "supervisor rank " + std::to_string(wr));
-    // restoreState brought back the snapshot's config, which predates this
-    // attempt's ladder level — re-apply the escalation knobs (the backend
-    // choice is construction-time and unaffected by restore).
-    sim->config() = escalateConfig(sim->config(), plan.level);
   } else if (ring.lastStep() != sim->stepCount()) {
     // Fresh start: seed the ring with the pre-step state so even a failure
     // before the first interval snapshot rolls back instead of restarting
@@ -134,8 +129,11 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
   RunReport rep;
   rep.target_step = target_step;
 
+  // Every message carries a send-side CRC under supervision, so in-flight
+  // corruption surfaces at recv (comm::MessageCorrupt) and is retried
+  // instead of silently diverging the physics.
   const bool prev_guard = cluster_.messageGuard();
-  cluster_.setMessageGuard(cfg_.guard_messages);
+  cluster_.setMessageGuard(true);
 
   double backoff_ms = cfg_.backoff_initial_ms;
   std::vector<long> progress(static_cast<std::size_t>(nranks), -1);

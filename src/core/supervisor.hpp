@@ -66,10 +66,6 @@ struct SupervisorConfig {
   bool watchdog = true;             ///< run the hang detector
   double watchdog_deadline_s = 5.0; ///< max heartbeat silence before abort
   double watchdog_poll_s = 0.02;    ///< heartbeat sampling interval
-  /// Guard every message with a send-side CRC so in-flight corruption is
-  /// detected at recv (comm::MessageCorrupt) instead of silently diverging
-  /// the physics. On by default under supervision.
-  bool guard_messages = true;
   /// Where the give-up path writes the last good ring state as an ordinary
   /// "ASURACKP" checkpoint (empty: no post-mortem file).
   std::string postmortem_path;
@@ -130,7 +126,8 @@ class Supervisor {
   /// Drive every rank's Simulation to `target_step`, self-healing on
   /// failure. Blocks until the run completes or the retry budget is spent;
   /// never throws for run failures (the report carries them) — only for
-  /// supervisor misuse (e.g. a null factory result).
+  /// supervisor misuse (e.g. a null factory result). The cluster's message
+  /// guard (Cluster::setMessageGuard) is on for the run and restored after.
   RunReport run(long target_step, const SimulationConfig& base,
                 const Factory& make, const Finisher& on_complete = {});
 

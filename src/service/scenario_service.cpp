@@ -1,11 +1,11 @@
 #include "service/scenario_service.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 
 #include "io/checkpoint.hpp"
-#include "io/serialize.hpp"
 #include "sph/kernels.hpp"
 #include "util/omp.hpp"
 
@@ -13,22 +13,26 @@ namespace asura::service {
 
 namespace {
 
+/// Per-step latencies retained per instance (a ring; the bench's p50/p99
+/// source).
+constexpr std::size_t kLatencySamples = std::size_t{1} << 14;
+
 double nowMs() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double, std::milli>(clock::now().time_since_epoch())
       .count();
 }
 
-/// Minimal scope guard: the lease-release bookkeeping must run on every exit
-/// path of a control op, including the throwing ones.
-template <class F>
-struct ScopeExit {
-  F fn;
-  ~ScopeExit() { fn(); }
-};
-template <class F>
-ScopeExit<F> onScopeExit(F fn) {
-  return {std::move(fn)};
+Snapshot toSnapshot(InstanceId id, const core::SnapshotEntry& e) {
+  return Snapshot{id, e.step, e.time, e.crc,
+                  std::make_shared<const std::vector<char>>(e.bytes)};
+}
+
+void requireEdge(const char* op, InstanceState from, InstanceState to) {
+  if (!transitionAllowed(from, to)) {
+    throw std::runtime_error(std::string(op) + ": illegal transition " +
+                             toString(from) + " -> " + toString(to));
+  }
 }
 
 }  // namespace
@@ -98,11 +102,12 @@ struct ScenarioService::Instance {
   long wasted_steps = 0;
   std::string last_error;
 
-  // Scheduling flags. All plain fields are mutated under mu_ OR under the
-  // exclusive lease; `interrupt` is the one flag a control op raises while
-  // a stepping worker reads it between steps, hence atomic.
+  // Scheduling flags: `pending_fail` is set under the lease, the others
+  // under mu_. `interrupt` is the one flag a control call raises while a
+  // stepping worker reads it between steps, hence atomic.
   bool leased = false;
   bool queued = false;
+  int lease_waiters = 0;  ///< control calls waiting for the lease
   bool pending_pause = false;
   bool pending_fail = false;
   std::atomic<bool> interrupt{false};
@@ -122,6 +127,8 @@ struct ScenarioService::Instance {
   long pub_snapshots = 0;
   long pub_snapshot_step = -1;
 
+  // Written under the lease AND mu_, so unsubscribe can find a token's
+  // owner under mu_ alone and the lease holder can read without mu_.
   std::vector<std::pair<std::uint64_t, SnapshotSubscriber>> subscribers;
   std::function<void(core::Simulation&, long)> hook;
 
@@ -151,6 +158,68 @@ struct ScenarioService::Instance {
     pub_snapshots = static_cast<long>(ring.pushes());
     pub_snapshot_step = ring.lastStep();
   }
+
+  /// The published view (mu_ held).
+  [[nodiscard]] InstanceInfo view() const {
+    InstanceInfo out;
+    out.id = id;
+    out.name = name;
+    out.state = state;
+    out.step = pub_step;
+    out.target_step = target_step;
+    out.time = pub_time;
+    out.cloned_from = cloned_from;
+    out.retries = pub_retries;
+    out.escalation_level = pub_escalation_level;
+    out.rollbacks = pub_rollbacks;
+    out.wasted_steps = pub_wasted_steps;
+    out.last_error = pub_last_error;
+    out.heartbeat_step = hb.step.load(std::memory_order_relaxed);
+    out.heartbeat_phase = hb.phase.load(std::memory_order_relaxed);
+    out.heartbeats = hb.beats.load(std::memory_order_relaxed);
+    out.snapshots = pub_snapshots;
+    out.snapshot_step = pub_snapshot_step;
+    return out;
+  }
+};
+
+/// An exclusive instance lease taken by a control call on its caller's
+/// thread. Taking it waits only for this instance: for the slice a worker is
+/// stepping (a waiting call goes before the instance's next slice), or for
+/// another call's lease. The instance leaves the run queue while leased;
+/// releasing requeues it if it is still Running. The holder owns everything
+/// a worker mutates under its lease: the Simulation, the ring, the recovery
+/// counters, the subscribers, the hook and the latencies.
+class ScenarioService::Lease {
+ public:
+  Lease(ScenarioService& svc, InstanceId id) : svc_(svc) {
+    std::unique_lock<std::mutex> lk(svc_.mu_);
+    inst_ = &svc_.instanceRef(id);
+    ++svc_.leases_;
+    ++inst_->lease_waiters;
+    svc_.cv_.wait(lk, [this] { return !inst_->leased; });
+    --inst_->lease_waiters;
+    inst_->leased = true;
+    svc_.dequeue(*inst_);
+  }
+  ~Lease() {
+    {
+      std::lock_guard<std::mutex> lk(svc_.mu_);
+      inst_->leased = false;
+      --svc_.leases_;
+      svc_.requeue(*inst_);
+    }
+    svc_.cv_.notify_all();
+  }
+  Lease(const Lease&) = delete;
+  Lease& operator=(const Lease&) = delete;
+
+  Instance* operator->() const { return inst_; }
+  Instance& operator*() const { return *inst_; }
+
+ private:
+  ScenarioService& svc_;
+  Instance* inst_;
 };
 
 ScenarioService::ScenarioService(ServiceConfig cfg) : cfg_(cfg) {
@@ -162,11 +231,10 @@ ScenarioService::ScenarioService(ServiceConfig cfg) : cfg_(cfg) {
   if (cfg_.snapshot_interval < 1) bad("snapshot_interval must be >= 1");
   if (cfg_.ring_slots < 2) bad("ring_slots must be >= 2");
   if (cfg_.max_retries < 0) bad("max_retries must be non-negative");
-  if (cfg_.latency_samples < 1) bad("latency_samples must be >= 1");
 
   workers_.reserve(static_cast<std::size_t>(cfg_.n_workers));
   for (int w = 0; w < cfg_.n_workers; ++w) {
-    workers_.emplace_back([this, w] { workerLoop(w); });
+    workers_.emplace_back([this] { workerLoop(); });
   }
 }
 
@@ -179,24 +247,6 @@ ScenarioService::~ScenarioService() {
   for (auto& t : workers_) t.join();
 }
 
-// ---------------------------------------------------------------------------
-// Control-plane plumbing
-// ---------------------------------------------------------------------------
-
-void ScenarioService::submitAndWait(const std::function<void()>& fn) {
-  auto op = std::make_shared<ControlOp>();
-  op->fn = fn;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stop_) throw std::runtime_error("scenario service is shutting down");
-    control_queue_.push_back(op);
-  }
-  cv_.notify_all();
-  std::unique_lock<std::mutex> lk(op->m);
-  op->cv.wait(lk, [&] { return op->done; });
-  if (op->error) std::rethrow_exception(op->error);
-}
-
 ScenarioService::Instance& ScenarioService::instanceRef(InstanceId id) {
   for (auto& inst : instances_) {
     if (inst->id == id) return *inst;
@@ -205,96 +255,51 @@ ScenarioService::Instance& ScenarioService::instanceRef(InstanceId id) {
                            std::to_string(id));
 }
 
-void ScenarioService::enqueueRunnable(InstanceId id) {
-  Instance& inst = instanceRef(id);
-  if (!inst.queued && !inst.leased) {
-    run_queue_.push_back(id);
-    inst.queued = true;
-  }
-}
-
-std::unique_lock<std::mutex> ScenarioService::leaseForControl(Instance& inst) {
-  std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] { return !inst.leased; });
-  inst.leased = true;
-  // Pull it off the run queue while we hold it: a stepping worker must not
-  // pick it up underneath the control op.
+void ScenarioService::dequeue(Instance& inst) {
   if (inst.queued) {
-    run_queue_.erase(std::remove(run_queue_.begin(), run_queue_.end(), inst.id),
+    run_queue_.erase(std::remove(run_queue_.begin(), run_queue_.end(), &inst),
                      run_queue_.end());
     inst.queued = false;
   }
-  return lk;
+}
+
+void ScenarioService::requeue(Instance& inst) {
+  if (inst.state == InstanceState::Running && !inst.queued && !inst.leased &&
+      inst.lease_waiters == 0) {
+    run_queue_.push_back(&inst);
+    inst.queued = true;
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Worker pool
 // ---------------------------------------------------------------------------
 
-void ScenarioService::workerLoop(int worker_index) {
-  (void)worker_index;
+void ScenarioService::workerLoop() {
   // Per-thread ICV: each worker pins its own OpenMP width for the parallel
   // regions inside step(). Bitwise-neutral (thread-count determinism is a
   // step() contract); pure throughput tuning.
   util::ompSetThreads(cfg_.omp_threads_per_instance);
 
   for (;;) {
-    std::shared_ptr<ControlOp> op;
-    InstanceId run_id = 0;
+    Instance* inst;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] {
-        return stop_ || !control_queue_.empty() || !run_queue_.empty();
-      });
-      if (!control_queue_.empty()) {
-        // Control ops outrank stepping so the control plane stays
-        // responsive while every worker is saturated with physics; on
-        // shutdown the queue is still drained so no submitter hangs.
-        op = control_queue_.front();
-        control_queue_.pop_front();
-        ++active_slices_;
-      } else if (stop_) {
-        return;
-      } else {
-        run_id = run_queue_.front();
-        run_queue_.pop_front();
-        Instance& inst = instanceRef(run_id);
-        inst.queued = false;
-        inst.leased = true;
-        ++active_slices_;
-      }
+      cv_.wait(lk, [&] { return stop_ || !run_queue_.empty(); });
+      if (stop_) return;
+      inst = run_queue_.front();
+      run_queue_.pop_front();
+      inst->queued = false;
+      inst->leased = true;
+      ++leases_;
     }
-
-    if (op) {
-      try {
-        op->fn();
-      } catch (...) {
-        op->error = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lk(op->m);
-        op->done = true;
-      }
-      op->cv.notify_all();
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        --active_slices_;
-      }
-      cv_.notify_all();
-      continue;
-    }
-
+    // The lease is exclusive: no lock needed around the physics.
+    runSlice(*inst);
     {
-      Instance* inst;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        inst = &instanceRef(run_id);
-      }
-      // The lease is exclusive: no lock needed around the physics.
-      runSlice(*inst);
-
       std::lock_guard<std::mutex> lk(mu_);
       inst->publish();
+      inst->leased = false;
+      --leases_;
       if (inst->pending_fail) {
         inst->state = InstanceState::Failed;
         inst->pending_fail = false;
@@ -302,13 +307,10 @@ void ScenarioService::workerLoop(int worker_index) {
       } else if (inst->pending_pause || inst->pub_step >= inst->target_step) {
         inst->state = InstanceState::Paused;
         inst->pending_pause = false;
-      } else if (inst->state == InstanceState::Running) {
-        run_queue_.push_back(inst->id);
-        inst->queued = true;
+      } else {
+        requeue(*inst);
       }
       inst->interrupt.store(false, std::memory_order_relaxed);
-      inst->leased = false;
-      --active_slices_;
     }
     cv_.notify_all();
   }
@@ -329,12 +331,11 @@ void ScenarioService::runSlice(Instance& inst) {
       const double t0 = nowMs();
       inst.sim->step();
       const double t1 = nowMs();
-      const std::size_t cap = cfg_.latency_samples;
-      if (inst.latencies.size() < cap) {
+      if (inst.latencies.size() < kLatencySamples) {
         inst.latencies.push_back(t1 - t0);
       } else {
-        inst.latencies[static_cast<std::size_t>(inst.latency_count % cap)] =
-            t1 - t0;
+        inst.latencies[static_cast<std::size_t>(inst.latency_count %
+                                                kLatencySamples)] = t1 - t0;
       }
       ++inst.latency_count;
     } catch (const std::exception& e) {
@@ -400,10 +401,8 @@ void ScenarioService::recoverOrFail(Instance& inst, const std::string& cause) {
     if (!entry) {
       throw std::runtime_error("no valid ring snapshot to roll back to");
     }
-    core::SnapshotRing::restoreEntry(*entry, *inst.sim,
+    core::SnapshotRing::restoreEntry(*entry, *inst.sim, plan.level,
                                      "instance " + std::to_string(inst.id));
-    // The snapshot's config predates this attempt's ladder level.
-    inst.sim->config() = core::escalateConfig(inst.sim->config(), plan.level);
     inst.wireHeartbeat();
     ++inst.rollbacks;
     inst.wasted_steps += std::max(0L, failed_at - entry->step);
@@ -417,13 +416,7 @@ void ScenarioService::recoverOrFail(Instance& inst, const std::string& cause) {
 void ScenarioService::pushSnapshotLeased(Instance& inst) {
   inst.ring.push(*inst.sim);
   if (inst.subscribers.empty()) return;
-  const core::SnapshotEntry* e = inst.ring.latest();
-  Snapshot snap;
-  snap.instance = inst.id;
-  snap.step = e->step;
-  snap.time = e->time;
-  snap.crc = e->crc;
-  snap.bytes = std::make_shared<const std::vector<char>>(e->bytes);
+  const Snapshot snap = toSnapshot(inst.id, *inst.ring.latest());
   for (const auto& [token, fn] : inst.subscribers) {
     (void)token;
     // Subscribers are observers: a throwing callback must neither perturb
@@ -436,105 +429,69 @@ void ScenarioService::pushSnapshotLeased(Instance& inst) {
   }
 }
 
+InstanceId ScenarioService::admit(std::unique_ptr<Instance> inst) {
+  inst->ring.resize(cfg_.ring_slots);
+  inst->wireHeartbeat();
+  // Seed the ring with the starting state: rollback, clone and streaming
+  // work before the first interval snapshot, and a failure on the very
+  // first step still has somewhere to go.
+  inst->ring.push(*inst->sim);
+  inst->publish();
+  std::lock_guard<std::mutex> lk(mu_);
+  inst->id = next_id_++;
+  instances_.push_back(std::move(inst));
+  return instances_.back()->id;
+}
+
 // ---------------------------------------------------------------------------
 // Control plane
 // ---------------------------------------------------------------------------
 
 InstanceId ScenarioService::create(InstanceSpec spec) {
-  InstanceId id = 0;
-  submitAndWait([this, &spec, &id] {
-    auto inst = std::make_unique<Instance>();
-    inst->name = std::move(spec.name);
-    inst->base_cfg = spec.cfg;
-    inst->backend = std::move(spec.backend);
-    inst->sim = std::make_unique<core::Simulation>(std::move(spec.particles),
-                                                   spec.cfg, inst->backend);
-    // Admission check: reject a bad config here, with the exact step-entry
-    // diagnostics, instead of steps later on a worker thread.
-    inst->sim->validateConfig();
-    inst->ring.resize(cfg_.ring_slots);
-    inst->wireHeartbeat();
-    // Seed the ring with the creation state: rollback, clone and streaming
-    // work before the first interval snapshot, and a failure on the very
-    // first step still has somewhere to go.
-    inst->ring.push(*inst->sim);
-    inst->publish();
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst->id = next_id_++;
-      id = inst->id;
-      instances_.push_back(std::move(inst));
-    }
-  });
-  return id;
+  auto inst = std::make_unique<Instance>();
+  inst->name = std::move(spec.name);
+  inst->base_cfg = spec.cfg;
+  inst->backend = std::move(spec.backend);
+  inst->sim = std::make_unique<core::Simulation>(std::move(spec.particles),
+                                                 spec.cfg, inst->backend);
+  // Admission check: reject a bad config here, with the exact step-entry
+  // diagnostics, instead of steps later on a worker thread.
+  inst->sim->validateConfig();
+  return admit(std::move(inst));
 }
 
 InstanceId ScenarioService::clone(InstanceId src, std::string name,
                                   std::uint64_t reseed) {
-  InstanceId id = 0;
-  submitAndWait([this, src, &name, reseed, &id] {
-    Instance* source;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      source = &instanceRef(src);
-    }
-    auto lk = leaseForControl(*source);
-    auto release = onScopeExit([this, source] {
-      std::lock_guard<std::mutex> g(mu_);
-      source->leased = false;
-      if (source->state == InstanceState::Running &&
-          source->pub_step < source->target_step) {
-        enqueueRunnable(source->id);
-      }
-      cv_.notify_all();
-    });
-    lk.unlock();
-
-    core::SnapshotEntry* entry = source->ring.latest();
-    if (!entry) {
-      throw std::runtime_error("clone: source instance " + std::to_string(src) +
-                               " has no snapshot");
-    }
-    auto inst = std::make_unique<Instance>();
-    inst->name = std::move(name);
-    inst->cloned_from = src;
-    inst->base_cfg = source->base_cfg;
-    inst->backend = source->backend;
-    inst->oracle_forced = source->oracle_forced;
-    inst->escalation_level = source->escalation_level;
-    // Shell with the source's (possibly escalated) shape; the restore then
-    // replaces every byte of state with the snapshot's.
-    inst->sim = std::make_unique<core::Simulation>(
-        std::vector<fdps::Particle>{},
-        core::escalateConfig(source->base_cfg, source->escalation_level),
-        inst->backend);
-    core::SnapshotRing::restoreEntry(*entry, *inst->sim,
-                                     "clone of " + std::to_string(src));
-    inst->sim->config() =
-        core::escalateConfig(inst->sim->config(), source->escalation_level);
-    if (reseed != 0) inst->sim->reseedRng(reseed);
-    inst->ring.resize(cfg_.ring_slots);
-    inst->wireHeartbeat();
-    inst->ring.push(*inst->sim);
-    inst->publish();
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->id = next_id_++;
-      id = inst->id;
-      instances_.push_back(std::move(inst));
-    }
-  });
-  return id;
+  Lease source(*this, src);
+  core::SnapshotEntry* entry = source->ring.latest();
+  if (!entry) {
+    throw std::runtime_error("clone: source instance " + std::to_string(src) +
+                             " has no snapshot");
+  }
+  auto inst = std::make_unique<Instance>();
+  inst->name = std::move(name);
+  inst->cloned_from = src;
+  inst->base_cfg = source->base_cfg;
+  inst->backend = source->backend;
+  inst->oracle_forced = source->oracle_forced;
+  inst->escalation_level = source->escalation_level;
+  // Shell with the source's (possibly escalated) shape; the restore then
+  // replaces every byte of state with the snapshot's.
+  inst->sim = std::make_unique<core::Simulation>(
+      std::vector<fdps::Particle>{},
+      core::escalateConfig(source->base_cfg, source->escalation_level),
+      inst->backend);
+  core::SnapshotRing::restoreEntry(*entry, *inst->sim, source->escalation_level,
+                                   "clone of " + std::to_string(src));
+  if (reseed != 0) inst->sim->reseedRng(reseed);
+  return admit(std::move(inst));
 }
 
 void ScenarioService::start(InstanceId id, long target_step) {
-  submitAndWait([this, id, target_step] {
+  {
     std::lock_guard<std::mutex> lk(mu_);
     Instance& inst = instanceRef(id);
-    if (!transitionAllowed(inst.state, InstanceState::Running)) {
-      throw std::runtime_error(std::string("start: illegal transition ") +
-                               toString(inst.state) + " -> running");
-    }
+    requireEdge("start", inst.state, InstanceState::Running);
     if (target_step <= inst.pub_step) {
       throw std::runtime_error(
           "start: target step " + std::to_string(target_step) +
@@ -548,150 +505,117 @@ void ScenarioService::start(InstanceId id, long target_step) {
     // zero progress made toward the target.
     inst.pending_pause = false;
     inst.interrupt.store(false, std::memory_order_relaxed);
-    enqueueRunnable(id);
-  });
+    requeue(inst);
+  }
   cv_.notify_all();
 }
 
 void ScenarioService::pause(InstanceId id) {
-  submitAndWait([this, id] {
-    std::unique_lock<std::mutex> lk(mu_);
-    Instance& inst = instanceRef(id);
-    if (inst.state == InstanceState::Paused) return;  // idempotent
-    if (!transitionAllowed(inst.state, InstanceState::Paused)) {
-      throw std::runtime_error(std::string("pause: illegal transition ") +
-                               toString(inst.state) + " -> paused");
-    }
-    if (!inst.leased) {
-      // Not mid-slice: take the lease ourselves, publish the snapshot the
-      // parked state promises, and transition directly.
-      run_queue_.erase(std::remove(run_queue_.begin(), run_queue_.end(), id),
-                       run_queue_.end());
-      inst.queued = false;
-      inst.leased = true;
-      // The park bookkeeping must run on every exit path: a snapshot push
-      // that throws (subscriber allocation, serializeState bad_alloc) would
-      // otherwise leak the lease and deadlock every future op on this
-      // instance. The sim state itself is untouched either way, so the
-      // instance still parks in Paused; the error propagates to the caller
-      // as "paused, but the promised snapshot was not pushed".
-      auto release = onScopeExit([&] {
-        if (!lk.owns_lock()) lk.lock();
-        inst.publish();
-        inst.state = InstanceState::Paused;
-        // A concurrent pause() racing this direct path may have raised the
-        // mid-slice flags after we took the lease; clear them so the next
-        // start() does not immediately re-park at the current step.
-        inst.pending_pause = false;
-        inst.interrupt.store(false, std::memory_order_relaxed);
-        inst.leased = false;
-        cv_.notify_all();
-      });
-      lk.unlock();
-      if (inst.sim && inst.ring.lastStep() != inst.sim->stepCount()) {
-        pushSnapshotLeased(inst);
-      }
-      return;
-    }
-    // Mid-slice: the stepping worker honors the interrupt at the next step
-    // boundary and parks the instance. Wait for it so pause() returning
-    // means "not running" (Paused, or Failed if the final step threw).
+  std::unique_lock<std::mutex> lk(mu_);
+  Instance& inst = instanceRef(id);
+  if (inst.state == InstanceState::Paused) return;  // idempotent
+  requireEdge("pause", inst.state, InstanceState::Paused);
+  if (inst.leased) {
+    // Mid-slice (or under another call's lease): the stepping worker honors
+    // the interrupt at the next step boundary and parks the instance. Wait
+    // for it so pause() returning means "not running" (Paused, or Failed if
+    // the final step threw).
     inst.pending_pause = true;
     inst.interrupt.store(true, std::memory_order_relaxed);
     cv_.wait(lk, [&] { return inst.state != InstanceState::Running; });
-  });
-  cv_.notify_all();
+    return;
+  }
+  // Not mid-slice: take the lease here, publish the snapshot the parked
+  // state promises, and transition directly.
+  dequeue(inst);
+  inst.leased = true;
+  ++leases_;
+  lk.unlock();
+  // The park runs on every exit path: a snapshot push that throws
+  // (subscriber allocation, serializeState bad_alloc) would otherwise leak
+  // the lease. The sim state itself is untouched either way, so the
+  // instance still parks in Paused; the error propagates to the caller as
+  // "paused, but the promised snapshot was not pushed".
+  const auto park = [&] {
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      inst.publish();
+      inst.state = InstanceState::Paused;
+      // A concurrent pause() racing this direct path may have raised the
+      // mid-slice flags after we took the lease; clear them so the next
+      // start() does not immediately re-park at the current step.
+      inst.pending_pause = false;
+      inst.interrupt.store(false, std::memory_order_relaxed);
+      inst.leased = false;
+      --leases_;
+    }
+    cv_.notify_all();
+  };
+  try {
+    if (inst.sim && inst.ring.lastStep() != inst.sim->stepCount()) {
+      pushSnapshotLeased(inst);
+    }
+  } catch (...) {
+    park();
+    throw;
+  }
+  park();
 }
 
 void ScenarioService::rollback(InstanceId id) {
-  submitAndWait([this, id] {
-    Instance* inst;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst = &instanceRef(id);
-      if (inst->state != InstanceState::Paused &&
-          inst->state != InstanceState::Failed) {
-        throw std::runtime_error(std::string("rollback: instance is ") +
-                                 toString(inst->state) +
-                                 " (pause it first, or archive)");
-      }
-      if (!inst->sim) {
-        throw std::runtime_error("rollback: instance has no live simulation");
-      }
+  Lease inst(*this, id);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (inst->state != InstanceState::Paused &&
+        inst->state != InstanceState::Failed) {
+      throw std::runtime_error(std::string("rollback: instance is ") +
+                               toString(inst->state) +
+                               " (pause it first, or archive)");
     }
-    auto lk = leaseForControl(*inst);
-    auto release = onScopeExit([this, inst] {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->leased = false;
-      cv_.notify_all();
-    });
-    lk.unlock();
-
-    core::SnapshotEntry* entry = inst->ring.latest();
-    if (!entry) throw std::runtime_error("rollback: no valid ring snapshot");
-    core::SnapshotRing::restoreEntry(*entry, *inst->sim,
-                                     "rollback of " + std::to_string(id));
-    inst->sim->config() =
-        core::escalateConfig(inst->sim->config(), inst->escalation_level);
-    inst->wireHeartbeat();
-    ++inst->rollbacks;
-    // Rehabilitation: a Failed instance becomes restartable with a fresh
-    // retry budget (the operator chose to roll back; the ladder level is
-    // kept — it encodes what the failures taught us).
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->retries = 0;
-      inst->publish();
-      if (inst->state == InstanceState::Failed) {
-        inst->state = InstanceState::Paused;
-      }
-    }
-  });
-  cv_.notify_all();
+  }
+  core::SnapshotEntry* entry = inst->ring.latest();
+  if (!entry) throw std::runtime_error("rollback: no valid ring snapshot");
+  core::SnapshotRing::restoreEntry(*entry, *inst->sim, inst->escalation_level,
+                                   "rollback of " + std::to_string(id));
+  inst->wireHeartbeat();
+  ++inst->rollbacks;
+  // Rehabilitation: a Failed instance becomes restartable with a fresh
+  // retry budget (the operator chose to roll back; the ladder level is
+  // kept — it encodes what the failures taught us).
+  inst->retries = 0;
+  std::lock_guard<std::mutex> lk(mu_);
+  inst->publish();
+  if (inst->state == InstanceState::Failed) inst->state = InstanceState::Paused;
 }
 
 void ScenarioService::archive(InstanceId id, const std::string& checkpoint_path) {
-  submitAndWait([this, id, &checkpoint_path] {
-    Instance* inst;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst = &instanceRef(id);
-      if (!transitionAllowed(inst->state, InstanceState::Archived)) {
-        throw std::runtime_error(std::string("archive: illegal transition ") +
-                                 toString(inst->state) + " -> archived");
-      }
-      inst->interrupt.store(true, std::memory_order_relaxed);
-    }
-    auto lk = leaseForControl(*inst);
-    auto release = onScopeExit([this, inst] {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->leased = false;
-      cv_.notify_all();
-    });
-    lk.unlock();
-
-    if (inst->sim && inst->ring.lastStep() != inst->sim->stepCount()) {
-      pushSnapshotLeased(*inst);
-    }
-    if (!checkpoint_path.empty()) {
-      const core::SnapshotEntry* e = inst->ring.latest();
-      if (!e) throw std::runtime_error("archive: no snapshot to write");
-      io::writeCheckpointRaw(checkpoint_path, e->step, e->time, {e->bytes});
-    }
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->publish();
-      inst->state = InstanceState::Archived;
-      inst->interrupt.store(false, std::memory_order_relaxed);
-      // Release the live Simulation (particles, pool threads); the final
-      // ring snapshot stays behind for clones and late subscribers.
-      inst->sim.reset();
-      run_queue_.erase(std::remove(run_queue_.begin(), run_queue_.end(), id),
-                       run_queue_.end());
-      inst->queued = false;
-    }
-  });
-  cv_.notify_all();
+  {
+    // End a running slice at its next step boundary instead of its budget.
+    std::lock_guard<std::mutex> lk(mu_);
+    instanceRef(id).interrupt.store(true, std::memory_order_relaxed);
+  }
+  Lease inst(*this, id);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    requireEdge("archive", inst->state, InstanceState::Archived);
+  }
+  if (inst->sim && inst->ring.lastStep() != inst->sim->stepCount()) {
+    pushSnapshotLeased(*inst);
+  }
+  if (!checkpoint_path.empty()) {
+    const core::SnapshotEntry* e = inst->ring.latest();
+    if (!e) throw std::runtime_error("archive: no snapshot to write");
+    io::writeCheckpointRaw(checkpoint_path, e->step, e->time, {e->bytes});
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    inst->publish();
+    inst->state = InstanceState::Archived;
+    inst->interrupt.store(false, std::memory_order_relaxed);
+  }
+  // Release the live Simulation (particles, pool threads); the final ring
+  // snapshot stays behind for clones and late subscribers.
+  inst->sim.reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -699,134 +623,55 @@ void ScenarioService::archive(InstanceId id, const std::string& checkpoint_path)
 // ---------------------------------------------------------------------------
 
 std::uint64_t ScenarioService::subscribe(InstanceId id, SnapshotSubscriber fn) {
-  std::uint64_t token = 0;
-  submitAndWait([this, id, &fn, &token] {
-    Instance* inst;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst = &instanceRef(id);
-      token = next_token_++;
-    }
-    auto lk = leaseForControl(*inst);
-    auto release = onScopeExit([this, inst] {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->leased = false;
-      if (inst->state == InstanceState::Running &&
-          inst->pub_step < inst->target_step) {
-        enqueueRunnable(inst->id);
-      }
-      cv_.notify_all();
-    });
-    lk.unlock();
+  Lease inst(*this, id);
+  std::uint64_t token;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    token = next_token_++;
     inst->subscribers.emplace_back(token, fn);
-    // Catch-up delivery: a late subscriber starts from a restorable state.
-    if (const core::SnapshotEntry* e = inst->ring.latest()) {
-      Snapshot snap;
-      snap.instance = inst->id;
-      snap.step = e->step;
-      snap.time = e->time;
-      snap.crc = e->crc;
-      snap.bytes = std::make_shared<const std::vector<char>>(e->bytes);
-      fn(snap);
-    }
-  });
+  }
+  // Catch-up delivery: a late subscriber starts from a restorable state.
+  if (const core::SnapshotEntry* e = inst->ring.latest()) {
+    fn(toSnapshot(id, *e));
+  }
   return token;
 }
 
 void ScenarioService::unsubscribe(std::uint64_t token) {
-  submitAndWait([this, token] {
-    Instance* owner = nullptr;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      for (auto& inst : instances_) {
-        for (const auto& sub : inst->subscribers) {
-          if (sub.first == token) {
-            owner = inst.get();
-            break;
-          }
-        }
-        if (owner) break;
-      }
+  const auto owns = [token](const auto& sub) { return sub.first == token; };
+  InstanceId owner = 0;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const auto& inst : instances_) {
+      const auto& subs = inst->subscribers;
+      if (std::any_of(subs.begin(), subs.end(), owns)) owner = inst->id;
     }
-    if (!owner) return;  // idempotent
-    auto lk = leaseForControl(*owner);
-    auto release = onScopeExit([this, owner] {
-      std::lock_guard<std::mutex> g(mu_);
-      owner->leased = false;
-      if (owner->state == InstanceState::Running &&
-          owner->pub_step < owner->target_step) {
-        enqueueRunnable(owner->id);
-      }
-      cv_.notify_all();
-    });
-    lk.unlock();
-    auto& subs = owner->subscribers;
-    subs.erase(
-        std::remove_if(subs.begin(), subs.end(),
-                       [token](const auto& p) { return p.first == token; }),
-        subs.end());
-  });
+  }
+  if (owner == 0) return;  // idempotent
+  Lease inst(*this, owner);
+  std::lock_guard<std::mutex> lk(mu_);
+  auto& subs = inst->subscribers;
+  subs.erase(std::remove_if(subs.begin(), subs.end(), owns), subs.end());
 }
 
 Snapshot ScenarioService::latestSnapshot(InstanceId id) {
-  Snapshot snap;
-  submitAndWait([this, id, &snap] {
-    Instance* inst;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst = &instanceRef(id);
-    }
-    auto lk = leaseForControl(*inst);
-    auto release = onScopeExit([this, inst] {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->leased = false;
-      if (inst->state == InstanceState::Running &&
-          inst->pub_step < inst->target_step) {
-        enqueueRunnable(inst->id);
-      }
-      cv_.notify_all();
-    });
-    lk.unlock();
-    if (const core::SnapshotEntry* e = inst->ring.latest()) {
-      snap.instance = inst->id;
-      snap.step = e->step;
-      snap.time = e->time;
-      snap.crc = e->crc;
-      snap.bytes = std::make_shared<const std::vector<char>>(e->bytes);
-    }
-  });
-  return snap;
+  Lease inst(*this, id);
+  const core::SnapshotEntry* e = inst->ring.latest();
+  return e ? toSnapshot(id, *e) : Snapshot{};
 }
 
 RoiResult ScenarioService::queryRoi(InstanceId id, const voxel::RoiSpec& spec,
                                     const voxel::VoxelParams& params) {
+  Lease inst(*this, id);
+  if (!inst->sim) {
+    throw std::runtime_error("queryRoi: instance " + std::to_string(id) +
+                             " is archived (no live particle state)");
+  }
   RoiResult result;
-  submitAndWait([this, id, &spec, &params, &result] {
-    Instance* inst;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst = &instanceRef(id);
-    }
-    auto lk = leaseForControl(*inst);
-    auto release = onScopeExit([this, inst] {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->leased = false;
-      if (inst->state == InstanceState::Running &&
-          inst->pub_step < inst->target_step) {
-        enqueueRunnable(inst->id);
-      }
-      cv_.notify_all();
-    });
-    lk.unlock();
-    if (!inst->sim) {
-      throw std::runtime_error("queryRoi: instance " + std::to_string(id) +
-                               " is archived (no live particle state)");
-    }
-    result.step = inst->sim->stepCount();
-    result.time = inst->sim->time();
-    const sph::Kernel kernel{};
-    result.grid = voxel::projectRoi(inst->sim->particles(), spec, params, kernel);
-  });
+  result.step = inst->sim->stepCount();
+  result.time = inst->sim->time();
+  const sph::Kernel kernel{};
+  result.grid = voxel::projectRoi(inst->sim->particles(), spec, params, kernel);
   return result;
 }
 
@@ -835,96 +680,32 @@ RoiResult ScenarioService::queryRoi(InstanceId id, const voxel::RoiSpec& spec,
 // ---------------------------------------------------------------------------
 
 InstanceInfo ScenarioService::info(InstanceId id) {
-  InstanceInfo out;
-  submitAndWait([this, id, &out] {
-    std::lock_guard<std::mutex> lk(mu_);
-    const Instance& inst = instanceRef(id);
-    out.id = inst.id;
-    out.name = inst.name;
-    out.state = inst.state;
-    out.step = inst.pub_step;
-    out.target_step = inst.target_step;
-    out.time = inst.pub_time;
-    out.cloned_from = inst.cloned_from;
-    out.retries = inst.pub_retries;
-    out.escalation_level = inst.pub_escalation_level;
-    out.rollbacks = inst.pub_rollbacks;
-    out.wasted_steps = inst.pub_wasted_steps;
-    out.last_error = inst.pub_last_error;
-    out.heartbeat_step = inst.hb.step.load(std::memory_order_relaxed);
-    out.heartbeat_phase = inst.hb.phase.load(std::memory_order_relaxed);
-    out.heartbeats = inst.hb.beats.load(std::memory_order_relaxed);
-    out.snapshots = inst.pub_snapshots;
-    out.snapshot_step = inst.pub_snapshot_step;
-  });
-  return out;
+  std::lock_guard<std::mutex> lk(mu_);
+  return instanceRef(id).view();
 }
 
 std::vector<InstanceInfo> ScenarioService::list() {
-  std::vector<InstanceId> ids;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ids.reserve(instances_.size());
-    for (const auto& inst : instances_) ids.push_back(inst->id);
-  }
+  std::lock_guard<std::mutex> lk(mu_);
   std::vector<InstanceInfo> out;
-  out.reserve(ids.size());
-  for (InstanceId id : ids) out.push_back(info(id));
+  out.reserve(instances_.size());
+  for (const auto& inst : instances_) out.push_back(inst->view());
   return out;
 }
 
 std::vector<double> ScenarioService::stepLatenciesMs(InstanceId id) {
-  std::vector<double> out;
-  submitAndWait([this, id, &out] {
-    Instance* inst;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst = &instanceRef(id);
-    }
-    auto lk = leaseForControl(*inst);
-    auto release = onScopeExit([this, inst] {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->leased = false;
-      if (inst->state == InstanceState::Running &&
-          inst->pub_step < inst->target_step) {
-        enqueueRunnable(inst->id);
-      }
-      cv_.notify_all();
-    });
-    lk.unlock();
-    out = inst->latencies;
-  });
-  return out;
+  Lease inst(*this, id);
+  return inst->latencies;
 }
 
 void ScenarioService::waitIdle() {
   std::unique_lock<std::mutex> lk(mu_);
-  cv_.wait(lk, [&] {
-    return control_queue_.empty() && run_queue_.empty() && active_slices_ == 0;
-  });
+  cv_.wait(lk, [&] { return run_queue_.empty() && leases_ == 0; });
 }
 
 void ScenarioService::setStepHook(
     InstanceId id, std::function<void(core::Simulation&, long)> hook) {
-  submitAndWait([this, id, &hook] {
-    Instance* inst;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      inst = &instanceRef(id);
-    }
-    auto lk = leaseForControl(*inst);
-    auto release = onScopeExit([this, inst] {
-      std::lock_guard<std::mutex> g(mu_);
-      inst->leased = false;
-      if (inst->state == InstanceState::Running &&
-          inst->pub_step < inst->target_step) {
-        enqueueRunnable(inst->id);
-      }
-      cv_.notify_all();
-    });
-    lk.unlock();
-    inst->hook = std::move(hook);
-  });
+  Lease inst(*this, id);
+  inst->hook = std::move(hook);
 }
 
 }  // namespace asura::service

@@ -34,11 +34,13 @@
 /// the head, steps it for at most `step_budget` steps (the per-instance
 /// step budget — the fairness quantum), then requeues it at the tail, so N
 /// runnable instances interleave round-robin regardless of their relative
-/// step costs. Control-plane requests (create / clone / pause / rollback /
-/// archive / ROI query) flow through a request queue that workers drain
-/// with priority over stepping, so the control plane stays responsive while
-/// every worker is busy integrating. A `pause` additionally raises the
-/// instance's interrupt flag, which ends a slice at the next step boundary.
+/// step costs. The workers only step: every control call (create / clone /
+/// pause / rollback / archive / ROI query / ...) runs on its caller's
+/// thread. A call that needs an instance's Simulation, ring or hooks takes
+/// that instance's exclusive lease, so it waits only for the slice stepping
+/// *that* instance, never for the pool; `info()` and `list()` take no lease
+/// at all. A `pause` of a mid-slice instance raises its interrupt flag,
+/// which ends the slice at the next step boundary.
 ///
 /// # Bitwise isolation contract
 ///
@@ -55,8 +57,8 @@
 ///
 /// # Snapshots, clones, ROI
 ///
-/// Every `snapshot_interval` steps (plus at creation and pause) the leased
-/// worker pushes a serializeState blob into the instance's SnapshotRing and
+/// Every `snapshot_interval` steps (plus at creation and pause) the lease
+/// holder pushes a serializeState blob into the instance's SnapshotRing and
 /// streams it to subscribers — the blob restores through the ordinary
 /// checkpoint path, so subscribe → restore reproduces the source bitwise.
 /// `clone` builds a new instance from another's newest ring slot; with
@@ -64,7 +66,6 @@
 /// density/temperature/velocity cubes from a read-only lease on the
 /// particle state (voxel::projectRoi) without perturbing the trajectory.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -143,11 +144,13 @@ struct Snapshot {
   std::shared_ptr<const std::vector<char>> bytes;
 };
 
-/// Snapshot subscribers run on the stepping worker's thread with the
-/// instance leased: they must be fast and must NOT call blocking service
-/// ops on the same instance (deadlock by lease wait). A throwing
-/// subscriber is swallowed — it neither perturbs the instance's
-/// trajectory nor prevents delivery to the remaining subscribers.
+/// Snapshot subscribers run on whichever thread holds the instance's lease
+/// (a stepping worker, or the caller of subscribe / pause / archive): they
+/// must be fast and must NOT call a lease-taking op on the *same* instance
+/// (it waits for the lease the subscriber runs under: deadlock). Calls on
+/// other instances, and `info()` / `list()`, are fine. A throwing
+/// subscriber is swallowed — it neither perturbs the instance's trajectory
+/// nor prevents delivery to the remaining subscribers.
 using SnapshotSubscriber = std::function<void(const Snapshot&)>;
 
 /// ROI query result: the projected cubes plus the instant they describe.
@@ -169,20 +172,19 @@ struct ServiceConfig {
   /// tuning only — 1 avoids oversubscription when many instances host many
   /// OpenMP teams on one node. 0: leave the ambient width alone.
   int omp_threads_per_instance = 0;
-  /// Cap on retained per-step latency samples per instance (ring buffer;
-  /// the bench's p50/p99 source).
-  std::size_t latency_samples = 1 << 14;
 };
 
 class ScenarioService {
  public:
   explicit ScenarioService(ServiceConfig cfg);
-  ~ScenarioService();  ///< finishes queued control ops, parks workers, joins
+  /// Stops the workers at their next slice boundary and joins them. No call
+  /// may still be in flight on another thread.
+  ~ScenarioService();
 
   ScenarioService(const ScenarioService&) = delete;
   ScenarioService& operator=(const ScenarioService&) = delete;
 
-  // --- control plane (each call enqueues a request and waits for it) ----
+  // --- control plane (each call runs on its caller's thread) ------------
 
   /// Register a new instance (state Created). Validates spec.cfg with the
   /// same step-entry validation a Simulation itself performs.
@@ -239,17 +241,20 @@ class ScenarioService {
   [[nodiscard]] InstanceInfo info(InstanceId id);
   [[nodiscard]] std::vector<InstanceInfo> list();
 
-  /// Per-step wall-clock latencies [ms] retained for `id` (newest-capped
-  /// ring of cfg.latency_samples entries).
+  /// Per-step wall-clock latencies [ms] retained for `id` (a ring of the
+  /// newest 16,384 steps).
   [[nodiscard]] std::vector<double> stepLatenciesMs(InstanceId id);
 
-  /// Block until no instance is Running short of its target and the
-  /// control queue is empty.
+  /// Block until the run queue is empty and no lease is held (by a worker
+  /// or a control call) or awaited: every instance has parked, failed or
+  /// been paused.
   void waitIdle();
 
   /// Test/instrumentation hook: called with the leased Simulation before
-  /// every step of instance `id`. A throwing hook is indistinguishable
-  /// from a step failure — the injection point for fault drills.
+  /// every step of instance `id`, on the stepping worker. A throwing hook is
+  /// indistinguishable from a step failure — the injection point for fault
+  /// drills. Like a subscriber, a hook may call any op on other instances
+  /// but no lease-taking op (nor `pause`) on its own instance.
   void setStepHook(InstanceId id,
                    std::function<void(core::Simulation&, long next_step)> hook);
 
@@ -257,9 +262,9 @@ class ScenarioService {
 
  private:
   struct Instance;
+  class Lease;
 
-  // Worker pool body.
-  void workerLoop(int worker_index);
+  void workerLoop();
   // One stepping slice of a leased instance (runs without the registry
   // lock). Returns with the instance's registry bookkeeping updated.
   void runSlice(Instance& inst);
@@ -267,31 +272,20 @@ class ScenarioService {
   void recoverOrFail(Instance& inst, const std::string& cause);
   // Ring push + subscriber fan-out (instance leased by caller).
   void pushSnapshotLeased(Instance& inst);
+  // Seed the ring of a fully built instance and register it.
+  InstanceId admit(std::unique_ptr<Instance> inst);
   // Registry helpers (mu_ held).
   Instance& instanceRef(InstanceId id);
-  void enqueueRunnable(InstanceId id);
-  // Acquire/release the exclusive instance lease from a control op.
-  std::unique_lock<std::mutex> leaseForControl(Instance& inst);
-
-  // Control-plane request plumbing: ops execute on worker threads in
-  // submission order; the public API waits on the ticket.
-  struct ControlOp {
-    std::function<void()> fn;
-    std::exception_ptr error;
-    bool done = false;
-    std::condition_variable cv;
-    std::mutex m;
-  };
-  void submitAndWait(const std::function<void()>& fn);
+  void dequeue(Instance& inst);
+  void requeue(Instance& inst);
 
   ServiceConfig cfg_;
 
-  std::mutex mu_;  ///< registry + queues + lease flags
+  std::mutex mu_;  ///< registry + run queue + lease flags + published fields
   std::condition_variable cv_;
   bool stop_ = false;
-  std::deque<std::shared_ptr<ControlOp>> control_queue_;
-  std::deque<InstanceId> run_queue_;
-  int active_slices_ = 0;  ///< leases currently held by stepping workers
+  std::deque<Instance*> run_queue_;
+  int leases_ = 0;  ///< leases held by workers, held or awaited by calls
 
   std::vector<std::unique_ptr<Instance>> instances_;
   InstanceId next_id_ = 1;

@@ -5,11 +5,14 @@
 // snapshots round-trip through the checkpoint codec, clones diverge only
 // via their own rng stream, ROI queries match a direct deposit without
 // perturbing the trajectory, and archive writes a restorable checkpoint.
+// Control calls run on the caller's thread: one on an idle instance never
+// waits for a worker stepping another, not even from inside a step hook.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -120,7 +123,6 @@ TEST(ServiceFsm, ServiceConfigRejected) {
   rejected([](ServiceConfig& c) { c.snapshot_interval = 0; });
   rejected([](ServiceConfig& c) { c.ring_slots = 1; });
   rejected([](ServiceConfig& c) { c.max_retries = -1; });
-  rejected([](ServiceConfig& c) { c.latency_samples = 0; });
 }
 
 TEST(ServiceFsm, IllegalRequestsThrowAndChangeNothing) {
@@ -553,10 +555,120 @@ TEST(ServiceObservability, LiveInfoWhileSteppingIsRaceFree) {
   EXPECT_GT(ib.retries, 0);  // the fault hook really fired and recovered
 }
 
+TEST(ServiceObservability, IdleInstanceCallsDoNotWaitForABusyWorker) {
+  ServiceConfig scfg;
+  scfg.n_workers = 1;
+  ScenarioService svc(scfg);
+  const InstanceId busy =
+      svc.create({"busy", instanceIc(0), quietConfig(), nullptr});
+  const InstanceId idle =
+      svc.create({"idle", instanceIc(1), quietConfig(), nullptr});
+
+  // The only worker stays inside busy's first step until released.
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  auto in_hook = std::make_shared<std::atomic<bool>>(false);
+  svc.setStepHook(busy, [gate, in_hook](Simulation&, long) {
+    in_hook->store(true);
+    while (!gate->load()) std::this_thread::yield();
+  });
+  svc.start(busy, 1);
+  while (!in_hook->load()) std::this_thread::yield();
+
+  asura::voxel::RoiSpec spec;
+  spec.box_size = 8.0;
+  spec.grid_n = 4;
+  auto info = std::async(std::launch::async, [&] { return svc.info(idle); });
+  auto list = std::async(std::launch::async, [&] { return svc.list(); });
+  auto snap =
+      std::async(std::launch::async, [&] { return svc.latestSnapshot(idle); });
+  auto roi =
+      std::async(std::launch::async, [&] { return svc.queryRoi(idle, spec); });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  const auto ready = [&deadline](const auto& f) {
+    return f.wait_until(deadline) == std::future_status::ready;
+  };
+  const bool info_ready = ready(info);
+  const bool list_ready = ready(list);
+  const bool snap_ready = ready(snap);
+  const bool roi_ready = ready(roi);
+  // Release the worker before any check, so a call that did queue behind
+  // the slice completes and the futures resolve.
+  gate->store(true);
+  svc.waitIdle();
+
+  EXPECT_TRUE(info_ready) << "info() waited for another instance's slice";
+  EXPECT_TRUE(list_ready) << "list() waited for another instance's slice";
+  EXPECT_TRUE(snap_ready) << "latestSnapshot() waited for another instance's slice";
+  EXPECT_TRUE(roi_ready) << "queryRoi() waited for another instance's slice";
+  EXPECT_EQ(info.get().state, InstanceState::Created);
+  EXPECT_EQ(list.get().size(), 2u);
+  EXPECT_EQ(snap.get().step, 0);
+  EXPECT_EQ(roi.get().step, 0);
+  EXPECT_EQ(svc.info(busy).step, 1);
+}
+
+TEST(ServiceObservability, StepHookCanQueryAnotherInstance) {
+  ServiceConfig scfg;
+  scfg.n_workers = 1;
+  ScenarioService svc(scfg);
+  const InstanceId hooked =
+      svc.create({"hooked", instanceIc(2), quietConfig(), nullptr});
+  const InstanceId other =
+      svc.create({"other", instanceIc(3), quietConfig(), nullptr});
+
+  // The hook runs on the only worker. Its call goes through a future held
+  // out here: if the call needed that worker, the hook gives up after 2 s
+  // and the slice (and the test) still ends.
+  std::future<InstanceInfo> seen;
+  std::atomic<bool> completed{false};
+  svc.setStepHook(hooked, [&](Simulation&, long next_step) {
+    if (next_step != 0) return;
+    seen = std::async(std::launch::async, [&] { return svc.info(other); });
+    completed = seen.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  });
+  svc.start(hooked, 2);
+  svc.waitIdle();
+
+  EXPECT_TRUE(completed.load()) << "a step hook's info() waited for its own worker";
+  ASSERT_TRUE(seen.valid());
+  const InstanceInfo info = seen.get();
+  EXPECT_EQ(info.id, other);
+  EXPECT_EQ(info.state, InstanceState::Created);
+  EXPECT_EQ(svc.info(hooked).step, 2);
+}
+
+TEST(ServiceObservability, WaitingCallGoesBeforeTheNextSlice) {
+  ServiceConfig scfg;
+  scfg.n_workers = 2;  // an idle worker is ready to take the next slice
+  scfg.step_budget = 1;
+  scfg.snapshot_interval = 1;
+  ScenarioService svc(scfg);
+  const InstanceId id = svc.create({"busy", instanceIc(4), quietConfig(), nullptr});
+
+  auto gate = std::make_shared<std::atomic<bool>>(false);
+  auto in_hook = std::make_shared<std::atomic<bool>>(false);
+  svc.setStepHook(id, [gate, in_hook](Simulation&, long next_step) {
+    if (next_step == 2) {
+      in_hook->store(true);
+      while (!gate->load()) std::this_thread::yield();
+    }
+  });
+  svc.start(id, 40);
+  while (!in_hook->load()) std::this_thread::yield();
+  // The call waits for the slice running step 2, and gets the lease before
+  // either worker takes the instance's next slice.
+  auto snap = std::async(std::launch::async, [&] { return svc.latestSnapshot(id); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  gate->store(true);
+  EXPECT_EQ(snap.get().step, 3);
+  svc.waitIdle();
+  EXPECT_EQ(svc.info(id).step, 40);
+}
+
 TEST(ServiceFsm, ConcurrentPausesLeaveNoStaleParkRequest) {
   ServiceConfig scfg;
-  scfg.n_workers = 2;
-  scfg.step_budget = 2;
+  scfg.n_workers = 1;
+  scfg.step_budget = 1;
   scfg.snapshot_interval = 1000;  // the park snapshot is pause()'s to push
   ScenarioService svc(scfg);
 
@@ -566,17 +678,18 @@ TEST(ServiceFsm, ConcurrentPausesLeaveNoStaleParkRequest) {
       svc.create({"target", instanceIc(7), quietConfig(), nullptr});
 
   auto decoy_gate = std::make_shared<std::atomic<bool>>(false);
+  auto decoy_in_hook = std::make_shared<std::atomic<bool>>(false);
   auto target_gate = std::make_shared<std::atomic<bool>>(false);
   auto target_in_hook = std::make_shared<std::atomic<bool>>(false);
   std::atomic<bool> in_pause_push{false};
   std::atomic<bool> release_push{false};
 
-  // Worker 1 parks inside the decoy's hook until released.
-  svc.setStepHook(decoy, [decoy_gate](Simulation&, long) {
+  // The only worker stays inside the decoy's hook until released.
+  svc.setStepHook(decoy, [decoy_gate, decoy_in_hook](Simulation&, long) {
+    decoy_in_hook->store(true);
     while (!decoy_gate->load()) std::this_thread::yield();
   });
-  // The target's first slice stalls in its step-0 hook so pause #1 is
-  // queued before the slice releases the lease.
+  // The target's step 0 waits until the decoy is queued behind it.
   svc.setStepHook(id, [target_gate, target_in_hook](Simulation&,
                                                     long next_step) {
     if (next_step == 0) {
@@ -584,8 +697,8 @@ TEST(ServiceFsm, ConcurrentPausesLeaveNoStaleParkRequest) {
       while (!target_gate->load()) std::this_thread::yield();
     }
   });
-  // Blocking subscriber: widens pause #1's direct-path snapshot push into a
-  // deterministic window during which the instance is pseudo-leased.
+  // Blocking subscriber: holds pause #1's direct-path snapshot push open
+  // while pause #1 holds the lease.
   svc.subscribe(id, [&](const Snapshot& s) {
     if (s.step > 0 && !release_push.load()) {
       in_pause_push.store(true);
@@ -593,43 +706,37 @@ TEST(ServiceFsm, ConcurrentPausesLeaveNoStaleParkRequest) {
     }
   });
 
-  svc.start(decoy, 1);
+  // The worker steps the target once (budget 1), requeues it behind the
+  // decoy and then stays in the decoy's hook. The target is left Running,
+  // unleased in the run queue, one step past its newest snapshot.
   svc.start(id, 100);
-  // Wait until a worker actually leases the target and enters its slice: a
-  // pause picked up before the first lease would take the direct path at
-  // step 0 with nothing to snapshot, and the window would never open.
   while (!target_in_hook->load()) std::this_thread::yield();
-
-  std::thread p1([&] { svc.pause(id); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // Slice runs steps 0..1 and releases with an unsnapshotted step; the
-  // worker then picks the queued pause over re-leasing, takes the direct
-  // path, and blocks in the subscriber with the pseudo-lease held.
+  svc.start(decoy, 1);
   target_gate->store(true);
-  while (!in_pause_push.load()) std::this_thread::yield();
+  while (!decoy_in_hook->load()) std::this_thread::yield();
+  EXPECT_EQ(svc.info(id).state, InstanceState::Running);
+  EXPECT_EQ(svc.info(id).step, 1);
 
-  // Pause #2 arrives during the window: it observes the pseudo-lease and
-  // raises the mid-slice park flags (pending_pause + interrupt) that
-  // pause #1's direct transition must clean up behind it.
+  // Pause #1 takes the direct path and blocks in the subscriber.
+  std::thread p1([&] { svc.pause(id); });
+  while (!in_pause_push.load()) std::this_thread::yield();
+  // Pause #2 finds the instance leased and raises the mid-slice park flags
+  // (pending_pause + interrupt) that pause #1's direct park must clear.
   std::thread p2([&] { svc.pause(id); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  decoy_gate->store(true);  // frees worker 1 to execute pause #2
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  release_push.store(true);  // pause #1 completes the park
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  release_push.store(true);
   p1.join();
   p2.join();
-
+  decoy_gate->store(true);
   EXPECT_EQ(svc.info(id).state, InstanceState::Paused);
 
-  // Pre-fix, pause #2's stale flags survived the direct park and the next
-  // start() immediately re-parked the instance at its current step with
-  // zero progress made toward the target.
-  svc.setStepHook(id, nullptr);
-  svc.start(id, 120);
+  // Stale flags would re-park the next run at its current step with zero
+  // progress made toward the target.
+  svc.start(id, 6);
   svc.waitIdle();
   const InstanceInfo info = svc.info(id);
   EXPECT_EQ(info.state, InstanceState::Paused) << info.last_error;
-  EXPECT_EQ(info.step, 120);
+  EXPECT_EQ(info.step, 6);
 }
 
 // ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ TEST(Supervisor, CorruptMessageDetectedAndRecoveredBitwise) {
   plan.count = 1;
   cluster.setFaultPlan(plan);
 
-  SupervisorConfig scfg;  // guard_messages defaults on under supervision
+  SupervisorConfig scfg;  // supervision always guards messages
   scfg.snapshot_interval = 2;
   Supervisor sup(cluster, scfg);
   std::vector<std::vector<char>> got(P);

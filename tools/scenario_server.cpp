@@ -180,9 +180,11 @@ int main(int argc, char** argv) {
     for (InstanceId id : ids) svc.start(id, half);
     svc.waitIdle();
 
-    // ...then the control plane gets exercised mid-session: instance 0 is
+    // ...then the control plane gets exercised mid-session, from this
+    // thread while the workers step the rest of the fleet: instance 0 is
     // cloned (the clone rides along to the end), and instance 0 answers an
     // ROI query before resuming.
+    for (std::size_t i = 1; i < ids.size(); ++i) svc.start(ids[i], steps);
     const InstanceId offshoot = svc.clone(ids[0], "offshoot");
     asura::voxel::RoiSpec spec;
     spec.box_size = 10.0;
@@ -191,7 +193,7 @@ int main(int argc, char** argv) {
     std::printf("  ROI query at step %ld: %d^3 cube, total mass %.6g\n",
                 roi.step, roi.grid.n, roi.grid.totalMass());
 
-    for (InstanceId id : ids) svc.start(id, steps);
+    svc.start(ids[0], steps);
     svc.start(offshoot, steps);
     svc.waitIdle();
 
