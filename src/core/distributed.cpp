@@ -94,21 +94,23 @@ bool DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
   return true;
 }
 
-void DistributedEngine::fullExchange(std::vector<Particle>& parts, std::size_t n_local,
-                                     fdps::StepContext& ctx,
-                                     const gravity::GravityParams& grav) {
-  // Locals-only tree for the export walks (the cached gravity tree holds
-  // imports and cannot serve exportLet). The walk provenance is recorded so
-  // later passes can refresh the entry *values* without re-walking.
-  const std::span<const Particle> locals(parts.data(), n_local);
+void DistributedEngine::exchangeLet(std::span<const Particle> locals,
+                                    const gravity::GravityParams& grav) {
+  // Locals-only tree for the export walks: the cached gravity tree holds
+  // imports and cannot serve exportLet.
   export_tree_.build(fdps::makeSourceEntries(locals), grav.leaf_size);
-  let_imports_ =
-      fdps::exchangeGravityLet(comm_, dd_, export_tree_, grav.theta, &let_record_);
+  let_imports_ = fdps::exchangeGravityLet(comm_, dd_, export_tree_, grav.theta);
   ++stats_.let_exchanges;
   // exchangeGravityLet skips the walk loop entirely for an empty local
   // tree, so an empty rank reports 0 walks, not P-1.
   stats_.let_export_walks += export_tree_.empty() ? 0 : comm_.size() - 1;
   let_drift_ = 0.0;
+}
+
+void DistributedEngine::fullExchange(std::vector<Particle>& parts, std::size_t n_local,
+                                     fdps::StepContext& ctx,
+                                     const gravity::GravityParams& grav) {
+  exchangeLet({parts.data(), n_local}, grav);
 
   const double reach = sph::maxGatherRadius(parts, n_local);
   ghost_cache_ = fdps::exchangeHydroGhostsCached(comm_, dd_, parts, n_local, reach,
@@ -125,7 +127,7 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
                                         const gravity::GravityParams& grav,
                                         bool allow_value_refresh) {
   if (comm_.size() == 1) return;  // no peer, nothing to import
-  // 2 if any rank is stale or past skin/2, else 1 if any moved since the LET value sync.
+  // 2 if any rank is stale or past skin/2, else 1 if any moved since the LET walk.
   const int mine = stale_ || drift_accum_ > 0.5 * cfg_.skin ? 2 : let_drift_ > 0.0 ? 1 : 0;
   const int state = comm_.allreduce(mine, Op::Max);
   if (state == 2) {
@@ -133,21 +135,19 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
     return;
   }
 
-  ++stats_.let_reuses;
   if (allow_value_refresh && state == 1) {
-    // Payload-style LET refresh: recompute the exported values from live particles
-    // along the recorded walks and re-ship them — no exportLet walk, no tree build.
-    let_imports_ = fdps::refreshLetValues(comm_, let_record_, parts);
-    // Same entry count, new values: only the gravity tree holds them.
+    // A drifted LET is walked again over the current locals. The entry set
+    // may change, but only the gravity tree holds it.
+    exchangeLet({parts.data(), n_local}, grav);
     ctx.invalidateGravityTree();
-    ++stats_.let_value_refreshes;
-    let_drift_ = 0.0;
+  } else {
+    ++stats_.let_reuses;
   }
   if (allow_value_refresh) {
     // Same ghost list, fresh payloads: remote kicks/cooling updates become
-    // visible to the density gather without any selection scan or exportLet
-    // walk. The call is an alltoallv and therefore collective — the flag
-    // feeding this branch is uniform across ranks by construction.
+    // visible to the density gather without any selection scan. The call is
+    // an alltoallv and therefore collective — the flag feeding this branch
+    // is uniform across ranks by construction.
     refreshGhostPayloads(parts, n_local, ctx);
   } else {
     ++stats_.ghost_reuses;
@@ -199,7 +199,7 @@ void DistributedEngine::noteReachGiveupIfStillEscaped(std::span<const Particle> 
 template <class Io, class Engine>
 void DistributedEngine::stateFields(Io& io, Engine& e, fdps::DomainDecomposer::Cuts& cuts) {
   io(e.let_imports_, e.stale_, cuts.x, cuts.y, cuts.z, e.ghost_cache_, e.drift_accum_,
-     e.let_record_, e.let_drift_);
+     e.let_drift_);
 }
 
 void DistributedEngine::serializeState(io::ByteWriter& w) const {
@@ -221,27 +221,11 @@ void DistributedEngine::restoreState(io::ByteReader& r, std::size_t n_local,
     throw std::runtime_error(
         "checkpoint: ghost cache export_idx/import_counts length != comm size");
   }
-  // Both value refreshes index the restored locals: refreshGhostValues
-  // ships parts[export_idx], refreshLetValues reads parts[perm[j]] for each
-  // item's entry range [first, first+count) — just `first` for a raw entry.
+  // The ghost payload refresh ships the restored locals parts[export_idx].
   for (const auto& list : ghost_cache_.export_idx) {
     for (const auto i : list) {
       if (i >= n_local) {
         throw std::runtime_error("checkpoint: ghost cache export_idx entry >= local count");
-      }
-    }
-  }
-  for (const auto i : let_record_.perm) {
-    if (i >= n_local) {
-      throw std::runtime_error("checkpoint: LET record perm entry >= local count");
-    }
-  }
-  for (const auto& items : let_record_.items) {
-    for (const auto& item : items) {
-      const std::uint64_t end =
-          std::uint64_t{item.first} + std::max<std::uint64_t>(item.count, 1);
-      if (end > let_record_.perm.size()) {
-        throw std::runtime_error("checkpoint: LET record item range leaves perm");
       }
     }
   }
@@ -255,12 +239,8 @@ void DistributedEngine::restoreState(io::ByteReader& r, std::size_t n_local,
                                std::to_string(n_local + n_ghosts) + " particles");
     }
   } else {
-    // The next full pass refreshes a clean cache in place: it needs a
-    // per-rank LET record and a suffix holding exactly the imports the
-    // layout describes.
-    if (!let_record_.ready(comm_.size())) {
-      throw std::runtime_error("checkpoint: clean cache without a per-rank LET record");
-    }
+    // The next full pass refreshes a clean cache's ghosts in place: the
+    // suffix must hold exactly the imports the layout describes.
     std::size_t imported = 0;
     for (const auto c : ghost_cache_.import_counts) {
       // Clamped, so corrupt counts cannot wrap the sum around to n_ghosts.

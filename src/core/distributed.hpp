@@ -46,13 +46,18 @@
 ///    exported reach triggers a collective re-exchange followed by a
 ///    re-solve (the old single-shot ghost exchange collected the radii before
 ///    the solve grew h, silently under-importing neighbours);
-///  * between full exchanges, force passes may re-ship fresh *payloads*
-///    for the unchanged ghost list (refreshGhostValues) — no exportLet
-///    walk, no selection scan, no reach allgather.
+///  * between full exchanges, force passes re-ship fresh *payloads* for
+///    the unchanged ghost list (refreshGhostValues) — no selection scan, no
+///    reach allgather — and walk the LET again (exportLet over a fresh
+///    locals-only tree) when any rank moved since the last walk. A LET
+///    import is therefore always what exchangeGravityLet returns over the
+///    current locals; nothing re-derives its values along a recorded walk.
 ///
-/// A quiet multi-rank step therefore performs exactly one LET exchange
-/// (P-1 exportLet walks) and one full ghost exchange, with the second
-/// force pass and every quiet sub-step walking zero exportLet trees.
+/// A quiet multi-rank step therefore performs at most one full ghost
+/// exchange and walks the LET (P-1 exportLet walks) at most twice: a global
+/// step at its first pass, whose walk the second pass reuses; a
+/// block-timestep step at its start and at its sync pass, with every
+/// sub-step walking zero exportLet trees.
 ///
 /// # Working-array layout
 ///
@@ -114,10 +119,9 @@ struct DistributedConfig {
 /// Per-step exchange statistics of one rank; Simulation::step copies them
 /// into the StepStats fields of the same names.
 struct ExchangeStats {
-  int let_exchanges = 0;          ///< full LET exchanges
+  int let_exchanges = 0;          ///< LET walks + alltoalls (full exchange or re-walk)
   int let_export_walks = 0;       ///< exportLet tree walks (P-1 per exchange)
   int let_reuses = 0;             ///< passes served from the cached LET set
-  int let_value_refreshes = 0;    ///< payload-style refreshes of the LET values
   int ghost_exchanges = 0;        ///< full ghost selections + alltoalls
   int ghost_value_refreshes = 0;  ///< payload-only refreshes of the ghost suffix
   int ghost_reuses = 0;           ///< passes that reused the coasted suffix as-is
@@ -161,8 +165,9 @@ class DistributedEngine {
   /// Collective. Guarantee valid LET imports and a valid ghost suffix in
   /// parts[n_local, end). Reuses the cached sets when every rank is clean;
   /// `allow_value_refresh` (uniform across ranks: full passes pass true,
-  /// sub-steps false) re-ships LET values and ghost payloads on reuse.
-  /// Returns at once without a peer.
+  /// sub-steps false) re-ships ghost payloads on reuse and walks the LET
+  /// again when any rank drifted since the last walk. Returns at once
+  /// without a peer.
   void ensureExchanged(std::vector<Particle>& parts, std::size_t n_local,
                        fdps::StepContext& ctx, const gravity::GravityParams& grav,
                        bool allow_value_refresh);
@@ -192,7 +197,7 @@ class DistributedEngine {
                             fdps::StepContext& ctx);
 
   /// Accumulate a bound on local displacement since the last exchange (and
-  /// since the last LET value sync, which resets independently).
+  /// since the last LET walk, which resets independently).
   void noteDrift(double dmax) {
     drift_accum_ += dmax;
     let_drift_ += dmax;
@@ -207,23 +212,21 @@ class DistributedEngine {
   /// engine needs to behave bitwise like the original — the LET imports, the
   /// staleness flag, the three domain cut vectors (re-decomposing would
   /// consume rng and reshuffle owners), the ghost export layout, the
-  /// accumulated drift, the LET export record and the LET drift. The ghosts
-  /// are in the particle list Simulation writes. stats_ is per-step scratch
-  /// and the export tree is rebuilt on the next full exchange — neither is
-  /// state. Both directions share one field list (stateFields), so the
-  /// reader cannot disagree with the writer.
+  /// accumulated drift and the LET drift. The ghosts are in the particle
+  /// list Simulation writes. stats_ is per-step scratch and the export tree
+  /// is rebuilt from the locals at the next LET walk — neither is state.
+  /// Both directions share one field list (stateFields), so the reader
+  /// cannot disagree with the writer.
   void serializeState(io::ByteWriter& w) const;
   /// `n_local` and `n_ghosts` are the restored local count and suffix
   /// length. Throws std::runtime_error naming the field when the block
   /// breaks an invariant the next step would index by: domain cut counts
   /// that do not match the grid (see DomainDecomposer::Cuts), a ghost-export
-  /// cache whose per-rank lists are not comm().size() long, an export_idx or
-  /// LET-record perm entry that is not below `n_local`, a LET item whose
-  /// entry range leaves perm, a stale cache with a ghost suffix (phase 0
-  /// would drop it; the message names the local count), or a clean cache
-  /// whose LET record is not per rank or whose import_counts do not sum to
-  /// `n_ghosts`. A throw leaves the engine unusable until a restore
-  /// succeeds.
+  /// cache whose per-rank lists are not comm().size() long, an export_idx
+  /// entry that is not below `n_local`, a stale cache with a ghost suffix
+  /// (phase 0 would drop it; the message names the local count), or a clean
+  /// cache whose import_counts do not sum to `n_ghosts`. A throw leaves the
+  /// engine unusable until a restore succeeds.
   void restoreState(io::ByteReader& r, std::size_t n_local, std::size_t n_ghosts);
 
   /// The imported LET entries (remote monopoles + boundary particles) the
@@ -231,14 +234,16 @@ class DistributedEngine {
   [[nodiscard]] const std::vector<fdps::SourceEntry>& letImports() const {
     return let_imports_;
   }
-  /// The live ghost-export cache and LET export record (read-only).
+  /// The live ghost-export cache (read-only).
   [[nodiscard]] const fdps::GhostExchange& ghostExports() const { return ghost_cache_; }
-  [[nodiscard]] const fdps::LetExportRecord& letRecord() const { return let_record_; }
 
  private:
   template <class Io, class Engine>
   static void stateFields(Io& io, Engine& e, fdps::DomainDecomposer::Cuts& cuts);
 
+  /// The LET half of a full exchange: walk a fresh locals-only tree for
+  /// every peer and install the imports. Does not touch the trees of `ctx`.
+  void exchangeLet(std::span<const Particle> locals, const gravity::GravityParams& grav);
   void fullExchange(std::vector<Particle>& parts, std::size_t n_local,
                     fdps::StepContext& ctx, const gravity::GravityParams& grav);
   /// Collective: the local gather radius if any rank's escaped its exported
@@ -252,9 +257,8 @@ class DistributedEngine {
   fdps::SourceTree export_tree_;     ///< locals-only tree for exportLet walks
   std::vector<fdps::SourceEntry> let_imports_;  ///< the live LET entry set
   fdps::GhostExchange ghost_cache_;  ///< export lists + reach of the live set
-  fdps::LetExportRecord let_record_; ///< walk provenance of the live LET set
   double drift_accum_ = 0.0;         ///< local displacement since exchange
-  double let_drift_ = 0.0;           ///< displacement since last LET value sync
+  double let_drift_ = 0.0;           ///< displacement since the last LET walk
   /// The cache must be rebuilt before its next use: set by a new engine, a
   /// re-cut or migration, and markDirty; cleared by a full exchange.
   bool stale_ = true;

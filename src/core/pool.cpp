@@ -259,7 +259,7 @@ void PoolNodeScheduler::workerLoop() {
       std::unique_lock<std::mutex> lk(mutex_);
       work_cv_.wait(lk, [&] { return shutdown_ || !queue_.empty(); });
       if (shutdown_ && queue_.empty()) return;
-      // Coalesce: take an even share of the queue, capped by max_batch_ —
+      // Coalesce: take an even share of the queue, capped by kMaxBatch —
       // a lone worker sweeps a starburst into one batched forward, while a
       // full worker pool still splits the queue instead of one worker
       // hoarding it.
@@ -268,7 +268,7 @@ void PoolNodeScheduler::workerLoop() {
                          static_cast<std::size_t>(n_pool_);
       const auto take =
           std::min({qs, std::max<std::size_t>(1, share),
-                    static_cast<std::size_t>(max_batch_)});
+                    static_cast<std::size_t>(kMaxBatch)});
       batch.reserve(take);
       for (std::size_t i = 0; i < take; ++i) {
         batch.push_back(std::move(queue_.front()));

@@ -14,11 +14,12 @@
 /// delivered back at step s + return_interval (the paper's 50-step cadence:
 /// dt_global = 2,000 yr x 50 steps = 0.1 Myr = the prediction horizon).
 ///
-/// Concurrently-queued jobs are coalesced into one predictBatch call (see
-/// setMaxBatch): a starburst that fires many SNe in one step runs them as a
-/// single batched network forward instead of one forward per region. The
-/// batched results are bitwise identical to per-region prediction — batching
-/// is invisible in the output, it only changes throughput.
+/// Concurrently-queued jobs are coalesced into one predictBatch call of at
+/// most kMaxBatch jobs: a starburst that fires many SNe in one step runs
+/// them as a single batched network forward instead of one forward per
+/// region. The batched results are bitwise identical to per-region
+/// prediction — batching is invisible in the output, it only changes
+/// throughput.
 
 #include <condition_variable>
 #include <cstdint>
@@ -38,6 +39,9 @@ namespace asura::core {
 
 class PoolNodeScheduler {
  public:
+  /// Most jobs a worker dequeues into one predictBatch call.
+  static constexpr int kMaxBatch = 8;
+
   PoolNodeScheduler(std::shared_ptr<SurrogateBackend> backend, int n_pool_nodes,
                     long return_interval);
   ~PoolNodeScheduler();
@@ -60,12 +64,6 @@ class PoolNodeScheduler {
   [[nodiscard]] std::uint64_t jobsCompleted() const;
   [[nodiscard]] long returnInterval() const { return return_interval_; }
   [[nodiscard]] int poolNodes() const { return n_pool_; }
-
-  /// Most jobs a worker dequeues into one predictBatch call (default 8,
-  /// clamped to >= 1; 1 disables coalescing). Configure before the first
-  /// submit, like the degradation knobs below.
-  void setMaxBatch(int max_batch) { max_batch_ = max_batch < 1 ? 1 : max_batch; }
-  [[nodiscard]] int maxBatch() const { return max_batch_; }
 
   /// predictBatch calls issued by workers (each covers >= 1 jobs).
   [[nodiscard]] std::uint64_t batchCalls() const;
@@ -178,7 +176,6 @@ class PoolNodeScheduler {
   int n_pool_;
   long return_interval_;
   int retry_budget_ = 1;
-  int max_batch_ = 8;
   double job_timeout_s_ = 0.0;
 
   mutable std::mutex mutex_;

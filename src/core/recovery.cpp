@@ -85,7 +85,10 @@ SimulationConfig escalateConfig(SimulationConfig base, int level) {
   // safety (monotone), so re-applying after a ring restore — which brings
   // back the snapshot's pre-escalation config — is idempotent.
   if (level >= 1) base.validate_steps = true;
-  if (level >= 3) base.kernel_isa = pikg::Isa::Scalar;
+  if (level >= 3) {
+    base.gravity.isa = pikg::Isa::Scalar;
+    base.sph.isa = pikg::Isa::Scalar;
+  }
   // Level 2 (surrogate -> Sedov oracle) is a construction-time backend
   // choice, carried by AttemptPlan::force_oracle instead of the config.
   return base;

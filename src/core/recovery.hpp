@@ -103,7 +103,8 @@ struct AttemptPlan {
 ///   level 0 — same config (transient faults recover bitwise here);
 ///   level 1 — + validate_steps (catch corruption at the step it lands);
 ///   level 2 — (config unchanged; the oracle swap is AttemptPlan::force_oracle);
-///   level 3 — + kernel_isa pinned to Scalar (exclude wide-ISA paths).
+///   level 3 — + gravity.isa and sph.isa pinned to Scalar (exclude wide-ISA
+///             paths).
 /// Monotone and idempotent, so it can be re-applied over a ring-restored
 /// config whose serialized knobs predate the escalation.
 [[nodiscard]] SimulationConfig escalateConfig(SimulationConfig base, int level);

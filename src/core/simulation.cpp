@@ -32,6 +32,15 @@ static_assert(std::is_trivially_copyable_v<EvCapture>);
 static_assert(std::is_trivially_copyable_v<stellar::SnEvent>,
               "SN events must be shippable through the comm layer");
 
+/// Safety floor [Myr] of the adaptive CFL step and of the rung criteria.
+constexpr double kCflDtMin = 1e-6;
+
+/// Multiplier applied to every particle's work counter at step entry
+/// (Particle::work, the per-particle closing-kick tally feeding the
+/// work-weighted domain decomposition): quiet particles forget an SN storm
+/// in a few tens of steps. Never read by physics.
+constexpr double kWorkDecay = 0.75;
+
 }  // namespace
 
 Simulation::Simulation(std::vector<Particle> particles, SimulationConfig cfg,
@@ -47,7 +56,6 @@ Simulation::Simulation(std::vector<Particle> particles, SimulationConfig cfg,
     if (!backend_) backend_ = std::make_shared<SedovOracleBackend>();
     pool_ = std::make_unique<PoolNodeScheduler>(backend_, cfg_.n_pool_nodes,
                                                 cfg_.return_interval);
-    pool_->setMaxBatch(cfg_.surrogate_max_batch);
     // Graceful degradation: a job whose primary prediction throws or breaks
     // the contract (validatePrediction) retries, then falls back per-region
     // to the physics oracle — the training target doubles as the
@@ -64,18 +72,6 @@ void Simulation::attachDistributed(std::unique_ptr<DistributedEngine> engine) {
 
 comm::Comm& Simulation::comm() { return dist_->comm(); }
 
-gravity::GravityParams Simulation::gravityParams() const {
-  gravity::GravityParams p = cfg_.gravity;
-  if (p.isa == pikg::Isa::Auto) p.isa = cfg_.kernel_isa;
-  return p;
-}
-
-sph::SphParams Simulation::sphParams() const {
-  sph::SphParams p = cfg_.sph;
-  if (p.isa == pikg::Isa::Auto) p.isa = cfg_.kernel_isa;
-  return p;
-}
-
 StepStats Simulation::step() {
   // Reject un-integrable configurations before any work or collective call:
   // config() is mutable between steps, so the check runs at every entry and
@@ -90,14 +86,6 @@ StepStats Simulation::step() {
   work_seconds_accum_ = 0.0;
   step_ctx_.beginStep();
   reportProgress(0);  // step entered
-
-  // Record the run-level kernel-ISA resolution. The per-pass params handed
-  // to the force passes are resolved on the fly by gravityParams() /
-  // sphParams() — an explicitly pinned GravityParams::isa / SphParams::isa
-  // wins over kernel_isa, and the user's config is never mutated, so
-  // toggling kernel_isa between steps can never stick. A per-pass pin that
-  // diverges from kernel_isa shows in its own params, not here.
-  stats.kernel_isa = pikg::resolveIsa(cfg_.kernel_isa);
 
   // (0) Phase 0: domains recut when due, and every local ships to its
   // owner when anything moves. Runs before SN identification so captures,
@@ -122,11 +110,10 @@ StepStats Simulation::step() {
   // migrations and checkpoints but never read by physics.
   {
     const auto n_loc = static_cast<std::int64_t>(n_local_);
-    const double decay = cfg_.work_decay;
 #pragma omp parallel for schedule(static)
     for (std::int64_t i = 0; i < n_loc; ++i) {
       auto& p = parts_[static_cast<std::size_t>(i)];
-      p.work = p.work * decay + (p.isGas() ? 4.0 : 2.0);
+      p.work = p.work * kWorkDecay + (p.isGas() ? 4.0 : 2.0);
     }
   }
 
@@ -160,10 +147,9 @@ StepStats Simulation::step() {
     if (!std::isfinite(last_cfl_dt_)) {
       last_cfl_dt_ = sph::cflTimestep(localSpan(), cfg_.sph);
     }
-    // The floor never exceeds dt_global: a step below cfl_dt_min is legal
+    // The floor never exceeds dt_global: a step below kCflDtMin is legal
     // and takes dt_global.
-    dt = std::clamp(last_cfl_dt_, std::min(cfg_.cfl_dt_min, cfg_.dt_global),
-                    cfg_.dt_global);
+    dt = std::clamp(last_cfl_dt_, std::min(kCflDtMin, cfg_.dt_global), cfg_.dt_global);
     // Every rank must take the same step: the CFL minimum is global.
     dt = comm().allreduce(dt, comm::Op::Min);
   }
@@ -287,7 +273,6 @@ StepStats Simulation::step() {
   stats.let_exchanges = xs.let_exchanges;
   stats.let_export_walks = xs.let_export_walks;
   stats.let_reuses = xs.let_reuses;
-  stats.let_value_refreshes = xs.let_value_refreshes;
   stats.ghost_exchanges = xs.ghost_exchanges;
   stats.ghost_value_refreshes = xs.ghost_value_refreshes;
   stats.ghost_reuses = xs.ghost_reuses;
@@ -385,7 +370,7 @@ int Simulation::desiredRung(const fdps::Particle& p, double dt_global) const {
       want = std::min(want, cfg_.rung_safety * cfg_.sph.cfl * 0.5 * p.h / v);
     }
   }
-  want = std::max(want, cfg_.cfl_dt_min);
+  want = std::max(want, kCflDtMin);
   int k = 0;
   double dt_k = dt_global;
   while (k < kmax && dt_k > want * (1.0 + 1e-12)) {
@@ -763,7 +748,7 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
     // Pure-compute section: timed into work_seconds_accum_ (no collectives
     // inside the solve itself — the retry protocol around it is collective).
     const double t0 = util::wtime();
-    const auto ds = sph::solveDensity(step_ctx_, parts_, gas_targets, sphParams());
+    const auto ds = sph::solveDensity(step_ctx_, parts_, gas_targets, cfg_.sph);
     work_seconds_accum_ += util::wtime() - t0;
     return ds;
   };
@@ -847,7 +832,7 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
     util::TimerRegistry::Scope scope(timers_, force_cat);
     const double t0 = util::wtime();
     const auto gs = gravity::accumulateTreeGravity(step_ctx_, localSpan(), dist_->letImports(),
-                                                   targets, gravityParams());
+                                                   targets, cfg_.gravity);
     timers_.add("Tree_Build", gs.t_build);
     timers_.add("Tree_Walk (cpu)", gs.t_walk);
     timers_.add("Interaction_Kernel (cpu)", gs.t_kernel);
@@ -856,7 +841,7 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
     // sub-steps' requests drive the mid-step wakes, the final pass's the
     // sync-point rung floor.
     const bool collect_wakes = cfg_.hierarchical_timestep && cfg_.timestep_limiter;
-    const auto fs = sph::accumulateHydroForce(step_ctx_, parts_, gas_targets, sphParams(),
+    const auto fs = sph::accumulateHydroForce(step_ctx_, parts_, gas_targets, cfg_.sph,
                                               collect_wakes ? &wake_requests_ : nullptr);
     timers_.add("Tree_Build", fs.t_build);
     timers_.add("Tree_Walk (cpu)", fs.t_walk);
@@ -1147,12 +1132,8 @@ void Simulation::validateConfig() const {
   if (!(cfg_.dt_global > 0.0) || !std::isfinite(cfg_.dt_global)) {
     bad("dt_global must be positive and finite");
   }
-  if (!(cfg_.cfl_dt_min > 0.0)) bad("cfl_dt_min must be positive");
   if (!(cfg_.eta_acc > 0.0)) bad("eta_acc must be positive");
   if (!(cfg_.rung_safety > 0.0)) bad("rung_safety must be positive");
-  if (!(cfg_.work_decay >= 0.0) || !(cfg_.work_decay < 1.0)) {
-    bad("work_decay must lie in [0, 1)");
-  }
   if (cfg_.max_rung < 0 || cfg_.max_rung >= kMaxRungs) {
     bad("max_rung must lie in [0, " + std::to_string(kMaxRungs - 1) + "]");
   }
@@ -1160,17 +1141,19 @@ void Simulation::validateConfig() const {
   if (!(cfg_.surrogate_horizon > 0.0)) bad("surrogate_horizon must be positive");
   if (cfg_.return_interval <= 0) bad("return_interval must be positive");
   if (cfg_.n_pool_nodes <= 0) bad("n_pool_nodes must be positive");
-  if (cfg_.surrogate_max_batch < 1) bad("surrogate_max_batch must be >= 1");
   if (!(cfg_.feedback_radius > 0.0)) bad("feedback_radius must be positive");
   if (cfg_.sph.n_ngb <= 0) bad("sph.n_ngb must be positive");
   if (!(cfg_.sph.cfl > 0.0)) bad("sph.cfl must be positive");
   if (!(cfg_.gravity.theta >= 0.0)) bad("gravity.theta must be non-negative");
   // A pinned (non-Auto) backend the host cannot execute would be silently
   // clamped by resolveIsa — an explicit pin deserves an explicit failure.
-  if (cfg_.kernel_isa != pikg::Isa::Auto &&
-      pikg::resolveIsa(cfg_.kernel_isa) != cfg_.kernel_isa) {
-    bad("kernel_isa pins a backend this host cannot execute");
+  const auto runnable = [](pikg::Isa isa) {
+    return isa == pikg::Isa::Auto || pikg::resolveIsa(isa) == isa;
+  };
+  if (!runnable(cfg_.gravity.isa)) {
+    bad("gravity.isa pins a backend this host cannot execute");
   }
+  if (!runnable(cfg_.sph.isa)) bad("sph.isa pins a backend this host cannot execute");
 }
 
 void Simulation::validateStepInvariants() {
@@ -1244,14 +1227,14 @@ void Simulation::validateStepInvariants() {
 
 namespace {
 
-/// Payload format of serializeState. v6 (the only version read or written)
+/// Payload format of serializeState. v7 (the only version read or written)
 /// is: config, clocks, rng, the working array (locals, then ghosts, with
 /// their work counters) and the local count, pending pool predictions with
 /// job ids plus the submission counter, and the engine block every payload
 /// carries: the LET imports, the staleness flag, the domain cuts, the ghost
-/// export layout and the LET export record. A payload of any other version
-/// fails restore loudly.
-constexpr std::uint32_t kStateVersion = 6;
+/// export layout and the two drift accumulators. A payload of any other
+/// version fails restore loudly.
+constexpr std::uint32_t kStateVersion = 7;
 
 }  // namespace
 
@@ -1259,9 +1242,9 @@ constexpr std::uint32_t kStateVersion = 6;
 /// the codec finds it by argument-dependent lookup.
 template <class Io, io::Record<SimulationConfig> C>
 void fields(Io& io, C& c) {
-  io(c.dt_global, c.use_surrogate, c.adaptive_timestep, c.cfl_dt_min, c.hierarchical_timestep,
+  io(c.dt_global, c.use_surrogate, c.adaptive_timestep, c.hierarchical_timestep,
      c.max_rung, c.eta_acc, c.timestep_limiter, c.rung_safety, c.sn_box_size,
-     c.surrogate_horizon, c.return_interval, c.n_pool_nodes, c.kernel_isa, c.gravity.G,
+     c.surrogate_horizon, c.return_interval, c.n_pool_nodes, c.gravity.G,
      c.gravity.theta, c.gravity.group_size, c.gravity.leaf_size, c.gravity.kernel,
      c.gravity.isa, c.sph.kernel.type, c.sph.n_ngb, c.sph.alpha_visc, c.sph.beta_visc,
      c.sph.cfl, c.sph.group_size, c.sph.leaf_size, c.sph.max_h_iterations,
@@ -1269,7 +1252,7 @@ void fields(Io& io, C& c) {
      c.star_formation.temp_threshold, c.star_formation.efficiency, c.star_formation.mu,
      c.cooling.temp_floor, c.cooling.temp_ceil, c.cooling.heating_gamma, c.cooling.mu,
      c.enable_star_formation, c.enable_cooling, c.feedback_radius, c.validate_steps,
-     c.abort_checkpoint_path, c.seed, c.surrogate_max_batch, c.work_decay);
+     c.abort_checkpoint_path, c.seed);
 }
 
 template <class Io>

@@ -131,7 +131,6 @@
 #include "fdps/context.hpp"
 #include "fdps/particle.hpp"
 #include "gravity/gravity.hpp"
-#include "pikg/isa.hpp"
 #include "sph/sph.hpp"
 #include "stellar/stellar.hpp"
 #include "util/histogram.hpp"
@@ -165,7 +164,6 @@ struct SimulationConfig {
   double dt_global = 0.002;       ///< 2,000 yr (paper §3.2)
   bool use_surrogate = true;      ///< false: conventional direct feedback
   bool adaptive_timestep = false; ///< true: global CFL minimum (baseline)
-  double cfl_dt_min = 1e-6;       ///< safety floor [Myr]
   /// Block-timestep scheme: per-particle power-of-two rungs with active-set
   /// force passes between full-step synchronization points. Takes
   /// precedence over adaptive_timestep.
@@ -192,34 +190,18 @@ struct SimulationConfig {
   /// less active-set force work on SN-driven phases for ~1.8x the (small)
   /// energy-drift rate. Set 0.35 to reproduce PR 2's accuracy point.
   double rung_safety = 0.8;
-  /// Multiplier applied to every particle's work counter at step entry
-  /// (Particle::work, the per-particle closing-kick tally feeding the
-  /// work-weighted domain decomposition): quiet particles forget an SN
-  /// storm in a few tens of steps. Never read by physics, so it cannot
-  /// perturb trajectories; must lie in [0, 1).
-  double work_decay = 0.75;
 
   // --- surrogate / pool nodes ---
   double sn_box_size = 60.0;      ///< pc, region side length
   double surrogate_horizon = 0.1; ///< Myr (= 50 x 2,000 yr)
   long return_interval = 50;      ///< steps until predictions come back
   int n_pool_nodes = 4;           ///< worker threads (paper: <50 nodes)
-  /// Most concurrently-queued SN jobs one pool worker coalesces into a
-  /// single batched network forward (1 disables batching). Output is
-  /// bitwise independent of this knob — it is throughput only.
-  int surrogate_max_batch = 8;
-
-  // --- kernel backend ---
-  /// PIKG-generated kernel backend for every force pass (gravity MixedF32,
-  /// SPH density and hydro force). Auto resolves to the widest ISA the host
-  /// CPU and the build both support (kernels/registry.hpp); pinning Scalar /
-  /// Avx2 / Avx512 overrides the cpuid dispatch (conformance tests,
-  /// benchmarks). Propagated into gravity.isa / sph.isa at step entry —
-  /// a per-pass field the caller pinned explicitly (non-Auto) wins over
-  /// this run-level knob.
-  pikg::Isa kernel_isa = pikg::Isa::Auto;
 
   // --- physics ---
+  /// gravity.isa and sph.isa pick each force pass's PIKG kernel backend:
+  /// Auto resolves to the widest ISA the host CPU and the build both support
+  /// (kernels/registry.hpp); a pin (Scalar / Avx2 / Avx512) the host cannot
+  /// execute is rejected by validateConfig.
   gravity::GravityParams gravity{};
   sph::SphParams sph{};
   stellar::StarFormationParams star_formation{};
@@ -252,11 +234,6 @@ struct StepStats {
   int surrogate_fallbacks = 0;
   int stars_formed = 0;
   double dt_used = 0.0;
-  /// Run-level PIKG backend resolution for this step (kernel_isa after
-  /// cpuid clamping; never Auto). A per-pass GravityParams::isa /
-  /// SphParams::isa pin that diverges from kernel_isa is reflected in its
-  /// own params, not here.
-  pikg::Isa kernel_isa = pikg::Isa::Scalar;
   int tree_builds = 0;    ///< trees (re)built this step (seed: 6; pipeline: <=3 quiet)
   int tree_refreshes = 0; ///< O(N) smoothing/position refreshes standing in for rebuilds
   // --- hierarchical block timesteps ---
@@ -281,7 +258,7 @@ struct StepStats {
   sph::DensityStats density_stats{};
   sph::ForceStats force_stats{};
   // --- distributed exchange cache (all zero at one rank) ---
-  int let_exchanges = 0;         ///< full LET exchanges this step
+  int let_exchanges = 0;         ///< LET walks + alltoalls this step (full or re-walk)
   int let_export_walks = 0;      ///< exportLet tree walks (P-1 per exchange)
   int let_reuses = 0;            ///< force passes served from the cached LET set
   int ghost_exchanges = 0;       ///< full ghost selections + alltoalls
@@ -292,8 +269,7 @@ struct StepStats {
   /// Passes that hit kMaxReachRetries with the reach still escaped — the
   /// pass proceeded on a truncated neighbour set (raise ghost_h_margin).
   int reach_giveups = 0;
-  // --- work-weighted balancing (the first three are zero at one rank) ---
-  int let_value_refreshes = 0;   ///< payload-style refreshes of cached LET imports
+  // --- work-weighted balancing (the first two are zero at one rank) ---
   int rebalances = 0;            ///< imbalance-triggered domain re-cuts this step
   /// Rank load max/mean measured by this step's DomainDecomposer::maintain
   /// (0 unless the engine runs with decompose_interval = 0).
@@ -466,11 +442,6 @@ class Simulation {
   template <class Io>
   void clockAndParticleFields(Io& io, util::Pcg32::State& rng, std::uint64_t& n_local);
 
-  /// Per-pass parameter sets with the effective PIKG backend resolved: an
-  /// explicitly pinned params.isa (non-Auto) wins, otherwise the run-level
-  /// cfg_.kernel_isa applies. Pure — the user's config is never mutated.
-  [[nodiscard]] gravity::GravityParams gravityParams() const;
-  [[nodiscard]] sph::SphParams sphParams() const;
   /// The force pass: density solve (with the distributed stale-reach
   /// protocol), ghost payload refresh, tree gravity and hydro force on
   /// `targets` (local indices) and `gas_targets` (their gas subset). A full

@@ -34,7 +34,8 @@
 ///      level 0 — same config (transient faults recover bitwise here);
 ///      level 1 — + validate_steps (catch corruption at the step it lands);
 ///      level 2 — + surrogate forced to the Sedov-oracle backend;
-///      level 3 — + kernel_isa pinned to Scalar (exclude wide-ISA paths).
+///      level 3 — + gravity.isa and sph.isa pinned to Scalar (exclude
+///                wide-ISA paths).
 ///    Exhausted retries write the last good ring state to a post-mortem
 ///    disk checkpoint and return a structured RunReport instead of looping.
 ///

@@ -42,8 +42,8 @@
 /// and its counters) lives in core::DistributedEngine, and the ghosts live
 /// in the working array's suffix, so a gas tree over that array covers them.
 /// The gravity tree holds the engine's LET imports: the engine calls
-/// `invalidateGravityTree()` when a value refresh changes them in place;
-/// full exchanges and restores call `invalidate()`.
+/// `invalidateGravityTree()` when a LET walk between full exchanges
+/// replaces them; full exchanges and restores call `invalidate()`.
 ///
 /// **Scratch arenas.** `arena(tid)` hands each OpenMP thread a private
 /// ThreadArena holding interaction-list and SoA staging buffers. Arenas are
@@ -131,7 +131,7 @@ class StepContext {
   /// import set changed.
   void invalidate();
 
-  /// Drop the gravity tree only: the LET import values changed in place.
+  /// Drop the gravity tree only: the LET imports were replaced.
   void invalidateGravityTree() { gravity_tree_valid_ = false; }
 
   /// Gravity tree over all `particles` plus the imported LET entries.

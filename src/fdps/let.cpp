@@ -6,92 +6,23 @@
 namespace asura::fdps {
 
 std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm, const DomainDecomposer& dd,
-                                            const SourceTree& local_tree, double theta,
-                                            LetExportRecord* record) {
+                                            const SourceTree& local_tree, double theta) {
   const int p = comm.size();
   std::vector<std::vector<SourceEntry>> outgoing(static_cast<std::size_t>(p));
-  if (record) {
-    record->items.assign(static_cast<std::size_t>(p), {});
-    record->perm.clear();
-    for (const auto& e : local_tree.entries()) record->perm.push_back(e.idx);
-  }
   for (int r = 0; r < p; ++r) {
     if (r == comm.rank() || local_tree.empty()) continue;
-    local_tree.exportLet(dd.domainOf(r), theta, outgoing[static_cast<std::size_t>(r)],
-                         record ? &record->items[static_cast<std::size_t>(r)] : nullptr);
+    local_tree.exportLet(dd.domainOf(r), theta, outgoing[static_cast<std::size_t>(r)]);
   }
   const auto incoming = comm.alltoallv(outgoing);
   std::vector<SourceEntry> result;
-  if (record) record->import_counts.assign(static_cast<std::size_t>(p), 0);
   for (int r = 0; r < p; ++r) {
     if (r == comm.rank()) continue;  // own contribution excluded
     const auto& v = incoming[static_cast<std::size_t>(r)];
-    if (record) record->import_counts[static_cast<std::size_t>(r)] = v.size();
     result.insert(result.end(), v.begin(), v.end());
   }
   // Imported entries must not alias local particle indices.
   for (auto& e : result) {
     if (!e.isMultipole()) e.idx = SourceEntry::kMultipole;
-  }
-  return result;
-}
-
-std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecord& record,
-                                          const std::vector<Particle>& particles) {
-  const int p = comm.size();
-  if (!record.ready(p)) {
-    throw std::logic_error("refreshLetValues: record does not match comm size");
-  }
-  std::vector<std::vector<SourceEntry>> outgoing(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    if (r == comm.rank()) continue;
-    const auto& items = record.items[static_cast<std::size_t>(r)];
-    auto& buf = outgoing[static_cast<std::size_t>(r)];
-    buf.reserve(items.size());
-    for (const auto& item : items) {
-      SourceEntry e;
-      e.idx = SourceEntry::kMultipole;  // imports never alias local indices
-      if (item.count == 0) {
-        const auto& part = particles.at(record.perm.at(item.first));
-        e.pos = part.pos;
-        e.mass = part.mass;
-        e.eps = part.eps;
-        e.h = part.isGas() ? part.h : 0.0;
-      } else {
-        // Direct monopole summation in ascending recorded order: the order
-        // is a pure function of the serialized record, so a restored run
-        // reproduces these values bitwise.
-        double mass = 0.0;
-        Vec3d mpos{};
-        double meps = 0.0;
-        for (std::uint32_t j = item.first; j < item.first + item.count; ++j) {
-          const auto& part = particles.at(record.perm.at(j));
-          mass += part.mass;
-          mpos += part.pos * part.mass;
-          meps += part.eps * part.mass;
-        }
-        if (mass > 0.0) {
-          e.pos = mpos / mass;
-          e.eps = meps / mass;
-        } else {
-          e.pos = particles.at(record.perm.at(item.first)).pos;
-          e.eps = particles.at(record.perm.at(item.first)).eps;
-        }
-        e.mass = mass;
-        e.h = 0.0;
-      }
-      buf.push_back(e);
-    }
-  }
-  const auto incoming = comm.alltoallv(outgoing);
-  std::vector<SourceEntry> result;
-  for (int r = 0; r < p; ++r) {
-    if (r == comm.rank()) continue;
-    const auto& v = incoming[static_cast<std::size_t>(r)];
-    if (v.size() != record.import_counts[static_cast<std::size_t>(r)]) {
-      throw std::runtime_error("refreshLetValues: import layout changed");
-    }
-    result.insert(result.end(), v.begin(), v.end());
   }
   return result;
 }

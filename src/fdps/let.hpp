@@ -24,42 +24,12 @@
 
 namespace asura::fdps {
 
-/// Everything needed to recompute the *values* of a previous LET exchange
-/// from live particle state, without re-walking any tree: per destination
-/// rank the emitted (first, count) descriptors, the exporting tree's
-/// entry->local-particle permutation, and the import layout to verify
-/// against. Counterpart of GhostExchange for the gravity side; serialized
-/// with the engine state so a restored run refreshes bitwise identically.
-struct LetExportRecord {
-  std::vector<std::vector<LetExportItem>> items;  ///< per destination rank
-  std::vector<std::uint32_t> perm;      ///< tree entry order -> local particle index
-  std::vector<std::size_t> import_counts;  ///< per-source entry counts
-  [[nodiscard]] bool ready(int comm_size) const {
-    return items.size() == static_cast<std::size_t>(comm_size) &&
-           import_counts.size() == static_cast<std::size_t>(comm_size);
-  }
-};
-
 /// Exchange gravity LETs. `local_tree` must be built over this rank's
 /// sources. Returns the imported entries (remote monopoles + boundary
 /// particles) to be merged with local sources before force evaluation.
-/// When `record` is non-null it is overwritten with the walk provenance
-/// that refreshLetValues needs.
 std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm,
                                             const DomainDecomposer& dd,
-                                            const SourceTree& local_tree, double theta,
-                                            LetExportRecord* record = nullptr);
-
-/// Payload-style LET refresh: rebuild every previously exported entry's
-/// values from current particle state — monopoles by direct summation over
-/// their recorded entry ranges in a fixed (ascending) order, raw entries
-/// straight from the particle — and exchange them along the remembered
-/// layout. No exportLet walk, no tree build. The returned vector has exactly
-/// `record.import_counts` entries per source, in the same order as the
-/// original exchange; throws if any count changed. `particles` may carry a
-/// ghost suffix: the record indexes locals only.
-std::vector<SourceEntry> refreshLetValues(comm::Comm& comm, const LetExportRecord& record,
-                                          const std::vector<Particle>& particles);
+                                            const SourceTree& local_tree, double theta);
 
 /// Layout of a cacheable ghost exchange (the ghosts themselves live in the
 /// working array's suffix).

@@ -74,7 +74,7 @@ struct Particle {
   /// the step's force-pass target evaluations: a static per-step charge for
   /// the two full passes (2, or 4 for gas which also pays density + hydro)
   /// plus 1 per closing kick (2 for gas), the whole multiplied by
-  /// Config::work_decay at every step start so quiet particles forget old
+  /// a fixed decay (0.75) at every step start so quiet particles forget old
   /// storms. Never read by physics — it only weights the domain
   /// decomposition's samples (1 + work) when weighted decomposition is on,
   /// so balancing cannot perturb trajectories. Travels with the particle

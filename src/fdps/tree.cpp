@@ -549,8 +549,7 @@ void SourceTree::gatherNeighbors(const Box& target, double gather_radius,
 }
 
 void SourceTree::exportLet(const Box& remote_box, double theta,
-                           std::vector<SourceEntry>& out,
-                           std::vector<LetExportItem>* items) const {
+                           std::vector<SourceEntry>& out) const {
   if (nodes_.empty()) return;
   std::vector<std::int32_t> stack{0};
   while (!stack.empty()) {
@@ -565,14 +564,11 @@ void SourceTree::exportLet(const Box& remote_box, double theta,
       e.h = 0.0;
       e.idx = SourceEntry::kMultipole;
       out.push_back(e);
-      if (items) items->push_back({n.first, n.count});
       continue;
     }
     if (n.isLeaf()) {
-      for (std::uint32_t i = n.first; i < n.first + n.count; ++i) {
-        out.push_back(entries_[i]);
-        if (items) items->push_back({i, 0});
-      }
+      const auto first = entries_.begin() + n.first;
+      out.insert(out.end(), first, first + n.count);
       continue;
     }
     for (std::int32_t c = 0; c < n.n_children; ++c) {

@@ -48,19 +48,6 @@ struct Monopole {
   double eps = 1.0;
 };
 
-/// Provenance of one exported LET entry, in terms of the exporting tree's
-/// Morton-sorted entry order: count > 0 is a monopole over entries
-/// [first, first+count); count == 0 is the raw entry at `first`. Together
-/// with the tree's entry->particle permutation this is enough to recompute
-/// the entry's *values* from live particle state in a fixed summation order
-/// — the payload-style LET refresh.
-struct LetExportItem {
-  std::uint32_t first = 0;
-  std::uint32_t count = 0;
-};
-
-static_assert(std::is_trivially_copyable_v<LetExportItem>);
-
 class SourceTree {
  public:
   struct Node {
@@ -122,12 +109,8 @@ class SourceTree {
                        std::vector<std::uint32_t>& out) const;
 
   /// LET export walk: emit monopole entries for subtrees satisfying the MAC
-  /// with respect to a *remote domain box*, raw entries otherwise. When
-  /// `items` is non-null, one LetExportItem per emitted entry records which
-  /// entry range it came from, so the payload can later be recomputed from
-  /// live particle state without re-walking (see refreshLetValues).
-  void exportLet(const Box& remote_box, double theta, std::vector<SourceEntry>& out,
-                 std::vector<LetExportItem>* items = nullptr) const;
+  /// with respect to a *remote domain box*, raw entries otherwise.
+  void exportLet(const Box& remote_box, double theta, std::vector<SourceEntry>& out) const;
 
  private:
   void buildTopology(int leaf_size);

@@ -1,8 +1,7 @@
 #pragma once
 /// \file particle_codec.hpp
 /// \brief Checkpoint field lists of the particle-level records: Particle,
-/// SourceEntry, the LET export record, the ghost export layout, Box and the
-/// rng state.
+/// SourceEntry, the ghost export layout, Box and the rng state.
 ///
 /// Each list is the single statement of its record's wire layout, in
 /// declaration order: ByteWriter and ByteReader both call it (see
@@ -27,16 +26,6 @@ void fields(Io& io, P& p) {
 template <class Io, Record<fdps::SourceEntry> E>
 void fields(Io& io, E& e) {
   io(e.pos, e.mass, e.eps, e.h, e.idx);
-}
-
-template <class Io, Record<fdps::LetExportItem> I>
-void fields(Io& io, I& it) {
-  io(it.first, it.count);
-}
-
-template <class Io, Record<fdps::LetExportRecord> R>
-void fields(Io& io, R& rec) {
-  io(rec.items, rec.perm, rec.import_counts);
 }
 
 template <class Io, Record<fdps::GhostExchange> G>

@@ -12,9 +12,9 @@
 ///   * `kernels(requested)` resolves a request (including Isa::Auto and
 ///     requests wider than the host supports, which clamp down) to a
 ///     KernelSet of function pointers;
-///   * SimulationConfig::kernel_isa feeds the per-pass GravityParams::isa /
-///     SphParams::isa so a run can pin a backend (conformance tests,
-///     benchmarks) or leave Auto in production.
+///   * the per-pass GravityParams::isa / SphParams::isa (set through
+///     SimulationConfig::gravity / sph) let a run pin a backend (conformance
+///     tests, benchmarks) or leave Auto in production.
 ///
 /// The generated scalar backend is always available and is the portable
 /// fallback; GravityParams::Kernel::ScalarF64 remains the hand-written

@@ -514,7 +514,12 @@ void ScenarioService::pause(InstanceId id) {
   std::unique_lock<std::mutex> lk(mu_);
   Instance& inst = instanceRef(id);
   if (inst.state == InstanceState::Paused) return;  // idempotent
-  requireEdge("pause", inst.state, InstanceState::Paused);
+  // Only a running instance parks here. Failed -> Paused is rollback's
+  // edge: a pause would publish the failed state as the newest snapshot.
+  if (inst.state != InstanceState::Running) {
+    throw std::runtime_error(std::string("pause: instance is ") + toString(inst.state) +
+                             " (only a running instance pauses)");
+  }
   if (inst.leased) {
     // Mid-slice (or under another call's lease): the stepping worker honors
     // the interrupt at the next step boundary and parks the instance. Wait
@@ -595,11 +600,15 @@ void ScenarioService::archive(InstanceId id, const std::string& checkpoint_path)
     instanceRef(id).interrupt.store(true, std::memory_order_relaxed);
   }
   Lease inst(*this, id);
+  bool failed = false;
   {
     std::lock_guard<std::mutex> lk(mu_);
     requireEdge("archive", inst->state, InstanceState::Archived);
+    failed = inst->state == InstanceState::Failed;
   }
-  if (inst->sim && inst->ring.lastStep() != inst->sim->stepCount()) {
+  // A Failed instance's live state is the failure; its final snapshot stays
+  // the ring's newest, last good one.
+  if (!failed && inst->sim && inst->ring.lastStep() != inst->sim->stepCount()) {
     pushSnapshotLeased(*inst);
   }
   if (!checkpoint_path.empty()) {

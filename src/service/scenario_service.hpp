@@ -206,6 +206,8 @@ class ScenarioService {
   /// pushed, so latestSnapshot reflects the paused state exactly). If that
   /// snapshot push itself fails the instance still parks in Paused (its
   /// simulation state is untouched) and the error propagates to the caller.
+  /// Idempotent on Paused; any other state throws and changes nothing (a
+  /// Failed instance leaves Failed through rollback only).
   void pause(InstanceId id);
 
   /// Restore the newest valid ring snapshot (Paused/Failed -> Paused).
@@ -214,9 +216,11 @@ class ScenarioService {
 
   /// Park the instance terminally (any non-terminal state -> Archived),
   /// releasing the live Simulation. `checkpoint_path` non-empty: the final
-  /// state is first written as an ordinary restorable "ASURACKP" checkpoint
-  /// (inspectable by tools/ckpt_inspect). The final snapshot stays in the
-  /// ring for cloning.
+  /// snapshot is first written as an ordinary restorable "ASURACKP"
+  /// checkpoint (inspectable by tools/ckpt_inspect). The final snapshot
+  /// stays in the ring for cloning. It is the live state pushed now, except
+  /// for a Failed instance: that one pushes nothing, and its final snapshot
+  /// is the ring's newest, last good one.
   void archive(InstanceId id, const std::string& checkpoint_path = {});
 
   // --- data plane ------------------------------------------------------

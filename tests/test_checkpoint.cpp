@@ -488,12 +488,12 @@ TEST(Checkpoint, UnsupportedFileVersionRejected) {
 }
 
 TEST(Checkpoint, UnsupportedStateVersionRejected) {
-  // Only state payload version 6 is read; the version word leads the payload.
+  // Only state payload version 7 is read; the version word leads the payload.
   const auto ic = gasBall(60, 5.0, 1.0, 8, 3000.0);
   const SimulationConfig cfg = quietConfig();
   Simulation sim(ic, cfg);
   const auto good = stateBytes(sim);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
     auto bytes = good;
     bytes[0] = static_cast<char>(version);
     Simulation fresh(ic, cfg);
@@ -560,7 +560,7 @@ TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
 // Wire layout pin
 //
 // CRC-32 of serializeState for fixed, unstepped states built from literal
-// values, recorded for state v6. A codec change that adds, drops, reorders
+// values, recorded for state v7. A codec change that adds, drops, reorders
 // or re-types a field moves these; such a change must also bump
 // kStateVersion, and re-record the constants with it.
 // ---------------------------------------------------------------------------
@@ -618,7 +618,7 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
                     std::make_shared<asura::core::NullBackend>());
   serial.pool()->submit(0, literalParticles(2, 900), {0.0, 0.0, 0.0},
                         asura::units::E_SN, 0.1);
-  EXPECT_EQ(stateCrc(serial), 0xeedef0bdu);
+  EXPECT_EQ(stateCrc(serial), 0x34f908e4u);
 
   // Two ranks with an engine attached, before any step.
   std::vector<std::uint32_t> crcs(2);
@@ -628,8 +628,8 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
     sim.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
     crcs[static_cast<std::size_t>(comm.rank())] = stateCrc(sim);
   });
-  EXPECT_EQ(crcs[0], 0xaf3609d5u);
-  EXPECT_EQ(crcs[1], 0x36c315dbu);
+  EXPECT_EQ(crcs[0], 0x513e8b98u);
+  EXPECT_EQ(crcs[1], 0x2f54227eu);
 }
 
 // ---------------------------------------------------------------------------
@@ -646,12 +646,11 @@ std::size_t findBytes(const std::vector<char>& hay, const std::vector<char>& nee
 TEST(Checkpoint, RestoreRejectsGhostCacheNotSizedToRanks) {
   // An unstepped 2-rank payload holds an empty ghost-export cache and a
   // stale flag. Claiming the cache clean would let the next step refresh
-  // payloads along export lists it indexes by rank. The flag sits 89 bytes
+  // payloads along export lists it indexes by rank. The flag sits 65 bytes
   // before the end of the payload: after it come the three cut vectors and
   // the ghost layout's two per-rank vectors (all empty, 8 bytes each), reach
-  // and drift (8 each), the three LET-record vectors (8 each), and the LET
-  // drift (8).
-  constexpr std::size_t kStaleFromEnd = 89;
+  // and drift (8 each), and the LET drift (8).
+  constexpr std::size_t kStaleFromEnd = 65;
   Cluster cluster(2);
   try {
     cluster.run([&](Comm& comm) {
@@ -683,50 +682,38 @@ std::vector<char> encoded(const T& v) {
 }
 
 TEST(Checkpoint, RestoreRejectsOutOfRangeParticleIndices) {
-  // A real 2-rank payload after one step, with one index into the locals
-  // rewritten to the local count: first a ghost-export entry, then a LET
-  // record perm entry. restoreState must name the field instead of leaving
-  // the next step's value refresh to index past the locals mid-collective.
+  // A real 2-rank payload after one step, with one ghost-export entry
+  // rewritten to the local count. restoreState must name the field instead
+  // of leaving the next step's ghost payload refresh to index past the
+  // locals mid-collective.
   const auto ic = gasBall(300, 8.0, 1.0, 23, 3000.0);
-  for (const std::string field : {"export_idx", "perm"}) {
-    Cluster cluster(2);
-    try {
-      cluster.run([&](Comm& comm) {
-        Simulation a(blockPartition(ic, comm.rank(), 2), quietConfig());
-        a.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
-        a.step();
-        auto bytes = stateBytes(a);
-        const auto n_local = static_cast<std::uint32_t>(a.nLocal());
-        std::vector<char> good, bad;
-        if (field == "export_idx") {
-          auto lists = a.distributed()->ghostExports().export_idx;
-          const auto list = std::find_if(lists.begin(), lists.end(),
-                                         [](const auto& l) { return !l.empty(); });
-          ASSERT_NE(list, lists.end());
-          good = encoded(lists);
-          list->front() = n_local;
-          bad = encoded(lists);
-        } else {
-          auto perm = a.distributed()->letRecord().perm;
-          ASSERT_FALSE(perm.empty());
-          good = encoded(perm);
-          perm.front() = n_local;
-          bad = encoded(perm);
-        }
-        const auto at = findBytes(bytes, good);
-        ASSERT_NE(at, std::string::npos);
-        ASSERT_EQ(findBytes(bytes, good, at + 1), std::string::npos);
-        std::copy(bad.begin(), bad.end(), bytes.begin() + static_cast<std::ptrdiff_t>(at));
+  Cluster cluster(2);
+  try {
+    cluster.run([&](Comm& comm) {
+      Simulation a(blockPartition(ic, comm.rank(), 2), quietConfig());
+      a.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+      a.step();
+      auto bytes = stateBytes(a);
+      auto lists = a.distributed()->ghostExports().export_idx;
+      const auto list = std::find_if(lists.begin(), lists.end(),
+                                     [](const auto& l) { return !l.empty(); });
+      ASSERT_NE(list, lists.end());
+      const auto good = encoded(lists);
+      list->front() = static_cast<std::uint32_t>(a.nLocal());
+      const auto bad = encoded(lists);
+      const auto at = findBytes(bytes, good);
+      ASSERT_NE(at, std::string::npos);
+      ASSERT_EQ(findBytes(bytes, good, at + 1), std::string::npos);
+      std::copy(bad.begin(), bad.end(), bytes.begin() + static_cast<std::ptrdiff_t>(at));
 
-        Simulation b(blockPartition(ic, comm.rank(), 2), quietConfig());
-        b.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
-        asura::io::ByteReader r(bytes.data(), bytes.size());
-        b.restoreState(r);
-      });
-      ADD_FAILURE() << "an out-of-range " << field << " entry restored";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
-    }
+      Simulation b(blockPartition(ic, comm.rank(), 2), quietConfig());
+      b.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
+      asura::io::ByteReader r(bytes.data(), bytes.size());
+      b.restoreState(r);
+    });
+    ADD_FAILURE() << "an out-of-range export_idx entry restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("export_idx"), std::string::npos) << e.what();
   }
 }
 
@@ -802,46 +789,6 @@ TEST(Checkpoint, RestoreRejectsGhostCountNotMatchingImports) {
     ADD_FAILURE() << "a serial payload with a ghost tail restored";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("local count"), std::string::npos) << e.what();
-  }
-}
-
-TEST(Checkpoint, RestoreRejectsCleanCacheWithoutLetRecord) {
-  // An engine block written field by field in stateFields order: real cuts,
-  // a clean cache, a ghost layout of one empty list and a zero count per
-  // rank, and a LET record. The next full pass refreshes the LET values
-  // along the record's per-rank lists, so a clean cache with an empty record
-  // must fail at restore; the same block with a two-rank record restores.
-  for (const bool per_rank_record : {false, true}) {
-    Cluster cluster(2);
-    try {
-      cluster.run([&](Comm& comm) {
-        const auto ic = blockPartition(gasBall(40, 5.0, 1.0, 29, 3000.0), comm.rank(), 2);
-        int px = 0, py = 0, pz = 0;
-        asura::comm::factor3(2, px, py, pz);
-        asura::fdps::DomainDecomposer dd(px, py, pz);
-        asura::util::Pcg32 rng(5);
-        dd.decompose(comm, ic, rng, /*weighted=*/false);
-        const auto cuts = dd.saveCuts();
-        asura::fdps::GhostExchange ghosts;
-        ghosts.export_idx.assign(2, {});
-        ghosts.import_counts.assign(2, 0);
-        asura::fdps::LetExportRecord record;
-        if (per_rank_record) {
-          record.items.assign(2, {});
-          record.import_counts.assign(2, 0);
-        }
-        asura::io::ByteWriter w;
-        w(std::vector<asura::fdps::SourceEntry>{}, /*stale=*/false, cuts.x, cuts.y, cuts.z,
-          ghosts, /*drift_accum=*/0.0, record, /*let_drift=*/0.0);
-        DistributedEngine engine(comm, engineConfig());
-        asura::io::ByteReader r(w.bytes().data(), w.bytes().size());
-        engine.restoreState(r, ic.size(), /*n_ghosts=*/0);
-      });
-      EXPECT_TRUE(per_rank_record) << "a clean cache without a LET record restored";
-    } catch (const std::runtime_error& e) {
-      EXPECT_FALSE(per_rank_record) << e.what();
-      EXPECT_NE(std::string(e.what()).find("LET record"), std::string::npos) << e.what();
-    }
   }
 }
 

@@ -272,9 +272,9 @@ TEST(Backends, PredictBatchBitwiseMatchesSequential) {
 }
 
 TEST(Pool, BatchedSchedulerOutputMatchesSequential) {
-  // End-to-end through the scheduler: a coalescing pool (many workers, max
-  // batch 8) must deliver, in the same order, the same bytes as a strictly
-  // sequential pool (one worker, batching disabled) over the same jobs.
+  // End-to-end through the scheduler: a coalescing pool must deliver, in
+  // submission order, the same bytes as one predict() call per region (the
+  // backend's batching contract).
   asura::ml::UNetConfig ucfg;
   ucfg.base_width = 2;
   asura::voxel::VoxelParams vp;
@@ -288,23 +288,18 @@ TEST(Pool, BatchedSchedulerOutputMatchesSequential) {
                               static_cast<std::uint64_t>(300 + j)));
   }
 
-  const auto runPool = [&](int n_workers, int max_batch) {
-    PoolNodeScheduler pool(backend, n_workers, 4);
-    pool.setMaxBatch(max_batch);
-    for (int j = 0; j < kJobs; ++j) {
-      pool.submit(0, regions[static_cast<std::size_t>(j)], {0, 0, 0},
-                  asura::units::E_SN, 0.1);
-    }
-    auto out = pool.collectDue(4);
-    EXPECT_EQ(pool.jobsCompleted(), static_cast<std::uint64_t>(kJobs));
-    if (max_batch > 1) {
-      EXPECT_GT(pool.jobsCoalesced(), 0u) << "batching never engaged";
-    }
-    return out;
-  };
+  std::vector<std::vector<Particle>> sequential;
+  for (const auto& region : regions) {
+    sequential.push_back(backend->predict(region, {0, 0, 0}, asura::units::E_SN, 0.1));
+  }
 
-  const auto sequential = runPool(1, 1);
-  const auto batched = runPool(4, 8);
+  PoolNodeScheduler pool(backend, 4, 4);
+  for (const auto& region : regions) {
+    pool.submit(0, region, {0, 0, 0}, asura::units::E_SN, 0.1);
+  }
+  const auto batched = pool.collectDue(4);
+  EXPECT_EQ(pool.jobsCompleted(), static_cast<std::uint64_t>(kJobs));
+  EXPECT_GT(pool.jobsCoalesced(), 0u) << "batching never engaged";
 
   ASSERT_EQ(sequential.size(), static_cast<std::size_t>(kJobs));
   ASSERT_EQ(batched.size(), sequential.size());
@@ -394,7 +389,7 @@ TEST(Simulation, PotentialEnergyCountsEachPairOnce) {
 }
 
 TEST(Simulation, AdaptiveStepBelowCflFloorTakesDtGlobal) {
-  // A global step below the CFL floor (cfl_dt_min, default 1e-6) is legal:
+  // A global step below the CFL floor (1e-6 Myr) is legal:
   // the adaptive baseline clamps the CFL minimum into [min(floor, dt_global),
   // dt_global] — never a range with its floor above its ceiling — and the
   // cold ball's CFL step is far above dt_global, so every step takes it.

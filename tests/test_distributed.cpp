@@ -374,10 +374,11 @@ TEST(Distributed, QuietSubStepsDoNoExportWalks) {
   bool saw_multi_substep = false;
   for (std::size_t s = 1; s < stats.size(); ++s) {  // step 0 warms the rungs
     saw_multi_substep |= stats[s].substeps > 1;
-    // However many sub-steps ran, the LET entry set was exchanged once and
-    // every sub-step force pass walked zero exportLet trees.
-    EXPECT_EQ(stats[s].let_exchanges, 1) << "step " << s;
-    EXPECT_EQ(stats[s].let_export_walks, 7) << "step " << s;
+    // However many sub-steps ran, every sub-step force pass walked zero
+    // exportLet trees: the LET is walked only at the step start and by the
+    // sync pass, which walks a drifted LET again.
+    EXPECT_LE(stats[s].let_exchanges, 2) << "step " << s;
+    EXPECT_EQ(stats[s].let_export_walks, 7 * stats[s].let_exchanges) << "step " << s;
     EXPECT_GE(stats[s].let_reuses, stats[s].substeps) << "step " << s;
   }
   EXPECT_TRUE(saw_multi_substep);

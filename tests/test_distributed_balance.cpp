@@ -344,27 +344,79 @@ TEST(DomainBalance, QuietMaintainStepsKeepExchangeCache) {
   ASSERT_EQ(stats.size(), 4u);
   // Step 0 pays the one full exchange of the run.
   EXPECT_EQ(stats[0].let_exchanges, 1);
-  int quiet_steps = 0, refreshes = 0;
+  int quiet_steps = 0;
   for (std::size_t s = 1; s < stats.size(); ++s) {
     // maintain() measured a balanced grid and did not re-cut.
     EXPECT_EQ(stats[s].rebalances, 0) << "quiet ball must stay balanced, step " << s;
     EXPECT_GT(stats[s].balance_max_over_mean, 0.0) << "step " << s;
     EXPECT_LE(stats[s].balance_max_over_mean, dcfg.imbalance_threshold) << "step " << s;
     // A cut sits on a sample's coordinate, so quiet drift may still carry
-    // that sample across it. A step without migration keeps both cached
-    // sets: no exchange, no export walk.
+    // that sample across it. A step without migration keeps the ghost
+    // layout; its first pass walks the drifted LET again and the second
+    // pass reuses that walk.
     if (stats[s].migrated != 0) continue;
     ++quiet_steps;
-    EXPECT_EQ(stats[s].let_exchanges, 0) << "step " << s;
-    EXPECT_EQ(stats[s].let_export_walks, 0) << "step " << s;
     EXPECT_EQ(stats[s].ghost_exchanges, 0) << "step " << s;
+    EXPECT_EQ(stats[s].let_exchanges, 1) << "step " << s;
+    EXPECT_EQ(stats[s].let_export_walks, 7) << "step " << s;
     EXPECT_GT(stats[s].let_reuses, 0) << "step " << s;
-    refreshes += stats[s].let_value_refreshes;
   }
   EXPECT_GE(quiet_steps, 1);
-  // The drift since the exchange re-ships LET payloads along the recorded
-  // walks (no re-walk) at least once on the reuse steps.
-  EXPECT_GT(refreshes, 0);
+}
+
+TEST(DomainBalance, DriftedLetImportsMatchAFreshWalk) {
+  // The fixture above. On a step without migration the cache survives, and
+  // the first pass finds the LET drifted. The imports it leaves must be
+  // what exchangeGravityLet returns over the rank's current locals, bitwise
+  // in position, mass and softening: no import is derived along an older
+  // walk. Positions, masses and softenings do not change after the first
+  // pass of a quiet global step.
+  constexpr int P = 8;
+  const auto ic = gasBall(600, 10.0, 1.0, 42, 3000.0);
+  SimulationConfig cfg = quietConfig();
+  // Leaves of 4 deepen the ~75-particle rank trees, so remote domains
+  // accept internal-node monopoles. At the default 16 every accepted
+  // monopole is a leaf, whose moments a direct re-summation in entry order
+  // reproduces bitwise; an internal node's bottom-up moments it does not.
+  cfg.gravity.leaf_size = 4;
+  DistributedConfig dcfg = balancedConfig();
+  dcfg.skin = 5.0;
+  std::vector<int> checked(P, 0), mismatched(P, 0);
+  Cluster cluster(P);
+  cluster.run([&](Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    Simulation sim(blockPartition(ic, comm.rank(), P), cfg);
+    sim.attachDistributed(std::make_unique<DistributedEngine>(comm, dcfg));
+    for (int s = 0; s < 4; ++s) {
+      const StepStats st = sim.step();
+      // Both counts are collective decisions, so every rank takes the same
+      // branch into the exchange below.
+      if (s == 0 || st.migrated != 0 || st.ghost_exchanges != 0) continue;
+      asura::fdps::SourceTree tree;
+      tree.build(asura::fdps::makeSourceEntries({sim.particles().data(), sim.nLocal()}),
+                 cfg.gravity.leaf_size);
+      const auto fresh = asura::fdps::exchangeGravityLet(comm, sim.distributed()->domains(),
+                                                         tree, cfg.gravity.theta);
+      const auto& live = sim.distributed()->letImports();
+      ++checked[r];
+      if (live.size() != fresh.size()) {
+        ++mismatched[r];
+        continue;
+      }
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        if (live[i].pos.x != fresh[i].pos.x || live[i].pos.y != fresh[i].pos.y ||
+            live[i].pos.z != fresh[i].pos.z || live[i].mass != fresh[i].mass ||
+            live[i].eps != fresh[i].eps) {
+          ++mismatched[r];
+          break;
+        }
+      }
+    }
+  });
+  for (int r = 0; r < P; ++r) {
+    EXPECT_GE(checked[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_EQ(mismatched[static_cast<std::size_t>(r)], 0) << "rank " << r;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -437,6 +489,9 @@ TEST(DomainBalance, WeightedRestartMatchesContinuousBitwise) {
   Cluster cluster(P);
   std::vector<Particle> merged;
   std::mutex merge_mutex;
+  // LET walks of the resumed steps that were not part of a full exchange
+  // (every full exchange, and every reach retry, counts a ghost exchange).
+  int rewalks = 0;
   cluster.run([&](Comm& comm) {
     Simulation a(blockPartition(ic, comm.rank(), P), cfg);
     a.attachDistributed(std::make_unique<DistributedEngine>(comm, dcfg));
@@ -445,10 +500,10 @@ TEST(DomainBalance, WeightedRestartMatchesContinuousBitwise) {
     a.serializeState(w);
     const auto bytes = w.take();
 
-    // Fresh instance restores mid-run: the v4 engine block carries the
-    // domain cuts, the LET export record and the accumulated drift, so b's
-    // migration / rebalance / refresh decisions replay a's exactly. Both
-    // re-serialize to the same bytes, engine blocks included.
+    // Fresh instance restores mid-run: the engine block carries the domain
+    // cuts and both drift accumulators, so b's migration / rebalance /
+    // re-walk decisions replay a's exactly. Both re-serialize to the same
+    // bytes, engine blocks included.
     Simulation b(blockPartition(ic, comm.rank(), P), cfg);
     b.attachDistributed(std::make_unique<DistributedEngine>(comm, dcfg));
     asura::io::ByteReader r(bytes.data(), bytes.size());
@@ -463,7 +518,10 @@ TEST(DomainBalance, WeightedRestartMatchesContinuousBitwise) {
     // rank issues the same collective order (all of a's, then all of b's).
     for (int s = 0; s < kTail; ++s) {
       a.step();
-      b.step();
+      const StepStats st = b.step();
+      if (comm.rank() == 0) {
+        rewalks += st.let_exchanges - (st.ghost_exchanges - st.reach_retries);
+      }
     }
     std::lock_guard<std::mutex> lk(merge_mutex);
     const auto& parts = b.particles();
@@ -477,6 +535,7 @@ TEST(DomainBalance, WeightedRestartMatchesContinuousBitwise) {
   EXPECT_EQ(m.pos, 0.0) << "restored run must be bitwise the continuous one";
   EXPECT_EQ(m.vel, 0.0);
   EXPECT_EQ(m.u, 0.0);
+  EXPECT_GT(rewalks, 0) << "the resumed window never walked a drifted LET again";
 }
 
 }  // namespace

@@ -429,31 +429,6 @@ TEST_F(HydroConformance, EveryIsaMatchesHandWrittenReference) {
 // Step-level parity: pinned-scalar vs auto-dispatched backend
 // ---------------------------------------------------------------------------
 
-TEST(KernelDispatchStep, PerPassPinWinsAndKernelIsaToggleIsNotSticky) {
-  const auto ic = asura::testing::gasBall(150, 6.0, 1.0, 5, 3000.0);
-  SimulationConfig cfg;
-  cfg.enable_star_formation = false;
-  cfg.enable_cooling = false;
-  cfg.use_surrogate = false;
-  cfg.sph.n_ngb = 16;
-  cfg.sph.isa = Isa::Scalar;  // explicit per-pass pin
-  Simulation sim(ic, cfg);
-  sim.step();
-  // The effective ISA resolves at the call site; the user's config is
-  // never mutated — the pin survives and the unpinned field stays Auto.
-  EXPECT_EQ(sim.config().sph.isa, Isa::Scalar);
-  EXPECT_EQ(sim.config().gravity.isa, Isa::Auto);
-  sim.config().kernel_isa = Isa::Scalar;
-  sim.step();
-  EXPECT_EQ(sim.config().gravity.isa, Isa::Auto);  // still untouched
-  EXPECT_EQ(sim.lastStats().kernel_isa, Isa::Scalar);
-  // Toggling the run-level knob back must not stick at the old value.
-  sim.config().kernel_isa = Isa::Auto;
-  sim.step();
-  EXPECT_EQ(sim.config().sph.isa, Isa::Scalar);  // pin still intact
-  EXPECT_EQ(sim.lastStats().kernel_isa, asura::pikg::bestIsa());
-}
-
 TEST(KernelDispatchStep, ScalarAndAutoBackendsAgreeAtStepLevel) {
   const auto ic = asura::testing::gasBall(400, 8.0, 1.0, 23, 3000.0);
   SimulationConfig base;
@@ -464,17 +439,17 @@ TEST(KernelDispatchStep, ScalarAndAutoBackendsAgreeAtStepLevel) {
   base.dt_global = 0.004;
 
   SimulationConfig cfg_scalar = base;
-  cfg_scalar.kernel_isa = Isa::Scalar;
+  cfg_scalar.gravity.isa = Isa::Scalar;
+  cfg_scalar.sph.isa = Isa::Scalar;
   SimulationConfig cfg_auto = base;
-  cfg_auto.kernel_isa = Isa::Auto;
+  cfg_auto.gravity.isa = Isa::Auto;
+  cfg_auto.sph.isa = Isa::Auto;
 
   Simulation a(ic, cfg_scalar), b(ic, cfg_auto);
   for (int s = 0; s < 3; ++s) {
     a.step();
     b.step();
   }
-  EXPECT_EQ(a.lastStats().kernel_isa, Isa::Scalar);
-  EXPECT_EQ(b.lastStats().kernel_isa, asura::pikg::bestIsa());
 
   // The SPH kernels are f64 on every backend (only FP summation order
   // differs); gravity differs at the f32 staging level. Step-level state

@@ -455,10 +455,6 @@ TEST(Robustness, ConfigValidationRejectsBadValues) {
                  "zero pool nodes");
   expectRejected([](SimulationConfig& c) { c.n_pool_nodes = -4; },
                  "negative pool nodes");
-  expectRejected([](SimulationConfig& c) { c.surrogate_max_batch = 0; },
-                 "zero surrogate batch");
-  expectRejected([](SimulationConfig& c) { c.surrogate_max_batch = -1; },
-                 "negative surrogate batch");
 
   // A healthy config still steps after all the rejected attempts above.
   Simulation ok(ic, campaignConfig());
@@ -478,10 +474,22 @@ TEST(Robustness, PinnedUnavailableIsaRejected) {
   if (unavailable == Isa::Auto) {
     GTEST_SKIP() << "host executes every generated backend";
   }
+  // Either per-pass field is checked on its own, before the step does any
+  // work.
   const auto ic = gasBall(50, 5.0, 1.0, 3, 3000.0);
-  Simulation sim(ic, campaignConfig());
-  sim.config().kernel_isa = unavailable;
-  EXPECT_THROW(sim.step(), std::invalid_argument);
+  for (const bool gravity : {true, false}) {
+    Simulation sim(ic, campaignConfig());
+    (gravity ? sim.config().gravity.isa : sim.config().sph.isa) = unavailable;
+    try {
+      sim.step();
+      ADD_FAILURE() << (gravity ? "gravity" : "sph") << ".isa pin accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(gravity ? "gravity.isa" : "sph.isa"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sim.stepCount(), 0);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -159,7 +160,7 @@ TEST(ServiceFsm, IllegalRequestsThrowAndChangeNothing) {
 
   // Admission: a config a Simulation itself would reject never registers.
   SimulationConfig bad = quietConfig();
-  bad.surrogate_max_batch = 0;
+  bad.eta_acc = 0.0;
   EXPECT_THROW(svc.create({"bad", instanceIc(1), bad, nullptr}),
                std::invalid_argument);
 }
@@ -300,14 +301,22 @@ TEST(ServiceRecovery, PersistentFaultParksFailedThenRollbackRehabilitates) {
   ServiceConfig scfg;
   scfg.n_workers = 2;
   scfg.max_retries = 2;
+  scfg.snapshot_interval = 2;
   ScenarioService svc(scfg);
+  const auto persistentFault = [](Simulation&, long next_step) {
+    if (next_step >= 3) throw std::runtime_error("persistent fault");
+  };
 
+  // Two instances fail the same way: the first is rolled back, the second
+  // archived while Failed.
   const InstanceId id =
       svc.create({"doomed", instanceIc(0), quietConfig(), nullptr});
-  svc.setStepHook(id, [](Simulation&, long next_step) {
-    if (next_step >= 3) throw std::runtime_error("persistent fault");
-  });
-  svc.start(id, 8);
+  const InstanceId archived =
+      svc.create({"doomed-archived", instanceIc(1), quietConfig(), nullptr});
+  for (const InstanceId i : {id, archived}) {
+    svc.setStepHook(i, persistentFault);
+    svc.start(i, 8);
+  }
   svc.waitIdle();
 
   InstanceInfo info = svc.info(id);
@@ -315,6 +324,33 @@ TEST(ServiceRecovery, PersistentFaultParksFailedThenRollbackRehabilitates) {
   EXPECT_EQ(info.retries, scfg.max_retries + 1);
   EXPECT_GT(info.rollbacks, 0);
   EXPECT_NE(info.last_error.find("persistent"), std::string::npos);
+  // The newest snapshot is the last good step, behind the failed state.
+  EXPECT_EQ(info.snapshot_step, 2);
+  EXPECT_EQ(info.step, 3);
+
+  // Failed -> Paused is rollback's edge: pause() throws and publishes
+  // nothing, so a start() cannot resume from the failed state.
+  EXPECT_THROW(svc.pause(id), std::runtime_error);
+  const InstanceInfo after_pause = svc.info(id);
+  EXPECT_EQ(after_pause.state, InstanceState::Failed);
+  EXPECT_EQ(after_pause.snapshots, info.snapshots);
+  EXPECT_EQ(after_pause.snapshot_step, info.snapshot_step);
+  EXPECT_EQ(svc.latestSnapshot(id).step, info.snapshot_step);
+
+  // Archiving a Failed instance pushes nothing: its final snapshot, and the
+  // checkpoint written from it, are the last good step.
+  const InstanceInfo before_archive = svc.info(archived);
+  ASSERT_EQ(before_archive.state, InstanceState::Failed);
+  const std::string path = tmpPath("svc_failed_archive.ckpt");
+  svc.archive(archived, path);
+  const InstanceInfo after_archive = svc.info(archived);
+  EXPECT_EQ(after_archive.state, InstanceState::Archived);
+  EXPECT_EQ(after_archive.snapshots, before_archive.snapshots);
+  EXPECT_EQ(after_archive.snapshot_step, 2);
+  const auto insp = asura::io::inspectCheckpoint(path);
+  EXPECT_TRUE(insp.ok()) << insp.defect;
+  EXPECT_EQ(insp.info.step, 2);
+  std::remove(path.c_str());
 
   // Rollback rehabilitates (Failed -> Paused, retry budget refreshed);
   // with the fault gone the instance then finishes its run.

@@ -328,26 +328,32 @@ TEST(Supervisor, PersistentFaultEscalatesThenGivesUpWithRestorablePostmortem) {
 }
 
 TEST(Supervisor, EscalateSetsLadderKnobsMonotonically) {
+  using asura::pikg::Isa;
   SimulationConfig base = quietConfig();
-  base.kernel_isa = asura::pikg::Isa::Auto;
+  base.gravity.isa = Isa::Auto;
+  base.sph.isa = Isa::Auto;
 
   const auto l0 = escalateConfig(base, 0);
   EXPECT_FALSE(l0.validate_steps);
-  EXPECT_EQ(l0.kernel_isa, asura::pikg::Isa::Auto);
+  EXPECT_EQ(l0.gravity.isa, Isa::Auto);
+  EXPECT_EQ(l0.sph.isa, Isa::Auto);
 
   const auto l1 = escalateConfig(base, 1);
   EXPECT_TRUE(l1.validate_steps);
-  EXPECT_EQ(l1.kernel_isa, asura::pikg::Isa::Auto);
+  EXPECT_EQ(l1.gravity.isa, Isa::Auto);
+  EXPECT_EQ(l1.sph.isa, Isa::Auto);
 
   const auto l3 = escalateConfig(base, 3);
   EXPECT_TRUE(l3.validate_steps);
-  EXPECT_EQ(l3.kernel_isa, asura::pikg::Isa::Scalar);
+  EXPECT_EQ(l3.gravity.isa, Isa::Scalar);
+  EXPECT_EQ(l3.sph.isa, Isa::Scalar);
 
   // Idempotent: re-escalating an escalated config changes nothing — the
   // supervisor re-applies levels on top of ring-restored configs.
   const auto l3b = escalateConfig(l3, 3);
   EXPECT_TRUE(l3b.validate_steps);
-  EXPECT_EQ(l3b.kernel_isa, asura::pikg::Isa::Scalar);
+  EXPECT_EQ(l3b.gravity.isa, Isa::Scalar);
+  EXPECT_EQ(l3b.sph.isa, Isa::Scalar);
 }
 
 TEST(Supervisor, SupervisorConfigRejected) {
