@@ -1,12 +1,10 @@
 // Supervisor overhead benchmark: what does self-healing cost when nothing
-// goes wrong? Four measurements:
+// goes wrong? Three measurements:
 //
 //   BM_RingSnapshotPush        — one in-memory ring push (serializeState +
 //                                CRC-32), the per-interval unit cost;
 //   BM_RawStepLoop             — the unsupervised kLoopSteps-step loop on
 //                                the calling thread (baseline);
-//   BM_RawStepLoopOnRankThread — the same raw loop on Cluster(1)'s rank
-//                                thread, where the Supervisor runs it;
 //   BM_SupervisedStepLoop      — the loop under the Supervisor at snapshot
 //                                intervals 1 and 10 (watchdog on).
 //
@@ -14,17 +12,13 @@
 // attempt start, so the record shows the cadence and not the set-up.
 //
 // The ring push is memory-bandwidth bound (SetBytesProcessed reports the
-// serialized state size). Measured (BENCH_supervisor.json, 1,000 particles,
-// OpenMP 4, shared 4-vCPU VM): a 1.4 ms push, and a raw loop of 209 ms on
-// the calling thread but 338 ms on the rank thread, with the supervised
-// loop at 341 ms (interval 10) and 277 ms (interval 1). The supervised rows
-// track the rank-thread row, not the pushes. A rank thread starts its own
-// OpenMP team while the calling thread's team, left by the rows before it,
-// sits idle, and the two contend: run alone in a process, the rank-thread
-// loop matches the raw one, and with OMP_WAIT_POLICY=active (the idle team
-// keeps spinning) it is 4x slower. So the fresh-thread rows move with the
-// host's load (rank-thread medians 215-1,187 ms over six recordings, raw
-// 192-265 ms).
+// serialized state size). Cluster::run runs rank 0 on the calling thread, so
+// the supervised loop shares the raw loop's thread and OpenMP team.
+// Measured (BENCH_supervisor.json, 1,000 particles, OpenMP 4, shared 4-vCPU
+// VM at load ~3): a 1.25 ms push and a raw loop of 202 ms; supervised, 201 ms
+// at interval 10 and 255 ms at interval 1. Interval 1's extra ~53 ms is its
+// 41 pushes; at interval 10 the Supervisor is inside the raw loop's spread
+// (stddev 17 ms). A second recording read 209 / 217 / 256 ms.
 //
 //   ./build/bench_supervisor --benchmark_repetitions=5 \
 //     --benchmark_report_aggregates_only=true \
@@ -116,23 +110,6 @@ void BM_RawStepLoop(benchmark::State& state) {
   state.counters["steps"] = kLoopSteps;
 }
 BENCHMARK(BM_RawStepLoop)->Arg(1000)->Unit(benchmark::kMillisecond);
-
-// The raw loop where the Supervisor runs it: on Cluster(1)'s rank thread, a
-// fresh std::thread per run. Sets the supervised loop apart from its thread.
-void BM_RawStepLoopOnRankThread(benchmark::State& state) {
-  const auto ic = benchIc(static_cast<int>(state.range(0)));
-  const auto cfg = benchConfig();
-  Cluster cluster(1);
-  for (auto _ : state) {
-    cluster.run([&](Comm&) {
-      Simulation sim(ic, cfg);
-      for (long s = 0; s < kLoopSteps; ++s) sim.step();
-      benchmark::DoNotOptimize(sim.time());
-    });
-  }
-  state.counters["steps"] = kLoopSteps;
-}
-BENCHMARK(BM_RawStepLoopOnRankThread)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 void BM_SupervisedStepLoop(benchmark::State& state) {
   const auto ic = benchIc(static_cast<int>(state.range(0)));

@@ -27,39 +27,43 @@ void Cluster::run(const std::function<void(Comm&)>& body) {
 
   const int comm_id = next_comm_id_.fetch_add(1);
 
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(nranks_));
   std::mutex err_mutex;
   std::exception_ptr first_error;
   bool first_is_abort = false;
 
-  for (int r = 0; r < nranks_; ++r) {
-    threads.emplace_back([&, r] {
-      Comm comm(this, comm_id, r, nranks_, world_ranks);
-      try {
-        body(comm);
-      } catch (const ClusterAborted&) {
-        // Secondary casualty of somebody else's failure: recorded only if no
-        // real exception ever surfaces, and never re-triggers the abort.
-        std::lock_guard<std::mutex> lk(err_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-          first_is_abort = true;
-        }
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> lk(err_mutex);
-          if (!first_error || first_is_abort) {
-            first_error = std::current_exception();
-            first_is_abort = false;
-          }
-        }
-        // Cooperative abort: peers blocked in recv/barrier/collectives wake
-        // with ClusterAborted instead of deadlocking the join below.
-        requestAbort();
+  const auto rank_body = [&](int r) {
+    Comm comm(this, comm_id, r, nranks_, world_ranks);
+    try {
+      body(comm);
+    } catch (const ClusterAborted&) {
+      // Secondary casualty of somebody else's failure: recorded only if no
+      // real exception ever surfaces, and never re-triggers the abort.
+      std::lock_guard<std::mutex> lk(err_mutex);
+      if (!first_error) {
+        first_error = std::current_exception();
+        first_is_abort = true;
       }
-    });
-  }
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> lk(err_mutex);
+        if (!first_error || first_is_abort) {
+          first_error = std::current_exception();
+          first_is_abort = false;
+        }
+      }
+      // Cooperative abort: peers blocked in recv/barrier/collectives wake
+      // with ClusterAborted instead of deadlocking the join below.
+      requestAbort();
+    }
+  };
+
+  // Ranks 1..P-1 get threads of their own; rank 0 runs on the caller's
+  // thread, so a one-rank run starts no thread and reuses the caller's
+  // OpenMP team.
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(nranks_ - 1));
+  for (int r = 1; r < nranks_; ++r) threads.emplace_back(rank_body, r);
+  rank_body(0);
   for (auto& t : threads) t.join();
   if (first_error) std::rethrow_exception(first_error);
 }

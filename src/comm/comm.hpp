@@ -107,8 +107,9 @@ class Cluster {
 
   [[nodiscard]] int size() const { return nranks_; }
 
-  /// Run `body(comm)` on every rank (as threads); rethrows the first
-  /// exception raised by any rank after all threads join. A throwing rank
+  /// Run `body(comm)` on every rank: rank 0 on the calling thread, ranks
+  /// 1..P-1 on threads of their own. Rethrows the first exception raised by
+  /// any rank after every rank has returned. A throwing rank
   /// triggers the cooperative abort: peers blocked in recv/barrier/
   /// collectives wake with ClusterAborted instead of deadlocking the join,
   /// and run() rethrows the *originating* exception, not the secondary
@@ -150,7 +151,7 @@ class Cluster {
   /// progress from it (other ranks may legitimately run much longer).
   void noteRankDone(int world_rank);
 
-  /// Raise the cooperative abort from outside the rank threads (watchdog,
+  /// Raise the cooperative abort from outside the ranks (watchdog,
   /// external supervisor). Peers blocked in recv/barrier/collectives wake
   /// with ClusterAborted exactly as if a rank had thrown.
   void triggerAbort() { requestAbort(); }

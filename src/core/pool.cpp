@@ -1,9 +1,6 @@
 #include "core/pool.hpp"
 
 #include <algorithm>
-#include <chrono>
-
-#include "util/deadline.hpp"
 
 namespace asura::core {
 
@@ -84,21 +81,6 @@ std::uint64_t PoolNodeScheduler::jobsRetried() const {
   return retried_;
 }
 
-std::uint64_t PoolNodeScheduler::jobsTimedOut() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return timed_out_;
-}
-
-std::uint64_t PoolNodeScheduler::jobsFallbackTimedOut() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return fallback_timed_out_;
-}
-
-std::uint64_t PoolNodeScheduler::jobsOverrun() const {
-  std::lock_guard<std::mutex> lk(mutex_);
-  return overrun_;
-}
-
 std::uint64_t PoolNodeScheduler::batchCalls() const {
   std::lock_guard<std::mutex> lk(mutex_);
   return batch_calls_;
@@ -147,24 +129,14 @@ std::vector<std::vector<Particle>> PoolNodeScheduler::runBatch(
   std::vector<std::vector<Particle>> out(nb);
   std::vector<char> done(nb, 0);
 
-  // Batched primary attempt — attempt 0 for every job in the batch, under
-  // one shared deadline. A backend that polls util::checkJobDeadline()
-  // (UNet3D::forward checks between layer stages) aborts the whole call
-  // with DeadlineExceeded; the jobs then finish through the per-job ladder.
+  // One batched primary call for every job in the batch.
   try {
     std::vector<SurrogateRequest> reqs;
     reqs.reserve(nb);
     for (const auto& j : jobs) {
       reqs.push_back({j.region, j.sn_pos, j.energy, j.horizon});
     }
-    util::JobDeadlineScope deadline(job_timeout_s_);
-    const auto t0 = std::chrono::steady_clock::now();
     auto res = backend_->predictBatch(std::move(reqs));
-    const std::chrono::duration<double> el = std::chrono::steady_clock::now() - t0;
-    if (job_timeout_s_ > 0.0 && el.count() > job_timeout_s_) {
-      std::lock_guard<std::mutex> lk(mutex_);
-      ++overrun_;  // completed late (backend never polled); result still used
-    }
     if (res.size() == nb) {
       for (std::size_t i = 0; i < nb; ++i) {
         if (validatePrediction(jobs[i].region, res[i]).empty()) {
@@ -173,18 +145,13 @@ std::vector<std::vector<Particle>> PoolNodeScheduler::runBatch(
         }
       }
     }
-  } catch (const util::DeadlineExceeded&) {
-    std::lock_guard<std::mutex> lk(mutex_);
-    ++timed_out_;  // the cancelled batched attempt
   } catch (...) {
   }
 
-  // Per-job completion for whatever the batch did not satisfy. The batched
-  // call was attempt 0, so each unsatisfied job has retry_budget_ primary
-  // retries left; entering the first of them is what jobsRetried counts.
+  // Each job the batch did not satisfy is retried once on its own.
   for (std::size_t i = 0; i < nb; ++i) {
     if (done[i]) continue;
-    if (retry_budget_ > 0) {
+    {
       std::lock_guard<std::mutex> lk(mutex_);
       ++retried_;
     }
@@ -194,52 +161,26 @@ std::vector<std::vector<Particle>> PoolNodeScheduler::runBatch(
 }
 
 std::vector<Particle> PoolNodeScheduler::finishDegraded(const Job& job) {
-  const auto run = [&](SurrogateBackend& b) {
-    util::JobDeadlineScope deadline(job_timeout_s_);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto out = b.predict(job.region, job.sn_pos, job.energy, job.horizon);
-    const std::chrono::duration<double> el = std::chrono::steady_clock::now() - t0;
-    if (job_timeout_s_ > 0.0 && el.count() > job_timeout_s_) {
-      std::lock_guard<std::mutex> lk(mutex_);
-      ++overrun_;
+  // A backend that throws is treated the same as one returning a contract
+  // violation.
+  const auto attempt = [&](SurrogateBackend& b, std::vector<Particle>& out) {
+    try {
+      out = b.predict(job.region, job.sn_pos, job.energy, job.horizon);
+      return validatePrediction(job.region, out).empty();
+    } catch (...) {
+      return false;
     }
-    return out;
   };
 
-  // Remaining primary attempts (attempt 0 was the batched call). A backend
-  // that *throws* is treated the same as one returning a contract
-  // violation; a cancelled attempt additionally counts in jobsTimedOut.
-  for (int attempt = 1; attempt <= retry_budget_; ++attempt) {
-    try {
-      auto out = run(*backend_);
-      if (validatePrediction(job.region, out).empty()) return out;
-    } catch (const util::DeadlineExceeded&) {
-      std::lock_guard<std::mutex> lk(mutex_);
-      ++timed_out_;
-    } catch (...) {
-    }
-    if (attempt < retry_budget_) {
-      std::lock_guard<std::mutex> lk(mutex_);
-      ++retried_;
-    }
-  }
+  std::vector<Particle> out;
+  if (attempt(*backend_, out)) return out;
 
   // Degrade to the fallback backend (per-region, not globally: later jobs
-  // still try the primary first). A cancelled fallback attempt lands in its
-  // own counter — it is a statement about the ladder, not the primary.
-  if (fallback_) {
-    try {
-      auto out = run(*fallback_);
-      if (validatePrediction(job.region, out).empty()) {
-        std::lock_guard<std::mutex> lk(mutex_);
-        ++fallbacks_;
-        return out;
-      }
-    } catch (const util::DeadlineExceeded&) {
-      std::lock_guard<std::mutex> lk(mutex_);
-      ++fallback_timed_out_;
-    } catch (...) {
-    }
+  // still try the primary first).
+  if (fallback_ && attempt(*fallback_, out)) {
+    std::lock_guard<std::mutex> lk(mutex_);
+    ++fallbacks_;
+    return out;
   }
 
   // Last resort: identity prediction. Mass and ids are trivially conserved;

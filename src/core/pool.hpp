@@ -72,53 +72,27 @@ class PoolNodeScheduler {
 
   // --- graceful degradation -------------------------------------------------
   // Every completed job is checked against the prediction contract
-  // (validatePrediction). A throwing or contract-violating primary backend is
-  // retried up to the retry budget, then the job degrades to the fallback
-  // backend (typically SedovOracleBackend); if the fallback also fails, the
-  // job returns its input region unchanged (identity prediction: mass and
-  // ids trivially conserved, the particles just unfreeze). A batched attempt
-  // that fails for SOME jobs only degrades those jobs — the rest keep their
-  // batched result. Configure before the first submit — the knobs are read
-  // by worker threads without locks.
+  // (validatePrediction). A job the batched call did not satisfy (it threw,
+  // or violated the contract) gets one solo primary attempt, then degrades
+  // to the fallback backend (typically SedovOracleBackend); if the fallback
+  // also fails, the job returns its input region unchanged (identity
+  // prediction: mass and ids trivially conserved, the particles just
+  // unfreeze). A failed batch only degrades the jobs it did not satisfy —
+  // the rest keep their batched result. Set the fallback before the first
+  // submit: worker threads read it without locks.
 
   /// Backend a contract-violating job degrades to (null: skip to identity).
   void setFallbackBackend(std::shared_ptr<SurrogateBackend> fallback) {
     fallback_ = std::move(fallback);
   }
-  /// Primary-backend retries before degrading (default 1).
-  void setRetryBudget(int retries) { retry_budget_ = retries < 0 ? 0 : retries; }
-  /// Wall-clock budget per predict/predictBatch call [s]. Enforced
-  /// cooperatively: each attempt runs under a util::JobDeadlineScope, and
-  /// backends that poll util::checkJobDeadline() at their yield points
-  /// (UNet3D::forward checks between layer stages) abort mid-prediction
-  /// with DeadlineExceeded — the job then degrades through the ordinary
-  /// retry/fallback/identity ladder. A batched call shares one budget
-  /// across its jobs. <= 0 disables the budget.
-  void setJobTimeout(double seconds) { job_timeout_s_ = seconds; }
 
   /// Jobs whose result came from the fallback backend (or the identity
   /// last resort). StepStats::surrogate_fallbacks reports the per-step delta.
   [[nodiscard]] std::uint64_t jobsFallback() const;
   /// Jobs where even the fallback failed and the identity result was used.
   [[nodiscard]] std::uint64_t jobsFailed() const;
-  /// Primary predict calls re-run after an exception/contract violation.
+  /// Jobs the batched call did not satisfy, each re-run once on its own.
   [[nodiscard]] std::uint64_t jobsRetried() const;
-
-  // Timeout accounting. The three counters are disjoint by construction:
-  //  * jobsTimedOut — PRIMARY attempts cancelled by the deadline
-  //    (DeadlineExceeded; the attempt's result was discarded).
-  //  * jobsFallbackTimedOut — FALLBACK attempts cancelled by the deadline.
-  //    Kept separate: a fallback overrun means the degradation ladder
-  //    itself is too slow, a very different signal from a slow primary.
-  //  * jobsOverrun — attempts that ran to completion past the budget (a
-  //    backend that never polls checkJobDeadline can't be preempted); the
-  //    result still entered validation and may well have been used.
-  // (The pre-fix code folded all three into jobsTimedOut, so a slow but
-  // perfectly successful prediction was indistinguishable from a cancelled
-  // one, and fallback cancellations inflated the primary's count.)
-  [[nodiscard]] std::uint64_t jobsTimedOut() const;
-  [[nodiscard]] std::uint64_t jobsFallbackTimedOut() const;
-  [[nodiscard]] std::uint64_t jobsOverrun() const;
 
   // --- checkpoint support ---------------------------------------------------
 
@@ -162,21 +136,19 @@ class PoolNodeScheduler {
   };
 
   void workerLoop();
-  /// One batched primary attempt for the whole batch, then the per-job
+  /// One batched primary call for the whole batch, then the per-job
   /// degradation ladder for any job the batch did not satisfy. Called
   /// without the lock held; returns one prediction per job.
   [[nodiscard]] std::vector<std::vector<Particle>> runBatch(
       const std::vector<Job>& jobs);
-  /// Remaining primary retries -> fallback -> identity for one job whose
-  /// batched attempt (attempt 0) failed. Called without the lock held.
+  /// Solo primary attempt -> fallback -> identity for one job the batched
+  /// call did not satisfy. Called without the lock held.
   [[nodiscard]] std::vector<Particle> finishDegraded(const Job& job);
 
   std::shared_ptr<SurrogateBackend> backend_;
   std::shared_ptr<SurrogateBackend> fallback_;
   int n_pool_;
   long return_interval_;
-  int retry_budget_ = 1;
-  double job_timeout_s_ = 0.0;
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;   ///< wakes workers
@@ -192,9 +164,6 @@ class PoolNodeScheduler {
   std::uint64_t fallbacks_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t retried_ = 0;
-  std::uint64_t timed_out_ = 0;
-  std::uint64_t fallback_timed_out_ = 0;
-  std::uint64_t overrun_ = 0;
   std::uint64_t batch_calls_ = 0;
   std::uint64_t coalesced_ = 0;
   bool shutdown_ = false;

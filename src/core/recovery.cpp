@@ -7,12 +7,7 @@
 
 namespace asura::core {
 
-void SnapshotRing::resize(int slots) {
-  slots_.resize(static_cast<std::size_t>(std::max(2, slots)));
-}
-
 void SnapshotRing::push(Simulation& sim) {
-  if (slots_.empty()) resize(2);
   SnapshotEntry& e = slots_[static_cast<std::size_t>(head_ % slots_.size())];
   e.valid = false;
   io::ByteWriter w;

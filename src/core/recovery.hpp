@@ -5,7 +5,7 @@
 /// multi-instance host (service/scenario_service.hpp) can keep independent
 /// recovery state per Simulation instance.
 ///
-/// The ring holds `slots` Simulation::serializeState blobs, each CRC-32
+/// The ring holds two Simulation::serializeState blobs, each CRC-32
 /// framed. A blob is the exact byte stream the disk checkpoint codec frames
 /// (io/checkpoint.hpp), so a ring entry can be written out as an ordinary
 /// restorable checkpoint (io::writeCheckpointRaw) or restored in place —
@@ -19,6 +19,7 @@
 /// safety (monotone), so re-applying an escalation on top of a ring-restored
 /// config — which predates it — is idempotent.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -36,19 +37,13 @@ struct SnapshotEntry {
   std::vector<char> bytes;
 };
 
-/// Fixed-capacity ring of state snapshots for ONE Simulation instance (one
-/// rank of a distributed run, or one instance of a scenario service). Not
+/// Two-slot ring of state snapshots for ONE Simulation instance (one rank
+/// of a distributed run, or one instance of a scenario service): rollback
+/// needs the previous snapshot to survive the push of the next one. Not
 /// thread-safe: callers serialize access (the Supervisor reads rings only
 /// between attempts; the service holds the instance lease).
 class SnapshotRing {
  public:
-  SnapshotRing() = default;
-  explicit SnapshotRing(int slots) { resize(slots); }
-
-  /// (Re)shape to `slots` entries (clamped to >= 2: rollback needs the
-  /// previous snapshot to survive the push of the next one).
-  void resize(int slots);
-
   /// Serialize `sim` into the oldest slot. A caller killed mid-push leaves
   /// the slot invalid, never half-written: `valid` brackets the mutation.
   void push(Simulation& sim);
@@ -67,8 +62,6 @@ class SnapshotRing {
 
   [[nodiscard]] long lastStep() const { return last_step_; }
   [[nodiscard]] std::uint64_t pushes() const { return head_; }
-  [[nodiscard]] int slots() const { return static_cast<int>(slots_.size()); }
-  [[nodiscard]] const std::vector<SnapshotEntry>& entries() const { return slots_; }
 
   /// CRC-verify `e`, restore it into `sim` and re-apply ladder `level` to
   /// the restored config (which predates the escalation; the backend choice
@@ -80,8 +73,8 @@ class SnapshotRing {
                            const std::string& who);
 
  private:
-  std::vector<SnapshotEntry> slots_;
-  std::uint64_t head_ = 0;  ///< pushes so far (head % slots = next victim)
+  std::array<SnapshotEntry, 2> slots_;
+  std::uint64_t head_ = 0;  ///< pushes so far (head % 2 = next victim)
   long last_step_ = -1;     ///< step of the most recent push
 };
 

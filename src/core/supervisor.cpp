@@ -13,17 +13,13 @@ namespace asura::core {
 Supervisor::Supervisor(comm::Cluster& cluster, SupervisorConfig cfg)
     : cluster_(cluster), cfg_(std::move(cfg)) {
   // Same descriptive-reject pattern as Simulation::validateConfig: nonsense
-  // ring/interval/deadline values fail loudly at construction, not as a
-  // wedged or snapshot-less run later.
+  // interval/deadline values fail loudly at construction, not as a wedged or
+  // snapshot-less run later.
   const auto bad = [](const std::string& what) {
     throw std::invalid_argument("SupervisorConfig: " + what);
   };
   if (cfg_.snapshot_interval <= 0) bad("snapshot_interval must be positive");
   if (cfg_.max_retries < 0) bad("max_retries must be non-negative");
-  if (cfg_.ring_slots < 2) {
-    bad("ring_slots must be >= 2 (rollback needs the previous snapshot to "
-        "survive the next push)");
-  }
   if (cfg_.watchdog && !(cfg_.watchdog_deadline_s > 0.0)) {
     bad("watchdog_deadline_s must be positive");
   }
@@ -124,7 +120,6 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
   const int nranks = cluster_.size();
   rings_.clear();
   rings_.resize(static_cast<std::size_t>(nranks));
-  for (auto& ring : rings_) ring.resize(cfg_.ring_slots);
 
   RunReport rep;
   rep.target_step = target_step;

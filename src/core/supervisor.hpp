@@ -20,13 +20,13 @@
 ///    stops publishing past the deadline, converting a hang into a
 ///    catchable ClusterAborted.
 ///
-/// 2. **In-memory checkpoint ring.** Each rank keeps `ring_slots` (default
-///    2: double-buffered) Simulation::serializeState snapshots, pushed
-///    every `snapshot_interval` steps — no rank-0 gather, no disk. Each
-///    entry carries a CRC-32 verified before rollback; the payload is the
-///    exact byte stream the disk codec frames, so a ring entry can be
-///    written out as a post-mortem checkpoint (io::writeCheckpointRaw) and
-///    restored by the ordinary restore path.
+/// 2. **In-memory checkpoint ring.** Each rank keeps two (double-buffered)
+///    Simulation::serializeState snapshots, pushed every
+///    `snapshot_interval` steps — no rank-0 gather, no disk. Each entry
+///    carries a CRC-32 verified before rollback; the payload is the exact
+///    byte stream the disk codec frames, so a ring entry can be written out
+///    as a post-mortem checkpoint (io::writeCheckpointRaw) and restored by
+///    the ordinary restore path.
 ///
 /// 3. **Escalation ladder.** Rollback alone replays the same trajectory, so
 ///    a deterministic failure would repeat forever. Retry r runs at ladder
@@ -60,7 +60,6 @@ namespace asura::core {
 
 struct SupervisorConfig {
   long snapshot_interval = 8;   ///< steps between ring snapshots
-  int ring_slots = 2;           ///< snapshots retained per rank (>= 2)
   int max_retries = 4;          ///< attempts after the first (ladder depth)
   double backoff_initial_ms = 5.0;  ///< sleep before the first retry
   double backoff_factor = 2.0;      ///< exponential backoff multiplier

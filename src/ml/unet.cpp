@@ -4,8 +4,6 @@
 #include <fstream>
 #include <string>
 
-#include "util/deadline.hpp"
-
 namespace asura::ml {
 
 namespace {
@@ -65,26 +63,17 @@ UNet3D::UNet3D(const UNetConfig& cfg, std::uint64_t seed)
 
 Tensor UNet3D::forward(const Tensor& x) {
   validateInput(x, cfg_);
-  // Stage boundaries double as cooperative cancellation points: when the
-  // pool armed a job deadline (PoolNodeScheduler::setJobTimeout), an
-  // overrunning inference aborts here with util::DeadlineExceeded instead
-  // of holding its worker thread to completion.
-  util::checkJobDeadline();
   // Encoder stage 1.
   Tensor e1 = r_e1b_.forward(e1b_.forward(r_e1a_.forward(e1a_.forward(x))));
   if (!inferenceMode()) e1_channels_ = channelDim(e1);
-  util::checkJobDeadline();
   // Encoder stage 2.
   Tensor e2 = r_e2b_.forward(e2b_.forward(r_e2a_.forward(e2a_.forward(pool1_.forward(e1)))));
   if (!inferenceMode()) e2_channels_ = channelDim(e2);
-  util::checkJobDeadline();
   // Bottleneck.
   Tensor bt = r_bb_.forward(bb_.forward(r_ba_.forward(ba_.forward(pool2_.forward(e2)))));
-  util::checkJobDeadline();
   // Decoder stage 2 (skip from e2).
   Tensor d2 = r_d2b_.forward(
       d2b_.forward(r_d2a_.forward(d2a_.forward(concatChannels(up2_.forward(bt), e2)))));
-  util::checkJobDeadline();
   // Decoder stage 1 (skip from e1).
   Tensor d1 = r_d1b_.forward(
       d1b_.forward(r_d1a_.forward(d1a_.forward(concatChannels(up1_.forward(d2), e1)))));

@@ -229,7 +229,6 @@ ScenarioService::ScenarioService(ServiceConfig cfg) : cfg_(cfg) {
   if (cfg_.n_workers < 1) bad("n_workers must be >= 1");
   if (cfg_.step_budget < 1) bad("step_budget must be >= 1");
   if (cfg_.snapshot_interval < 1) bad("snapshot_interval must be >= 1");
-  if (cfg_.ring_slots < 2) bad("ring_slots must be >= 2");
   if (cfg_.max_retries < 0) bad("max_retries must be non-negative");
 
   workers_.reserve(static_cast<std::size_t>(cfg_.n_workers));
@@ -430,7 +429,6 @@ void ScenarioService::pushSnapshotLeased(Instance& inst) {
 }
 
 InstanceId ScenarioService::admit(std::unique_ptr<Instance> inst) {
-  inst->ring.resize(cfg_.ring_slots);
   inst->wireHeartbeat();
   // Seed the ring with the starting state: rollback, clone and streaming
   // work before the first interval snapshot, and a failure on the very

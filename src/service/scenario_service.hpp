@@ -164,7 +164,6 @@ struct ServiceConfig {
   int n_workers = 4;          ///< fixed worker pool size
   long step_budget = 4;       ///< max steps per lease (fairness quantum)
   long snapshot_interval = 8; ///< ring push cadence [steps]
-  int ring_slots = 2;         ///< snapshots retained per instance (>= 2)
   int max_retries = 3;        ///< per-instance recovery budget
   /// >0: pin each worker's OpenMP width for the parallel regions inside
   /// step() (per-thread ICV, so workers never fight over one global knob).

@@ -27,6 +27,7 @@
 #include "io/checkpoint.hpp"
 #include "io/particle_codec.hpp"
 #include "io/serialize.hpp"
+#include "tmp_path.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -43,6 +44,7 @@ using asura::core::SimulationConfig;
 using asura::fdps::Particle;
 using asura::testing::blastwaveIc;
 using asura::testing::gasBall;
+using asura::testing::tmpPath;
 
 SimulationConfig quietConfig() {
   SimulationConfig cfg;
@@ -67,10 +69,6 @@ std::vector<char> stateBytes(Simulation& sim) {
   asura::io::ByteWriter w;
   sim.serializeState(w);
   return w.take();
-}
-
-std::string tmpPath(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@
 #include "ic_fixtures.hpp"
 #include "io/checkpoint.hpp"
 #include "io/serialize.hpp"
+#include "tmp_path.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -43,6 +44,7 @@ using asura::core::Simulation;
 using asura::core::SimulationConfig;
 using asura::testing::blastwaveIc;
 using asura::testing::gasBall;
+using asura::testing::tmpPath;
 
 // v2 framing: magic 8 | version u32 @8 | nranks i32 @12 | step i64 @16 |
 // time u64 @24 | header CRC u32 @32 | first section length u64 @36.
@@ -103,7 +105,7 @@ Source pendingPredictionsSource() {
   // The checkpoint lands between SN capture and delivery: the pool section
   // holds undelivered predictions.
   const auto ic = blastwaveIc(160, 19);
-  const std::string path = ::testing::TempDir() + "mutation_src_serial.ckpt";
+  const std::string path = tmpPath("mutation_src_serial.ckpt");
   Simulation sim(ic, poolConfig());
   sim.step();
   sim.step();
@@ -120,7 +122,7 @@ Source pendingPredictionsSource() {
 
 Source weightedTwoRankSource() {
   const auto ic = gasBall(240, 8.0, 1.0, 23, 3000.0);
-  const std::string path = ::testing::TempDir() + "mutation_src_2rank.ckpt";
+  const std::string path = tmpPath("mutation_src_2rank.ckpt");
   Cluster(2).run([&](Comm& comm) {
     Simulation sim(blockPartition(ic, comm.rank(), 2), quietConfig());
     sim.attachDistributed(std::make_unique<DistributedEngine>(comm, weightedConfig()));
@@ -145,7 +147,7 @@ class Sweep {
  public:
   explicit Sweep(Source src)
       : src_(std::move(src)),
-        path_(::testing::TempDir() + "mutation_case.ckpt"),
+        path_(tmpPath("mutation_case.ckpt")),
         sections_(asura::io::inspectCheckpoint(src_.file, src_.name).sections) {}
   ~Sweep() { std::remove(path_.c_str()); }
 

@@ -16,6 +16,7 @@
 #include "ml/tensor.hpp"
 #include "ml/unet.hpp"
 #include "ml_reference.hpp"
+#include "tmp_path.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -28,6 +29,7 @@ using asura::ml::Tensor;
 using asura::ml::UNet3D;
 using asura::ml::UNetConfig;
 using asura::ml::Upsample3d;
+using asura::testing::tmpPath;
 using asura::util::Pcg32;
 
 Tensor randomTensor(std::vector<int> shape, std::uint64_t seed, double scale = 1.0) {
@@ -263,7 +265,7 @@ TEST(UNetTest, SaveLoadRoundTrip) {
   cfg.out_channels = 3;
   cfg.base_width = 4;
   UNet3D a(cfg, 7);
-  const std::string path = "/tmp/asura_unet_test.annx";
+  const std::string path = tmpPath("asura_unet_test.annx");
   a.save(path);
 
   UNet3D b(cfg, 8);  // different init
@@ -281,7 +283,7 @@ TEST(UNetTest, LoadRejectsMismatchedConfig) {
   cfg.out_channels = 3;
   cfg.base_width = 4;
   UNet3D a(cfg, 7);
-  const std::string path = "/tmp/asura_unet_test2.annx";
+  const std::string path = tmpPath("asura_unet_test2.annx");
   a.save(path);
   UNetConfig other = cfg;
   other.base_width = 8;

@@ -8,11 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <future>
 #include <limits>
-#include <thread>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,10 +23,10 @@
 #include "core/surrogate.hpp"
 #include "ic_fixtures.hpp"
 #include "io/checkpoint.hpp"
+#include "io/particle_codec.hpp"
 #include "io/serialize.hpp"
 #include "kernels/registry.hpp"
-#include "ml/unet.hpp"
-#include "util/deadline.hpp"
+#include "tmp_path.hpp"
 
 namespace {
 
@@ -36,6 +35,7 @@ using asura::comm::Comm;
 using asura::core::blockPartition;
 using asura::core::DistributedConfig;
 using asura::core::DistributedEngine;
+using asura::core::PoolNodeScheduler;
 using asura::core::SedovOracleBackend;
 using asura::core::Simulation;
 using asura::core::SimulationConfig;
@@ -45,6 +45,7 @@ using asura::fdps::Particle;
 using asura::fdps::Species;
 using asura::testing::blastwaveIc;
 using asura::testing::gasBall;
+using asura::testing::tmpPath;
 using asura::util::Vec3d;
 
 SimulationConfig campaignConfig() {
@@ -86,6 +87,13 @@ class FaultyBackend final : public SurrogateBackend {
 std::vector<char> stateBytes(Simulation& sim) {
   asura::io::ByteWriter w;
   sim.serializeState(w);
+  return w.take();
+}
+
+/// Every field of a particle set, as the checkpoint codec encodes it.
+std::vector<char> regionBytes(const std::vector<Particle>& region) {
+  asura::io::ByteWriter w;
+  w(region);
   return w.take();
 }
 
@@ -158,7 +166,6 @@ TEST(Robustness, IdentityLastResortWhenFallbackDisabled) {
   auto faulty = std::make_shared<FaultyBackend>(FaultyBackend::Mode::Throw);
   Simulation sim(ic, cfg, faulty);
   sim.pool()->setFallbackBackend(nullptr);  // disable the oracle rescue
-  sim.pool()->setRetryBudget(0);
   const auto before = idMassSet(ic, ic.size());
   int fallbacks = 0;
   for (int s = 0; s < 4; ++s) fallbacks += sim.step().surrogate_fallbacks;
@@ -172,133 +179,76 @@ TEST(Robustness, IdentityLastResortWhenFallbackDisabled) {
   }
 }
 
-TEST(Robustness, JobTimeoutOverrunsAreRecorded) {
-  // A backend that never polls checkJobDeadline cannot be preempted, so an
-  // overrun is recorded when the call returns — in jobsOverrun, NOT in
-  // jobsTimedOut: the attempt completed and its (valid) result was used.
-  // The pre-fix code booked these slow successes as timeouts, so the
-  // "cancelled attempts" counter could exceed the number of attempts.
-  class SlowBackend final : public SurrogateBackend {
+TEST(Robustness, FailedBatchKeepsGoodJobsOnPrimary) {
+  // The primary throws for one poison region and answers the others with a
+  // valid prediction the oracle would not give (doubled u). Its default
+  // predictBatch throws whenever a batch holds the poison region, so every
+  // job of that batch is retried on its own: the good ones must come back
+  // from the primary, bitwise, and only the poison job from the oracle.
+  class PoisonBackend final : public SurrogateBackend {
    public:
+    explicit PoisonBackend(std::shared_future<void> gate) : gate_(std::move(gate)) {}
     [[nodiscard]] std::vector<Particle> predict(std::vector<Particle> region,
-                                                const Vec3d& sn_pos, double e,
-                                                double h) override {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      return oracle_.predict(std::move(region), sn_pos, e, h);
+                                                const Vec3d& sn_pos, double,
+                                                double) override {
+      if (sn_pos.x == 0.0) gate_.wait();
+      if (sn_pos.x == 1.0) throw std::runtime_error("poison region");
+      for (auto& p : region) p.u *= 2.0;
+      return region;
     }
-    [[nodiscard]] std::string name() const override { return "slow"; }
+    [[nodiscard]] std::string name() const override { return "poison"; }
 
    private:
-    SedovOracleBackend oracle_;
+    std::shared_future<void> gate_;
   };
 
-  const auto ic = blastwaveIc(250, 61);
-  Simulation sim(ic, campaignConfig(), std::make_shared<SlowBackend>());
-  sim.pool()->setJobTimeout(1e-4);  // 0.1 ms: the 5 ms sleep always overruns
-  for (int s = 0; s < 4; ++s) sim.step();
-  EXPECT_GT(sim.pool()->jobsOverrun(), 0u);
-  EXPECT_EQ(sim.pool()->jobsTimedOut(), 0u);  // nothing was cancelled...
-  EXPECT_EQ(sim.pool()->jobsRetried(), 0u);   // ...or re-run
-  EXPECT_EQ(sim.pool()->jobsFallback(), 0u);  // the slow result was used
-  EXPECT_EQ(sim.pool()->jobsFailed(), 0u);    // slow is not wrong
-}
+  // Job 0 holds the lone worker until every job is queued, so the poison
+  // job 1 always shares a batch with at least one good job.
+  std::promise<void> open;
+  auto primary = std::make_shared<PoisonBackend>(open.get_future().share());
+  PoolNodeScheduler pool(primary, 1, 2);
+  pool.setFallbackBackend(std::make_shared<SedovOracleBackend>());
 
-TEST(Robustness, CooperativeTimeoutCancelsPollingBackend) {
-  // A backend that polls util::checkJobDeadline() is *cancelled* mid-job,
-  // not merely recorded after the fact: without cancellation this backend
-  // holds its worker for 2 s per attempt; with it, each attempt dies at the
-  // ~50 ms deadline and the job degrades to the oracle fallback.
-  class StuckBackend final : public SurrogateBackend {
-   public:
-    [[nodiscard]] std::vector<Particle> predict(std::vector<Particle> region,
-                                                const Vec3d&, double,
-                                                double) override {
-      for (int i = 0; i < 2000; ++i) {  // 2 s unless cancelled
-        asura::util::checkJobDeadline();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return region;
-    }
-    [[nodiscard]] std::string name() const override { return "stuck"; }
-  };
-
-  const auto ic = blastwaveIc(250, 67);
-  Simulation sim(ic, campaignConfig(), std::make_shared<StuckBackend>());
-  sim.pool()->setJobTimeout(0.05);
-  sim.pool()->setRetryBudget(1);
-
-  const auto t0 = std::chrono::steady_clock::now();
-  int replaced = 0, fallbacks = 0;
-  for (int s = 0; s < 4; ++s) {
-    const auto st = sim.step();
-    replaced += st.particles_replaced;
-    fallbacks += st.surrogate_fallbacks;
+  constexpr int kJobs = 4;
+  constexpr double kEnergy = 1.0, kHorizon = 0.1;
+  std::vector<std::vector<Particle>> regions;
+  for (int j = 0; j < kJobs; ++j) {
+    regions.push_back(gasBall(50, 6.0, 10.0, static_cast<std::uint64_t>(80 + j)));
+    pool.submit(0, regions.back(), Vec3d{static_cast<double>(j), 0, 0}, kEnergy,
+                kHorizon);
   }
-  const std::chrono::duration<double> el = std::chrono::steady_clock::now() - t0;
+  open.set_value();
+  const auto out = pool.collectDue(2);
+  ASSERT_EQ(out.size(), static_cast<std::size_t>(kJobs));
 
-  EXPECT_GT(sim.pool()->jobsTimedOut(), 0u) << "cancellation never fired";
-  EXPECT_GT(fallbacks, 0) << "cancelled job did not degrade";
-  EXPECT_EQ(sim.pool()->jobsFailed(), 0u);  // the oracle rescued it
-  // The fast oracle fallback never overran: primary cancellations must not
-  // bleed into the fallback's own counter (they did before the fix).
-  EXPECT_EQ(sim.pool()->jobsFallbackTimedOut(), 0u);
-  EXPECT_GT(replaced, 0);
-  // Two cancelled attempts are ~0.1 s; the uncancelled backend alone would
-  // burn 4 s. Generous bound to absorb sanitizer slowdowns.
-  EXPECT_LT(el.count(), 1.9) << "timeout did not actually preempt the job";
+  for (int j = 0; j < kJobs; ++j) {
+    const Vec3d pos{static_cast<double>(j), 0, 0};
+    const auto expected =
+        j == 1 ? SedovOracleBackend().predict(regions[j], pos, kEnergy, kHorizon)
+               : primary->predict(regions[j], pos, kEnergy, kHorizon);
+    EXPECT_EQ(regionBytes(out[j]), regionBytes(expected)) << "job " << j;
+  }
+  EXPECT_EQ(pool.jobsFallback(), 1u);
+  EXPECT_EQ(pool.jobsFailed(), 0u);
+  EXPECT_GE(pool.jobsRetried(), 1u);
 }
 
-TEST(Robustness, FallbackCancellationsCountSeparately) {
-  // A cancelled FALLBACK attempt must land in jobsFallbackTimedOut, not in
-  // the primary's jobsTimedOut — pre-fix both shared one counter, so a slow
-  // degradation ladder masqueraded as a slow primary.
-  class StuckBackend final : public SurrogateBackend {
-   public:
-    [[nodiscard]] std::vector<Particle> predict(std::vector<Particle> region,
-                                                const Vec3d&, double,
-                                                double) override {
-      for (int i = 0; i < 2000; ++i) {
-        asura::util::checkJobDeadline();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return region;
-    }
-    [[nodiscard]] std::string name() const override { return "stuck"; }
-  };
-
-  asura::core::PoolNodeScheduler pool(
+TEST(Robustness, ThrowingFallbackEndsInIdentity) {
+  // Primary and fallback both throw: the job ends in the identity
+  // prediction, its input region unchanged, counted as a failure.
+  PoolNodeScheduler pool(
       std::make_shared<FaultyBackend>(FaultyBackend::Mode::Throw), 1, 2);
-  pool.setFallbackBackend(std::make_shared<StuckBackend>());
-  pool.setRetryBudget(0);
-  pool.setJobTimeout(0.05);
+  auto fallback = std::make_shared<FaultyBackend>(FaultyBackend::Mode::Throw);
+  pool.setFallbackBackend(fallback);
 
   const auto ic = blastwaveIc(50, 71);
   pool.submit(0, ic, Vec3d{0, 0, 0}, 1.0, 0.1);
   const auto out = pool.collectDue(2);
   ASSERT_EQ(out.size(), 1u);
 
-  EXPECT_EQ(pool.jobsFallbackTimedOut(), 1u);  // the cancelled fallback
-  EXPECT_EQ(pool.jobsTimedOut(), 0u);  // the primary threw, was never cancelled
-  EXPECT_EQ(pool.jobsFailed(), 1u);    // identity last resort
-  EXPECT_EQ(out[0].size(), ic.size());  // identity = input region unchanged
-}
-
-TEST(Robustness, UNetForwardHonorsJobDeadline) {
-  asura::ml::UNetConfig ucfg;
-  ucfg.in_channels = 2;
-  ucfg.out_channels = 2;
-  ucfg.base_width = 2;
-  asura::ml::UNet3D net(ucfg, 5);
-  asura::ml::Tensor x({2, 4, 4, 4});
-  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = 0.25f;
-
-  // No deadline armed: checks are free and forward runs to completion.
-  EXPECT_NO_THROW((void)net.forward(x));
-
-  // Expired deadline: the first between-stage check aborts the inference.
-  asura::util::JobDeadlineScope scope(1e-9);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_THROW((void)net.forward(x), asura::util::DeadlineExceeded);
+  EXPECT_EQ(fallback->calls(), 1);
+  EXPECT_EQ(pool.jobsFailed(), 1u);  // identity last resort
+  EXPECT_EQ(regionBytes(out[0]), regionBytes(ic));
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +451,7 @@ TEST(Robustness, ValidatorTripsOnMassDriftAndWritesPostMortem) {
   SimulationConfig cfg = campaignConfig();
   cfg.use_surrogate = false;
   cfg.validate_steps = true;
-  const std::string path = ::testing::TempDir() + "postmortem.bin";
+  const std::string path = tmpPath("postmortem.bin");
   cfg.abort_checkpoint_path = path;
 
   Simulation sim(ic, cfg);

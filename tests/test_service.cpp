@@ -29,6 +29,7 @@
 #include "io/serialize.hpp"
 #include "service/scenario_service.hpp"
 #include "sph/kernels.hpp"
+#include "tmp_path.hpp"
 #include "voxel/voxel.hpp"
 
 namespace {
@@ -47,6 +48,7 @@ using asura::service::Snapshot;
 using asura::service::transitionAllowed;
 using asura::testing::blastwaveIc;
 using asura::testing::gasBall;
+using asura::testing::tmpPath;
 
 SimulationConfig quietConfig(bool hierarchical = false) {
   SimulationConfig cfg;
@@ -80,10 +82,6 @@ std::vector<char> soloBytes(std::vector<Particle> ic, const SimulationConfig& cf
   Simulation sim(std::move(ic), cfg);
   for (long s = 0; s < steps; ++s) sim.step();
   return stateBytes(sim);
-}
-
-std::string tmpPath(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 // ---------------------------------------------------------------------------
@@ -122,7 +120,6 @@ TEST(ServiceFsm, ServiceConfigRejected) {
   rejected([](ServiceConfig& c) { c.n_workers = 0; });
   rejected([](ServiceConfig& c) { c.step_budget = 0; });
   rejected([](ServiceConfig& c) { c.snapshot_interval = 0; });
-  rejected([](ServiceConfig& c) { c.ring_slots = 1; });
   rejected([](ServiceConfig& c) { c.max_retries = -1; });
 }
 

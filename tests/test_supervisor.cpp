@@ -23,6 +23,7 @@
 #include "ic_fixtures.hpp"
 #include "io/checkpoint.hpp"
 #include "io/serialize.hpp"
+#include "tmp_path.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -42,6 +43,7 @@ using asura::core::Supervisor;
 using asura::core::SupervisorConfig;
 using asura::fdps::Particle;
 using asura::testing::gasBall;
+using asura::testing::tmpPath;
 
 SimulationConfig quietConfig(bool hierarchical = false) {
   SimulationConfig cfg;
@@ -67,10 +69,6 @@ std::vector<char> stateBytes(Simulation& sim) {
   asura::io::ByteWriter w;
   sim.serializeState(w);
   return w.take();
-}
-
-std::string tmpPath(const std::string& name) {
-  return ::testing::TempDir() + name;
 }
 
 /// Factory the supervisor rebuilds each attempt from: rank's IC slice, the
@@ -367,8 +365,6 @@ TEST(Supervisor, SupervisorConfigRejected) {
                  "zero snapshot interval");
   expectRejected([](SupervisorConfig& c) { c.snapshot_interval = -4; },
                  "negative snapshot interval");
-  expectRejected([](SupervisorConfig& c) { c.ring_slots = 1; },
-                 "single ring slot");
   expectRejected([](SupervisorConfig& c) { c.max_retries = -1; },
                  "negative retries");
   expectRejected([](SupervisorConfig& c) { c.watchdog_deadline_s = 0.0; },
