@@ -21,18 +21,12 @@ Cluster::~Cluster() = default;
 void Cluster::run(const std::function<void(Comm&)>& body) {
   resetRunState();
 
-  auto world_ranks = std::make_shared<std::vector<int>>();
-  world_ranks->resize(static_cast<std::size_t>(nranks_));
-  for (int i = 0; i < nranks_; ++i) (*world_ranks)[static_cast<std::size_t>(i)] = i;
-
-  const int comm_id = next_comm_id_.fetch_add(1);
-
   std::mutex err_mutex;
   std::exception_ptr first_error;
   bool first_is_abort = false;
 
   const auto rank_body = [&](int r) {
-    Comm comm(this, comm_id, r, nranks_, world_ranks);
+    Comm comm(this, r, nranks_);
     try {
       body(comm);
     } catch (const ClusterAborted&) {
@@ -72,8 +66,7 @@ Comm Cluster::selfComm() {
   if (nranks_ != 1) {
     throw std::logic_error("Cluster::selfComm: the cluster has more than one rank");
   }
-  return Comm(this, next_comm_id_.fetch_add(1), 0, 1,
-              std::make_shared<const std::vector<int>>(1, 0));
+  return Comm(this, 0, 1);
 }
 
 void Cluster::resetRunState() {
@@ -89,8 +82,10 @@ void Cluster::resetRunState() {
     hb.ticks.store(0, std::memory_order_release);
     hb.done.store(false, std::memory_order_release);
   }
-  std::lock_guard<std::mutex> lk(barrier_mutex_);
-  barriers_.clear();
+  // Ranks an aborted barrier woke left their arrivals counted; the next
+  // run's barrier must wait for all of its own.
+  std::lock_guard<std::mutex> lk(barrier_.m);
+  barrier_.count = 0;
 }
 
 void Cluster::requestAbort() {
@@ -102,11 +97,8 @@ void Cluster::requestAbort() {
     { std::lock_guard<std::mutex> lk(box->m); }
     box->cv.notify_all();
   }
-  std::lock_guard<std::mutex> lk(barrier_mutex_);
-  for (auto& [id, st] : barriers_) {
-    { std::lock_guard<std::mutex> slk(st->m); }
-    st->cv.notify_all();
-  }
+  { std::lock_guard<std::mutex> lk(barrier_.m); }
+  barrier_.cv.notify_all();
 }
 
 void Cluster::setFaultPlan(const FaultPlan& plan) {
@@ -115,23 +107,23 @@ void Cluster::setFaultPlan(const FaultPlan& plan) {
   fault_ops_.store(0, std::memory_order_release);
 }
 
-void Cluster::noteStep(int world_rank, long step, int phase) {
-  if (world_rank >= 0 && world_rank < nranks_) {
-    auto& hb = hb_[static_cast<std::size_t>(world_rank)];
+void Cluster::noteStep(int rank, long step, int phase) {
+  if (rank >= 0 && rank < nranks_) {
+    auto& hb = hb_[static_cast<std::size_t>(rank)];
     hb.step.store(step, std::memory_order_release);
     hb.phase.store(phase, std::memory_order_release);
     hb.ticks.fetch_add(1, std::memory_order_acq_rel);
   }
-  if (fault_.kind == FaultPlan::Kind::None || world_rank != fault_.rank) return;
+  if (fault_.kind == FaultPlan::Kind::None || rank != fault_.rank) return;
   fault_rank_step_.store(step, std::memory_order_release);
   // Progress publication is itself a fault point for Kill/Hang plans: a
   // serial (comm-free) supervised rank has no send/recv/barrier to latch
   // onto, but it heartbeats every step.
   if (fault_.kind == FaultPlan::Kind::KillRank ||
       fault_.kind == FaultPlan::Kind::HangRank) {
-    switch (nextFault(world_rank, /*is_send=*/false)) {
+    switch (nextFault(rank, /*is_send=*/false)) {
       case FaultPlan::Kind::KillRank:
-        throw RankKilled("fault plan: rank " + std::to_string(world_rank) +
+        throw RankKilled("fault plan: rank " + std::to_string(rank) +
                          " killed at step " + std::to_string(step));
       case FaultPlan::Kind::HangRank:
         hangUntilAbort();
@@ -141,16 +133,15 @@ void Cluster::noteStep(int world_rank, long step, int phase) {
   }
 }
 
-void Cluster::noteRankDone(int world_rank) {
-  if (world_rank < 0 || world_rank >= nranks_) return;
-  hb_[static_cast<std::size_t>(world_rank)].done.store(true,
-                                                       std::memory_order_release);
+void Cluster::noteRankDone(int rank) {
+  if (rank < 0 || rank >= nranks_) return;
+  hb_[static_cast<std::size_t>(rank)].done.store(true, std::memory_order_release);
 }
 
-Cluster::Heartbeat Cluster::heartbeat(int world_rank) const {
+Cluster::Heartbeat Cluster::heartbeat(int rank) const {
   Heartbeat out;
-  if (world_rank < 0 || world_rank >= nranks_) return out;
-  const auto& hb = hb_[static_cast<std::size_t>(world_rank)];
+  if (rank < 0 || rank >= nranks_) return out;
+  const auto& hb = hb_[static_cast<std::size_t>(rank)];
   // ticks first (acquire): a reader that sees tick N also sees the step and
   // phase published before it.
   out.ticks = hb.ticks.load(std::memory_order_acquire);
@@ -170,8 +161,8 @@ void Cluster::hangUntilAbort() {
   throw ClusterAborted{};
 }
 
-FaultPlan::Kind Cluster::nextFault(int world_rank, bool is_send) {
-  if (fault_.kind == FaultPlan::Kind::None || world_rank != fault_.rank) {
+FaultPlan::Kind Cluster::nextFault(int rank, bool is_send) {
+  if (fault_.kind == FaultPlan::Kind::None || rank != fault_.rank) {
     return FaultPlan::Kind::None;
   }
   if (fault_.at_step >= 0 &&
@@ -198,17 +189,10 @@ void Cluster::resetTraffic() {
   byte_count_ = 0;
 }
 
-Cluster::BarrierState& Cluster::barrierState(int comm_id) {
-  std::lock_guard<std::mutex> lk(barrier_mutex_);
-  auto& slot = barriers_[comm_id];
-  if (!slot) slot = std::make_unique<BarrierState>();
-  return *slot;
-}
-
-void Cluster::deposit(int world_dst, const MailKey& key, Msg msg) {
+void Cluster::deposit(int dst, const MailKey& key, Msg msg) {
   msg_count_.fetch_add(1, std::memory_order_relaxed);
   byte_count_.fetch_add(msg.data.size(), std::memory_order_relaxed);
-  Mailbox& mb = *boxes_.at(static_cast<std::size_t>(world_dst));
+  Mailbox& mb = *boxes_.at(static_cast<std::size_t>(dst));
   {
     std::lock_guard<std::mutex> lk(mb.m);
     mb.q[key].push_back(std::move(msg));
@@ -216,8 +200,8 @@ void Cluster::deposit(int world_dst, const MailKey& key, Msg msg) {
   mb.cv.notify_all();
 }
 
-Buffer Cluster::collect(int world_me, const MailKey& key) {
-  Mailbox& mb = *boxes_.at(static_cast<std::size_t>(world_me));
+Buffer Cluster::collect(int me, const MailKey& key) {
+  Mailbox& mb = *boxes_.at(static_cast<std::size_t>(me));
   std::unique_lock<std::mutex> lk(mb.m);
   mb.cv.wait(lk, [&] {
     auto it = mb.q.find(key);
@@ -256,53 +240,43 @@ void Comm::sendBytes(int dst, int tag, const void* data, std::size_t nbytes) {
   const bool guarded = cluster_->messageGuard();
   const std::uint32_t crc = guarded ? io::crc32(buf.data(), buf.size()) : 0;
 
-  switch (cluster_->nextFault(worldRank(rank_), /*is_send=*/true)) {
-    case FaultPlan::Kind::DropMessage:
-      return;  // silently discarded; the payload never reaches the mailbox
-    case FaultPlan::Kind::DelayMessage:
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(cluster_->fault_.delay_ms));
-      break;
+  switch (cluster_->nextFault(rank_, /*is_send=*/true)) {
     case FaultPlan::Kind::CorruptPayload:
       if (!buf.empty()) buf[0] = static_cast<char>(~buf[0]);
       break;
     case FaultPlan::Kind::KillRank:
-      throw RankKilled("fault plan: rank " + std::to_string(worldRank(rank_)) +
-                       " killed in send");
+      throw RankKilled("fault plan: rank " + std::to_string(rank_) + " killed in send");
     case FaultPlan::Kind::HangRank:
       cluster_->hangUntilAbort();
     case FaultPlan::Kind::None:
       break;
   }
-  cluster_->deposit(worldRank(dst), {comm_id_, rank_, tag},
-                    Cluster::Msg{std::move(buf), crc, guarded});
+  cluster_->deposit(dst, {rank_, tag}, Cluster::Msg{std::move(buf), crc, guarded});
 }
 
 Buffer Comm::recvBytes(int src, int tag) {
   if (src < 0 || src >= size_) throw std::out_of_range("recv: bad source rank");
-  switch (cluster_->nextFault(worldRank(rank_), /*is_send=*/false)) {
+  switch (cluster_->nextFault(rank_, /*is_send=*/false)) {
     case FaultPlan::Kind::KillRank:
-      throw RankKilled("fault plan: rank " + std::to_string(worldRank(rank_)) +
-                       " killed in recv");
+      throw RankKilled("fault plan: rank " + std::to_string(rank_) + " killed in recv");
     case FaultPlan::Kind::HangRank:
       cluster_->hangUntilAbort();
     default:
       break;
   }
-  return cluster_->collect(worldRank(rank_), {comm_id_, src, tag});
+  return cluster_->collect(rank_, {src, tag});
 }
 
 void Comm::barrier() {
-  switch (cluster_->nextFault(worldRank(rank_), /*is_send=*/false)) {
+  switch (cluster_->nextFault(rank_, /*is_send=*/false)) {
     case FaultPlan::Kind::KillRank:
-      throw RankKilled("fault plan: rank " + std::to_string(worldRank(rank_)) +
-                       " killed in barrier");
+      throw RankKilled("fault plan: rank " + std::to_string(rank_) + " killed in barrier");
     case FaultPlan::Kind::HangRank:
       cluster_->hangUntilAbort();
     default:
       break;
   }
-  auto& st = cluster_->barrierState(comm_id_);
+  auto& st = cluster_->barrier_;
   std::unique_lock<std::mutex> lk(st.m);
   const std::uint64_t gen = st.generation;
   if (++st.count == size_) {
@@ -313,70 +287,6 @@ void Comm::barrier() {
     st.cv.wait(lk, [&] { return st.generation != gen || cluster_->aborted(); });
     if (st.generation == gen) throw ClusterAborted{};  // abort, not completion
   }
-}
-
-Comm Comm::split(int color, int key) {
-  // Gather (color, key) pairs on rank 0, compute groups, scatter results.
-  const int tag = nextCollectiveTag();
-  struct Entry {
-    int color, key, old_rank;
-  };
-
-  std::vector<Entry> all;
-  if (rank_ == 0) {
-    all.resize(static_cast<std::size_t>(size_));
-    all[0] = {color, key, 0};
-    for (int r = 1; r < size_; ++r) all[static_cast<std::size_t>(r)] = recv<Entry>(r, tag).at(0);
-  } else {
-    send(0, tag, std::vector<Entry>{{color, key, rank_}});
-  }
-
-  // Rank 0 assigns: for each distinct color a fresh comm id and a rank order
-  // sorted by (key, old_rank); then sends each rank its (id, rank, size) and
-  // the comm-rank -> world-rank table.
-  struct Assignment {
-    int comm_id, new_rank, new_size;
-  };
-
-  Assignment mine{};
-  std::vector<int> my_world_ranks;
-
-  if (rank_ == 0) {
-    std::vector<int> colors;
-    for (const auto& e : all) colors.push_back(e.color);
-    std::sort(colors.begin(), colors.end());
-    colors.erase(std::unique(colors.begin(), colors.end()), colors.end());
-
-    for (int c : colors) {
-      std::vector<Entry> group;
-      for (const auto& e : all) {
-        if (e.color == c) group.push_back(e);
-      }
-      std::sort(group.begin(), group.end(), [](const Entry& a, const Entry& b) {
-        return std::pair(a.key, a.old_rank) < std::pair(b.key, b.old_rank);
-      });
-      const int new_id = cluster_->next_comm_id_.fetch_add(1);
-      std::vector<int> wr;
-      wr.reserve(group.size());
-      for (const auto& g : group) wr.push_back(worldRank(g.old_rank));
-      for (std::size_t i = 0; i < group.size(); ++i) {
-        const Assignment a{new_id, static_cast<int>(i), static_cast<int>(group.size())};
-        if (group[i].old_rank == 0) {
-          mine = a;
-          my_world_ranks = wr;
-        } else {
-          send(group[i].old_rank, tag + 1, std::vector<Assignment>{a});
-          send(group[i].old_rank, tag + 1, wr);
-        }
-      }
-    }
-  } else {
-    mine = recv<Assignment>(0, tag + 1).at(0);
-    my_world_ranks = recv<int>(0, tag + 1);
-  }
-
-  return Comm(cluster_, mine.comm_id, mine.new_rank, mine.new_size,
-              std::make_shared<const std::vector<int>>(std::move(my_world_ranks)));
 }
 
 }  // namespace asura::comm

@@ -6,15 +6,17 @@
 /// This container has no MPI, so `Cluster` launches P ranks as threads, each
 /// executing the same SPMD body with a `Comm` handle that provides the MPI
 /// subset FDPS needs: point-to-point send/recv, barrier, bcast, allreduce,
-/// allgather(v), alltoall(v) and communicator split.
+/// allgather(v) and alltoallv.
 ///
 /// Design rules (mirroring MPI semantics):
 ///  * user code communicates ONLY through Comm — no shared-memory shortcuts;
 ///  * sends are buffered (never deadlock on matching order);
-///  * message matching is by (communicator, source, tag);
-///  * collectives are called in the same order by every rank of a
-///    communicator (an internal per-handle sequence number keyed into the
-///    tag space keeps consecutive collectives from cross-talking).
+///  * a cluster hosts one communicator: its run's, or selfComm's on a
+///    one-rank cluster. A Comm rank is therefore a cluster rank, and message
+///    matching is by (source, tag);
+///  * collectives are called in the same order by every rank (an internal
+///    per-handle sequence number keyed into the tag space keeps consecutive
+///    collectives from cross-talking).
 ///
 /// All traffic is metered (message/byte counters) so the analytic network
 /// model in asura::perf can be calibrated against real exchanges.
@@ -65,12 +67,12 @@ class MessageCorrupt : public std::runtime_error {
   explicit MessageCorrupt(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Injected failure for the SPMD substrate. One plan at a time, installed
-/// with Cluster::setFaultPlan *before* Cluster::run; the plan applies to one
-/// world rank and triggers once that rank is armed (noteStep reached
-/// `at_step`, or immediately when at_step < 0) and has issued `after_ops`
-/// further eligible operations. Message faults (drop/delay/corrupt) act on
-/// the send side and affect up to `count` sends; KillRank throws RankKilled
+/// Injected failure for the SPMD substrate: the faults the recovery drills
+/// inject. One plan at a time, installed with Cluster::setFaultPlan *before*
+/// Cluster::run; the plan applies to one rank and triggers once that rank is
+/// armed (noteStep reached `at_step`, or immediately when at_step < 0) and
+/// has issued `after_ops` further eligible operations. CorruptPayload acts on
+/// the send side and affects up to `count` sends; KillRank throws RankKilled
 /// from the first eligible operation (send, recv, barrier, or the noteStep
 /// call itself — the latter is what makes serial, comm-free supervised runs
 /// injectable); HangRank stalls the rank in an abort-interruptible sleep
@@ -80,18 +82,15 @@ class MessageCorrupt : public std::runtime_error {
 struct FaultPlan {
   enum class Kind {
     None,            ///< no fault installed
-    DropMessage,     ///< send is silently discarded
-    DelayMessage,    ///< send is held for delay_ms before delivery
     CorruptPayload,  ///< first byte of the payload is bit-flipped
     KillRank,        ///< the rank throws RankKilled
     HangRank,        ///< the rank stalls until the cluster aborts
   };
   Kind kind = Kind::None;
-  int rank = -1;                 ///< world rank the fault applies to
+  int rank = -1;                 ///< rank the fault applies to
   long at_step = -1;             ///< arm at this step (see Cluster::noteStep); <0 = armed
   std::uint64_t after_ops = 0;   ///< eligible ops to let through once armed
   int count = 1;                 ///< eligible ops affected (KillRank fires once)
-  int delay_ms = 5;              ///< DelayMessage hold time
 };
 
 class Comm;
@@ -113,15 +112,15 @@ class Cluster {
   /// triggers the cooperative abort: peers blocked in recv/barrier/
   /// collectives wake with ClusterAborted instead of deadlocking the join,
   /// and run() rethrows the *originating* exception, not the secondary
-  /// aborts. Mailboxes and barrier states are purged at entry, so an
+  /// aborts. The mailboxes and the barrier count are reset at entry, so an
   /// aborted run leaves no residue for the next one.
   void run(const std::function<void(Comm&)>& body);
 
   /// Rank 0's communicator on a one-rank cluster, for code that runs outside
   /// run(): the in-process MPI_COMM_SELF. Every collective on it completes
-  /// locally, because each send loop skips the own rank, so nothing is sent.
-  /// Each call returns a fresh communicator. Throws std::logic_error unless
-  /// size() == 1.
+  /// locally, because each send loop skips the own rank, so it deposits no
+  /// message, and its barrier completes on arrival. Each call returns a
+  /// fresh handle. Throws std::logic_error unless size() == 1.
   [[nodiscard]] Comm selfComm();
 
   struct Traffic {
@@ -144,12 +143,12 @@ class Cluster {
     bool done = false;
   };
 
-  /// Snapshot of `world_rank`'s heartbeat slot (lock-free; any thread).
-  [[nodiscard]] Heartbeat heartbeat(int world_rank) const;
+  /// Snapshot of `rank`'s heartbeat slot (lock-free; any thread).
+  [[nodiscard]] Heartbeat heartbeat(int rank) const;
 
   /// Mark a rank's supervised body as finished so a watchdog stops expecting
   /// progress from it (other ranks may legitimately run much longer).
-  void noteRankDone(int world_rank);
+  void noteRankDone(int rank);
 
   /// Raise the cooperative abort from outside the ranks (watchdog,
   /// external supervisor). Peers blocked in recv/barrier/collectives wake
@@ -177,13 +176,13 @@ class Cluster {
   void setFaultPlan(const FaultPlan& plan);
   void clearFaultPlan() { setFaultPlan(FaultPlan{}); }
 
-  /// Progress + step-trigger hook: records `world_rank`'s heartbeat (step,
+  /// Progress + step-trigger hook: records `rank`'s heartbeat (step,
   /// sub-step phase) for the watchdog, then arms/applies any fault plan
   /// targeting that rank (DistributedEngine::exchangeParticles reports every
   /// step; Simulation's progress reporter adds sub-step phases). Kill/Hang
   /// plans fire here too, so even a serial rank that never touches a comm op
   /// is injectable.
-  void noteStep(int world_rank, long step, int phase = 0);
+  void noteStep(int rank, long step, int phase = 0);
 
   [[nodiscard]] bool aborted() const {
     return abort_flag_.load(std::memory_order_acquire);
@@ -205,13 +204,12 @@ class Cluster {
   /// (possibly aborted) run.
   void resetRunState();
 
-  /// Fault decision for one eligible operation of `world_rank`. Message
-  /// faults are eligible on sends only; KillRank/HangRank on any comm op
-  /// (and on noteStep itself).
-  [[nodiscard]] FaultPlan::Kind nextFault(int world_rank, bool is_send);
+  /// Fault decision for one eligible operation of `rank`. CorruptPayload is
+  /// eligible on sends only; KillRank/HangRank on any comm op (and on
+  /// noteStep itself).
+  [[nodiscard]] FaultPlan::Kind nextFault(int rank, bool is_send);
 
   struct MailKey {
-    int comm_id;
     int src;
     int tag;
     auto operator<=>(const MailKey&) const = default;
@@ -237,10 +235,8 @@ class Cluster {
     std::uint64_t generation = 0;
   };
 
-  BarrierState& barrierState(int comm_id);
-
-  void deposit(int world_dst, const MailKey& key, Msg msg);
-  Buffer collect(int world_me, const MailKey& key);
+  void deposit(int dst, const MailKey& key, Msg msg);
+  Buffer collect(int me, const MailKey& key);
 
   /// One cache line per rank: the watchdog polls every slot at a few tens of
   /// Hz while ranks publish from their own threads.
@@ -254,9 +250,7 @@ class Cluster {
   int nranks_;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::unique_ptr<HeartbeatSlot[]> hb_;
-  std::mutex barrier_mutex_;
-  std::map<int, std::unique_ptr<BarrierState>> barriers_;
-  std::atomic<int> next_comm_id_{1};
+  BarrierState barrier_;
   std::atomic<std::uint64_t> msg_count_{0};
   std::atomic<std::uint64_t> byte_count_{0};
   std::atomic<bool> message_guard_{false};
@@ -272,7 +266,7 @@ class Cluster {
 };
 
 /// Per-rank communicator handle. Move-only: every rank owns exactly one
-/// handle per communicator, so collective sequence numbers stay in lock-step.
+/// handle, so collective sequence numbers stay in lock-step.
 class Comm {
  public:
   [[nodiscard]] int rank() const { return rank_; }
@@ -360,8 +354,10 @@ class Comm {
   }
 
   /// Flat all-to-all with variable message sizes: send[d] goes to rank d,
-  /// result[s] is what rank s sent to us. The global-communication baseline
-  /// the paper's 3D algorithm improves upon.
+  /// result[s] is what rank s sent to us. The paper's 3-D algorithm (§3.4)
+  /// routes it along torus lines to cut fan-out on Fugaku's network; on this
+  /// in-process cluster that sent more bytes and ran slower, so every
+  /// exchange is flat (docs/distributed.md).
   template <class T>
   std::vector<std::vector<T>> alltoallv(const std::vector<std::vector<T>>& sendbufs) {
     if (sendbufs.size() != static_cast<std::size_t>(size_)) {
@@ -379,27 +375,13 @@ class Comm {
     return out;
   }
 
-  /// Split into sub-communicators by color; ranks with equal color end up in
-  /// the same communicator ordered by (key, old rank). MPI_Comm_split.
-  [[nodiscard]] Comm split(int color, int key);
-
-  /// World rank of a communicator rank (used by the torus router).
-  [[nodiscard]] int worldRank(int r) const {
-    return world_ranks_->at(static_cast<std::size_t>(r));
-  }
-
   [[nodiscard]] Cluster& cluster() const { return *cluster_; }
 
  private:
   friend class Cluster;
 
-  Comm(Cluster* cluster, int comm_id, int rank, int size,
-       std::shared_ptr<const std::vector<int>> world_ranks)
-      : cluster_(cluster),
-        comm_id_(comm_id),
-        rank_(rank),
-        size_(size),
-        world_ranks_(std::move(world_ranks)) {}
+  Comm(Cluster* cluster, int rank, int size)
+      : cluster_(cluster), rank_(rank), size_(size) {}
 
   /// Each collective consumes one sequence slot; the slot maps to a pair of
   /// tags (allreduce uses tag and tag+1) well above the user tag space.
@@ -422,15 +404,13 @@ class Comm {
   static constexpr std::uint64_t kCollectiveTagSlots = 1 << 16;
 
   Cluster* cluster_;
-  int comm_id_;
   int rank_;
   int size_;
-  std::shared_ptr<const std::vector<int>> world_ranks_;
   std::uint64_t collective_seq_ = 0;
 };
 
 /// Factor p into (px, py, pz) as close to cubic as possible (px>=py>=pz):
-/// the rank grid of the domain decomposer and of the torus router.
+/// the rank grid of the domain decomposer.
 inline void factor3(int p, int& px, int& py, int& pz) {
   px = py = pz = 1;
   // Greedy: repeatedly give the smallest axis the largest remaining factor.

@@ -52,7 +52,7 @@ bool DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
                                           util::Pcg32& rng, long step) {
   // Arm any step-gated fault plan: "kill rank r at step s" triggers on the
   // first communication this rank performs once it has entered step s.
-  comm_.cluster().noteStep(comm_.worldRank(comm_.rank()), step);
+  comm_.cluster().noteStep(comm_.rank(), step);
 
   const std::span<const Particle> locals(parts.data(), n_local);
   bool decomposed = false;

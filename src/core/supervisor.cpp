@@ -49,23 +49,23 @@ void Supervisor::attemptBody(comm::Comm& comm, long target_step,
                              const Factory& make, const Finisher& on_complete,
                              std::vector<long>& progress,
                              std::vector<StepStats>& health) {
-  const int wr = comm.worldRank(comm.rank());
-  const auto wi = static_cast<std::size_t>(wr);
+  const int rank = comm.rank();
+  const auto ri = static_cast<std::size_t>(rank);
   auto sim = make(comm, plan);
   if (!sim) throw std::runtime_error("supervisor: factory returned null");
 
-  SnapshotRing& ring = rings_[wi];
+  SnapshotRing& ring = rings_[ri];
   if (resume_step >= 0) {
     SnapshotEntry* entry = ring.find(resume_step);
     if (!entry) {
-      throw std::runtime_error("supervisor: rank " + std::to_string(wr) +
+      throw std::runtime_error("supervisor: rank " + std::to_string(rank) +
                                " has no ring entry for step " +
                                std::to_string(resume_step));
     }
     // A corrupt entry is poisoned, so the next attempt falls back to an
     // older common step.
     SnapshotRing::restoreEntry(*entry, *sim, plan.level,
-                               "supervisor rank " + std::to_string(wr));
+                               "supervisor rank " + std::to_string(rank));
   } else if (ring.lastStep() != sim->stepCount()) {
     // Fresh start: seed the ring with the pre-step state so even a failure
     // before the first interval snapshot rolls back instead of restarting
@@ -76,19 +76,19 @@ void Supervisor::attemptBody(comm::Comm& comm, long target_step,
   // Liveness: every step (and sub-step) publishes through the cluster's
   // heartbeat slots, so the watchdog can tell slow from stuck — serial and
   // distributed ranks alike.
-  sim->setProgressReporter([this, wr](long step, int phase) {
-    cluster_.noteStep(wr, step, phase);
+  sim->setProgressReporter([this, rank](long step, int phase) {
+    cluster_.noteStep(rank, step, phase);
   });
 
-  progress[wi] = sim->stepCount();
+  progress[ri] = sim->stepCount();
   while (sim->stepCount() < target_step) {
     const StepStats st = sim->step();
     const long s = sim->stepCount();
-    progress[wi] = s;
-    health[wi].surrogate_fallbacks += st.surrogate_fallbacks;
-    health[wi].reach_giveups += st.reach_giveups;
-    health[wi].limiter_wakes += st.limiter_wakes;
-    health[wi].migrated += st.migrated;
+    progress[ri] = s;
+    health[ri].surrogate_fallbacks += st.surrogate_fallbacks;
+    health[ri].reach_giveups += st.reach_giveups;
+    health[ri].limiter_wakes += st.limiter_wakes;
+    health[ri].migrated += st.migrated;
     if (s % cfg_.snapshot_interval == 0 && ring.lastStep() != s) {
       ring.push(*sim);
     }
@@ -96,7 +96,7 @@ void Supervisor::attemptBody(comm::Comm& comm, long target_step,
 
   // Done before the finisher: a slow state-extraction callback must not look
   // like a hang to the watchdog.
-  cluster_.noteRankDone(wr);
+  cluster_.noteRankDone(rank);
   if (on_complete) on_complete(comm, *sim);
 }
 

@@ -145,7 +145,7 @@ class Supervisor {
 
   comm::Cluster& cluster_;
   SupervisorConfig cfg_;
-  std::vector<SnapshotRing> rings_;  ///< indexed by world rank
+  std::vector<SnapshotRing> rings_;  ///< indexed by rank
 };
 
 }  // namespace asura::core

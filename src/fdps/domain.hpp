@@ -15,9 +15,9 @@
 /// weights), so each domain holds an equal share of the sampled force-pass
 /// work. Either way every rank owns one disjoint box.
 ///
-/// The particle exchange is one flat alltoallv. The paper's 3-D torus
-/// all-to-all (§3.4) stays in the comm layer; examples/scaling_cluster
-/// routes a decomposition's owner buckets through it.
+/// The particle exchange is one flat alltoallv (docs/distributed.md says
+/// why the engine does not route it like the paper's 3-D torus all-to-all,
+/// §3.4).
 
 #include <span>
 #include <vector>

@@ -110,8 +110,7 @@ std::vector<std::vector<char>> referenceBytes(const std::vector<Particle>& ic,
 /// Finisher capturing every rank's final state bytes.
 Supervisor::Finisher captureBytes(std::vector<std::vector<char>>& out) {
   return [&out](Comm& comm, Simulation& sim) {
-    out[static_cast<std::size_t>(comm.worldRank(comm.rank()))] =
-        stateBytes(sim);
+    out[static_cast<std::size_t>(comm.rank())] = stateBytes(sim);
   };
 }
 
