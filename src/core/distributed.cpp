@@ -53,6 +53,7 @@ bool DistributedEngine::exchangeParticles(std::vector<Particle>& parts,
   // Arm any step-gated fault plan: "kill rank r at step s" triggers on the
   // first communication this rank performs once it has entered step s.
   comm_.cluster().noteStep(comm_.rank(), step);
+  changed_.clear();  // the locals may be reordered: flags wait for a full refresh
 
   const std::span<const Particle> locals(parts.data(), n_local);
   bool decomposed = false;
@@ -148,22 +149,29 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
     // visible to the density gather without any selection scan. The call is
     // an alltoallv and therefore collective — the flag feeding this branch
     // is uniform across ranks by construction.
-    refreshGhostPayloads(parts, n_local, ctx);
+    refreshGhostPayloads(parts, n_local, ctx, GhostRefresh::All);
   } else {
     ++stats_.ghost_reuses;
   }
 }
 
 void DistributedEngine::refreshGhostPayloads(std::vector<Particle>& parts,
-                                             std::size_t n_local,
-                                             fdps::StepContext& ctx) {
+                                             std::size_t n_local, fdps::StepContext& ctx,
+                                             GhostRefresh mode) {
   if (comm_.size() == 1) return;
-  fdps::refreshGhostValues(comm_, ghost_cache_, parts, n_local);
+  if (mode == GhostRefresh::All) {
+    fdps::refreshGhostValues(comm_, ghost_cache_, parts, n_local);
+    changed_.assign(n_local, 0);
+  } else {
+    fdps::refreshChangedGhosts(comm_, ghost_cache_, parts, n_local, changed_);
+    std::fill(changed_.begin(), changed_.end(), 0);
+  }
   ++stats_.ghost_value_refreshes;
-  // Positions and supports moved within an unchanged layout: an O(N)
+  // Ghost positions and supports moved within an unchanged layout: an O(N)
   // in-place refresh (entry pos + h, node moments) keeps the cached gas
-  // tree consistent without a rebuild.
-  ctx.refreshGasPositions(parts);
+  // tree consistent without a rebuild. The target groups hold locals only
+  // and stay.
+  ctx.refreshGasGhosts(parts);
 }
 
 std::optional<double> DistributedEngine::escapedReach(std::span<const Particle> parts,

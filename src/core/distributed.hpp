@@ -46,9 +46,10 @@
 ///    exported reach triggers a collective re-exchange followed by a
 ///    re-solve (the old single-shot ghost exchange collected the radii before
 ///    the solve grew h, silently under-importing neighbours);
-///  * between full exchanges, force passes re-ship fresh *payloads* for
-///    the unchanged ghost list (refreshGhostValues) — no selection scan, no
-///    reach allgather — and walk the LET again (exportLet over a fresh
+///  * between full exchanges, force passes re-ship fresh ghost *records*
+///    for the unchanged ghost list (refreshGhostValues, or on sub-steps
+///    refreshChangedGhosts; see below) — no selection scan, no reach
+///    allgather — and walk the LET again (exportLet over a fresh
 ///    locals-only tree) when any rank moved since the last walk. A LET
 ///    import is therefore always what exchangeGravityLet returns over the
 ///    current locals; nothing re-derives its values along a recorded walk.
@@ -63,12 +64,48 @@
 ///
 /// The rank's particle array is [locals | ghost imports], with
 /// Simulation::nLocal() marking the boundary. The suffix is the only copy of
-/// the ghosts: a ghost exchange rewrites it, a payload refresh overwrites it
-/// in place, and it stays attached between steps. Phase 0 keeps it when the
-/// cache survives and drops it otherwise. Ghosts coast ballistically through
-/// drift sweeps (their home rank integrates the real particle); kicks, rung
-/// bookkeeping, star formation, cooling, capture and diagnostics touch the
-/// local prefix only.
+/// the ghosts: a ghost exchange rewrites it, a record refresh overwrites
+/// slots of it in place, and it stays attached between steps. Phase 0 keeps
+/// it when the cache survives and drops it otherwise. A ghost holds what its
+/// 128-byte fdps::GhostRecord carries — the fields a neighbour reads (the
+/// reader of each is listed in fdps/let.hpp: the gas tree, the density and
+/// hydro kernels, the limiter and the drift) — and Particle{} defaults
+/// everywhere else. Ghosts coast ballistically through drift sweeps (their
+/// home rank integrates the real particle); kicks, rung bookkeeping, star
+/// formation, cooling, capture and diagnostics touch the local prefix only.
+///
+/// # Ghost refreshes: every export, or the changed ones
+///
+/// Full passes refresh before the density solve (inside ensureExchanged)
+/// and after it, shipping every export. A sub-step refreshes once, after
+/// its density solve. The first sub-step of each step ships every export
+/// too: the step start re-rungs every local and resets u_pred, every local
+/// opens at sub-unit 0, and the previous step's final pass set du_dt and
+/// the sync rung floor after its last refresh. Every later
+/// sub-step ships only the exports whose home local Simulation flagged
+/// (markChanged) since the previous refresh:
+///
+///  * at the closing kick: vel, u_pred and rung change, and du_dt changed
+///    in that pass's hydro force, whose targets are the closers;
+///  * in applyWakes, for every local it deepens or re-plans (rung, vel);
+///  * for the pass's density targets, just before the refresh: the solve
+///    rewrites h, rho, divv, curlv and u_pred.
+///
+/// The opening kick (vel, u, u_pred) needs no flag of its own: the openers
+/// at sub-unit n are exactly the locals that closed at n — a closer's next
+/// step opens where it closed, and a wake only moves a step's end past n —
+/// so they were flagged when they closed at n. Every other record field
+/// changes only in the drift, which applies the same arithmetic to a ghost
+/// and its home (pos += sub_dt * vel; u_pred += sub_dt * du_dt unless
+/// frozen), so an unflagged ghost is already bitwise its home's record.
+/// The cut is exact: trajectories and every counter stay as with full
+/// refreshes, which the 8-rank gate in test_distributed checks against a
+/// run that flags every local after every sub-step. The flags are one byte
+/// per local, sized by each full refresh and dropped by phase 0; they are
+/// not checkpoint state, because each step's first sub-step ships
+/// everything. On sn_storm_p8 (seed 1) the record and the changed subset
+/// cut comm_bytes_per_step from 236.0 MB to 54.5 MB; docs/distributed.md
+/// has the breakdown.
 
 #include <cstdint>
 #include <optional>
@@ -123,7 +160,7 @@ struct ExchangeStats {
   int let_export_walks = 0;       ///< exportLet tree walks (P-1 per exchange)
   int let_reuses = 0;             ///< passes served from the cached LET set
   int ghost_exchanges = 0;        ///< full ghost selections + alltoalls
-  int ghost_value_refreshes = 0;  ///< payload-only refreshes of the ghost suffix
+  int ghost_value_refreshes = 0;  ///< record refreshes of the ghost suffix (all or changed)
   int ghost_reuses = 0;           ///< passes that reused the coasted suffix as-is
   int migrated = 0;          ///< locals that changed owner this step (global)
   int reach_retries = 0;     ///< density re-solves forced by reach escapes
@@ -138,6 +175,11 @@ struct ExchangeStats {
   /// 0 on steps that did not measure it.
   double balance_max_over_mean = 0.0;
 };
+
+/// Which exports a ghost refresh ships: every one, or only those whose home
+/// local was flagged by DistributedEngine::markChanged since the last
+/// refresh.
+enum class GhostRefresh { All, Changed };
 
 class DistributedEngine {
  public:
@@ -184,17 +226,29 @@ class DistributedEngine {
   void noteReachGiveupIfStillEscaped(std::span<const Particle> parts,
                                      std::size_t n_local);
 
-  /// Collective. Ship fresh payloads for the cached ghost list along the
+  /// Collective. Ship fresh records for the cached ghost list along the
   /// remembered export index lists. MUST run between the density solve and
   /// the hydro force pass of every distributed pass: the exchange selected
-  /// ghosts *before* the solve, so the copies carry pre-solve rho/pres/h —
-  /// zeros on the very first pass — and the force kernel divides by rho^2.
-  /// All ranks solve in lockstep, so by the time this refresh runs every
-  /// home rank's locals hold post-solve state. No exportLet walk, no
-  /// selection scan; the suffix is overwritten in place. Returns at once
-  /// without a peer.
+  /// ghosts *before* the solve, so the copies carry pre-solve rho/h — zeros
+  /// on the very first pass — and the force kernel divides by rho^2. All
+  /// ranks solve in lockstep, so by the time this refresh runs every home
+  /// rank's locals hold post-solve state. No exportLet walk, no selection
+  /// scan; the suffix is overwritten in place. `mode` must be the same on
+  /// every rank. Changed is exact only when every unflagged export's ghost
+  /// already equals its home's record (the sub-step rule in the file
+  /// comment), and it needs the flags a full refresh since phase 0 sized:
+  /// without them a rank holding locals throws std::invalid_argument.
+  /// Either mode clears the flags. Returns at once without a peer.
   void refreshGhostPayloads(std::vector<Particle>& parts, std::size_t n_local,
-                            fdps::StepContext& ctx);
+                            fdps::StepContext& ctx, GhostRefresh mode);
+
+  /// Flag local `i` as changed, since the last refresh, in a field its
+  /// ghost record carries. Thread-safe across distinct `i`. A no-op until
+  /// the step's first full refresh sizes the flags (nothing before it needs
+  /// one) and on a one-rank engine.
+  void markChanged(std::size_t i) {
+    if (i < changed_.size()) changed_[i] = 1;
+  }
 
   /// Accumulate a bound on local displacement since the last exchange (and
   /// since the last LET walk, which resets independently).
@@ -262,6 +316,10 @@ class DistributedEngine {
   /// The cache must be rebuilt before its next use: set by a new engine, a
   /// re-cut or migration, and markDirty; cleared by a full exchange.
   bool stale_ = true;
+  /// One markChanged flag per local, the delta refresh's selection: sized by
+  /// each full refresh, zeroed by every refresh, dropped by phase 0. Not
+  /// checkpoint state: each step's first sub-step refresh ships every ghost.
+  std::vector<std::uint8_t> changed_;
   ExchangeStats stats_;
 };
 

@@ -132,7 +132,7 @@ StepStats Simulation::step() {
     }
     targets_ = fdps::targetIndices(localSpan());
     gas_targets_ = fdps::targetIndices(localSpan(), /*gas_only=*/true);
-    computeForces(stats, targets_, gas_targets_, final_pass);
+    computeForces(stats, targets_, gas_targets_, final_pass, GhostRefresh::All);
   };
 
   double dt = cfg_.dt_global;
@@ -484,6 +484,7 @@ void Simulation::applyWakes(long n, long nfull, double dt_min, int kmax,
     if (step_end_[js] == n) return;  // closed this sub-step: already fresh
     const int k_target = std::clamp(k_req - sph::kLimiterGap, 0, kmax);
     if (static_cast<int>(p.rung) >= k_target) return;  // gap already closed
+    dist_->markChanged(j);  // rung, and vel on a re-planned step
 
     // Saitoh & Makino (2009) step-shortening: the laggard's step in flight
     // is re-planned to end at the next boundary of its new rung — the first
@@ -653,7 +654,6 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     // imports hold their exchanged positions.
     if (first_sub) {
       step_ctx_.invalidate();
-      first_sub = false;
     } else {
       step_ctx_.refreshGravityPositions(localSpan());
       step_ctx_.refreshGasPositions(parts_);
@@ -673,7 +673,16 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     // occupied rung closes every iteration, so the set is never empty
     // globally (a quiet rank's local set may be).
     collectClosingSet(n, stats);
-    computeForces(stats, targets_, gas_targets_, /*final_pass=*/false);
+    // The step start re-rungs every local and resets u_pred, so the first
+    // sub-step's ghost refresh ships every export. Every later one ships
+    // only the exports whose home changed a record field since the previous
+    // refresh: the closers and the woken of the previous sub-step (flagged
+    // below; they are also exactly this sub-step's openers) and this pass's
+    // density targets (flagged by computeForces). Every other ghost coasted
+    // through the same drift arithmetic as its home and is already current.
+    computeForces(stats, targets_, gas_targets_, /*final_pass=*/false,
+                  first_sub ? GhostRefresh::All : GhostRefresh::Changed);
+    first_sub = false;
 
     // Closing kick, then rung update: refining is always allowed, while
     // coarsening may only land on boundaries aligned with n — the block
@@ -693,6 +702,7 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
         const double dt_p =
             dt_min * static_cast<double>(step_end_[i] - step_begin_[i]);
         p.vel += 0.5 * dt_p * p.acc;
+        dist_->markChanged(i);  // vel, u_pred, rung and the pass's du_dt
         // Work accrual: one closing kick, gas costing double for its extra
         // density + hydro passes. A deep-rung particle closes many times per
         // global step, so SN-heated pockets dominate the tally — exactly the
@@ -779,8 +789,8 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
 }
 
 void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> targets,
-                               std::span<const std::uint32_t> gas_targets,
-                               bool final_pass) {
+                               std::span<const std::uint32_t> gas_targets, bool final_pass,
+                               GhostRefresh refresh) {
   const char* tree_cat = final_pass ? "2nd Make_Tree" : "1st Make_Local_Tree";
   const char* let_cat = final_pass ? "2nd Exchange_LET" : "1st Exchange_LET";
   const char* force_cat = final_pass ? "2nd Calc_Force" : "1st Calc_Force";
@@ -813,7 +823,11 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
   // Collective, so a rank with no targets returns only after it.
   {
     util::TimerRegistry::Scope scope(timers_, let_cat);
-    dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_);
+    if (refresh == GhostRefresh::Changed) {
+      // The solve rewrote h, rho, divv, curlv and u_pred of every target.
+      for (const auto i : gas_targets) dist_->markChanged(i);
+    }
+    dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_, refresh);
   }
   if (targets.empty()) return;
 

@@ -144,6 +144,7 @@ class ByteReader;
 namespace asura::core {
 
 class DistributedEngine;
+enum class GhostRefresh;
 
 /// Thrown by the post-step run-integrity validator (cfg.validate_steps)
 /// when a step published non-finite particle state or broke the global
@@ -262,7 +263,7 @@ struct StepStats {
   int let_export_walks = 0;      ///< exportLet tree walks (P-1 per exchange)
   int let_reuses = 0;            ///< force passes served from the cached LET set
   int ghost_exchanges = 0;       ///< full ghost selections + alltoalls
-  int ghost_value_refreshes = 0; ///< payload-only refreshes of the cached list
+  int ghost_value_refreshes = 0; ///< record refreshes of the cached list (all or changed)
   int ghost_reuses = 0;          ///< passes that reused the coasted ghosts as-is
   int migrated = 0;              ///< particles that changed owner (global)
   int reach_retries = 0;         ///< stale-reach re-exchange + re-solve rounds
@@ -447,12 +448,14 @@ class Simulation {
   /// `targets` (local indices) and `gas_targets` (their gas subset). A full
   /// pass names every local; a sub-step names its closing set. The caller
   /// makes the exchange valid first (DistributedEngine::ensureExchanged).
-  /// Non-final passes time into the "1st …" categories and accumulate the
-  /// StepStats density/gravity/force stats; the final pass of a step times
-  /// into "2nd …". Wake requests are collected on block-timestep passes
-  /// with the limiter on.
+  /// `refresh` picks the ghost refresh's mode; with Changed the density
+  /// targets are flagged first. Non-final passes time into the "1st …"
+  /// categories and accumulate the StepStats density/gravity/force stats;
+  /// the final pass of a step times into "2nd …". Wake requests are
+  /// collected on block-timestep passes with the limiter on.
   void computeForces(StepStats& stats, std::span<const std::uint32_t> targets,
-                     std::span<const std::uint32_t> gas_targets, bool final_pass);
+                     std::span<const std::uint32_t> gas_targets, bool final_pass,
+                     GhostRefresh refresh);
   /// Block-timestep integration of one global step (replaces the global
   /// kick-drift-kick + first force pass + final kick).
   void hierarchicalIntegrate(StepStats& stats, double dt);

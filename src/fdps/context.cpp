@@ -110,7 +110,11 @@ void StepContext::refreshGravityPositions(std::span<const Particle> particles) {
 }
 
 void StepContext::refreshGasPositions(std::span<const Particle> work) {
-  gas_groups_.valid = false;
+  gas_groups_.valid = false;  // bboxes went stale with the drift
+  refreshGasGhosts(work);
+}
+
+void StepContext::refreshGasGhosts(std::span<const Particle> work) {
   if (!gas_tree_valid_) return;
   if (gas_n_ != work.size()) {
     gas_tree_valid_ = false;

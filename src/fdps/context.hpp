@@ -149,8 +149,8 @@ class StepContext {
   /// intervening drift — the hydro force after the density solve, or the
   /// second pass of a global step — is a hit. invalidate() and the
   /// position refreshes clear the slot (positions moved, so the bboxes went
-  /// stale even for an identical list). The reference is valid until the
-  /// next call on the same slot.
+  /// stale even for an identical list); refreshGasGhosts keeps it. The
+  /// reference is valid until the next call on the same slot.
   const std::vector<TargetGroup>& gravityGroups(std::span<const Particle> particles,
                                                 std::span<const std::uint32_t> targets,
                                                 int group_size);
@@ -172,6 +172,11 @@ class StepContext {
   /// the exchange skin bounds.
   void refreshGravityPositions(std::span<const Particle> particles);
   void refreshGasPositions(std::span<const Particle> work);
+  /// refreshGasPositions after a ghost value refresh: only the ghost suffix
+  /// moved, so the gas target groups (locals only) stay. Every change to a
+  /// local's position drops them itself: the drift (refreshGasPositions or
+  /// invalidate), phase 0 and surrogate replacement (invalidate).
+  void refreshGasGhosts(std::span<const Particle> work);
 
   [[nodiscard]] ThreadArena& arena(int tid) { return arenas_[static_cast<std::size_t>(tid)]; }
   [[nodiscard]] int numArenas() const { return static_cast<int>(arenas_.size()); }

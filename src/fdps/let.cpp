@@ -2,8 +2,105 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace asura::fdps {
+
+namespace {
+
+/// The record of `p` for import slot `slot`.
+GhostRecord toGhostRecord(const Particle& p, std::uint32_t slot) {
+  GhostRecord g;
+  g.id = p.id;
+  g.mass = p.mass;
+  g.eps = p.eps;
+  g.pos = p.pos;
+  g.vel = p.vel;
+  g.h = p.h;
+  g.rho = p.rho;
+  g.u_pred = p.u_pred;
+  g.du_dt = p.du_dt;
+  g.divv = p.divv;
+  g.curlv = p.curlv;
+  g.slot = slot;
+  g.type = p.type;
+  g.rung = p.rung;
+  g.frozen = p.frozen;
+  return g;
+}
+
+/// The ghost a record stands for: the record's fields, Particle{} defaults
+/// everywhere else.
+Particle fromGhostRecord(const GhostRecord& g) {
+  Particle p;
+  p.id = g.id;
+  p.type = g.type;
+  p.mass = g.mass;
+  p.eps = g.eps;
+  p.pos = g.pos;
+  p.vel = g.vel;
+  p.h = g.h;
+  p.rho = g.rho;
+  p.u_pred = g.u_pred;
+  p.du_dt = g.du_dt;
+  p.divv = g.divv;
+  p.curlv = g.curlv;
+  p.rung = g.rung;
+  p.frozen = g.frozen;
+  return p;
+}
+
+/// Both refresh forms: ship the records of every export (`all`) or of the
+/// exports `changed` flags, validate every incoming message against the
+/// layout, then write each record into its slot.
+void refreshSlots(comm::Comm& comm, const GhostExchange& cache, std::vector<Particle>& parts,
+                  std::size_t n_local, bool all, std::span<const std::uint8_t> changed) {
+  const int p = comm.size();
+  std::vector<std::vector<GhostRecord>> outgoing(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    const auto& idx = cache.export_idx[static_cast<std::size_t>(r)];
+    auto& buf = outgoing[static_cast<std::size_t>(r)];
+    if (all) buf.reserve(idx.size());
+    for (std::size_t s = 0; s < idx.size(); ++s) {
+      if (!all && changed[idx[s]] == 0) continue;
+      buf.push_back(toGhostRecord(parts.at(idx[s]), static_cast<std::uint32_t>(s)));
+    }
+  }
+  const auto incoming = comm.alltoallv(outgoing);
+
+  std::size_t total = 0;
+  for (int r = 0; r < p; ++r) {
+    if (r == comm.rank()) continue;
+    const auto& v = incoming[static_cast<std::size_t>(r)];
+    const std::size_t count = cache.import_counts[static_cast<std::size_t>(r)];
+    if (all ? v.size() != count : v.size() > count) {
+      throw std::runtime_error("refreshGhostValues: import layout changed");
+    }
+    for (const auto& g : v) {
+      if (g.slot >= count) {
+        throw std::runtime_error(
+            "refreshGhostValues: ghost slot " + std::to_string(g.slot) + " from rank " +
+            std::to_string(r) + " is not below its import count " + std::to_string(count));
+      }
+    }
+    total += count;
+  }
+  if (n_local > parts.size() || parts.size() - n_local != total) {
+    throw std::runtime_error(
+        "refreshGhostValues: ghost suffix length is not the sum of import_counts");
+  }
+
+  std::size_t first = n_local;  // the source's first suffix slot
+  for (int r = 0; r < p; ++r) {
+    if (r == comm.rank()) continue;
+    for (const auto& g : incoming[static_cast<std::size_t>(r)]) {
+      parts[first + g.slot] = fromGhostRecord(g);
+    }
+    first += cache.import_counts[static_cast<std::size_t>(r)];
+  }
+}
+
+}  // namespace
 
 std::vector<SourceEntry> exchangeGravityLet(comm::Comm& comm, const DomainDecomposer& dd,
                                             const SourceTree& local_tree, double theta) {
@@ -41,19 +138,20 @@ GhostExchange exchangeHydroGhostsCached(comm::Comm& comm, const DomainDecomposer
   const std::vector<double> reach = comm.allgather(out.exported_reach);
 
   out.export_idx.assign(static_cast<std::size_t>(p), {});
-  std::vector<std::vector<Particle>> outgoing(static_cast<std::size_t>(p));
+  std::vector<std::vector<GhostRecord>> outgoing(static_cast<std::size_t>(p));
   for (int r = 0; r < p; ++r) {
     if (r == comm.rank()) continue;
     const Box remote = dd.domainOf(r);
     const double remote_reach = reach[static_cast<std::size_t>(r)];
+    auto& list = out.export_idx[static_cast<std::size_t>(r)];
     for (std::size_t i = 0; i < n_local; ++i) {
       const auto& part = parts[i];
       if (!part.isGas()) continue;
       const double d = remote.distance(part.pos);
       if (d <= std::max(part.h * h_margin + skin, remote_reach)) {
-        out.export_idx[static_cast<std::size_t>(r)].push_back(
-            static_cast<std::uint32_t>(i));
-        outgoing[static_cast<std::size_t>(r)].push_back(part);
+        outgoing[static_cast<std::size_t>(r)].push_back(
+            toGhostRecord(part, static_cast<std::uint32_t>(list.size())));
+        list.push_back(static_cast<std::uint32_t>(i));
       }
     }
   }
@@ -64,41 +162,23 @@ GhostExchange exchangeHydroGhostsCached(comm::Comm& comm, const DomainDecomposer
     if (r == comm.rank()) continue;
     const auto& v = incoming[static_cast<std::size_t>(r)];
     out.import_counts[static_cast<std::size_t>(r)] = v.size();
-    parts.insert(parts.end(), v.begin(), v.end());
+    for (const auto& g : v) parts.push_back(fromGhostRecord(g));
   }
   return out;
 }
 
 void refreshGhostValues(comm::Comm& comm, const GhostExchange& cache,
                         std::vector<Particle>& parts, std::size_t n_local) {
-  const int p = comm.size();
-  std::vector<std::vector<Particle>> outgoing(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) {
-    const auto& idx = cache.export_idx[static_cast<std::size_t>(r)];
-    auto& buf = outgoing[static_cast<std::size_t>(r)];
-    buf.reserve(idx.size());
-    for (const auto i : idx) buf.push_back(parts.at(i));
+  refreshSlots(comm, cache, parts, n_local, /*all=*/true, {});
+}
+
+void refreshChangedGhosts(comm::Comm& comm, const GhostExchange& cache,
+                          std::vector<Particle>& parts, std::size_t n_local,
+                          std::span<const std::uint8_t> changed) {
+  if (changed.size() != n_local) {
+    throw std::invalid_argument("refreshChangedGhosts: need one changed flag per local");
   }
-  const auto incoming = comm.alltoallv(outgoing);
-  std::size_t total = 0;
-  for (int r = 0; r < p; ++r) {
-    if (r == comm.rank()) continue;
-    const auto n = incoming[static_cast<std::size_t>(r)].size();
-    if (n != cache.import_counts[static_cast<std::size_t>(r)]) {
-      throw std::runtime_error("refreshGhostValues: import layout changed");
-    }
-    total += n;
-  }
-  if (n_local > parts.size() || parts.size() - n_local != total) {
-    throw std::runtime_error(
-        "refreshGhostValues: ghost suffix length is not the sum of import_counts");
-  }
-  auto at = parts.begin() + static_cast<std::ptrdiff_t>(n_local);
-  for (int r = 0; r < p; ++r) {
-    if (r == comm.rank()) continue;
-    const auto& v = incoming[static_cast<std::size_t>(r)];
-    at = std::copy(v.begin(), v.end(), at);
-  }
+  refreshSlots(comm, cache, parts, n_local, /*all=*/false, changed);
 }
 
 }  // namespace asura::fdps

@@ -270,7 +270,7 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
       const double tk = util::wtime();
       // Stage the shared candidate list into SoA once per group: every
       // particle in the group then runs a vectorized distance prefilter
-      // over packed arrays instead of chasing 272-byte Particle records.
+      // over packed arrays instead of chasing 248-byte Particle records.
       const std::size_t nc = a.idx.size();
       a.sx.resize(nc); a.sy.resize(nc); a.sz.resize(nc);
       a.sm.resize(nc); a.qh.resize(nc);

@@ -3,7 +3,8 @@
 // above the decomposition sample cap), exact conservation across exchanges,
 // the LET/ghost exchange-cache counters (one exchange per step, zero
 // exportLet walks on the second pass), the exchange timer categories, the
-// stale-reach regression, and cross-rank SN capture.
+// stale-reach regression, the changed-subset ghost refresh gate, and
+// cross-rank SN capture.
 
 #include <gtest/gtest.h>
 
@@ -436,6 +437,106 @@ TEST(Distributed, GrowingSupportsTriggerReexchangeAndMatchSerial) {
     nngb_diff = std::max(nngb_diff, std::abs(serial[i].nngb - dist[i].nngb));
   }
   EXPECT_EQ(nngb_diff, 0) << "boundary particles under-imported neighbours";
+}
+
+// ---------------------------------------------------------------------------
+// Changed-subset ghost refresh
+// ---------------------------------------------------------------------------
+
+/// One 8-rank run of the changed-ghost gate: the merged locals, rank 0's
+/// step stats, the cluster's total bytes and the number of sub-steps whose
+/// cache reduction ran a full ghost exchange.
+struct GhostGateRun {
+  std::vector<Particle> locals;
+  std::vector<StepStats> stats;
+  std::uint64_t bytes = 0;
+  int midstep_exchanges = 0;
+};
+
+/// `mark_all`: a progress reporter flags every local changed after every
+/// sub-step, so every sub-step refresh ships every ghost.
+GhostGateRun runGhostGate(const std::vector<Particle>& ic, const SimulationConfig& cfg,
+                          const DistributedConfig& dcfg, int steps, bool mark_all) {
+  constexpr int P = 8;
+  Cluster cluster(P);
+  GhostGateRun out;
+  std::mutex mu;
+  cluster.run([&](Comm& comm) {
+    Simulation sim(blockPartition(ic, comm.rank(), P), cfg);
+    sim.attachDistributed(std::make_unique<DistributedEngine>(comm, dcfg));
+    int last_full = 0;
+    int midstep = 0;
+    if (mark_all) {
+      sim.setProgressReporter([&](long, int phase) {
+        if (phase <= 16) return;  // not a sub-step report
+        DistributedEngine& engine = *sim.distributed();
+        for (std::size_t i = 0; i < sim.nLocal(); ++i) engine.markChanged(i);
+        // Between two sub-step reports only that sub-step's cache reduction
+        // and its reach retries exchange ghosts.
+        const int full = engine.stats().ghost_exchanges - engine.stats().reach_retries;
+        if (phase > 17 && full > last_full) ++midstep;
+        last_full = full;
+      });
+    }
+    std::vector<StepStats> stats;
+    for (int s = 0; s < steps; ++s) stats.push_back(sim.step());
+    std::lock_guard<std::mutex> lk(mu);
+    if (comm.rank() == 0) {
+      out.stats = stats;
+      out.midstep_exchanges = midstep;
+    }
+    const auto& parts = sim.particles();
+    out.locals.insert(out.locals.end(), parts.begin(),
+                      parts.begin() + static_cast<std::ptrdiff_t>(sim.nLocal()));
+  });
+  out.bytes = cluster.traffic().bytes;
+  std::sort(out.locals.begin(), out.locals.end(),
+            [](const Particle& a, const Particle& b) { return a.id < b.id; });
+  return out;
+}
+
+TEST(Distributed, ChangedGhostRefreshMatchesShippingEveryGhost) {
+  // A sub-step refresh ships only the exports whose home was kicked, woken
+  // or density-solved since the previous refresh; every other ghost coasted
+  // through its home's drift arithmetic. Flagging every local after every
+  // sub-step must therefore change nothing but the bytes. The hot core
+  // drives deep rungs and limiter wakes at its interface, undersized
+  // supports force a reach retry, and a thin skin forces full re-exchanges
+  // in the middle of steps (a few per step, so most sub-steps still refresh
+  // a changed subset).
+  auto ic = asura::testing::hotColdInterfaceIc(800, 11);
+  for (auto& p : ic) p.h *= 0.35;
+  SimulationConfig cfg = quietConfig();
+  cfg.hierarchical_timestep = true;
+  cfg.timestep_limiter = true;
+  cfg.max_rung = 6;
+  DistributedConfig dcfg = engineConfig();
+  dcfg.skin = 0.5;
+  dcfg.ghost_h_margin = 1.1;
+  constexpr int kSteps = 3;
+  const auto delta = runGhostGate(ic, cfg, dcfg, kSteps, /*mark_all=*/false);
+  const auto every = runGhostGate(ic, cfg, dcfg, kSteps, /*mark_all=*/true);
+
+  EXPECT_EQ(bitwiseDifferences(delta.locals, every.locals), 0u);
+  ASSERT_EQ(delta.stats.size(), static_cast<std::size_t>(kSteps));
+  ASSERT_EQ(every.stats.size(), static_cast<std::size_t>(kSteps));
+  int retries = 0, wakes = 0, multi_substep = 0;
+  for (int s = 0; s < kSteps; ++s) {
+    const StepStats& a = delta.stats[static_cast<std::size_t>(s)];
+    const StepStats& b = every.stats[static_cast<std::size_t>(s)];
+    EXPECT_EQ(a.substeps, b.substeps) << "step " << s;
+    EXPECT_EQ(a.force_evaluations, b.force_evaluations) << "step " << s;
+    EXPECT_EQ(a.ghost_exchanges, b.ghost_exchanges) << "step " << s;
+    EXPECT_EQ(a.reach_retries, b.reach_retries) << "step " << s;
+    retries += a.reach_retries;
+    wakes += a.limiter_wakes;
+    multi_substep += a.substeps > 1 ? 1 : 0;
+  }
+  EXPECT_GT(retries, 0) << "fixture forced no reach retry";
+  EXPECT_GT(every.midstep_exchanges, 0) << "fixture forced no mid-step full re-exchange";
+  EXPECT_GT(multi_substep, 0) << "fixture ran no changed-subset refresh";
+  EXPECT_GT(wakes, 0) << "fixture woke no particle";
+  EXPECT_LT(delta.bytes, every.bytes) << "the changed-subset refresh shipped every ghost";
 }
 
 // ---------------------------------------------------------------------------

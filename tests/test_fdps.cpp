@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -14,6 +15,8 @@
 #include "fdps/let.hpp"
 #include "fdps/morton.hpp"
 #include "fdps/tree.hpp"
+#include "io/particle_codec.hpp"
+#include "io/serialize.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -22,6 +25,7 @@ using asura::comm::Cluster;
 using asura::comm::Comm;
 using asura::fdps::Box;
 using asura::fdps::DomainDecomposer;
+using asura::fdps::GhostExchange;
 using asura::fdps::Particle;
 using asura::fdps::SourceEntry;
 using asura::fdps::SourceTree;
@@ -494,6 +498,274 @@ TEST(Let, GhostRefreshRejectsSuffixNotMatchingLayout) {
                  std::runtime_error)
         << "suffix " << (delta < 0 ? "short" : "long") << " by one particle";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Ghost records and the changed-subset refresh
+// ---------------------------------------------------------------------------
+
+/// One rank's side of a ghost exchange over a (P,1,1) slab grid: gas
+/// locals with ids unique across ranks and every Particle field set away
+/// from its default, then the cacheable exchange.
+struct GhostFixture {
+  std::vector<Particle> work;  ///< [locals | ghosts]
+  std::size_t n_local = 0;
+  GhostExchange cache;
+};
+
+GhostFixture exchangeFilledGhosts(Comm& comm, int n, bool drop_locals = false) {
+  const auto rank = static_cast<std::uint64_t>(comm.rank());
+  auto parts = randomParticles(n, 1100 + rank);
+  Pcg32 rng(17, rank);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    auto& p = parts[i];
+    p.id = 100000 * (rank + 1) + i;
+    p.type = Species::Gas;
+    p.h = 20.0;
+    p.acc = {rng.normal(), rng.normal(), rng.normal()};
+    p.pot = -rng.uniform(1.0, 2.0);
+    p.u = rng.uniform(1.0, 2.0);
+    p.u_pred = rng.uniform(1.0, 2.0);
+    p.du_dt = rng.normal();
+    p.rho = rng.uniform(0.5, 1.5);
+    p.pres = rng.uniform(0.5, 1.5);
+    p.cs = rng.uniform(0.5, 1.5);
+    p.divv = rng.normal();
+    p.curlv = rng.uniform(0.0, 1.0);
+    p.vsig = rng.uniform(1.0, 2.0);
+    p.nngb = 30 + static_cast<int>(i % 7);
+    p.t_form = 0.5;
+    p.t_sn = 3.0;
+    p.star_mass = 8.0;
+    p.metal = 0.02;
+    p.frozen = static_cast<std::uint8_t>(i % 5 == 0);
+    p.rung = static_cast<std::uint8_t>(i % 4);
+    p.rung_ngb = static_cast<std::uint8_t>(i % 6);
+    p.work = 3.5;
+  }
+  DomainDecomposer dd(comm.size(), 1, 1);
+  Pcg32 drng(6, rank);
+  dd.decompose(comm, parts, drng, false);
+  GhostFixture f;
+  f.work = dd.exchange(comm, parts);
+  if (drop_locals) f.work.clear();
+  f.n_local = f.work.size();
+  f.cache = asura::fdps::exchangeHydroGhostsCached(comm, dd, f.work, f.n_local, 20.0, 1.0,
+                                                    0.0);
+  return f;
+}
+
+/// The ghost `home` stands for: its record fields, Particle{} elsewhere.
+Particle expectedGhost(const Particle& home) {
+  Particle g;
+  g.id = home.id;
+  g.type = home.type;
+  g.mass = home.mass;
+  g.eps = home.eps;
+  g.pos = home.pos;
+  g.vel = home.vel;
+  g.h = home.h;
+  g.rho = home.rho;
+  g.u_pred = home.u_pred;
+  g.du_dt = home.du_dt;
+  g.divv = home.divv;
+  g.curlv = home.curlv;
+  g.rung = home.rung;
+  g.frozen = home.frozen;
+  return g;
+}
+
+/// Every field of both particles, as the checkpoint codec encodes it.
+bool sameFields(const Particle& a, const Particle& b) {
+  asura::io::ByteWriter wa, wb;
+  wa(a);
+  wb(b);
+  return wa.bytes() == wb.bytes();
+}
+
+/// Every rank's locals, keyed by id.
+std::map<std::uint64_t, Particle> allLocalsById(Comm& comm, const GhostFixture& f) {
+  const std::vector<Particle> mine(f.work.begin(),
+                                   f.work.begin() + static_cast<std::ptrdiff_t>(f.n_local));
+  std::map<std::uint64_t, Particle> by_id;
+  for (const auto& v : comm.allgatherv(mine)) {
+    for (const auto& p : v) by_id[p.id] = p;
+  }
+  return by_id;
+}
+
+/// The raw bytes of the ghost suffix.
+std::vector<unsigned char> suffixBytes(const GhostFixture& f) {
+  std::vector<unsigned char> bytes((f.work.size() - f.n_local) * sizeof(Particle));
+  if (!bytes.empty()) std::memcpy(bytes.data(), f.work.data() + f.n_local, bytes.size());
+  return bytes;
+}
+
+bool slotBytesEqual(const std::vector<unsigned char>& before, const GhostFixture& f,
+                    std::size_t slot) {
+  return std::memcmp(before.data() + slot * sizeof(Particle), &f.work[f.n_local + slot],
+                     sizeof(Particle)) == 0;
+}
+
+TEST(Let, ExchangedGhostsCarryRecordFieldsAndParticleDefaults) {
+  Cluster cluster(2);
+  cluster.run([&](Comm& comm) {
+    const auto f = exchangeFilledGhosts(comm, 200);
+    const auto homes = allLocalsById(comm, f);
+    ASSERT_GT(f.work.size(), f.n_local);
+    for (std::size_t i = f.n_local; i < f.work.size(); ++i) {
+      const Particle& ghost = f.work[i];
+      const auto it = homes.find(ghost.id);
+      ASSERT_NE(it, homes.end());
+      EXPECT_TRUE(sameFields(ghost, expectedGhost(it->second))) << "ghost " << ghost.id;
+    }
+  });
+}
+
+TEST(Let, ChangedGhostRefreshWritesExactlyTheFlaggedSlots) {
+  Cluster cluster(2);
+  cluster.run([&](Comm& comm) {
+    auto f = exchangeFilledGhosts(comm, 200);
+    ASSERT_GT(f.work.size(), f.n_local);
+    // Change every local; flag every third. The unflagged changes must not
+    // travel.
+    std::vector<std::uint8_t> changed(f.n_local, 0);
+    std::vector<std::uint64_t> flagged_ids;
+    for (std::size_t i = 0; i < f.n_local; ++i) {
+      Particle& p = f.work[i];
+      p.vel += Vec3d{1.0, -2.0, 0.5};
+      p.h *= 1.25;
+      p.rho *= 1.5;
+      p.u_pred += 0.25;
+      p.rung = static_cast<std::uint8_t>(p.rung + 1);
+      if (i % 3 == 0) {
+        changed[i] = 1;
+        flagged_ids.push_back(p.id);
+      }
+    }
+    // Poison a field no record carries, so a rewritten slot shows.
+    for (std::size_t i = f.n_local; i < f.work.size(); ++i) f.work[i].work = -7.0;
+    const auto before = suffixBytes(f);
+
+    asura::fdps::refreshChangedGhosts(comm, f.cache, f.work, f.n_local, changed);
+
+    std::set<std::uint64_t> flagged;
+    for (const auto& v : comm.allgatherv(flagged_ids)) flagged.insert(v.begin(), v.end());
+    const auto homes = allLocalsById(comm, f);
+    int written = 0, kept = 0;
+    for (std::size_t slot = 0; slot < f.work.size() - f.n_local; ++slot) {
+      const Particle& ghost = f.work[f.n_local + slot];
+      if (flagged.count(ghost.id) != 0) {
+        EXPECT_TRUE(sameFields(ghost, expectedGhost(homes.at(ghost.id))))
+            << "flagged ghost " << ghost.id;
+        ++written;
+      } else {
+        EXPECT_TRUE(slotBytesEqual(before, f, slot)) << "unflagged slot " << slot;
+        ++kept;
+      }
+    }
+    EXPECT_GT(written, 0);
+    EXPECT_GT(kept, 0);
+  });
+}
+
+TEST(Let, ChangedGhostRefreshAfterCoastingEqualsFullRefresh) {
+  // Both sides drift with one arithmetic (the sub-step drift's), and the
+  // kicked locals are flagged: the changed-subset refresh must leave the
+  // suffix bitwise where a full refresh puts it.
+  const auto coast = [](std::vector<Particle>& work, double dt) {
+    for (auto& p : work) {
+      p.pos += dt * p.vel;
+      if (p.isGas() && !p.frozen) p.u_pred = std::max(p.u_pred + dt * p.du_dt, 1e-12);
+    }
+  };
+  Cluster cluster(2);
+  cluster.run([&](Comm& comm) {
+    auto delta = exchangeFilledGhosts(comm, 200);
+    ASSERT_GT(delta.work.size(), delta.n_local);
+    auto full = delta;
+    Pcg32 rng(23, static_cast<std::uint64_t>(comm.rank()));
+    for (int round = 0; round < 4; ++round) {
+      const double dt = 0.01 * (round + 1);
+      coast(delta.work, dt);
+      coast(full.work, dt);
+      std::vector<std::uint8_t> changed(delta.n_local, 0);
+      for (std::size_t i = 0; i < delta.n_local; ++i) {
+        if (rng.uniform(0.0, 1.0) > 0.3) continue;
+        const Vec3d kick{rng.normal(), rng.normal(), rng.normal()};
+        const double du = rng.normal();
+        for (auto* f : {&delta, &full}) {
+          Particle& p = f->work[i];
+          p.vel += kick;
+          p.du_dt = du;
+          p.u_pred = p.u;
+          p.rung = static_cast<std::uint8_t>((p.rung + 1) % 4);
+        }
+        changed[i] = 1;
+      }
+      asura::fdps::refreshChangedGhosts(comm, delta.cache, delta.work, delta.n_local,
+                                        changed);
+      asura::fdps::refreshGhostValues(comm, full.cache, full.work, full.n_local);
+    }
+    ASSERT_EQ(delta.work.size(), full.work.size());
+    for (std::size_t i = 0; i < delta.work.size(); ++i) {
+      EXPECT_TRUE(sameFields(delta.work[i], full.work[i])) << "particle " << i;
+    }
+  });
+}
+
+TEST(Let, RankWithoutLocalsTakesPartInChangedGhostRefresh) {
+  // Rank 2 holds no locals, so its flag list is empty. It still picks the
+  // changed-subset form like everyone else and takes part; a refresh that
+  // read the empty list as "ship everything" would expect full messages
+  // and throw.
+  Cluster cluster(3);
+  cluster.run([&](Comm& comm) {
+    const bool empty_rank = comm.rank() == 2;
+    auto f = exchangeFilledGhosts(comm, 200, /*drop_locals=*/empty_rank);
+    std::vector<std::uint8_t> changed(f.n_local, 0);
+    for (std::size_t i = 0; i < f.n_local; i += 2) {
+      f.work[i].vel += Vec3d{0.5, 0.5, 0.5};
+      f.work[i].rung = 5;
+      changed[i] = 1;
+    }
+    if (empty_rank) {
+      ASSERT_EQ(f.n_local, 0u);
+      ASSERT_GT(f.work.size(), 0u) << "the empty rank imports ghosts";
+    }
+    asura::fdps::refreshChangedGhosts(comm, f.cache, f.work, f.n_local, changed);
+    const auto homes = allLocalsById(comm, f);
+    for (std::size_t i = f.n_local; i < f.work.size(); ++i) {
+      EXPECT_TRUE(sameFields(f.work[i], expectedGhost(homes.at(f.work[i].id))))
+          << "rank " << comm.rank() << " ghost " << f.work[i].id;
+    }
+  });
+}
+
+TEST(Let, ChangedGhostRefreshRejectsSlotBeyondImportCount) {
+  // Rank 0 ships one valid record and then one whose slot equals rank 1's
+  // import count from it. Rank 1 must throw before writing either.
+  Cluster cluster(2);
+  cluster.run([&](Comm& comm) {
+    auto f = exchangeFilledGhosts(comm, 200);
+    std::vector<std::uint8_t> changed(f.n_local, 0);
+    if (comm.rank() == 0) {
+      auto& list = f.cache.export_idx[1];
+      ASSERT_GE(list.size(), 2u);
+      changed[list.front()] = 1;
+      f.work[list.front()].vel += Vec3d{1.0, 1.0, 1.0};
+      list.push_back(list.front());  // slot == rank 1's import count from rank 0
+    }
+    const auto before = suffixBytes(f);
+    if (comm.rank() == 1) {
+      EXPECT_THROW(
+          asura::fdps::refreshChangedGhosts(comm, f.cache, f.work, f.n_local, changed),
+          std::runtime_error);
+      EXPECT_TRUE(suffixBytes(f) == before) << "a slot was written before the throw";
+    } else {
+      asura::fdps::refreshChangedGhosts(comm, f.cache, f.work, f.n_local, changed);
+    }
+  });
 }
 
 }  // namespace
