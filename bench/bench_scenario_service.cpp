@@ -146,7 +146,6 @@ RunResult runOnce(int concurrency, int particles, long steps, int workers,
   scfg.n_workers = workers;
   scfg.step_budget = 4;
   scfg.snapshot_interval = 16;
-  scfg.omp_threads_per_instance = 1;  // one core per instance, no oversubscription
   ScenarioService svc(scfg);
 
   std::vector<InstanceId> ids;

@@ -124,8 +124,10 @@ int main() {
     for (const auto& p : v) e += p.mass * (p.u + 0.5 * p.vel.norm2());
     return e;
   };
-  std::printf("energy injected by surrogate: %.3f E_SN (energy-conserving phase)\n",
-              (energy(predicted) - energy(region)) / asura::units::E_SN);
+  std::printf("energy injected by surrogate: %.3f E_SN (retained fraction at %.1f Myr: "
+              "%.3f)\n",
+              (energy(predicted) - energy(region)) / asura::units::E_SN, horizon,
+              rem.retainedEnergyFraction(horizon));
   std::printf("=> one pool-node inference call replaces ~50+ tiny CFL steps of the "
               "main nodes: that is the paper's speedup mechanism.\n");
   return 0;

@@ -121,6 +121,7 @@ void DistributedEngine::fullExchange(std::vector<Particle>& parts, std::size_t n
   ctx.invalidate();  // import content changed: trees rebuild lazily
   drift_accum_ = 0.0;
   stale_ = false;
+  changed_.assign(n_local, 0);  // every ghost is its home's record
 }
 
 void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_t n_local,
@@ -145,27 +146,24 @@ void DistributedEngine::ensureExchanged(std::vector<Particle>& parts, std::size_
     ++stats_.let_reuses;
   }
   if (allow_value_refresh) {
-    // Same ghost list, fresh payloads: remote kicks/cooling updates become
-    // visible to the density gather without any selection scan. The call is
-    // an alltoallv and therefore collective — the flag feeding this branch
-    // is uniform across ranks by construction.
-    refreshGhostPayloads(parts, n_local, ctx, GhostRefresh::All);
+    // Same ghost list, fresh records: remote kicks, re-rungs and cooling
+    // become visible to the density gather without any selection scan. The
+    // call is an alltoallv and therefore collective — the flag feeding this
+    // branch is uniform across ranks by construction.
+    fdps::refreshGhostValues(comm_, ghost_cache_, parts, n_local);
+    changed_.assign(n_local, 0);
+    ++stats_.ghost_value_refreshes;
+    ctx.refreshGasGhosts(parts);  // see refreshGhostPayloads
   } else {
     ++stats_.ghost_reuses;
   }
 }
 
 void DistributedEngine::refreshGhostPayloads(std::vector<Particle>& parts,
-                                             std::size_t n_local, fdps::StepContext& ctx,
-                                             GhostRefresh mode) {
+                                             std::size_t n_local, fdps::StepContext& ctx) {
   if (comm_.size() == 1) return;
-  if (mode == GhostRefresh::All) {
-    fdps::refreshGhostValues(comm_, ghost_cache_, parts, n_local);
-    changed_.assign(n_local, 0);
-  } else {
-    fdps::refreshChangedGhosts(comm_, ghost_cache_, parts, n_local, changed_);
-    std::fill(changed_.begin(), changed_.end(), 0);
-  }
+  fdps::refreshChangedGhosts(comm_, ghost_cache_, parts, n_local, changed_);
+  std::fill(changed_.begin(), changed_.end(), 0);
   ++stats_.ghost_value_refreshes;
   // Ghost positions and supports moved within an unchanged layout: an O(N)
   // in-place refresh (entry pos + h, node moments) keeps the cached gas

@@ -47,18 +47,18 @@
 ///    re-solve (the old single-shot ghost exchange collected the radii before
 ///    the solve grew h, silently under-importing neighbours);
 ///  * between full exchanges, force passes re-ship fresh ghost *records*
-///    for the unchanged ghost list (refreshGhostValues, or on sub-steps
-///    refreshChangedGhosts; see below) — no selection scan, no reach
-///    allgather — and walk the LET again (exportLet over a fresh
-///    locals-only tree) when any rank moved since the last walk. A LET
-///    import is therefore always what exchangeGravityLet returns over the
-///    current locals; nothing re-derives its values along a recorded walk.
+///    for the unchanged ghost list (see below) — no selection scan, no
+///    reach allgather — and the sync pass and each step's first sub-step
+///    walk the LET again (exportLet over a fresh locals-only tree) when any
+///    rank moved since the last walk. A LET import is therefore always what
+///    exchangeGravityLet returns over the locals of its walk; nothing
+///    re-derives its values along a recorded walk.
 ///
 /// A quiet multi-rank step therefore performs at most one full ghost
-/// exchange and walks the LET (P-1 exportLet walks) at most twice: a global
-/// step at its first pass, whose walk the second pass reuses; a
-/// block-timestep step at its start and at its sync pass, with every
-/// sub-step walking zero exportLet trees.
+/// exchange and walks the LET (P-1 exportLet walks) at most twice: at its
+/// first sub-step, after the drift, and at the sync pass when any rank
+/// moved since. A global step's sync pass reuses the walk of its one
+/// sub-step, and every later sub-step walks zero exportLet trees.
 ///
 /// # Working-array layout
 ///
@@ -74,16 +74,17 @@
 /// home rank integrates the real particle); kicks, rung bookkeeping, star
 /// formation, cooling, capture and diagnostics touch the local prefix only.
 ///
-/// # Ghost refreshes: every export, or the changed ones
+/// # Ghost refreshes: exact at the step's first sub-step, then the changed
 ///
-/// Full passes refresh before the density solve (inside ensureExchanged)
-/// and after it, shipping every export. A sub-step refreshes once, after
-/// its density solve. The first sub-step of each step ships every export
-/// too: the step start re-rungs every local and resets u_pred, every local
-/// opens at sub-unit 0, and the previous step's final pass set du_dt and
-/// the sync rung floor after its last refresh. Every later
-/// sub-step ships only the exports whose home local Simulation flagged
-/// (markChanged) since the previous refresh:
+/// The sync pass and each step's first sub-step make every ghost exact
+/// before the density solve, inside ensureExchanged: a full exchange, or on
+/// a clean cache a refresh of every export (refreshGhostValues). The first
+/// sub-step needs this: the step start re-rungs every local and resets
+/// u_pred, every local opens at sub-unit 0, and the previous step's final
+/// pass set du_dt and the sync rung floor after its last refresh. After every
+/// density solve a refresh ships only the exports whose home local
+/// Simulation flagged (markChanged) since the previous refresh or exchange
+/// (refreshChangedGhosts):
 ///
 ///  * at the closing kick: vel, u_pred and rung change, and du_dt changed
 ///    in that pass's hydro force, whose targets are the closers;
@@ -98,14 +99,16 @@
 /// changes only in the drift, which applies the same arithmetic to a ghost
 /// and its home (pos += sub_dt * vel; u_pred += sub_dt * du_dt unless
 /// frozen), so an unflagged ghost is already bitwise its home's record.
-/// The cut is exact: trajectories and every counter stay as with full
-/// refreshes, which the 8-rank gate in test_distributed checks against a
-/// run that flags every local after every sub-step. The flags are one byte
-/// per local, sized by each full refresh and dropped by phase 0; they are
-/// not checkpoint state, because each step's first sub-step ships
-/// everything. On sn_storm_p8 (seed 1) the record and the changed subset
-/// cut comm_bytes_per_step from 236.0 MB to 54.5 MB; docs/distributed.md
-/// has the breakdown.
+/// A full pass's density targets are every gas local, so its post-solve
+/// refresh still ships every export. The cut is exact: trajectories and
+/// every counter stay as with full refreshes, which the 8-rank gate in
+/// test_distributed checks against a run that flags every local after
+/// every sub-step. The flags are one byte per local, sized by each full
+/// exchange and each refresh of every ghost and dropped by phase 0; they
+/// are not checkpoint state, because each step's first sub-step ships
+/// every ghost before it reads a flag. On sn_storm_p8 (seed 1) the record,
+/// the changed subset and the exact first sub-step cut comm_bytes_per_step
+/// from 236.0 MB to 51.6 MB; docs/distributed.md has the breakdown.
 
 #include <cstdint>
 #include <optional>
@@ -176,11 +179,6 @@ struct ExchangeStats {
   double balance_max_over_mean = 0.0;
 };
 
-/// Which exports a ghost refresh ships: every one, or only those whose home
-/// local was flagged by DistributedEngine::markChanged since the last
-/// refresh.
-enum class GhostRefresh { All, Changed };
-
 class DistributedEngine {
  public:
   /// Safety bound on the solve -> reach-escaped -> re-exchange loop.
@@ -205,11 +203,13 @@ class DistributedEngine {
                          fdps::StepContext& ctx, util::Pcg32& rng, long step);
 
   /// Collective. Guarantee valid LET imports and a valid ghost suffix in
-  /// parts[n_local, end). Reuses the cached sets when every rank is clean;
-  /// `allow_value_refresh` (uniform across ranks: full passes pass true,
-  /// sub-steps false) re-ships ghost payloads on reuse and walks the LET
-  /// again when any rank drifted since the last walk. Returns at once
-  /// without a peer.
+  /// parts[n_local, end): a full exchange when any rank is stale or past
+  /// skin/2, else the cached sets. `allow_value_refresh` (uniform across
+  /// ranks: the final pass and each step's first sub-step pass true, later
+  /// sub-steps false) makes a reuse exact: it walks the LET again when any
+  /// rank drifted since the last walk and ships every ghost's record. Both a
+  /// full exchange and that refresh size the markChanged flags. Returns at
+  /// once without a peer.
   void ensureExchanged(std::vector<Particle>& parts, std::size_t n_local,
                        fdps::StepContext& ctx, const gravity::GravityParams& grav,
                        bool allow_value_refresh);
@@ -226,26 +226,26 @@ class DistributedEngine {
   void noteReachGiveupIfStillEscaped(std::span<const Particle> parts,
                                      std::size_t n_local);
 
-  /// Collective. Ship fresh records for the cached ghost list along the
-  /// remembered export index lists. MUST run between the density solve and
-  /// the hydro force pass of every distributed pass: the exchange selected
-  /// ghosts *before* the solve, so the copies carry pre-solve rho/h — zeros
-  /// on the very first pass — and the force kernel divides by rho^2. All
-  /// ranks solve in lockstep, so by the time this refresh runs every home
-  /// rank's locals hold post-solve state. No exportLet walk, no selection
-  /// scan; the suffix is overwritten in place. `mode` must be the same on
-  /// every rank. Changed is exact only when every unflagged export's ghost
-  /// already equals its home's record (the sub-step rule in the file
-  /// comment), and it needs the flags a full refresh since phase 0 sized:
+  /// Collective. Ship fresh records of the exports flagged by markChanged
+  /// since the last refresh along the remembered export index lists, then
+  /// clear the flags. MUST run between the density solve and the hydro force
+  /// pass of every distributed pass, after the caller flagged the solve's
+  /// targets: the ghosts carry pre-solve rho/h — zeros on the very first
+  /// pass — and the force kernel divides by rho^2. All ranks solve in
+  /// lockstep, so by the time this refresh runs every home rank's locals
+  /// hold post-solve state. No exportLet walk, no selection scan; the
+  /// flagged slots are overwritten in place. Exact when every unflagged
+  /// export's ghost already equals its home's record (the rule in the file
+  /// comment). Needs the flags this step's first ensureExchanged sized:
   /// without them a rank holding locals throws std::invalid_argument.
-  /// Either mode clears the flags. Returns at once without a peer.
+  /// Returns at once without a peer.
   void refreshGhostPayloads(std::vector<Particle>& parts, std::size_t n_local,
-                            fdps::StepContext& ctx, GhostRefresh mode);
+                            fdps::StepContext& ctx);
 
   /// Flag local `i` as changed, since the last refresh, in a field its
   /// ghost record carries. Thread-safe across distinct `i`. A no-op until
-  /// the step's first full refresh sizes the flags (nothing before it needs
-  /// one) and on a one-rank engine.
+  /// the step's first ensureExchanged sizes the flags (nothing before it
+  /// needs one) and on a one-rank engine.
   void markChanged(std::size_t i) {
     if (i < changed_.size()) changed_[i] = 1;
   }
@@ -316,9 +316,10 @@ class DistributedEngine {
   /// The cache must be rebuilt before its next use: set by a new engine, a
   /// re-cut or migration, and markDirty; cleared by a full exchange.
   bool stale_ = true;
-  /// One markChanged flag per local, the delta refresh's selection: sized by
-  /// each full refresh, zeroed by every refresh, dropped by phase 0. Not
-  /// checkpoint state: each step's first sub-step refresh ships every ghost.
+  /// One markChanged flag per local, the refresh's selection: sized and
+  /// zeroed by each full exchange and each refresh of every ghost, zeroed by
+  /// every refresh, dropped by phase 0. Not checkpoint state: each step's
+  /// first sub-step ships every ghost before it reads a flag.
   std::vector<std::uint8_t> changed_;
   ExchangeStats stats_;
 };

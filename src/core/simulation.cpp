@@ -117,24 +117,6 @@ StepStats Simulation::step() {
     }
   }
 
-  // A full force pass (the global step's two passes, the block-timestep
-  // sync pass) targets every local for gravity and every local gas
-  // particle for SPH. The LET imports and ghost suffix are made valid
-  // first (collective); a clean pass reuses both cached sets — zero
-  // exportLet walks — shipping only fresh ghost payloads along the
-  // remembered export lists.
-  const auto full_pass = [&](bool final_pass) {
-    {
-      util::TimerRegistry::Scope scope(
-          timers_, final_pass ? "2nd Exchange_LET" : "1st Exchange_LET");
-      dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
-                             /*allow_value_refresh=*/true);
-    }
-    targets_ = fdps::targetIndices(localSpan());
-    gas_targets_ = fdps::targetIndices(localSpan(), /*gas_only=*/true);
-    computeForces(stats, targets_, gas_targets_, final_pass, GhostRefresh::All);
-  };
-
   double dt = cfg_.dt_global;
   if (cfg_.adaptive_timestep && !cfg_.hierarchical_timestep) {
     // Conventional baseline: global shared timestep limited by the CFL
@@ -173,41 +155,9 @@ StepStats Simulation::step() {
     captureAndSendRegions(events, stats);
   }
 
-  // (3) Integration to t + dt: either the fixed global kick-drift-kick or
-  // the hierarchical block sub-step loop (both end synchronized at t + dt).
-  if (cfg_.hierarchical_timestep) {
-    hierarchicalIntegrate(stats, dt);
-  } else {
-    {
-      util::TimerRegistry::Scope scope(timers_, "Integration");
-      const auto n_loc = static_cast<std::int64_t>(n_local_);
-      double v2max = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : v2max)
-      for (std::int64_t i = 0; i < n_loc; ++i) {
-        auto& p = parts_[static_cast<std::size_t>(i)];
-        p.vel += 0.5 * dt * p.acc;
-        p.pos += dt * p.vel;
-        v2max = std::max(v2max, p.vel.norm2());
-        if (p.isGas() && !p.frozen) {
-          p.u = std::max(p.u + dt * p.du_dt, 1e-12);
-        }
-      }
-      step_ctx_.invalidate();  // drift moved every particle
-      dist_->noteDrift(dt * std::sqrt(v2max));
-    }
-
-    // Force evaluation (tree gravity + SPH) and second kick.
-    full_pass(/*final_pass=*/false);
-    {
-      util::TimerRegistry::Scope scope(timers_, "Final_kick");
-      for (std::size_t i = 0; i < n_local_; ++i) {
-        parts_[i].vel += 0.5 * dt * parts_[i].acc;
-        // Work accrual: one closing kick, gas costing double for its extra
-        // density + hydro passes. Feeds the weighted decomposition only.
-        parts_[i].work += parts_[i].isGas() ? 2.0 : 1.0;
-      }
-    }
-  }
+  // (3) Integration to t + dt: the block sub-step loop, which ends
+  // synchronized at t + dt (one rung-0 sub-step without the block scheme).
+  integrate(stats, dt);
 
   reportProgress(1);  // integration done
 
@@ -250,21 +200,26 @@ StepStats Simulation::step() {
     if (cfg_.enable_cooling) stellar::coolAndHeat(localSpan(), dt, cfg_.cooling);
   }
 
-  // (6) Recalculate hydro quantities after the internal energy changed.
-  // When neither the surrogate nor star formation touched positions or
-  // species this step, the cached trees from the first pass are still
-  // valid and this pass performs no builds at all — and on a distributed
-  // step the cached LET entry set and ghost list are reused outright (zero
-  // exportLet walks; ghosts get a payload-only value refresh so remote
-  // cooling stays visible).
-  full_pass(/*final_pass=*/true);
+  // (6) Recalculate hydro quantities after the internal energy changed: a
+  // full pass targets every local for gravity and every local gas particle
+  // for SPH. When neither the surrogate nor star formation touched
+  // positions or species this step, the cached trees are still valid and
+  // this pass performs no builds at all — and on a distributed step the
+  // cached ghost list is reused outright (its records refreshed so remote
+  // cooling stays visible), with the LET walked again only if it drifted.
+  {
+    util::TimerRegistry::Scope scope(timers_, "2nd Exchange_LET");
+    dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
+                           /*allow_value_refresh=*/true);
+  }
+  targets_ = fdps::targetIndices(localSpan());
+  gas_targets_ = fdps::targetIndices(localSpan(), /*gas_only=*/true);
+  computeForces(stats, targets_, gas_targets_, /*final_pass=*/true);
 
   // Sync half of the limiter: rungs this final pass still saw lagging are
   // promoted in place, so the state published at the step boundary already
   // satisfies the pair-gap invariant the next assignment would enforce.
-  if (cfg_.hierarchical_timestep && cfg_.timestep_limiter) {
-    applySyncRungFloor(stats);
-  }
+  if (cfg_.timestep_limiter) applySyncRungFloor(stats);
 
   stats.tree_builds = step_ctx_.buildsThisStep();
   stats.tree_refreshes = step_ctx_.refreshesThisStep();
@@ -351,8 +306,13 @@ void accumulate(gravity::GravityStats& into, const gravity::GravityStats& gs) {
 
 }  // namespace
 
+int Simulation::kmax() const {
+  return cfg_.hierarchical_timestep ? std::clamp(cfg_.max_rung, 0, kMaxRungs - 1) : 0;
+}
+
 int Simulation::desiredRung(const fdps::Particle& p, double dt_global) const {
-  const int kmax = std::clamp(cfg_.max_rung, 0, kMaxRungs - 1);
+  const int k_max = kmax();
+  if (k_max == 0) return 0;
   double want = dt_global;
   const double a = p.acc.norm();
   if (a > 0.0) {
@@ -373,7 +333,7 @@ int Simulation::desiredRung(const fdps::Particle& p, double dt_global) const {
   want = std::max(want, kCflDtMin);
   int k = 0;
   double dt_k = dt_global;
-  while (k < kmax && dt_k > want * (1.0 + 1e-12)) {
+  while (k < k_max && dt_k > want * (1.0 + 1e-12)) {
     dt_k *= 0.5;
     ++k;
   }
@@ -383,7 +343,7 @@ int Simulation::desiredRung(const fdps::Particle& p, double dt_global) const {
     // between-steps half of Saitoh & Makino (2009); mid-step violations are
     // handled by the wake queue.
     k = std::clamp(std::max(k, static_cast<int>(p.rung_ngb) - sph::kLimiterGap), 0,
-                   kmax);
+                   k_max);
   }
   return k;
 }
@@ -472,8 +432,7 @@ void forEachWakeNeighbour(const std::vector<std::uint64_t>& requests,
 
 }  // namespace
 
-void Simulation::applyWakes(long n, long nfull, double dt_min, int kmax,
-                            StepStats& stats) {
+void Simulation::applyWakes(long n, long nfull, double dt_min, StepStats& stats) {
   if (wake_requests_.empty()) return;
   forEachWakeNeighbour(wake_requests_, parts_, [&](std::uint32_t j, int k_req) {
     // Ghost neighbours cannot be woken from here: their home rank's own
@@ -482,7 +441,7 @@ void Simulation::applyWakes(long n, long nfull, double dt_min, int kmax,
     auto& p = parts_[j];
     const std::size_t js = static_cast<std::size_t>(j);
     if (step_end_[js] == n) return;  // closed this sub-step: already fresh
-    const int k_target = std::clamp(k_req - sph::kLimiterGap, 0, kmax);
+    const int k_target = std::clamp(k_req - sph::kLimiterGap, 0, kmax());
     if (static_cast<int>(p.rung) >= k_target) return;  // gap already closed
     dist_->markChanged(j);  // rung, and vel on a re-planned step
 
@@ -518,10 +477,9 @@ void Simulation::applyWakes(long n, long nfull, double dt_min, int kmax,
 }
 
 void Simulation::applySyncRungFloor(StepStats& stats) {
-  const int kmax = std::clamp(cfg_.max_rung, 0, kMaxRungs - 1);
   forEachWakeNeighbour(wake_requests_, parts_, [&](std::uint32_t j, int k_req) {
     if (static_cast<std::size_t>(j) >= n_local_) return;  // ghost: home rank's job
-    const int k_target = std::min(k_req - sph::kLimiterGap, kmax);
+    const int k_target = std::min(k_req - sph::kLimiterGap, kmax());
     auto& p = parts_[j];
     if (static_cast<int>(p.rung) >= k_target) return;
     p.rung = static_cast<std::uint8_t>(k_target);
@@ -530,9 +488,8 @@ void Simulation::applySyncRungFloor(StepStats& stats) {
   wake_requests_.clear();
 }
 
-void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
-  const int kmax = std::clamp(cfg_.max_rung, 0, kMaxRungs - 1);
-  const long nfull = 1L << kmax;
+void Simulation::integrate(StepStats& stats, double dt) {
+  const long nfull = 1L << kmax();
   const double dt_min = dt / static_cast<double>(nfull);
   const auto n_loc = static_cast<std::int64_t>(n_local_);
 
@@ -567,17 +524,6 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     return (n & ((nfull >> rung) - 1)) == 0;
   };
 
-  // Validate (or exchange) the ghost suffix BEFORE the first drift, so
-  // sub-step 1's density gather sees boundary neighbours at the same epoch
-  // as locals — every local neighbour drifts every sub-step, and a suffix
-  // exchanged only after the first drift would lag it by one sub_dt.
-  // Collective; runs once per rank per step.
-  {
-    util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
-    dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
-                           /*allow_value_refresh=*/false);
-  }
-
   long n = 0;
   bool first_sub = true;
   while (n < nfull) {
@@ -607,8 +553,7 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
           const double dt_p = dt_min * static_cast<double>(nfull >> p.rung);
           p.vel += 0.5 * dt_p * p.acc;
           if (p.isGas() && !p.frozen) {
-            // u takes the seed's forward update over the whole step
-            // (matching the global path bitwise at max_rung = 0); the
+            // u takes the seed's forward update over the whole step; the
             // *prediction* restarts from the pre-kick value so neighbour
             // lookups track u(t) instead of this end-of-step extrapolation.
             p.u_pred = p.u;
@@ -660,29 +605,30 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     }
 
     // Make the imports valid for this sub-step *before* the closing set is
-    // collected — a re-exchange resizes the work array. Quiet sub-steps
-    // reuse both cached sets (no exportLet walk, no ghost traffic beyond
-    // the one-int dirty reduce).
+    // collected — a re-exchange resizes the work array. The step start
+    // re-rungs every local and resets u_pred, so the first sub-step makes
+    // the imports exact after its drift: a full exchange when stale or past
+    // the skin, else a LET walk over the drifted locals and a record refresh
+    // of every ghost. Later sub-steps reuse both cached sets (no exportLet
+    // walk, no ghost traffic beyond the one-int dirty reduce) while clean.
     {
       util::TimerRegistry::Scope scope(timers_, "1st Exchange_LET");
       dist_->ensureExchanged(parts_, n_local_, step_ctx_, cfg_.gravity,
-                             /*allow_value_refresh=*/false);
+                             /*allow_value_refresh=*/first_sub);
     }
+    first_sub = false;
 
     // Closing set: particles whose step ends at the updated n. The deepest
     // occupied rung closes every iteration, so the set is never empty
-    // globally (a quiet rank's local set may be).
+    // globally (a quiet rank's local set may be). The pass's ghost refresh
+    // ships only the exports whose home changed a record field since the
+    // previous refresh or exchange: the closers and the woken of the
+    // previous sub-step (flagged below; they are also exactly this
+    // sub-step's openers) and this pass's density targets (flagged by
+    // computeForces). Every other ghost coasted through the same drift
+    // arithmetic as its home and is already current.
     collectClosingSet(n, stats);
-    // The step start re-rungs every local and resets u_pred, so the first
-    // sub-step's ghost refresh ships every export. Every later one ships
-    // only the exports whose home changed a record field since the previous
-    // refresh: the closers and the woken of the previous sub-step (flagged
-    // below; they are also exactly this sub-step's openers) and this pass's
-    // density targets (flagged by computeForces). Every other ghost coasted
-    // through the same drift arithmetic as its home and is already current.
-    computeForces(stats, targets_, gas_targets_, /*final_pass=*/false,
-                  first_sub ? GhostRefresh::All : GhostRefresh::Changed);
-    first_sub = false;
+    computeForces(stats, targets_, gas_targets_, /*final_pass=*/false);
 
     // Closing kick, then rung update: refining is always allowed, while
     // coarsening may only land on boundaries aligned with n — the block
@@ -730,7 +676,7 @@ void Simulation::hierarchicalIntegrate(StepStats& stats, double dt) {
     // are kick-resynced and folded into the next sub-step's active set.
     if (cfg_.timestep_limiter) {
       util::TimerRegistry::Scope scope(timers_, "Final_kick");
-      applyWakes(n, nfull, dt_min, kmax, stats);
+      applyWakes(n, nfull, dt_min, stats);
     }
     ++stats.substeps;
     // Sub-step liveness: a deep rung spread runs many sub-steps per global
@@ -789,8 +735,7 @@ sph::DensityStats Simulation::solveDensityWithReachRetries(
 }
 
 void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> targets,
-                               std::span<const std::uint32_t> gas_targets, bool final_pass,
-                               GhostRefresh refresh) {
+                               std::span<const std::uint32_t> gas_targets, bool final_pass) {
   const char* tree_cat = final_pass ? "2nd Make_Tree" : "1st Make_Local_Tree";
   const char* let_cat = final_pass ? "2nd Exchange_LET" : "1st Exchange_LET";
   const char* force_cat = final_pass ? "2nd Calc_Force" : "1st Calc_Force";
@@ -818,16 +763,15 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
 
   // The exchange selected ghosts *before* the density solve, so the
   // imported copies still carry pre-solve rho/pres/h (zeros on the very
-  // first pass). Ship every home rank's post-solve payloads along the
-  // cached export lists before any kernel divides by a neighbour's rho^2.
-  // Collective, so a rank with no targets returns only after it.
+  // first pass). Ship every home rank's post-solve records along the cached
+  // export lists before any kernel divides by a neighbour's rho^2: the solve
+  // rewrote h, rho, divv, curlv and u_pred of every target (on a full pass,
+  // every export). Collective, so a rank with no targets returns only after
+  // it.
   {
     util::TimerRegistry::Scope scope(timers_, let_cat);
-    if (refresh == GhostRefresh::Changed) {
-      // The solve rewrote h, rho, divv, curlv and u_pred of every target.
-      for (const auto i : gas_targets) dist_->markChanged(i);
-    }
-    dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_, refresh);
+    for (const auto i : gas_targets) dist_->markChanged(i);
+    dist_->refreshGhostPayloads(parts_, n_local_, step_ctx_);
   }
   if (targets.empty()) return;
 
@@ -851,12 +795,12 @@ void Simulation::computeForces(StepStats& stats, std::span<const std::uint32_t> 
     timers_.add("Tree_Walk (cpu)", gs.t_walk);
     timers_.add("Interaction_Kernel (cpu)", gs.t_kernel);
     if (!final_pass) accumulate(stats.gravity_stats, gs);
-    // Every block-timestep pass doubles as a limiter detection sweep: the
+    // With the limiter on, every pass doubles as its detection sweep: the
     // sub-steps' requests drive the mid-step wakes, the final pass's the
-    // sync-point rung floor.
-    const bool collect_wakes = cfg_.hierarchical_timestep && cfg_.timestep_limiter;
+    // sync-point rung floor. On rung 0 alone no pair gap exists to request.
     const auto fs = sph::accumulateHydroForce(step_ctx_, parts_, gas_targets, cfg_.sph,
-                                              collect_wakes ? &wake_requests_ : nullptr);
+                                              cfg_.timestep_limiter ? &wake_requests_
+                                                                    : nullptr);
     timers_.add("Tree_Build", fs.t_build);
     timers_.add("Tree_Walk (cpu)", fs.t_walk);
     timers_.add("Interaction_Kernel (cpu)", fs.t_kernel);

@@ -8,10 +8,11 @@
 ///                              one rank)
 ///  1. Identify_SNe           — stars exploding in (t, t + dt_global]
 ///  2. Send_SNe               — ship (60 pc)^3 regions to pool nodes
-///  3. Integration            — first kick + drift (no feedback energy)
+///  3. Integration            — the block sub-step loop below (no feedback
+///                              energy); each sub-step runs
 ///     1st Make_Local_Tree / 1st Exchange_LET / 1st Calc_Force — gravity
 ///     1st Calc_Kernel_Size_and_Density — SPH h/rho solve
-///     2nd Calc_Force (pre-kick hydro) + Final_kick
+///     1st Calc_Force (hydro) + Final_kick
 ///  4. Receive_SNe            — predictions due this step replace particles
 ///                              by id
 ///  5. Star_Formation + Feedback_and_Cooling
@@ -20,21 +21,23 @@
 ///  7. next step (fixed dt_global; the conventional baseline instead obeys
 ///     the global CFL minimum and injects SN energy directly).
 ///
-/// # Hierarchical block timesteps (cfg.hierarchical_timestep)
+/// # One integrator: block timesteps (cfg.hierarchical_timestep)
 ///
-/// With the block scheme, stage 3 above becomes a sub-step loop over
-/// power-of-two rungs instead of one global kick-drift-kick. Each particle
+/// Stage 3 is one sub-step loop over power-of-two rungs. Each particle
 /// carries a rung k (dt_k = dt_global / 2^k) chosen from its acceleration
 /// criterion eta*sqrt(eps/|a|) and, for gas, the per-particle CFL clock
-/// cfl*(h/2)/vsig recorded by the previous force pass. Sub-step n (in units
-/// of dt_global / 2^max_rung, advancing by the deepest occupied rung):
+/// cfl*(h/2)/vsig recorded by the previous force pass. Without the block
+/// scheme every rung is pinned to 0 (kmax()), so the loop runs one
+/// sub-step: the paper's global kick-drift-kick. Sub-step n (in units of
+/// dt_global / 2^kmax(), advancing by the deepest occupied rung):
 ///
 ///   a. opening kick for particles whose step starts at n (their own dt/2),
 ///      plus the u predictor for gas;
 ///   b. drift ALL particles by the sub-step (inactive particles advance
 ///      ballistically — the "prediction" of FAST-style schemes);
 ///   c. cached trees get refreshPositions (O(N) moment resweep, no rebuild,
-///      first sub-step excepted) and the force pass runs on the closing set
+///      first sub-step excepted), the imports are made valid (exact on the
+///      first sub-step) and the force pass runs on the closing set
 ///      (particles whose step ends at n): density, gravity and hydro force
 ///      walk Morton groups built over those targets only;
 ///   d. closing kick for particles whose step ends at n, then rung update —
@@ -46,8 +49,8 @@
 /// the paper's scheme with the quiescent disc decoupled from SN-driven
 /// timestep collapse (§3.2/§5.3). There is one force pass
 /// (computeForces): a full pass is the sub-step pass with every local as
-/// gravity target and every local gas particle as SPH target, so the
-/// global, hierarchical, serial and distributed paths share its code.
+/// gravity target and every local gas particle as SPH target, so every
+/// rung, serial and distributed step shares its code.
 ///
 /// # Saitoh–Makino timestep limiter (cfg.timestep_limiter)
 ///
@@ -109,11 +112,11 @@
 /// boundary; the suffix is the only copy of the ghosts, stays attached
 /// between steps, and is empty at one rank. Every local-state loop in this
 /// file is bounded by n_local_, every all-particle drift spans the ghosts
-/// too (ballistic coasting). In the hierarchical scheme the per-sub-step
-/// deepest rung is max-reduced across ranks so all ranks run the same
-/// sub-step cadence (mid-loop collectives would otherwise deadlock), and
-/// mid-step wakes apply to local neighbours only — a ghost's home rank
-/// wakes the real particle at its own passes.
+/// too (ballistic coasting). The per-sub-step deepest rung is max-reduced
+/// across ranks so all ranks run the same sub-step cadence (mid-loop
+/// collectives would otherwise deadlock), and mid-step wakes apply to local
+/// neighbours only — a ghost's home rank wakes the real particle at its own
+/// passes.
 
 #include <array>
 #include <functional>
@@ -144,7 +147,6 @@ class ByteReader;
 namespace asura::core {
 
 class DistributedEngine;
-enum class GhostRefresh;
 
 /// Thrown by the post-step run-integrity validator (cfg.validate_steps)
 /// when a step published non-finite particle state or broke the global
@@ -165,9 +167,10 @@ struct SimulationConfig {
   double dt_global = 0.002;       ///< 2,000 yr (paper §3.2)
   bool use_surrogate = true;      ///< false: conventional direct feedback
   bool adaptive_timestep = false; ///< true: global CFL minimum (baseline)
-  /// Block-timestep scheme: per-particle power-of-two rungs with active-set
-  /// force passes between full-step synchronization points. Takes
-  /// precedence over adaptive_timestep.
+  /// Block-timestep scheme: rungs down to max_rung, with active-set force
+  /// passes between full-step synchronization points. false pins every
+  /// rung to 0, so each step is one rung-0 sub-step (a global
+  /// kick-drift-kick). Takes precedence over adaptive_timestep.
   bool hierarchical_timestep = false;
   int max_rung = 10;              ///< deepest rung: dt_min = dt_global / 2^max_rung
   /// Accel criterion dt = eta * sqrt(eps/|a|), margin included. Gravity has
@@ -179,7 +182,7 @@ struct SimulationConfig {
   /// Saitoh & Makino (2009) limiter: wake inactive neighbours whose rung
   /// lags an active particle's by more than sph::kLimiterGap mid-step
   /// instead of letting them coast on stale forces until their own (coarse)
-  /// boundary. Only meaningful with hierarchical_timestep.
+  /// boundary. Acts only above rung 0, so not without hierarchical_timestep.
   bool timestep_limiter = true;
   /// Safety factor on the per-particle CFL rung criterion. Individual
   /// timesteps lose the global scheme's accidental margin (everyone shared
@@ -237,11 +240,11 @@ struct StepStats {
   double dt_used = 0.0;
   int tree_builds = 0;    ///< trees (re)built this step (seed: 6; pipeline: <=3 quiet)
   int tree_refreshes = 0; ///< O(N) smoothing/position refreshes standing in for rebuilds
-  // --- hierarchical block timesteps ---
-  int substeps = 0;  ///< sub-step iterations executed (0 in global-step mode)
-  /// Sub-units (dt_global / 2^max_rung) actually advanced by the sub-step
-  /// loop. The time-consistency invariant: whenever substeps > 0 this equals
-  /// 2^max_rung *exactly* — drift bookkeeping is integer, so the per-particle
+  // --- block timesteps ---
+  int substeps = 0;  ///< sub-step iterations executed (1 in global-step mode)
+  /// Sub-units (dt_global / 2^kmax) actually advanced by the sub-step loop.
+  /// The time-consistency invariant: this equals 2^kmax *exactly* (1 in
+  /// global-step mode) — drift bookkeeping is integer, so the per-particle
   /// drifts tile dt_global with no floating-point shortfall.
   long substep_units = 0;
   // --- Saitoh–Makino timestep limiter ---
@@ -255,7 +258,7 @@ struct StepStats {
   /// gas hydro targets, all passes). The hierarchical scheme's headline
   /// metric: force evaluations per simulated Myr drop by the rung decoupling.
   std::uint64_t force_evaluations = 0;
-  gravity::GravityStats gravity_stats{};  ///< hierarchical: summed over sub-steps
+  gravity::GravityStats gravity_stats{};  ///< summed over sub-steps
   sph::DensityStats density_stats{};
   sph::ForceStats force_stats{};
   // --- distributed exchange cache (all zero at one rank) ---
@@ -395,7 +398,7 @@ class Simulation {
 
   /// Liveness hook for run supervisors: called with (current step, phase id)
   /// at a handful of fixed points inside step() — entry, after integration,
-  /// after the final force pass, and once per hierarchical sub-step (phase
+  /// after the final force pass, and once per sub-step (phase
   /// 16 + substeps, so deep steps keep publishing between sync points). A
   /// supervisor typically forwards these to Cluster::noteStep so the
   /// watchdog can tell a slow sub-step loop from a hung rank; serial and
@@ -444,24 +447,27 @@ class Simulation {
   void clockAndParticleFields(Io& io, util::Pcg32::State& rng, std::uint64_t& n_local);
 
   /// The force pass: density solve (with the distributed stale-reach
-  /// protocol), ghost payload refresh, tree gravity and hydro force on
-  /// `targets` (local indices) and `gas_targets` (their gas subset). A full
-  /// pass names every local; a sub-step names its closing set. The caller
-  /// makes the exchange valid first (DistributedEngine::ensureExchanged).
-  /// `refresh` picks the ghost refresh's mode; with Changed the density
-  /// targets are flagged first. Non-final passes time into the "1st …"
-  /// categories and accumulate the StepStats density/gravity/force stats;
-  /// the final pass of a step times into "2nd …". Wake requests are
-  /// collected on block-timestep passes with the limiter on.
+  /// protocol), ghost record refresh of the flagged exports (the density
+  /// targets are flagged first), tree gravity and hydro force on `targets`
+  /// (local indices) and `gas_targets` (their gas subset). A full pass names
+  /// every local; a sub-step names its closing set. The caller makes the
+  /// exchange valid first (DistributedEngine::ensureExchanged). Non-final
+  /// passes time into the "1st …" categories and accumulate the StepStats
+  /// density/gravity/force stats; the final pass of a step times into
+  /// "2nd …". Wake requests are collected with the limiter on.
   void computeForces(StepStats& stats, std::span<const std::uint32_t> targets,
-                     std::span<const std::uint32_t> gas_targets, bool final_pass,
-                     GhostRefresh refresh);
-  /// Block-timestep integration of one global step (replaces the global
-  /// kick-drift-kick + first force pass + final kick).
-  void hierarchicalIntegrate(StepStats& stats, double dt);
+                     std::span<const std::uint32_t> gas_targets, bool final_pass);
+  /// The block sub-step loop of one global step: rung assignment, then
+  /// opening kick, drift, force pass on the closing set, closing kick and
+  /// wakes per sub-step, ending synchronized at t + dt.
+  void integrate(StepStats& stats, double dt);
+  /// Deepest rung a step may use: max_rung (clamped to [0, kMaxRungs)) with
+  /// hierarchical_timestep, else 0. desiredRung, the loop and the sync floor
+  /// all clamp to it.
+  [[nodiscard]] int kmax() const;
   /// Rung from the per-particle criteria (accel; CFL via the vsig recorded
   /// by the last hydro pass; the limiter's neighbour-rung floor), clamped
-  /// to [0, max_rung].
+  /// to [0, kmax()].
   [[nodiscard]] int desiredRung(const fdps::Particle& p, double dt_global) const;
   /// Deterministic fixed-chunk count-then-fill of the closing set at
   /// sub-unit `n` over the locals into targets_/gas_targets_ (exact index
@@ -472,7 +478,7 @@ class Simulation {
   /// request list and shorten each mid-step laggard's step in flight to end
   /// at the next boundary of its new rung, correcting the opening half-kick
   /// for the length change.
-  void applyWakes(long n, long nfull, double dt_min, int kmax, StepStats& stats);
+  void applyWakes(long n, long nfull, double dt_min, StepStats& stats);
   /// Sync-point half of the limiter: promote rungs the final (full) force
   /// pass still saw lagging. Every particle is synchronized at the step
   /// boundary, so promotion needs no kick resync and publishes a

@@ -10,6 +10,14 @@
 
 namespace asura::core {
 
+namespace {
+
+/// Sleep before the first retry, doubling before each later one.
+constexpr double kBackoffInitialMs = 5.0;
+constexpr double kBackoffFactor = 2.0;
+
+}  // namespace
+
 Supervisor::Supervisor(comm::Cluster& cluster, SupervisorConfig cfg)
     : cluster_(cluster), cfg_(std::move(cfg)) {
   // Same descriptive-reject pattern as Simulation::validateConfig: nonsense
@@ -26,7 +34,6 @@ Supervisor::Supervisor(comm::Cluster& cluster, SupervisorConfig cfg)
   if (cfg_.watchdog && !(cfg_.watchdog_poll_s > 0.0)) {
     bad("watchdog_poll_s must be positive");
   }
-  if (!(cfg_.backoff_factor >= 1.0)) bad("backoff_factor must be >= 1");
 }
 
 long Supervisor::commonRingStep() const {
@@ -130,7 +137,7 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
   const bool prev_guard = cluster_.messageGuard();
   cluster_.setMessageGuard(true);
 
-  double backoff_ms = cfg_.backoff_initial_ms;
+  double backoff_ms = kBackoffInitialMs;
   std::vector<long> progress(static_cast<std::size_t>(nranks), -1);
   std::vector<StepStats> health(static_cast<std::size_t>(nranks));
 
@@ -218,11 +225,8 @@ RunReport Supervisor::run(long target_step, const SimulationConfig& base,
     ++rep.retries;
     if (next_resume >= 0) ++rep.rollbacks;
 
-    if (backoff_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          backoff_ms));
-      backoff_ms *= cfg_.backoff_factor;
-    }
+    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(backoff_ms));
+    backoff_ms *= kBackoffFactor;
   }
 
   cluster_.setMessageGuard(prev_guard);

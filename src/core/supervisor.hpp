@@ -61,8 +61,6 @@ namespace asura::core {
 struct SupervisorConfig {
   long snapshot_interval = 8;   ///< steps between ring snapshots
   int max_retries = 4;          ///< attempts after the first (ladder depth)
-  double backoff_initial_ms = 5.0;  ///< sleep before the first retry
-  double backoff_factor = 2.0;      ///< exponential backoff multiplier
   bool watchdog = true;             ///< run the hang detector
   double watchdog_deadline_s = 5.0; ///< max heartbeat silence before abort
   double watchdog_poll_s = 0.02;    ///< heartbeat sampling interval

@@ -275,10 +275,11 @@ void ScenarioService::requeue(Instance& inst) {
 // ---------------------------------------------------------------------------
 
 void ScenarioService::workerLoop() {
-  // Per-thread ICV: each worker pins its own OpenMP width for the parallel
-  // regions inside step(). Bitwise-neutral (thread-count determinism is a
-  // step() contract); pure throughput tuning.
-  util::ompSetThreads(cfg_.omp_threads_per_instance);
+  // Per-thread ICV: each worker pins its own OpenMP width to 1 for the
+  // parallel regions inside step(), so many instances never oversubscribe
+  // the node with OpenMP teams. Bitwise-neutral (thread-count determinism
+  // is a step() contract).
+  util::ompSetThreads(1);
 
   for (;;) {
     Instance* inst;

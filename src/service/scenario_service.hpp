@@ -165,12 +165,6 @@ struct ServiceConfig {
   long step_budget = 4;       ///< max steps per lease (fairness quantum)
   long snapshot_interval = 8; ///< ring push cadence [steps]
   int max_retries = 3;        ///< per-instance recovery budget
-  /// >0: pin each worker's OpenMP width for the parallel regions inside
-  /// step() (per-thread ICV, so workers never fight over one global knob).
-  /// Results are bitwise thread-count-invariant, so this is throughput
-  /// tuning only — 1 avoids oversubscription when many instances host many
-  /// OpenMP teams on one node. 0: leave the ambient width alone.
-  int omp_threads_per_instance = 0;
 };
 
 class ScenarioService {

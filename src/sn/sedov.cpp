@@ -123,6 +123,11 @@ double applySedovOracle(std::span<Particle> region, const Vec3d& sn_pos, double 
       rho0 * std::pow(R_apply / SedovSolution::kXi0, 5.0) / E_eff);
   const SedovSolution sol(E_eff, rho0, t_eff);
 
+  double m_in = 0.0;  // gas mass the interior holds
+  for (const auto& p : region) {
+    if (p.isGas() && (p.pos - sn_pos).norm() < R_apply) m_in += p.mass;
+  }
+
   for (auto& p : region) {
     if (!p.isGas()) continue;
     const Vec3d dr = p.pos - sn_pos;
@@ -140,7 +145,17 @@ double applySedovOracle(std::span<Particle> region, const Vec3d& sn_pos, double 
     sol.profile(r_new, rho, vr, P);
     p.pos = sn_pos + r_new * rhat;
     p.vel += vr * rhat;
-    const double u_new = rho > 0.0 ? P / ((kGamma - 1.0) * rho) : p.u;
+    // The x^9 density vanishes at the centre, where u = P/((gamma-1) rho)
+    // diverges. A particle of mass m holds at least the innermost interval
+    // [0, m] of the interior's mass, so the density that sets its u is
+    // floored at that interval's midpoint: (M/M_in) = x^12 = m/(2 M_in).
+    // Nor may one particle's thermal energy gain more than the retained
+    // energy, a bound that binds only when it outweighs the swept mass.
+    double rho_core, vr_core, P_core;
+    sol.profile(R_apply * std::pow(0.5 * p.mass / m_in, 1.0 / 12.0), rho_core, vr_core,
+                P_core);
+    const double u_new = std::min(P / ((kGamma - 1.0) * std::max(rho, rho_core)),
+                                  p.u + E_eff / p.mass);
     p.u = std::max(p.u, u_new);
     p.rho = std::max(rho, 1e-10);
     (void)mu;

@@ -69,7 +69,9 @@ struct RemnantModel {
 /// The oracle surrogate: evolve the gas particles around an SN by `dt`
 /// (default 0.1 Myr in the paper) using the Sedov/remnant model. Particles
 /// within the shock radius are radially remapped (mass-conservation CDF
-/// matching), kicked and heated; outside particles are untouched.
+/// matching), kicked and heated; outside particles are untouched. No
+/// particle's u gains more than the retained SN energy over its mass, also
+/// at the remnant's centre, where the profile's u diverges.
 /// Returns the shock radius actually applied.
 double applySedovOracle(std::span<Particle> region, const Vec3d& sn_pos, double energy,
                         double dt, double mu = 0.6);

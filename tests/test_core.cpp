@@ -473,6 +473,52 @@ TEST(Simulation, ConventionalTimestepCollapsesAfterSn) {
   EXPECT_LT(s1.dt_used, 0.25 * cfg.dt_global);
 }
 
+TEST(Simulation, OracleKeepsMwMiniFiniteWithSupernovaeOnGas) {
+  // Progenitors planted on gas particles, as perfbench's MW-mini plants
+  // them: a captured particle sits exactly at the SN, where the oracle's
+  // profile u diverges. Its predictions must keep the state finite, so the
+  // step validator passes.
+  asura::galaxy::IcCounts counts;
+  counts.n_dm = 2000;
+  counts.n_star = 1500;
+  counts.n_gas = 2500;
+  counts.seed = 1;
+  auto parts = asura::galaxy::generateGalaxy(
+      asura::galaxy::GalaxyModel::milkyWayMini(), counts);
+  std::vector<std::size_t> gas;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (parts[i].isGas()) gas.push_back(i);
+  }
+  Pcg32 rng(7, 7);
+  for (int k = 0; k < 4; ++k) {
+    Particle star;
+    star.id = 10'000'000 + static_cast<std::uint64_t>(k);
+    star.type = Species::Star;
+    star.mass = 20.0;
+    star.star_mass = 20.0;
+    star.pos = parts[gas[rng.below(static_cast<std::uint32_t>(gas.size()))]].pos;
+    star.t_sn = (k + 0.5) * 0.002;
+    star.eps = 0.5;
+    parts.push_back(star);
+  }
+
+  SimulationConfig cfg = quietConfig();
+  cfg.use_surrogate = true;
+  cfg.dt_global = 0.002;
+  cfg.n_pool_nodes = 1;
+  cfg.return_interval = 2;
+  cfg.surrogate_horizon = 0.004;
+  cfg.sn_box_size = 200.0;
+  cfg.validate_steps = true;
+  Simulation sim(parts, cfg);
+  int replaced = 0;
+  for (int s = 0; s < 6; ++s) {
+    const auto st = sim.step();  // throws ValidationError on non-finite state
+    replaced += st.particles_replaced;
+  }
+  EXPECT_GT(replaced, 0);
+}
+
 TEST(Simulation, SurrogateRegionsFreezeAndUnfreeze) {
   auto parts = gasBall(500, 20.0, 1.0, 11, 100.0);
   Particle star;

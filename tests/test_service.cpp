@@ -175,7 +175,6 @@ void expectHostedMatchesSolo(bool hierarchical) {
   scfg.n_workers = 4;
   scfg.step_budget = 3;      // forces interleaving across workers
   scfg.snapshot_interval = 4;
-  scfg.omp_threads_per_instance = 1;
   ScenarioService svc(scfg);
 
   std::vector<InstanceId> ids;
@@ -218,7 +217,6 @@ TEST(ServiceBitwise, SharedSurrogateBackendAcrossInstances) {
 
   ServiceConfig scfg;
   scfg.n_workers = 2;
-  scfg.omp_threads_per_instance = 1;
   ScenarioService svc(scfg);
 
   // One oracle backend serving every instance: forwards are read-only
@@ -253,7 +251,6 @@ TEST(ServiceRecovery, TransientFaultRecoversBitwiseNeighborsUndisturbed) {
   scfg.n_workers = 4;
   scfg.step_budget = 3;
   scfg.snapshot_interval = 4;
-  scfg.omp_threads_per_instance = 1;
   ScenarioService svc(scfg);
 
   std::vector<InstanceId> ids;
@@ -542,7 +539,6 @@ TEST(ServiceObservability, LiveInfoWhileSteppingIsRaceFree) {
   scfg.step_budget = 2;
   scfg.snapshot_interval = 1;  // ring bookkeeping mutates every step
   scfg.max_retries = 1000;
-  scfg.omp_threads_per_instance = 1;
   ScenarioService svc(scfg);
 
   const InstanceId a =

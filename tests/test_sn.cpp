@@ -311,8 +311,28 @@ std::vector<Particle> uniformBall(int n, double radius, double rho, std::uint64_
   return parts;
 }
 
+/// uniformBall with its first two particles moved onto the SN at the
+/// origin and 1e-3 pc from it: the remap's core, where the x^9 interior
+/// density vanishes.
+std::vector<Particle> ballWithCoreParticles(int n, double radius, std::uint64_t seed) {
+  auto parts = uniformBall(n, radius, 1.0, seed);
+  parts[0].pos = {0.0, 0.0, 0.0};
+  parts[1].pos = {1e-3, 0.0, 0.0};
+  return parts;
+}
+
+/// No particle may gain more specific energy than the whole SN gives it.
+void expectNoParticleGainsMoreThanTheSn(const std::vector<Particle>& before,
+                                        const std::vector<Particle>& after) {
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_LE(after[i].u - before[i].u, asura::units::E_SN / after[i].mass)
+        << "particle " << i << " at r = " << before[i].pos.norm() << " pc";
+  }
+}
+
 TEST(Oracle, InjectsTheSedovEnergyInTheEnergyConservingPhase) {
-  auto parts = uniformBall(4000, 30.0, 1.0, 61);
+  auto parts = ballWithCoreParticles(4000, 30.0, 61);
+  const auto before = parts;
   double e_before = 0.0;
   for (const auto& p : parts) e_before += p.mass * (p.u + 0.5 * p.vel.norm2());
 
@@ -325,6 +345,7 @@ TEST(Oracle, InjectsTheSedovEnergyInTheEnergyConservingPhase) {
   double e_after = 0.0;
   for (const auto& p : parts) e_after += p.mass * (p.u + 0.5 * p.vel.norm2());
   EXPECT_NEAR((e_after - e_before) / asura::units::E_SN, 1.0, 0.35);
+  expectNoParticleGainsMoreThanTheSn(before, parts);
 }
 
 TEST(Oracle, RadiativePhaseInjectsOnlyRetainedEnergy) {
@@ -378,7 +399,8 @@ TEST(Oracle, OutsideParticlesUntouchedAndShellForms) {
 }
 
 TEST(Oracle, HeatedInteriorReachesMillionsOfKelvin) {
-  auto parts = uniformBall(4000, 30.0, 1.0, 64);
+  auto parts = ballWithCoreParticles(4000, 30.0, 64);
+  const auto before = parts;
   asura::sn::applySedovOracle(parts, {0, 0, 0}, asura::units::E_SN, 0.01);
   double t_max = 0.0;
   for (const auto& p : parts) {
@@ -387,6 +409,7 @@ TEST(Oracle, HeatedInteriorReachesMillionsOfKelvin) {
   // The paper's Fig. 1: SN-heated gas ~ 1e7 K.
   EXPECT_GT(t_max, 1.0e6);
   EXPECT_LT(t_max, 1.0e10);
+  expectNoParticleGainsMoreThanTheSn(before, parts);
 }
 
 }  // namespace

@@ -275,7 +275,6 @@ TEST(Supervisor, PersistentFaultEscalatesThenGivesUpWithRestorablePostmortem) {
   scfg.snapshot_interval = 2;
   scfg.max_retries = 3;
   scfg.watchdog = false;  // kills throw; no need for hang detection here
-  scfg.backoff_initial_ms = 1.0;
   scfg.postmortem_path = pm_path;
   Supervisor sup(cluster, scfg);
   const auto rep = sup.run(6, cfg, makeFactory(ic, P));
@@ -370,8 +369,6 @@ TEST(Supervisor, SupervisorConfigRejected) {
                  "zero watchdog deadline");
   expectRejected([](SupervisorConfig& c) { c.watchdog_poll_s = -0.1; },
                  "negative watchdog poll");
-  expectRejected([](SupervisorConfig& c) { c.backoff_factor = 0.5; },
-                 "shrinking backoff");
 
   // A watchdog-off config is free to carry garbage watchdog knobs: they
   // are never consulted.
@@ -433,7 +430,6 @@ TEST(Supervisor, RandomFaultSchedulesRecoverOrReport) {
 
     SupervisorConfig scfg;
     scfg.snapshot_interval = 2;
-    scfg.backoff_initial_ms = 1.0;
     scfg.watchdog_deadline_s = 2.0;  // sanitizer-tolerant, still finite
     scfg.watchdog_poll_s = 0.01;
     scfg.postmortem_path = pm_path;

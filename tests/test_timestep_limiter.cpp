@@ -276,14 +276,16 @@ TEST(TimestepLimiter, RungHistogramResetsWhenAlternatingModes) {
   EXPECT_EQ(histTotal(sim.lastStats()), static_cast<long>(parts.size()));
   EXPECT_GT(sim.lastStats().substeps, 0);
 
-  // Global-step mode: a stale histogram (or sub-step/limiter tally) would
-  // survive here if step() failed to reset the persistent stats member.
+  // Global-step mode is one rung-0 sub-step: a stale histogram (or
+  // sub-step/limiter tally) would show above rung 0 or in the counters if
+  // step() failed to reset the persistent stats member.
   sim.config().hierarchical_timestep = false;
   sim.step();
-  EXPECT_EQ(histTotal(sim.lastStats()), 0)
+  EXPECT_EQ(sim.lastStats().rung_histogram[0], static_cast<int>(parts.size()));
+  EXPECT_EQ(histTotal(sim.lastStats()), static_cast<long>(parts.size()))
       << "rung_histogram not cleared at step entry";
-  EXPECT_EQ(sim.lastStats().substeps, 0);
-  EXPECT_EQ(sim.lastStats().substep_units, 0);
+  EXPECT_EQ(sim.lastStats().substeps, 1);
+  EXPECT_EQ(sim.lastStats().substep_units, 1);
   EXPECT_EQ(sim.lastStats().limiter_wakes, 0);
   EXPECT_EQ(sim.lastStats().limiter_sync_promotions, 0);
 

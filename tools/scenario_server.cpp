@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
   scfg.n_workers = 4;
   scfg.step_budget = 3;
   scfg.snapshot_interval = 4;
-  scfg.omp_threads_per_instance = 1;
   std::string archive_dir;
   bool verify = true;
 
