@@ -169,7 +169,6 @@ int main(int argc, char** argv) {
   vp.grid_n = 16;
   asura::core::UNetSurrogateBackend trained(ucfg, vp, 60.0, 99);
   {
-    const asura::sph::Kernel kernel{};
     asura::ml::Adam::Config oc;
     oc.lr = 2e-3;
     asura::ml::Adam opt(trained.network().parameters(), oc);
@@ -177,12 +176,11 @@ int main(int argc, char** argv) {
     for (int epoch = 0; epoch < epochs; ++epoch) {
       for (std::uint64_t s = 0; s < 3; ++s) {
         auto box = turbulentBox(100 + s, 1500);
-        const auto in_grid = asura::voxel::depositParticles(box, {0, 0, 0}, 60.0, vp, kernel);
+        const auto in_grid = asura::voxel::depositParticles(box, {0, 0, 0}, 60.0, vp);
         auto evolved = oracle.predict(box, {0, 0, 0}, asura::units::E_SN, horizon);
-        const auto out_grid =
-            asura::voxel::depositParticles(evolved, {0, 0, 0}, 60.0, vp, kernel);
-        const auto x = asura::voxel::encodeGrid(in_grid, vp);
-        auto delta = asura::voxel::encodeGrid(out_grid, vp);  // residual target
+        const auto out_grid = asura::voxel::depositParticles(evolved, {0, 0, 0}, 60.0, vp);
+        const auto x = asura::voxel::encodeGrid(in_grid);
+        auto delta = asura::voxel::encodeGrid(out_grid);  // residual target
         for (std::size_t i = 0; i < delta.numel(); ++i) delta[i] -= x[i];
         trained.network().zeroGrad();
         const auto pred = trained.network().forward(x);

@@ -144,7 +144,6 @@ void densGenBench(benchmark::State& state, Isa isa) {
   if (skipUnlessRunnable(state, isa)) return;
   auto d = makeSphData();
   const auto& k = asura::pikg::kernels(isa);
-  const auto tabs = gen::sphTables(0);
   std::vector<double> hinv(kNi, d.hinv), hinv3(kNi, d.hinv3), hinv4(kNi, d.hinv4);
   std::vector<double> rho(kNi, 0.0), div(kNi, 0.0), cx(kNi, 0.0), cy(kNi, 0.0),
       cz(kNi, 0.0);
@@ -152,8 +151,8 @@ void densGenBench(benchmark::State& state, Isa isa) {
     k.dens(kNi, d.xi.data(), d.yi.data(), d.zi.data(), d.vxi.data(), d.vyi.data(),
            d.vzi.data(), hinv.data(), hinv3.data(), hinv4.data(), kNj, d.xj.data(),
            d.yj.data(), d.zj.data(), d.mj.data(), d.vxj.data(), d.vyj.data(),
-           d.vzj.data(), tabs.w, rho.data(), div.data(), cx.data(), cy.data(),
-           cz.data());
+           d.vzj.data(), gen::kCubicSplineW, rho.data(), div.data(), cx.data(),
+           cy.data(), cz.data());
     benchmark::DoNotOptimize(rho.data());
   }
   const double inter = static_cast<double>(state.iterations()) * kNi * kNj;
@@ -173,7 +172,6 @@ void hydroGenBench(benchmark::State& state, Isa isa) {
   if (skipUnlessRunnable(state, isa)) return;
   auto d = makeSphData();
   const auto& k = asura::pikg::kernels(isa);
-  const auto tabs = gen::sphTables(0);
   std::vector<double> hfi(kNi, d.H), hhi(kNi, 0.5 * d.H), hii(kNi, d.hinv),
       h4i(kNi, d.hinv4), p2i(kNi, 0.5), rhoi(kNi, 120.0), csi(kNi, 2.0),
       bali(kNi, 0.7);
@@ -185,8 +183,8 @@ void hydroGenBench(benchmark::State& state, Isa isa) {
             rhoi.data(), csi.data(), bali.data(), kNj, d.xj.data(), d.yj.data(),
             d.zj.data(), d.mj.data(), d.vxj.data(), d.vyj.data(), d.vzj.data(),
             d.hfj.data(), d.hhj.data(), d.hij.data(), d.h4j.data(), d.p2j.data(),
-            d.rhoj.data(), d.csj.data(), d.balj.data(), tabs.dw, 1.0, 2.0, ax.data(),
-            ay.data(), az.data(), du.data(), vsig.data());
+            d.rhoj.data(), d.csj.data(), d.balj.data(), gen::kCubicSplineDw, 1.0, 2.0,
+            ax.data(), ay.data(), az.data(), du.data(), vsig.data());
     benchmark::DoNotOptimize(ax.data());
   }
   const double inter = static_cast<double>(state.iterations()) * kNi * kNj;

@@ -63,18 +63,15 @@ int main(int argc, char** argv) {
 
   // --- dataset: oracle-evolved turbulent boxes ---
   asura::core::SedovOracleBackend oracle;
-  const asura::sph::Kernel kernel{};
   std::vector<std::pair<asura::ml::Tensor, asura::ml::Tensor>> dataset;
   for (int s = 0; s < samples; ++s) {
     auto box = trainingBox(static_cast<std::uint64_t>(10 + s));
-    const auto before =
-        asura::voxel::depositParticles(box, {0, 0, 0}, 60.0, vp, kernel);
+    const auto before = asura::voxel::depositParticles(box, {0, 0, 0}, 60.0, vp);
     auto after_parts = oracle.predict(box, {0, 0, 0}, asura::units::E_SN, 0.1);
-    const auto after =
-        asura::voxel::depositParticles(after_parts, {0, 0, 0}, 60.0, vp, kernel);
+    const auto after = asura::voxel::depositParticles(after_parts, {0, 0, 0}, 60.0, vp);
     // Residual target: the network learns the post-SN *change* of the state.
-    const auto x = asura::voxel::encodeGrid(before, vp);
-    auto delta = asura::voxel::encodeGrid(after, vp);
+    const auto x = asura::voxel::encodeGrid(before);
+    auto delta = asura::voxel::encodeGrid(after);
     for (std::size_t i = 0; i < delta.numel(); ++i) delta[i] -= x[i];
     dataset.emplace_back(x, delta);
   }
@@ -108,11 +105,10 @@ int main(int argc, char** argv) {
 
   auto held_out = trainingBox(999);
   const auto truth = oracle.predict(held_out, {0, 0, 0}, asura::units::E_SN, 0.1);
-  const auto truth_grid =
-      asura::voxel::depositParticles(truth, {0, 0, 0}, 60.0, vp, kernel);
-  const auto x = asura::voxel::encodeGrid(
-      asura::voxel::depositParticles(held_out, {0, 0, 0}, 60.0, vp, kernel), vp);
-  auto delta = asura::voxel::encodeGrid(truth_grid, vp);
+  const auto truth_grid = asura::voxel::depositParticles(truth, {0, 0, 0}, 60.0, vp);
+  const auto x =
+      asura::voxel::encodeGrid(asura::voxel::depositParticles(held_out, {0, 0, 0}, 60.0, vp));
+  auto delta = asura::voxel::encodeGrid(truth_grid);
   for (std::size_t i = 0; i < delta.numel(); ++i) delta[i] -= x[i];
 
   const double mse_trained = asura::ml::mseLoss(reloaded.network().forward(x), delta);

@@ -127,7 +127,7 @@ StepStats Simulation::step() {
     // Cold start (no pass recorded yet, e.g. a restart from evolved state
     // with hot cs/vsig): fall back to the standalone sweep once.
     if (!std::isfinite(last_cfl_dt_)) {
-      last_cfl_dt_ = sph::cflTimestep(localSpan(), cfg_.sph);
+      last_cfl_dt_ = sph::cflTimestep(localSpan());
     }
     // The floor never exceeds dt_global: a step below kCflDtMin is legal
     // and takes dt_global.
@@ -197,7 +197,7 @@ StepStats Simulation::step() {
   }
   {
     util::TimerRegistry::Scope scope(timers_, "Feedback_and_Cooling");
-    if (cfg_.enable_cooling) stellar::coolAndHeat(localSpan(), dt, cfg_.cooling);
+    if (cfg_.enable_cooling) stellar::coolAndHeat(localSpan(), dt);
   }
 
   // (6) Recalculate hydro quantities after the internal energy changed: a
@@ -316,18 +316,17 @@ int Simulation::desiredRung(const fdps::Particle& p, double dt_global) const {
   double want = dt_global;
   const double a = p.acc.norm();
   if (a > 0.0) {
-    // The accel criterion carries its own margin in eta_acc: the limiter is
+    // The accel criterion carries its own margin in kEtaAcc: the limiter is
     // a hydro mechanism, so relaxing rung_safety must not loosen the
-    // gravitational clock (eta_acc's default equals PR 2's effective
-    // 0.35 * 0.3).
-    want = std::min(want, cfg_.eta_acc * std::sqrt(p.eps / a));
+    // gravitational clock (kEtaAcc is the former blanket margin's 0.35 * 0.3).
+    want = std::min(want, kEtaAcc * std::sqrt(p.eps / a));
   }
   if (p.isGas()) {
     // Per-particle CFL clock from the vsig the last hydro pass recorded —
     // the same quantity the global baseline now reads as a single minimum.
     const double v = std::max(p.vsig, p.cs);
     if (v > 0.0) {
-      want = std::min(want, cfg_.rung_safety * cfg_.sph.cfl * 0.5 * p.h / v);
+      want = std::min(want, cfg_.rung_safety * sph::kCfl * 0.5 * p.h / v);
     }
   }
   want = std::max(want, kCflDtMin);
@@ -1057,7 +1056,7 @@ util::Histogram Simulation::densityPdf(int bins) const {
 util::Histogram Simulation::temperaturePdf(int bins) const {
   util::Histogram h(1.0, 1e9, static_cast<std::size_t>(bins), /*log=*/true);
   for (const auto& p : localSpan()) {
-    if (p.isGas()) h.add(units::u_to_temperature(p.u, 0.6), p.mass);
+    if (p.isGas()) h.add(units::u_to_temperature(p.u, units::mu_gas), p.mass);
   }
   return h;
 }
@@ -1090,7 +1089,6 @@ void Simulation::validateConfig() const {
   if (!(cfg_.dt_global > 0.0) || !std::isfinite(cfg_.dt_global)) {
     bad("dt_global must be positive and finite");
   }
-  if (!(cfg_.eta_acc > 0.0)) bad("eta_acc must be positive");
   if (!(cfg_.rung_safety > 0.0)) bad("rung_safety must be positive");
   if (cfg_.max_rung < 0 || cfg_.max_rung >= kMaxRungs) {
     bad("max_rung must lie in [0, " + std::to_string(kMaxRungs - 1) + "]");
@@ -1101,7 +1099,6 @@ void Simulation::validateConfig() const {
   if (cfg_.n_pool_nodes <= 0) bad("n_pool_nodes must be positive");
   if (!(cfg_.feedback_radius > 0.0)) bad("feedback_radius must be positive");
   if (cfg_.sph.n_ngb <= 0) bad("sph.n_ngb must be positive");
-  if (!(cfg_.sph.cfl > 0.0)) bad("sph.cfl must be positive");
   if (!(cfg_.gravity.theta >= 0.0)) bad("gravity.theta must be non-negative");
   // A pinned (non-Auto) backend the host cannot execute would be silently
   // clamped by resolveIsa — an explicit pin deserves an explicit failure.
@@ -1185,14 +1182,14 @@ void Simulation::validateStepInvariants() {
 
 namespace {
 
-/// Payload format of serializeState. v7 (the only version read or written)
+/// Payload format of serializeState. v8 (the only version read or written)
 /// is: config, clocks, rng, the working array (locals, then ghosts, with
 /// their work counters) and the local count, pending pool predictions with
 /// job ids plus the submission counter, and the engine block every payload
 /// carries: the LET imports, the staleness flag, the domain cuts, the ghost
 /// export layout and the two drift accumulators. A payload of any other
 /// version fails restore loudly.
-constexpr std::uint32_t kStateVersion = 7;
+constexpr std::uint32_t kStateVersion = 8;
 
 }  // namespace
 
@@ -1201,16 +1198,11 @@ constexpr std::uint32_t kStateVersion = 7;
 template <class Io, io::Record<SimulationConfig> C>
 void fields(Io& io, C& c) {
   io(c.dt_global, c.use_surrogate, c.adaptive_timestep, c.hierarchical_timestep,
-     c.max_rung, c.eta_acc, c.timestep_limiter, c.rung_safety, c.sn_box_size,
-     c.surrogate_horizon, c.return_interval, c.n_pool_nodes, c.gravity.G,
-     c.gravity.theta, c.gravity.group_size, c.gravity.leaf_size, c.gravity.kernel,
-     c.gravity.isa, c.sph.kernel.type, c.sph.n_ngb, c.sph.alpha_visc, c.sph.beta_visc,
-     c.sph.cfl, c.sph.group_size, c.sph.leaf_size, c.sph.max_h_iterations,
-     c.sph.h_tolerance, c.sph.isa, c.star_formation.rho_threshold,
-     c.star_formation.temp_threshold, c.star_formation.efficiency, c.star_formation.mu,
-     c.cooling.temp_floor, c.cooling.temp_ceil, c.cooling.heating_gamma, c.cooling.mu,
-     c.enable_star_formation, c.enable_cooling, c.feedback_radius, c.validate_steps,
-     c.abort_checkpoint_path, c.seed);
+     c.max_rung, c.timestep_limiter, c.rung_safety, c.sn_box_size, c.surrogate_horizon,
+     c.return_interval, c.n_pool_nodes, c.gravity.theta, c.gravity.leaf_size,
+     c.gravity.kernel, c.gravity.isa, c.sph.n_ngb, c.sph.isa,
+     c.star_formation.efficiency, c.enable_star_formation, c.enable_cooling,
+     c.feedback_radius, c.validate_steps, c.abort_checkpoint_path, c.seed);
 }
 
 template <class Io>

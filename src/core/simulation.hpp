@@ -25,11 +25,12 @@
 ///
 /// Stage 3 is one sub-step loop over power-of-two rungs. Each particle
 /// carries a rung k (dt_k = dt_global / 2^k) chosen from its acceleration
-/// criterion eta*sqrt(eps/|a|) and, for gas, the per-particle CFL clock
-/// cfl*(h/2)/vsig recorded by the previous force pass. Without the block
-/// scheme every rung is pinned to 0 (kmax()), so the loop runs one
-/// sub-step: the paper's global kick-drift-kick. Sub-step n (in units of
-/// dt_global / 2^kmax(), advancing by the deepest occupied rung):
+/// criterion kEtaAcc*sqrt(eps/|a|) and, for gas, the per-particle CFL
+/// clock rung_safety*sph::kCfl*(h/2)/vsig recorded by the previous force
+/// pass. Without the block scheme every rung is pinned to 0 (kmax()), so
+/// the loop runs one sub-step: the paper's global kick-drift-kick.
+/// Sub-step n (in units of dt_global / 2^kmax(), advancing by the deepest
+/// occupied rung):
 ///
 ///   a. opening kick for particles whose step starts at n (their own dt/2),
 ///      plus the u predictor for gas;
@@ -162,6 +163,13 @@ class ValidationError : public std::runtime_error {
 /// dt = dt_global / 2^k.
 inline constexpr int kMaxRungs = 16;
 
+/// Accel rung criterion dt = kEtaAcc * sqrt(eps/|a|), margin included.
+/// Gravity has no timestep limiter (Saitoh–Makino is a hydro mechanism), so
+/// this clock keeps its own safety and is *not* scaled by rung_safety; the
+/// value is the effective accel margin of the former blanket scheme (0.3 x
+/// a blanket rung_safety of 0.35).
+inline constexpr double kEtaAcc = 0.105;
+
 struct SimulationConfig {
   // --- timestep scheme ---
   double dt_global = 0.002;       ///< 2,000 yr (paper §3.2)
@@ -173,24 +181,20 @@ struct SimulationConfig {
   /// kick-drift-kick). Takes precedence over adaptive_timestep.
   bool hierarchical_timestep = false;
   int max_rung = 10;              ///< deepest rung: dt_min = dt_global / 2^max_rung
-  /// Accel criterion dt = eta * sqrt(eps/|a|), margin included. Gravity has
-  /// no timestep limiter (Saitoh–Makino is a hydro mechanism), so this
-  /// clock keeps its own safety and is *not* scaled by rung_safety; the
-  /// default equals PR 2's effective accel margin (0.3 x the old blanket
-  /// rung_safety = 0.35).
-  double eta_acc = 0.105;
   /// Saitoh & Makino (2009) limiter: wake inactive neighbours whose rung
   /// lags an active particle's by more than sph::kLimiterGap mid-step
   /// instead of letting them coast on stale forces until their own (coarse)
   /// boundary. Acts only above rung 0, so not without hierarchical_timestep.
   bool timestep_limiter = true;
-  /// Safety factor on the per-particle CFL rung criterion. Individual
-  /// timesteps lose the global scheme's accidental margin (everyone shared
-  /// the *minimum* dt), so marginal rungs integrate right at their
-  /// stability edge. PR 2 pinned this at a blanket 0.35; with the limiter
-  /// waking lagging cold neighbours (plus u prediction for inactive
-  /// neighbours) the margin is a cost/accuracy dial rather than a
-  /// stability requirement, and the default relaxes to 0.8 — ~1.4-1.6x
+  /// Safety factor on the per-particle CFL rung criterion
+  /// rung_safety * sph::kCfl * (h/2) / vsig (the accel criterion keeps its
+  /// own margin, kEtaAcc). Individual timesteps lose the global scheme's
+  /// accidental margin (everyone shared the *minimum* dt), so marginal
+  /// rungs integrate right at their stability edge. The first block
+  /// scheme pinned this at a blanket 0.35; with the limiter waking lagging
+  /// cold neighbours (plus u prediction for inactive neighbours) the
+  /// margin is a cost/accuracy dial rather than a stability requirement,
+  /// and the default relaxes to 0.8 — ~1.4-1.6x
   /// less active-set force work on SN-driven phases for ~1.8x the (small)
   /// energy-drift rate. Set 0.35 to reproduce PR 2's accuracy point.
   double rung_safety = 0.8;
@@ -202,6 +206,9 @@ struct SimulationConfig {
   int n_pool_nodes = 4;           ///< worker threads (paper: <50 nodes)
 
   // --- physics ---
+  /// Only the settings callers vary live here; the rest are named constants
+  /// of their layers (gravity::kGroupSize, the sph::k* set, the stellar
+  /// star-formation thresholds and cooling settings, kEtaAcc).
   /// gravity.isa and sph.isa pick each force pass's PIKG kernel backend:
   /// Auto resolves to the widest ISA the host CPU and the build both support
   /// (kernels/registry.hpp); a pin (Scalar / Avx2 / Avx512) the host cannot
@@ -209,7 +216,6 @@ struct SimulationConfig {
   gravity::GravityParams gravity{};
   sph::SphParams sph{};
   stellar::StarFormationParams star_formation{};
-  stellar::CoolingParams cooling{};
   bool enable_star_formation = true;
   bool enable_cooling = true;
   double feedback_radius = 2.0;  ///< pc, conventional direct-injection radius
@@ -416,7 +422,7 @@ class Simulation {
   /// length (the engine rejects a ghost suffix behind a stale cache).
   void restoreState(io::ByteReader& r);
 
-  /// Reject configurations step() cannot integrate (non-positive dt/eta/box
+  /// Reject configurations step() cannot integrate (non-positive dt/box
   /// sizes, out-of-range rungs, nonsense pool shaping, a pinned kernel ISA
   /// the host cannot run) with a descriptive std::invalid_argument. step()
   /// calls this at entry — before any collective, so all ranks throw

@@ -5,8 +5,6 @@
 #include <cmath>
 #include <unordered_map>
 
-#include "sph/kernels.hpp"
-
 namespace asura::core {
 
 namespace {
@@ -97,7 +95,6 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
   // Fig. 3 pipeline: particles -> 5-field voxel cube -> 8 log channels ->
   // U-Net -> decode -> Gibbs-sample particles (ids & masses preserved).
   ml::InferenceModeScope inference;
-  const sph::Kernel kernel{};
   const int m = static_cast<int>(live.size());
 
   // Stage 1: voxelize + encode each region (independent -> parallel).
@@ -107,9 +104,8 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
   for (int j = 0; j < m; ++j) {
     const auto& rq = requests[live[static_cast<std::size_t>(j)]];
     grids[static_cast<std::size_t>(j)] =
-        voxel::depositParticles(rq.region, rq.sn_pos, box_size_, vparams_, kernel);
-    enc[static_cast<std::size_t>(j)] =
-        voxel::encodeGrid(grids[static_cast<std::size_t>(j)], vparams_);
+        voxel::depositParticles(rq.region, rq.sn_pos, box_size_, vparams_);
+    enc[static_cast<std::size_t>(j)] = voxel::encodeGrid(grids[static_cast<std::size_t>(j)]);
   }
 
   // Stage 2: stack along the batch dimension, ONE network forward.
@@ -138,9 +134,9 @@ std::vector<std::vector<Particle>> UNetSurrogateBackend::predictBatch(
     std::copy(y.data() + static_cast<std::size_t>(j) * per,
               y.data() + static_cast<std::size_t>(j + 1) * per, slice.data());
     util::Pcg32 job_rng(seed_, jobStream(rq.region, rq.sn_pos));
-    const auto out_grid = voxel::decodeGrid(
-        slice, box_size_, grids[static_cast<std::size_t>(j)].origin, vparams_);
-    out[i] = voxel::gridToParticles(out_grid, rq.region, vparams_, job_rng);
+    const auto out_grid =
+        voxel::decodeGrid(slice, box_size_, grids[static_cast<std::size_t>(j)].origin);
+    out[i] = voxel::gridToParticles(out_grid, rq.region, job_rng);
   }
   return out;
 }

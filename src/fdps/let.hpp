@@ -18,7 +18,7 @@
 ///
 /// # The ghost wire record
 ///
-/// A ghost travels as a 128-byte GhostRecord, not as a 248-byte Particle:
+/// A ghost travels as a 128-byte GhostRecord, not as a 240-byte Particle:
 /// it carries what a neighbour reads of a ghost and nothing else. Who reads
 /// each field on the receiving rank:
 ///

@@ -59,7 +59,6 @@ struct Particle {
   double t_form = 0.0;    ///< formation time [Myr]
   double t_sn = -1.0;     ///< supernova epoch [Myr]; <0 means no SN
   double star_mass = 0.0; ///< individual stellar mass drawn from the IMF
-  double metal = 0.0;     ///< metal mass fraction
 
   // --- bookkeeping ---
   std::uint8_t frozen = 0;  ///< inside a pending surrogate region

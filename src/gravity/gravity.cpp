@@ -70,7 +70,7 @@ GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> p
   const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
   const fdps::SourceTree& tree = ctx.gravityTree(particles, let_entries, params.leaf_size);
-  const auto& groups = ctx.gravityGroups(particles, targets, params.group_size);
+  const auto& groups = ctx.gravityGroups(particles, targets, kGroupSize);
   stats.t_build = util::wtime() - t0;
   stats.tree_builds = ctx.buildsThisStep() - builds_before;
   const auto& entries = tree.entries();
@@ -122,7 +122,7 @@ GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> p
           ++k;
         }
         evalGroupSoaF64(a.tpos.data(), a.teps.data(), nt, a.sx.data(), a.sy.data(),
-                        a.sz.data(), a.sm.data(), a.se2.data(), ns, params.G,
+                        a.sz.data(), a.sm.data(), a.se2.data(), ns, units::G,
                         a.tacc.data(), a.tpot.data());
         for (int i = 0; i < nt; ++i) {
           auto& p = particles[grp.indices[static_cast<std::size_t>(i)]];
@@ -181,10 +181,10 @@ GravityStats accumulateTreeGravity(fdps::StepContext& ctx, std::span<Particle> p
                   a.tpt.data());
         for (int i = 0; i < nt; ++i) {
           auto& p = particles[grp.indices[static_cast<std::size_t>(i)]];
-          p.acc += params.G * Vec3d{a.tax[static_cast<std::size_t>(i)],
+          p.acc += units::G * Vec3d{a.tax[static_cast<std::size_t>(i)],
                                     a.tay[static_cast<std::size_t>(i)],
                                     a.taz[static_cast<std::size_t>(i)]};
-          p.pot += params.G * a.tpt[static_cast<std::size_t>(i)];
+          p.pot += units::G * a.tpt[static_cast<std::size_t>(i)];
         }
       }
       ep_total += static_cast<std::uint64_t>(nt) * a.idx.size();

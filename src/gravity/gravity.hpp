@@ -34,11 +34,14 @@ using fdps::Particle;
 using fdps::SourceEntry;
 using util::Vec3d;
 
+/// n_g: targets sharing an interaction list (every run uses 64).
+inline constexpr int kGroupSize = 64;
+
+/// The gravity settings callers vary (the gravitational constant is
+/// units::G).
 struct GravityParams {
-  double G = units::G;
   double theta = 0.5;    ///< multipole acceptance s/d
-  int group_size = 64;   ///< n_g: targets sharing an interaction list
-  int leaf_size = 16;
+  int leaf_size = 16;    ///< source tree leaf size
   enum class Kernel { ScalarF64, MixedF32 } kernel = Kernel::MixedF32;
   /// Generated-kernel backend for the MixedF32 path (Auto = widest the host
   /// supports; requests wider than the host clamp down).

@@ -20,7 +20,7 @@ template <class Io, Record<fdps::Particle> P>
 void fields(Io& io, P& p) {
   io(p.id, p.type, p.mass, p.pos, p.vel, p.acc, p.pot, p.eps, p.u, p.u_pred, p.du_dt, p.h,
      p.rho, p.pres, p.cs, p.divv, p.curlv, p.vsig, p.nngb, p.t_form, p.t_sn, p.star_mass,
-     p.metal, p.frozen, p.rung, p.rung_ngb, p.work);
+     p.frozen, p.rung, p.rung_ngb, p.work);
 }
 
 template <class Io, Record<fdps::SourceEntry> E>

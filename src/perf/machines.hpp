@@ -46,9 +46,8 @@ inline MachineSpec miyabi() {
 
 /// Single-core peak used by the Table 4 efficiency columns [GFLOPS, SP].
 /// A64FX: 6144/48 = 128; genoa AVX2/AVX-512: 4.1 GHz x 2 FMA x 2 pipes x
-/// 8 lanes = 131.2; GH200 GPU: 66.9 TF.
+/// 8 lanes = 131.2.
 inline double a64fxCoreSpGflops() { return 128.0; }
 inline double genoaCoreSpGflops() { return 131.2; }
-inline double gh200SpTflops() { return 66.9; }
 
 }  // namespace asura::perf

@@ -816,19 +816,15 @@ std::string fnAlias(const KernelDef& def) {
 
 std::string productionHeader(const std::vector<KernelDef>& defs) {
   // The fitted SPH W/dW tables: wbar(u) = W(u, 1) and dwbar(u) = dW/dr(u, 1)
-  // on u = r/H in [0, 1); every kernel obeys the scale identity
+  // of the cubic spline on u = r/H in [0, 1); the scale identity gives
   // W(r, H) = wbar(r/H)/H^3, dW/dr(r, H) = dwbar(r/H)/H^4. With 16
-  // subdomains the cubic spline's knot (q = 1 at u = 1/2) lands on a
-  // subdomain boundary and degree 5 covers every local polynomial degree,
-  // so the tables are exact to solve rounding for both kernel shapes.
-  const auto wcs = PiecewisePolynomial::fit(
+  // subdomains the spline's knot (q = 1 at u = 1/2) lands on a subdomain
+  // boundary and degree 5 covers every local polynomial degree, so the
+  // tables are exact to solve rounding.
+  const auto w = PiecewisePolynomial::fit(
       [](double u) { return sph::CubicSplineKernel::w(u, 1.0); }, 0.0, 1.0, 16, 5);
-  const auto dcs = PiecewisePolynomial::fit(
+  const auto dw = PiecewisePolynomial::fit(
       [](double u) { return sph::CubicSplineKernel::dwdr(u, 1.0); }, 0.0, 1.0, 16, 5);
-  const auto wwc = PiecewisePolynomial::fit(
-      [](double u) { return sph::WendlandC2Kernel::w(u, 1.0); }, 0.0, 1.0, 16, 5);
-  const auto dwc = PiecewisePolynomial::fit(
-      [](double u) { return sph::WendlandC2Kernel::dwdr(u, 1.0); }, 0.0, 1.0, 16, 5);
 
   std::ostringstream os;
   os << "// Generated by pikg_gen — do not edit.\n";
@@ -839,16 +835,9 @@ std::string productionHeader(const std::vector<KernelDef>& defs) {
   os << "namespace asura::pikg::gen {\n\n";
   os << "inline constexpr int kSphTableSubdomains = 16;\n";
   os << "inline constexpr int kSphTableDegree = 5;\n\n";
-  os << emitTableArray("kCubicSplineW", wcs) << "\n";
-  os << emitTableArray("kCubicSplineDw", dcs) << "\n";
-  os << emitTableArray("kWendlandC2W", wwc) << "\n";
-  os << emitTableArray("kWendlandC2Dw", dwc) << "\n";
-  os << "struct SphKernelTables {\n  const double* w;\n  const double* dw;\n};\n\n";
-  os << "/// kernel_type: 0 = cubic spline (support H = 2h), 1 = Wendland C2.\n";
-  os << "inline SphKernelTables sphTables(int kernel_type) {\n";
-  os << "  return kernel_type == 1 ? SphKernelTables{kWendlandC2W, kWendlandC2Dw}\n";
-  os << "                          : SphKernelTables{kCubicSplineW, kCubicSplineDw};\n";
-  os << "}\n\n";
+  os << "// Cubic-spline W(u, 1) and dW/dr(u, 1) on u = r/H (support H = 2h).\n";
+  os << emitTableArray("kCubicSplineW", w) << "\n";
+  os << emitTableArray("kCubicSplineDw", dw) << "\n";
   os << "/// True when the TU was compiled with real AVX2/AVX-512 intrinsics\n";
   os << "/// (false: the symbols exist but forward to the scalar backend).\n";
   os << "bool avx2Compiled();\n";

@@ -81,7 +81,8 @@ struct Accum {
 
 /// Shape of a runtime piecewise-polynomial table parameter (the coefficient
 /// pointer is passed to the generated function at runtime; see
-/// `sphTables()` in the generated header for the fitted production tables).
+/// `kCubicSplineW` / `kCubicSplineDw` in the generated header for the fitted
+/// production tables).
 struct TableSpec {
   std::string name;
   double lo = 0.0;

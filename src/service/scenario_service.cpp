@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "io/checkpoint.hpp"
-#include "sph/kernels.hpp"
 #include "util/omp.hpp"
 
 namespace asura::service {
@@ -668,8 +667,7 @@ Snapshot ScenarioService::latestSnapshot(InstanceId id) {
   return e ? toSnapshot(id, *e) : Snapshot{};
 }
 
-RoiResult ScenarioService::queryRoi(InstanceId id, const voxel::RoiSpec& spec,
-                                    const voxel::VoxelParams& params) {
+RoiResult ScenarioService::queryRoi(InstanceId id, const voxel::RoiSpec& spec) {
   Lease inst(*this, id);
   if (!inst->sim) {
     throw std::runtime_error("queryRoi: instance " + std::to_string(id) +
@@ -678,8 +676,7 @@ RoiResult ScenarioService::queryRoi(InstanceId id, const voxel::RoiSpec& spec,
   RoiResult result;
   result.step = inst->sim->stepCount();
   result.time = inst->sim->time();
-  const sph::Kernel kernel{};
-  result.grid = voxel::projectRoi(inst->sim->particles(), spec, params, kernel);
+  result.grid = voxel::projectRoi(inst->sim->particles(), spec);
   return result;
 }
 

@@ -230,8 +230,7 @@ class ScenarioService {
   /// Project density/temperature/velocity cubes for an ROI from the
   /// instance's current particle state under a read-only lease. Works in
   /// every live state (a Running instance is sampled at a step boundary).
-  [[nodiscard]] RoiResult queryRoi(InstanceId id, const voxel::RoiSpec& spec,
-                                   const voxel::VoxelParams& params = {});
+  [[nodiscard]] RoiResult queryRoi(InstanceId id, const voxel::RoiSpec& spec);
 
   // --- observability ---------------------------------------------------
 

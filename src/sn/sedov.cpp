@@ -85,7 +85,7 @@ double RemnantModel::retainedEnergyFraction(double t) const {
 }
 
 double applySedovOracle(std::span<Particle> region, const Vec3d& sn_pos, double energy,
-                        double dt, double mu) {
+                        double dt) {
   // Ambient density: mean SPH density of gas near the SN if available,
   // otherwise mass / volume of a 15 pc sphere.
   double rho_sum = 0.0;
@@ -144,7 +144,19 @@ double applySedovOracle(std::span<Particle> region, const Vec3d& sn_pos, double 
     double rho, vr, P;
     sol.profile(r_new, rho, vr, P);
     p.pos = sn_pos + r_new * rhat;
-    p.vel += vr * rhat;
+    // The kick k raises the kinetic energy by m(|k|^2/2 + v.k). Where that
+    // exceeds E_eff, k shrinks by the positive root s of
+    // (m|k|^2/2) s^2 + (m v.k) s = E_eff, so the gain is exactly E_eff.
+    const Vec3d kick = vr * rhat;
+    const double ka = 0.5 * p.mass * kick.norm2();
+    const double kb = p.mass * p.vel.dot(kick);
+    if (ka + kb > E_eff) {
+      const double disc = std::sqrt(kb * kb + 4.0 * ka * E_eff);
+      const double s = kb >= 0.0 ? 2.0 * E_eff / (kb + disc) : (disc - kb) / (2.0 * ka);
+      p.vel += s * kick;
+    } else {
+      p.vel += kick;
+    }
     // The x^9 density vanishes at the centre, where u = P/((gamma-1) rho)
     // diverges. A particle of mass m holds at least the innermost interval
     // [0, m] of the interior's mass, so the density that sets its u is
@@ -158,7 +170,6 @@ double applySedovOracle(std::span<Particle> region, const Vec3d& sn_pos, double 
                                   p.u + E_eff / p.mass);
     p.u = std::max(p.u, u_new);
     p.rho = std::max(rho, 1e-10);
-    (void)mu;
   }
   return R_apply;
 }

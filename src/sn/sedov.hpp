@@ -70,10 +70,11 @@ struct RemnantModel {
 /// (default 0.1 Myr in the paper) using the Sedov/remnant model. Particles
 /// within the shock radius are radially remapped (mass-conservation CDF
 /// matching), kicked and heated; outside particles are untouched. No
-/// particle's u gains more than the retained SN energy over its mass, also
-/// at the remnant's centre, where the profile's u diverges.
+/// particle gains more than the retained SN energy E_eff, neither as heat
+/// (also at the remnant's centre, where the profile's u diverges) nor as
+/// kinetic energy (a lone heavy particle kicked along its own motion).
 /// Returns the shock radius actually applied.
 double applySedovOracle(std::span<Particle> region, const Vec3d& sn_pos, double energy,
-                        double dt, double mu = 0.6);
+                        double dt);
 
 }  // namespace asura::sn

@@ -1,21 +1,20 @@
 #pragma once
 /// \file kernels.hpp
-/// \brief SPH smoothing kernels, parameterized by the support radius H.
+/// \brief The SPH smoothing kernel, parameterized by the support radius H.
 ///
 /// Convention: W(r, H) has compact support r < H (H is the particle's
 /// Particle::h field). For the cubic spline this means the conventional
-/// smoothing length is h = H/2. dW/dH is needed by the Newton iteration of
-/// the variable-smoothing-length density solve ("Calc Kernel Size", §5.2.5).
+/// smoothing length is h = H/2. The density solve closes on neighbour
+/// counts (sph.cpp), so no dW/dH is needed.
 ///
 /// These closed forms are also the functions the PIKG piecewise-polynomial
-/// approximation (§3.5) is fitted against.
+/// approximation (§3.5) is fitted against: pikg_gen emits one W/dW table
+/// pair from them, which the density and hydro force passes read.
 
 #include <cmath>
 #include <numbers>
 
 namespace asura::sph {
-
-enum class KernelType { CubicSpline, WendlandC2 };
 
 namespace detail {
 
@@ -48,72 +47,6 @@ struct CubicSplineKernel {
       return sigma / h * (-0.75 * t * t);
     }
     return 0.0;
-  }
-
-  /// dW/dH = (1/2) dW/dh = -(sigma / 2h) (3 f(q) + q f'(q)).
-  static double dwdH(double r, double H) {
-    const double h = 0.5 * H;
-    const double q = r / h;
-    if (q >= 2.0) return 0.0;
-    const double sigma = 1.0 / (detail::kPi * h * h * h);
-    double f, fp;
-    if (q < 1.0) {
-      f = 1.0 - 1.5 * q * q + 0.75 * q * q * q;
-      fp = -3.0 * q + 2.25 * q * q;
-    } else {
-      const double t = 2.0 - q;
-      f = 0.25 * t * t * t;
-      fp = -0.75 * t * t;
-    }
-    return -0.5 * sigma / h * (3.0 * f + q * fp);
-  }
-};
-
-/// Wendland C2 (3-D), support H.
-struct WendlandC2Kernel {
-  static double w(double r, double H) {
-    const double q = r / H;
-    if (q >= 1.0) return 0.0;
-    const double sigma = 21.0 / (2.0 * detail::kPi * H * H * H);
-    const double t = 1.0 - q;
-    const double t2 = t * t;
-    return sigma * t2 * t2 * (4.0 * q + 1.0);
-  }
-
-  static double dwdr(double r, double H) {
-    const double q = r / H;
-    if (q >= 1.0) return 0.0;
-    const double sigma = 21.0 / (2.0 * detail::kPi * H * H * H);
-    const double t = 1.0 - q;
-    return sigma / H * (-20.0 * q * t * t * t);
-  }
-
-  static double dwdH(double r, double H) {
-    const double q = r / H;
-    if (q >= 1.0) return 0.0;
-    const double sigma = 21.0 / (2.0 * detail::kPi * H * H * H);
-    const double t = 1.0 - q;
-    const double f = t * t * t * t * (4.0 * q + 1.0);
-    const double fp = -20.0 * q * t * t * t;
-    return -sigma / H * (3.0 * f + q * fp);
-  }
-};
-
-/// Runtime-dispatched kernel facade.
-struct Kernel {
-  KernelType type = KernelType::CubicSpline;
-
-  [[nodiscard]] double w(double r, double H) const {
-    return type == KernelType::CubicSpline ? CubicSplineKernel::w(r, H)
-                                           : WendlandC2Kernel::w(r, H);
-  }
-  [[nodiscard]] double dwdr(double r, double H) const {
-    return type == KernelType::CubicSpline ? CubicSplineKernel::dwdr(r, H)
-                                           : WendlandC2Kernel::dwdr(r, H);
-  }
-  [[nodiscard]] double dwdH(double r, double H) const {
-    return type == KernelType::CubicSpline ? CubicSplineKernel::dwdH(r, H)
-                                           : WendlandC2Kernel::dwdH(r, H);
   }
 };
 

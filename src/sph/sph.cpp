@@ -19,32 +19,21 @@ using fdps::TargetGroup;
 using util::ompThreadId;
 using util::Vec3d;
 
-namespace {
-
-/// Fitted W/dW tables for the configured SPH kernel shape (the PIKG `table`
-/// op evaluates wbar(u) = W(u,1) and dwbar(u) = dW/dr(u,1) on u = r/H).
-pikg::gen::SphKernelTables sphTablesFor(const SphParams& params) {
-  return pikg::gen::sphTables(params.kernel.type == KernelType::WendlandC2 ? 1 : 0);
-}
-
-}  // namespace
-
 DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
                           std::span<const std::uint32_t> targets, const SphParams& params) {
   DensityStats stats;
   if (targets.empty()) return stats;
   const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
+  const SourceTree& tree = ctx.gasTree(work, kLeafSize);
   if (tree.empty()) return stats;
-  const auto& groups = ctx.gasGroups(work, targets, params.group_size);
+  const auto& groups = ctx.gasGroups(work, targets, kGroupSize);
   stats.t_build = util::wtime() - t0;
   stats.tree_builds = ctx.buildsThisStep() - builds_before;
   const auto& entries = tree.entries();
   // Kernel sums run through the PIKG-generated backend for the requested
   // ISA (resolved once per pass; all threads run the same backend).
   const pikg::KernelSet& kset = pikg::kernels(params.isa);
-  const pikg::gen::SphKernelTables tabs = sphTablesFor(params);
   int max_iter = 0;
   std::uint64_t interactions = 0;
   double walk_s = 0.0, kernel_s = 0.0;
@@ -127,7 +116,7 @@ DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
         const int tol = std::max(2, params.n_ngb / 20);
         double lo = 0.0, hi = 0.0;  // bracket (hi == 0: not yet found)
         int it = 0;
-        for (; it < params.max_h_iterations; ++it) {
+        for (; it < kMaxHIterations; ++it) {
           if (H > search) {
             gatherGroup(1.3 * H);
             distances();
@@ -197,8 +186,8 @@ DensityStats solveDensity(fdps::StepContext& ctx, std::span<Particle> work,
         double clx = 0.0, cly = 0.0, clz = 0.0;
         kset.dens(1, &px, &py, &pz, &pvx, &pvy, &pvz, &hinv, &hinv3, &hinv4,
                   static_cast<int>(nsel), a.kx.data(), a.ky.data(), a.kz.data(),
-                  a.km.data(), a.kvx.data(), a.kvy.data(), a.kvz.data(), tabs.w,
-                  &rho, &div, &clx, &cly, &clz);
+                  a.km.data(), a.kvx.data(), a.kvy.data(), a.kvz.data(),
+                  pikg::gen::kCubicSplineW, &rho, &div, &clx, &cly, &clz);
         interactions += nsel;
         p.h = H;
         p.rho = rho;
@@ -236,16 +225,15 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
   if (targets.empty()) return stats;
   const int builds_before = ctx.buildsThisStep();
   const double t0 = util::wtime();
-  const SourceTree& tree = ctx.gasTree(work, params.leaf_size);
+  const SourceTree& tree = ctx.gasTree(work, kLeafSize);
   if (tree.empty()) return stats;
-  const auto& groups = ctx.gasGroups(work, targets, params.group_size);
+  const auto& groups = ctx.gasGroups(work, targets, kGroupSize);
   stats.t_build = util::wtime() - t0;
   stats.tree_builds = ctx.buildsThisStep() - builds_before;
   const auto& entries = tree.entries();
   // Pair math runs through the PIKG-generated backend; the host keeps the
   // prefilter, neighbour selection, and limiter bookkeeping.
   const pikg::KernelSet& kset = pikg::kernels(params.isa);
-  const pikg::gen::SphKernelTables tabs = sphTablesFor(params);
   std::uint64_t interactions = 0;
   double walk_s = 0.0, kernel_s = 0.0;
   double dt_cfl = std::numeric_limits<double>::infinity();
@@ -270,7 +258,7 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
       const double tk = util::wtime();
       // Stage the shared candidate list into SoA once per group: every
       // particle in the group then runs a vectorized distance prefilter
-      // over packed arrays instead of chasing 248-byte Particle records.
+      // over packed arrays instead of chasing 240-byte Particle records.
       const std::size_t nc = a.idx.size();
       a.sx.resize(nc); a.sy.resize(nc); a.sz.resize(nc);
       a.sm.resize(nc); a.qh.resize(nc);
@@ -390,8 +378,8 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
                    a.kx.data(), a.ky.data(), a.kz.data(), a.km.data(), a.kvx.data(),
                    a.kvy.data(), a.kvz.data(), a.khf.data(), a.khh.data(),
                    a.khi.data(), a.kh4.data(), a.kp2.data(), a.krho.data(),
-                   a.kcs.data(), a.kbal.data(), tabs.dw, params.alpha_visc,
-                   params.beta_visc, &fax, &fay, &faz, &dudt, &vsig);
+                   a.kcs.data(), a.kbal.data(), pikg::gen::kCubicSplineDw,
+                   kAlphaVisc, kBetaVisc, &fax, &fay, &faz, &dudt, &vsig);
 
         p.acc += Vec3d{fax, fay, faz};
         p.du_dt = dudt;
@@ -399,7 +387,7 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
         p.rung_ngb = static_cast<std::uint8_t>(rung_ngb);
         // The adaptive baseline's CFL minimum falls out of this pass for
         // free — no separate full-particle cflTimestep sweep needed.
-        if (vsig > 0.0) dt_cfl = std::min(dt_cfl, params.cfl * 0.5 * Hi / vsig);
+        if (vsig > 0.0) dt_cfl = std::min(dt_cfl, kCfl * 0.5 * Hi / vsig);
       }
       kernel_s += util::wtime() - tk;
     }
@@ -426,12 +414,12 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
   return stats;
 }
 
-double cflTimestep(std::span<const Particle> gas, const SphParams& params) {
+double cflTimestep(std::span<const Particle> gas) {
   double dt = std::numeric_limits<double>::max();
   for (const auto& p : gas) {
     if (!p.isGas()) continue;
     const double v = std::max(p.vsig, p.cs);
-    if (v > 0.0) dt = std::min(dt, params.cfl * 0.5 * p.h / v);
+    if (v > 0.0) dt = std::min(dt, kCfl * 0.5 * p.h / v);
   }
   return dt;
 }

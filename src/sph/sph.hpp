@@ -50,23 +50,25 @@ inline std::uint32_t wakeTarget(std::uint64_t w) {
   return static_cast<std::uint32_t>(w & 0xffffffffu);
 }
 
+/// Fixed SPH settings: every run uses these values.
+inline constexpr double kAlphaVisc = 1.0;   ///< Monaghan viscosity alpha
+inline constexpr double kBetaVisc = 2.0;    ///< Monaghan viscosity beta
+inline constexpr double kCfl = 0.3;         ///< Courant factor of the CFL clock
+inline constexpr int kGroupSize = 64;       ///< n_g for target grouping
+inline constexpr int kLeafSize = 16;        ///< gas tree leaf size
+inline constexpr int kMaxHIterations = 30;  ///< cap of the neighbour-count closure
+
+/// The SPH settings callers vary; the kernel is the cubic spline
+/// (kernels.hpp).
 struct SphParams {
-  Kernel kernel{};
-  int n_ngb = 64;            ///< neighbour-count closure target
-  double alpha_visc = 1.0;   ///< Monaghan viscosity alpha
-  double beta_visc = 2.0;    ///< Monaghan viscosity beta
-  double cfl = 0.3;          ///< Courant factor
-  int group_size = 64;       ///< n_g for target grouping
-  int leaf_size = 16;
-  int max_h_iterations = 30;
-  double h_tolerance = 1e-3;
+  int n_ngb = 64;  ///< neighbour-count closure target
   /// PIKG-generated kernel backend for the density/hydro inner loops
   /// (kernels/registry.hpp; Auto = widest the host supports).
   pikg::Isa isa = pikg::Isa::Auto;
 };
 
 struct DensityStats {
-  int max_iterations = 0;             ///< worst-case Newton iterations
+  int max_iterations = 0;             ///< worst-case closure iterations
   std::uint64_t interactions = 0;     ///< kernel evaluations (73 flops each)
   int tree_builds = 0;   ///< gas trees actually (re)built (0 = cache hit)
   double t_build = 0.0;  ///< seconds: tree + group construction
@@ -82,7 +84,7 @@ struct ForceStats {
   double t_walk = 0.0;   ///< seconds: neighbour gathering, summed over threads
   double t_kernel = 0.0; ///< seconds: force kernel, summed over threads
   /// Minimum CFL timestep over the evaluated targets, folded into the force
-  /// pass (cfl * (h/2) / vsig) so the adaptive baseline no longer needs a
+  /// pass (kCfl * (h/2) / vsig) so the adaptive baseline no longer needs a
   /// separate full-particle cflTimestep sweep per step. +inf when no gas
   /// target was evaluated.
   double dt_cfl_min = std::numeric_limits<double>::infinity();
@@ -113,11 +115,11 @@ ForceStats accumulateHydroForce(fdps::StepContext& ctx, std::span<Particle> work
                                 const SphParams& params,
                                 std::vector<std::uint64_t>* wake_out = nullptr);
 
-/// Minimum CFL timestep over local gas: dt = cfl * (h/2) / vsig. Note the
+/// Minimum CFL timestep over local gas: dt = kCfl * (h/2) / vsig. Note the
 /// same minimum now also falls out of the force pass (ForceStats::dt_cfl_min)
 /// — prefer that in step loops; this standalone sweep remains for tests and
 /// cold starts.
-double cflTimestep(std::span<const Particle> gas, const SphParams& params);
+double cflTimestep(std::span<const Particle> gas);
 
 /// Largest gather support among local gas (ghost-exchange margin).
 double maxGatherRadius(std::span<const Particle> particles, std::size_t n_local);

@@ -79,9 +79,9 @@ int formStars(std::span<Particle> particles, double t, double dt,
   int formed = 0;
   for (auto& p : particles) {
     if (!p.isGas() || p.frozen) continue;
-    if (p.rho < params.rho_threshold) continue;
-    const double T = units::u_to_temperature(p.u, params.mu);
-    if (T > params.temp_threshold) continue;
+    if (p.rho < kSfRhoThreshold) continue;
+    const double T = units::u_to_temperature(p.u, units::mu_neutral);
+    if (T > kSfTempThreshold) continue;
     if (p.divv >= 0.0) continue;  // only converging flows
 
     const double p_sf = 1.0 - std::exp(-params.efficiency * dt / freeFallTime(p.rho));
@@ -135,15 +135,15 @@ double lambdaCooling(double T) {
   return lam_knee * std::sqrt(T / 2.0e7);
 }
 
-double integrateCooling(double u, double rho, double dt, const CoolingParams& params) {
-  const double u_floor = units::temperature_to_u(params.temp_floor, params.mu);
-  const double u_ceil = units::temperature_to_u(params.temp_ceil, params.mu);
+double integrateCooling(double u, double rho, double dt) {
+  const double u_floor = units::temperature_to_u(kCoolingTempFloor, units::mu_gas);
+  const double u_ceil = units::temperature_to_u(kCoolingTempCeil, units::mu_gas);
   double t = 0.0;
   int guard = 0;
   while (t < dt && ++guard < 256) {
-    const double T = units::u_to_temperature(u, params.mu);
+    const double T = units::u_to_temperature(u, units::mu_gas);
     // Photoelectric heating is a cold-phase process; fade it out above 2e4 K.
-    const double heat = params.heating_gamma * kNhOverRho * std::exp(-T / 2.0e4);
+    const double heat = kHeatingGamma * kNhOverRho * std::exp(-T / 2.0e4);
     const double cool = lambdaCooling(T) * kNh2OverRho * rho;
     const double rate = kCgsSpecificRateToCode * (heat - cool);
     if (rate == 0.0) break;
@@ -157,27 +157,13 @@ double integrateCooling(double u, double rho, double dt, const CoolingParams& pa
   return u;
 }
 
-void coolAndHeat(std::span<Particle> particles, double dt, const CoolingParams& params) {
+void coolAndHeat(std::span<Particle> particles, double dt) {
 #pragma omp parallel for schedule(dynamic, 64)
   for (std::size_t i = 0; i < particles.size(); ++i) {
     auto& p = particles[i];
     if (!p.isGas() || p.frozen) continue;
-    p.u = integrateCooling(p.u, p.rho, dt, params);
+    p.u = integrateCooling(p.u, p.rho, dt);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Yields
-// ---------------------------------------------------------------------------
-
-SnYields ccsnYields(double m_progenitor) {
-  const double m = std::clamp(m_progenitor, 8.0, 40.0);
-  SnYields y;
-  y.iron = 0.07;
-  y.carbon = 0.12 + 0.004 * (m - 8.0);
-  y.magnesium = 0.03 * (m / 15.0);
-  y.oxygen = 0.5 * std::pow(m / 15.0, 1.8);
-  return y;
 }
 
 }  // namespace asura::stellar

@@ -1,7 +1,7 @@
 #pragma once
 /// \file stellar.hpp
 /// \brief Star-by-star stellar physics: IMF sampling, lifetimes, star
-/// formation, SN identification, radiative cooling/heating, and yields.
+/// formation, SN identification and radiative cooling/heating.
 ///
 /// ASURA's star-by-star model (paper §1, §3.2): each star particle is an
 /// individual star drawn from the initial mass function; stars above
@@ -58,11 +58,14 @@ inline constexpr double kSnMassThreshold = 8.0;
 // Star formation
 // ---------------------------------------------------------------------------
 
+/// Star-formation eligibility (every run uses these values): converging gas
+/// at least this dense and at most this cold, its temperature taken at
+/// units::mu_neutral.
+inline constexpr double kSfRhoThreshold = 3.2;     ///< [Msun/pc^3] ~ n_H = 100 cm^-3
+inline constexpr double kSfTempThreshold = 100.0;  ///< [K]
+
 struct StarFormationParams {
-  double rho_threshold = 3.2;      ///< [Msun/pc^3] ~ n_H = 100 cm^-3
-  double temp_threshold = 100.0;   ///< [K]
-  double efficiency = 0.02;        ///< per free-fall time
-  double mu = 1.27;                ///< neutral gas
+  double efficiency = 0.02;  ///< per free-fall time
 };
 
 /// Convert eligible gas particles into star particles (probabilistically,
@@ -96,12 +99,11 @@ std::vector<SnEvent> identifySupernovae(std::span<Particle> particles, double t,
 // Cooling & heating
 // ---------------------------------------------------------------------------
 
-struct CoolingParams {
-  double temp_floor = 10.0;   ///< [K]
-  double temp_ceil = 1.0e9;   ///< [K]
-  double heating_gamma = 2e-26;  ///< photoelectric heating [erg/s] per H atom
-  double mu = 0.6;
-};
+/// Cooling/heating settings (every run uses these values); u <-> T at
+/// units::mu_gas.
+inline constexpr double kCoolingTempFloor = 10.0;  ///< [K]
+inline constexpr double kCoolingTempCeil = 1.0e9;  ///< [K]
+inline constexpr double kHeatingGamma = 2e-26;     ///< photoelectric heating [erg/s] per H atom
 
 /// Interstellar cooling function Lambda(T) [erg cm^3 / s]: Koyama-Inutsuka
 /// (2002) fit below 1e4 K, a CIE-like peak/decline above, free-free at the
@@ -110,22 +112,9 @@ double lambdaCooling(double T);
 
 /// Integrate du/dt = heating - cooling for one particle over dt with
 /// adaptive subcycling; returns the new specific internal energy.
-double integrateCooling(double u, double rho, double dt, const CoolingParams& params);
+double integrateCooling(double u, double rho, double dt);
 
 /// Apply cooling/heating to all local gas particles.
-void coolAndHeat(std::span<Particle> particles, double dt, const CoolingParams& params);
-
-// ---------------------------------------------------------------------------
-// Yields (metal enrichment bookkeeping)
-// ---------------------------------------------------------------------------
-
-/// Mass fractions of C, O, Mg, Fe ejected by a core-collapse SN of the
-/// given progenitor mass (coarse Nomoto-like numbers; summed into the
-/// `metal` field of nearby gas by the feedback path).
-struct SnYields {
-  double carbon, oxygen, magnesium, iron;
-  [[nodiscard]] double total() const { return carbon + oxygen + magnesium + iron; }
-};
-SnYields ccsnYields(double m_progenitor);
+void coolAndHeat(std::span<Particle> particles, double dt);
 
 }  // namespace asura::stellar

@@ -33,6 +33,9 @@ inline constexpr double gamma_gas = 5.0 / 3.0;
 /// Mean molecular weights.
 inline constexpr double mu_neutral = 1.27;   ///< atomic H + He
 inline constexpr double mu_ionized = 0.59;   ///< fully ionized H + He
+/// Mean molecular weight of the gas u <-> T conversions other than star
+/// formation's: cooling, voxelization and the temperature PDF.
+inline constexpr double mu_gas = 0.6;
 
 /// Canonical supernova energy 1e51 erg in M_sun pc^2 Myr^-2.
 /// 1e51 erg = 1e44 J; unit = msun_in_kg * (pc_in_m/myr_in_s)^2 = 1.9016e36 J.

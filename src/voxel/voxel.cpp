@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sph/kernels.hpp"
 #include "util/units.hpp"
 
 namespace asura::voxel {
@@ -49,8 +50,7 @@ double VoxelGrid::sample(const std::vector<double>& field, const Vec3d& p) const
 }
 
 VoxelGrid depositParticles(std::span<const Particle> gas, const Vec3d& center,
-                           double box_size, const VoxelParams& params,
-                           const sph::Kernel& kernel) {
+                           double box_size, const VoxelParams& params) {
   const int n = params.grid_n;
   VoxelGrid g(n, box_size, center - Vec3d{0.5 * box_size, 0.5 * box_size, 0.5 * box_size});
   const double a = g.cellSize();
@@ -68,13 +68,13 @@ VoxelGrid depositParticles(std::span<const Particle> gas, const Vec3d& center,
     const int j_hi = std::min(n - 1, static_cast<int>((rel.y + H) / a));
     const int k_lo = std::max(0, static_cast<int>((rel.z - H) / a));
     const int k_hi = std::min(n - 1, static_cast<int>((rel.z + H) / a));
-    const double T = units::u_to_temperature(p.u, params.mu);
+    const double T = units::u_to_temperature(p.u, units::mu_gas);
 
     for (int i = i_lo; i <= i_hi; ++i) {
       for (int j = j_lo; j <= j_hi; ++j) {
         for (int k = k_lo; k <= k_hi; ++k) {
           const double r = (g.cellCenter(i, j, k) - p.pos).norm();
-          const double w = kernel.w(r, H);
+          const double w = sph::CubicSplineKernel::w(r, H);
           if (w <= 0.0) continue;
           const std::size_t c = g.idx(i, j, k);
           const double mw = p.mass * w;
@@ -97,29 +97,29 @@ VoxelGrid depositParticles(std::span<const Particle> gas, const Vec3d& center,
       g.vy[c] /= shepard[c];
       g.vz[c] /= shepard[c];
     } else {
-      g.rho[c] = params.rho_floor;
-      g.temp[c] = params.temp_floor;
+      g.rho[c] = kRhoFloor;
+      g.temp[c] = kTempFloor;
     }
-    g.rho[c] = std::max(g.rho[c], params.rho_floor);
-    g.temp[c] = std::max(g.temp[c], params.temp_floor);
+    g.rho[c] = std::max(g.rho[c], kRhoFloor);
+    g.temp[c] = std::max(g.temp[c], kTempFloor);
   }
   return g;
 }
 
-ml::Tensor encodeGrid(const VoxelGrid& g, const VoxelParams& params) {
+ml::Tensor encodeGrid(const VoxelGrid& g) {
   const int n = g.n;
   ml::Tensor t({8, n, n, n});
-  const double lvf = std::log10(params.vel_floor);
+  const double lvf = std::log10(kVelFloor);
   auto enc_vel = [&](double v, bool positive) {
     const double mag = positive ? std::max(v, 0.0) : std::max(-v, 0.0);
-    return static_cast<float>(std::log10(std::max(mag, params.vel_floor)) - lvf);
+    return static_cast<float>(std::log10(std::max(mag, kVelFloor)) - lvf);
   };
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
       for (int k = 0; k < n; ++k) {
         const std::size_t c = g.idx(i, j, k);
-        t.at(0, i, j, k) = static_cast<float>(std::log10(std::max(g.rho[c], params.rho_floor)));
-        t.at(1, i, j, k) = static_cast<float>(std::log10(std::max(g.temp[c], params.temp_floor)));
+        t.at(0, i, j, k) = static_cast<float>(std::log10(std::max(g.rho[c], kRhoFloor)));
+        t.at(1, i, j, k) = static_cast<float>(std::log10(std::max(g.temp[c], kTempFloor)));
         t.at(2, i, j, k) = enc_vel(g.vx[c], true);
         t.at(3, i, j, k) = enc_vel(g.vx[c], false);
         t.at(4, i, j, k) = enc_vel(g.vy[c], true);
@@ -132,11 +132,10 @@ ml::Tensor encodeGrid(const VoxelGrid& g, const VoxelParams& params) {
   return t;
 }
 
-VoxelGrid decodeGrid(const ml::Tensor& t, double box_size, const Vec3d& origin,
-                     const VoxelParams& params) {
+VoxelGrid decodeGrid(const ml::Tensor& t, double box_size, const Vec3d& origin) {
   const int n = t.dim(1);
   VoxelGrid g(n, box_size, origin);
-  const double lvf = std::log10(params.vel_floor);
+  const double lvf = std::log10(kVelFloor);
   auto dec_vel = [&](float cp, float cm) {
     const double vp = std::pow(10.0, static_cast<double>(cp) + lvf);
     const double vm = std::pow(10.0, static_cast<double>(cm) + lvf);
@@ -177,7 +176,7 @@ int sampleDiscrete(const std::vector<double>& w, util::Pcg32& rng) {
 
 std::vector<Particle> gridToParticles(const VoxelGrid& g,
                                       std::span<const Particle> originals,
-                                      const VoxelParams& params, util::Pcg32& rng) {
+                                      util::Pcg32& rng) {
   const int n = g.n;
   const double a = g.cellSize();
   std::vector<Particle> out(originals.begin(), originals.end());
@@ -206,7 +205,7 @@ std::vector<Particle> gridToParticles(const VoxelGrid& g,
     for (int k = 0; k < n; ++k) cond[static_cast<std::size_t>(k)] = g.rho[g.idx(ci, cj, k)];
     int ck = sampleDiscrete(cond, rng);
 
-    for (int sweep = 0; sweep < params.gibbs_sweeps; ++sweep) {
+    for (int sweep = 0; sweep < kGibbsSweeps; ++sweep) {
       for (int i = 0; i < n; ++i) cond[static_cast<std::size_t>(i)] = g.rho[g.idx(i, cj, ck)];
       ci = sampleDiscrete(cond, rng);
       for (int j = 0; j < n; ++j) cond[static_cast<std::size_t>(j)] = g.rho[g.idx(ci, j, ck)];
@@ -218,9 +217,9 @@ std::vector<Particle> gridToParticles(const VoxelGrid& g,
     p.pos = g.origin + Vec3d{(ci + rng.uniform()) * a, (cj + rng.uniform()) * a,
                              (ck + rng.uniform()) * a};
     p.vel = {g.sample(g.vx, p.pos), g.sample(g.vy, p.pos), g.sample(g.vz, p.pos)};
-    const double T = std::max(g.sample(g.temp, p.pos), params.temp_floor);
-    p.u = units::temperature_to_u(T, params.mu);
-    const double rho_local = std::max(g.sample(g.rho, p.pos), params.rho_floor);
+    const double T = std::max(g.sample(g.temp, p.pos), kTempFloor);
+    p.u = units::temperature_to_u(T, units::mu_gas);
+    const double rho_local = std::max(g.sample(g.rho, p.pos), kRhoFloor);
     p.rho = rho_local;
     p.h = sph::supportFromDensity(p.mass, rho_local, 64);
     p.frozen = 0;
@@ -228,16 +227,13 @@ std::vector<Particle> gridToParticles(const VoxelGrid& g,
   return out;
 }
 
-VoxelGrid projectRoi(std::span<const Particle> parts, const RoiSpec& spec,
-                     const VoxelParams& params, const sph::Kernel& kernel) {
+VoxelGrid projectRoi(std::span<const Particle> parts, const RoiSpec& spec) {
   if (spec.grid_n <= 0) {
     throw std::invalid_argument("RoiSpec: grid_n must be positive");
   }
   if (!(spec.box_size > 0.0)) {
     throw std::invalid_argument("RoiSpec: box_size must be positive");
   }
-  VoxelParams p = params;
-  p.grid_n = spec.grid_n;
   const double a = spec.box_size / spec.grid_n;
   const double half = 0.5 * spec.box_size;
 
@@ -255,7 +251,7 @@ VoxelGrid projectRoi(std::span<const Particle> parts, const RoiSpec& spec,
       clipped.push_back(q);
     }
   }
-  return depositParticles(clipped, spec.center, spec.box_size, p, kernel);
+  return depositParticles(clipped, spec.center, spec.box_size, VoxelParams{spec.grid_n});
 }
 
 }  // namespace asura::voxel

@@ -19,7 +19,6 @@
 
 #include "fdps/particle.hpp"
 #include "ml/tensor.hpp"
-#include "sph/kernels.hpp"
 #include "util/rng.hpp"
 #include "util/vec3.hpp"
 
@@ -55,33 +54,34 @@ struct VoxelGrid {
   [[nodiscard]] double sample(const std::vector<double>& field, const Vec3d& p) const;
 };
 
+/// Fixed conversion settings (every run uses these values); u <-> T at
+/// units::mu_gas.
+inline constexpr double kRhoFloor = 1e-10;  ///< [Msun/pc^3] for empty cells / log encode
+inline constexpr double kTempFloor = 1.0;   ///< [K]
+inline constexpr double kVelFloor = 1e-3;   ///< [pc/Myr] log-split floor
+inline constexpr int kGibbsSweeps = 4;      ///< Gibbs sweeps per sampled particle
+
 struct VoxelParams {
-  int grid_n = 64;
-  double rho_floor = 1e-10;   ///< [Msun/pc^3] for empty cells / log encode
-  double temp_floor = 1.0;    ///< [K]
-  double vel_floor = 1e-3;    ///< [pc/Myr] log-split floor
-  double mu = 0.6;            ///< mean molecular weight for u <-> T
-  int gibbs_sweeps = 4;
+  int grid_n = 64;  ///< cells per side
 };
 
-/// SPH-kernel deposition with Shepard normalization of the intensive fields.
+/// Cubic-spline SPH-kernel deposition with Shepard normalization of the
+/// intensive fields.
 VoxelGrid depositParticles(std::span<const Particle> gas, const Vec3d& center,
-                           double box_size, const VoxelParams& params,
-                           const sph::Kernel& kernel);
+                           double box_size, const VoxelParams& params);
 
 /// 8-channel log encoding: [log rho, log T, log v_x^+, log v_x^-, ... z].
-ml::Tensor encodeGrid(const VoxelGrid& g, const VoxelParams& params);
+ml::Tensor encodeGrid(const VoxelGrid& g);
 
 /// Inverse of encodeGrid (velocities recombined as 10^{c+} - 10^{c-}).
-VoxelGrid decodeGrid(const ml::Tensor& t, double box_size, const Vec3d& origin,
-                     const VoxelParams& params);
+VoxelGrid decodeGrid(const ml::Tensor& t, double box_size, const Vec3d& origin);
 
 /// Gibbs-sample particle positions from the grid density and interpolate
 /// velocities/temperature; returns one particle per `originals` entry with
 /// id and mass preserved (exact mass conservation).
 std::vector<Particle> gridToParticles(const VoxelGrid& g,
                                       std::span<const Particle> originals,
-                                      const VoxelParams& params, util::Pcg32& rng);
+                                      util::Pcg32& rng);
 
 /// Region-of-interest projection query: the cube a scenario-service client
 /// asks for (density / temperature / velocity fields sampled on a small
@@ -100,7 +100,6 @@ struct RoiSpec {
 /// a live instance's particles return identical grids and leave the
 /// trajectory untouched. Throws std::invalid_argument on a non-positive
 /// grid_n or box_size.
-VoxelGrid projectRoi(std::span<const Particle> parts, const RoiSpec& spec,
-                     const VoxelParams& params, const sph::Kernel& kernel);
+VoxelGrid projectRoi(std::span<const Particle> parts, const RoiSpec& spec);
 
 }  // namespace asura::voxel

@@ -486,12 +486,12 @@ TEST(Checkpoint, UnsupportedFileVersionRejected) {
 }
 
 TEST(Checkpoint, UnsupportedStateVersionRejected) {
-  // Only state payload version 7 is read; the version word leads the payload.
+  // Only state payload version 8 is read; the version word leads the payload.
   const auto ic = gasBall(60, 5.0, 1.0, 8, 3000.0);
   const SimulationConfig cfg = quietConfig();
   Simulation sim(ic, cfg);
   const auto good = stateBytes(sim);
-  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u, 5u, 6u, 7u}) {
     auto bytes = good;
     bytes[0] = static_cast<char>(version);
     Simulation fresh(ic, cfg);
@@ -558,7 +558,7 @@ TEST(Checkpoint, InspectReportsDamageWithoutThrowing) {
 // Wire layout pin
 //
 // CRC-32 of serializeState for fixed, unstepped states built from literal
-// values, recorded for state v7. A codec change that adds, drops, reorders
+// values, recorded for state v8. A codec change that adds, drops, reorders
 // or re-types a field moves these; such a change must also bump
 // kStateVersion, and re-record the constants with it.
 // ---------------------------------------------------------------------------
@@ -590,7 +590,6 @@ std::vector<Particle> literalParticles(int n, std::uint64_t first_id) {
     p.t_form = 0.25 * i;
     p.t_sn = i % 3 == 2 ? 3.0 : -1.0;
     p.star_mass = i % 3 == 2 ? 8.0 : 0.0;
-    p.metal = 0.02;
     p.frozen = static_cast<std::uint8_t>(i % 2);
     p.rung = static_cast<std::uint8_t>(i % 4);
     p.rung_ngb = static_cast<std::uint8_t>((i + 1) % 4);
@@ -616,7 +615,7 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
                     std::make_shared<asura::core::NullBackend>());
   serial.pool()->submit(0, literalParticles(2, 900), {0.0, 0.0, 0.0},
                         asura::units::E_SN, 0.1);
-  EXPECT_EQ(stateCrc(serial), 0x34f908e4u);
+  EXPECT_EQ(stateCrc(serial), 0xd0555470u);
 
   // Two ranks with an engine attached, before any step.
   std::vector<std::uint32_t> crcs(2);
@@ -626,8 +625,8 @@ TEST(Checkpoint, WireLayoutPinnedByCrc) {
     sim.attachDistributed(std::make_unique<DistributedEngine>(comm, engineConfig()));
     crcs[static_cast<std::size_t>(comm.rank())] = stateCrc(sim);
   });
-  EXPECT_EQ(crcs[0], 0x513e8b98u);
-  EXPECT_EQ(crcs[1], 0x2f54227eu);
+  EXPECT_EQ(crcs[0], 0xb0e84479u);
+  EXPECT_EQ(crcs[1], 0x3753e9b9u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <numbers>
 #include <set>
 #include <string>
@@ -271,15 +273,60 @@ TEST(Backends, PredictBatchBitwiseMatchesSequential) {
   }
 }
 
+/// Forwards to `inner`, but holds every call until open(): the workers park
+/// with the jobs they took while the submitting thread queues the rest, so
+/// whether a worker finds two queued jobs does not depend on how the
+/// workers race the submitter.
+class GatedBackend final : public asura::core::SurrogateBackend {
+ public:
+  explicit GatedBackend(std::shared_ptr<asura::core::SurrogateBackend> inner)
+      : inner_(std::move(inner)) {}
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+  std::vector<Particle> predict(std::vector<Particle> region, const Vec3d& sn_pos,
+                                double energy, double horizon) override {
+    waitOpen();
+    return inner_->predict(std::move(region), sn_pos, energy, horizon);
+  }
+  std::vector<std::vector<Particle>> predictBatch(
+      std::vector<asura::core::SurrogateRequest> requests) override {
+    waitOpen();
+    return inner_->predictBatch(std::move(requests));
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  void waitOpen() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return open_; });
+  }
+
+  std::shared_ptr<asura::core::SurrogateBackend> inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
 TEST(Pool, BatchedSchedulerOutputMatchesSequential) {
   // End-to-end through the scheduler: a coalescing pool must deliver, in
   // submission order, the same bytes as one predict() call per region (the
-  // backend's batching contract).
+  // backend's batching contract). The gate makes coalescing certain: when
+  // it opens, either a parked call already holds two jobs, or the at most
+  // four parked calls hold one each and five or more are still queued, so
+  // the next worker takes an even share of at least two.
   asura::ml::UNetConfig ucfg;
   ucfg.base_width = 2;
   asura::voxel::VoxelParams vp;
   vp.grid_n = 16;
   auto backend = std::make_shared<asura::core::UNetSurrogateBackend>(ucfg, vp);
+  auto gated = std::make_shared<GatedBackend>(backend);
 
   constexpr int kJobs = 9;
   std::vector<std::vector<Particle>> regions;
@@ -293,10 +340,11 @@ TEST(Pool, BatchedSchedulerOutputMatchesSequential) {
     sequential.push_back(backend->predict(region, {0, 0, 0}, asura::units::E_SN, 0.1));
   }
 
-  PoolNodeScheduler pool(backend, 4, 4);
+  PoolNodeScheduler pool(gated, 4, 4);
   for (const auto& region : regions) {
     pool.submit(0, region, {0, 0, 0}, asura::units::E_SN, 0.1);
   }
+  gated->open();
   const auto batched = pool.collectDue(4);
   EXPECT_EQ(pool.jobsCompleted(), static_cast<std::uint64_t>(kJobs));
   EXPECT_GT(pool.jobsCoalesced(), 0u) << "batching never engaged";
@@ -381,7 +429,7 @@ TEST(Simulation, PotentialEnergyCountsEachPairOnce) {
   const auto& a = sim.particles()[0];
   const auto& b = sim.particles()[1];
   const double r2 = (a.pos - b.pos).norm2();
-  const double expected = -cfg.gravity.G * a.mass * b.mass /
+  const double expected = -asura::units::G * a.mass * b.mass /
                           std::sqrt(r2 + a.eps * a.eps + b.eps * b.eps);
   const auto e = sim.energyReport();
   EXPECT_NEAR(e.potential, expected, 1e-9 * std::abs(expected));
@@ -512,9 +560,20 @@ TEST(Simulation, OracleKeepsMwMiniFiniteWithSupernovaeOnGas) {
   cfg.validate_steps = true;
   Simulation sim(parts, cfg);
   int replaced = 0;
+  double e_prev = 0.0;
   for (int s = 0; s < 6; ++s) {
     const auto st = sim.step();  // throws ValidationError on non-finite state
     replaced += st.particles_replaced;
+    // The oracle caps each particle's heat gain and its kinetic gain at the
+    // retained energy E_eff <= E_SN, and each host sits alone inside the
+    // applied shell, so one SN adds at most 2 E_SN (the integrator's own
+    // drift is ~0.01 E_SN per step here).
+    const double e = sim.globalEnergyReport().total();
+    if (s > 0) {
+      EXPECT_LE(e - e_prev, (2.0 * st.regions_received + 0.1) * asura::units::E_SN)
+          << "step " << s << ": " << st.regions_received << " SN applied";
+    }
+    e_prev = e;
   }
   EXPECT_GT(replaced, 0);
 }

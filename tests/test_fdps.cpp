@@ -537,7 +537,6 @@ GhostFixture exchangeFilledGhosts(Comm& comm, int n, bool drop_locals = false) {
     p.t_form = 0.5;
     p.t_sn = 3.0;
     p.star_mass = 8.0;
-    p.metal = 0.02;
     p.frozen = static_cast<std::uint8_t>(i % 5 == 0);
     p.rung = static_cast<std::uint8_t>(i % 4);
     p.rung_ngb = static_cast<std::uint8_t>(i % 6);

@@ -86,7 +86,7 @@ TEST(KernelCodegen, RegenerationIsByteIdentical) {
 }
 
 TEST(KernelCodegen, SphTablesReproduceClosedForms) {
-  // The embedded PPA tables are exact for both kernel shapes (subdomain
+  // The embedded PPA tables are exact for the cubic spline (subdomain
   // boundaries land on the spline knot; degree 5 covers every local
   // polynomial degree), so the table path must agree with the closed forms
   // to solve-rounding levels — this is what lets the f64 SPH kernels keep
@@ -102,14 +102,12 @@ TEST(KernelCodegen, SphTablesReproduceClosedForms) {
     for (int l = gen::kSphTableDegree - 1; l >= 0; --l) acc = acc * s + c[l];
     return acc;
   };
-  const auto cs = gen::sphTables(0);
-  const auto wc = gen::sphTables(1);
   for (int i = 0; i < 1000; ++i) {
     const double u = (i + 0.5) / 1000.0;
-    EXPECT_NEAR(evalTable(cs.w, u), asura::sph::CubicSplineKernel::w(u, 1.0), 1e-11);
-    EXPECT_NEAR(evalTable(cs.dw, u), asura::sph::CubicSplineKernel::dwdr(u, 1.0), 1e-10);
-    EXPECT_NEAR(evalTable(wc.w, u), asura::sph::WendlandC2Kernel::w(u, 1.0), 1e-11);
-    EXPECT_NEAR(evalTable(wc.dw, u), asura::sph::WendlandC2Kernel::dwdr(u, 1.0), 1e-10);
+    EXPECT_NEAR(evalTable(gen::kCubicSplineW, u), asura::sph::CubicSplineKernel::w(u, 1.0),
+                1e-11);
+    EXPECT_NEAR(evalTable(gen::kCubicSplineDw, u),
+                asura::sph::CubicSplineKernel::dwdr(u, 1.0), 1e-10);
   }
 }
 
@@ -267,12 +265,11 @@ class DensConformance : public ::testing::Test {
   std::vector<double> run(Isa isa) const {
     const double hinv = 1.0 / H, hinv3 = hinv * hinv * hinv, hinv4 = hinv3 * hinv;
     double rho = 0, div = 0, cx = 0, cy = 0, cz = 0;
-    const auto tabs = gen::sphTables(0);
     asura::pikg::kernels(isa).dens(1, &px, &py, &pz, &pvx, &pvy, &pvz, &hinv, &hinv3,
                                    &hinv4, static_cast<int>(xj.size()), xj.data(),
                                    yj.data(), zj.data(), mj.data(), vxj.data(),
-                                   vyj.data(), vzj.data(), tabs.w, &rho, &div, &cx,
-                                   &cy, &cz);
+                                   vyj.data(), vzj.data(), gen::kCubicSplineW, &rho,
+                                   &div, &cx, &cy, &cz);
     return {rho, div, cx, cy, cz};
   }
 
@@ -361,13 +358,12 @@ class HydroConformance : public ::testing::Test {
     const double p2_i = pres_i / (rho_i * rho_i);
     double ax = 0, ay = 0, az = 0, du = 0;
     double vsig = cs_i;
-    const auto tabs = gen::sphTables(0);
     asura::pikg::kernels(isa).hydro(
         1, &px, &py, &pz, &pvx, &pvy, &pvz, &Hi, &hh_i, &hinv_i, &h4_i, &p2_i, &rho_i,
         &cs_i, &bal_i, static_cast<int>(n), xj.data(), yj.data(), zj.data(), mj.data(),
         vxj.data(), vyj.data(), vzj.data(), hfj.data(), hh.data(), hinv.data(),
-        h4.data(), p2.data(), rhoj.data(), csj.data(), balj.data(), tabs.dw, kAlpha,
-        kBeta, &ax, &ay, &az, &du, &vsig);
+        h4.data(), p2.data(), rhoj.data(), csj.data(), balj.data(), gen::kCubicSplineDw,
+        kAlpha, kBeta, &ax, &ay, &az, &du, &vsig);
     return {ax, ay, az, du, vsig};
   }
 

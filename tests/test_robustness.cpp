@@ -390,7 +390,6 @@ TEST(Robustness, ConfigValidationRejectsBadValues) {
         c.dt_global = std::numeric_limits<double>::infinity();
       },
       "infinite dt");
-  expectRejected([](SimulationConfig& c) { c.eta_acc = 0.0; }, "zero eta");
   expectRejected([](SimulationConfig& c) { c.sn_box_size = -30.0; },
                  "negative box");
   expectRejected([](SimulationConfig& c) { c.surrogate_horizon = 0.0; },

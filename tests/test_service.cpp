@@ -28,7 +28,6 @@
 #include "io/checkpoint.hpp"
 #include "io/serialize.hpp"
 #include "service/scenario_service.hpp"
-#include "sph/kernels.hpp"
 #include "tmp_path.hpp"
 #include "voxel/voxel.hpp"
 
@@ -157,7 +156,7 @@ TEST(ServiceFsm, IllegalRequestsThrowAndChangeNothing) {
 
   // Admission: a config a Simulation itself would reject never registers.
   SimulationConfig bad = quietConfig();
-  bad.eta_acc = 0.0;
+  bad.rung_safety = 0.0;
   EXPECT_THROW(svc.create({"bad", instanceIc(1), bad, nullptr}),
                std::invalid_argument);
 }
@@ -788,8 +787,7 @@ TEST(ServiceRoi, MatchesDirectDepositAndLeavesTrajectoryUntouched) {
   spec.center = {0.5, -0.25, 0.0};
   spec.box_size = 8.0;
   spec.grid_n = 12;
-  asura::voxel::VoxelParams params;
-  const auto roi = svc.queryRoi(id, spec, params);
+  const auto roi = svc.queryRoi(id, spec);
   EXPECT_EQ(roi.step, 5);
   EXPECT_EQ(roi.grid.n, spec.grid_n);
   EXPECT_EQ(roi.grid.box_size, spec.box_size);
@@ -798,9 +796,7 @@ TEST(ServiceRoi, MatchesDirectDepositAndLeavesTrajectoryUntouched) {
   Simulation ref(std::vector<Particle>{}, cfg);
   asura::io::ByteReader r(before.bytes->data(), before.bytes->size());
   ref.restoreState(r);
-  const asura::sph::Kernel kernel{};
-  const auto direct =
-      asura::voxel::projectRoi(ref.particles(), spec, params, kernel);
+  const auto direct = asura::voxel::projectRoi(ref.particles(), spec);
   EXPECT_EQ(roi.grid.rho, direct.rho);
   EXPECT_EQ(roi.grid.temp, direct.temp);
   EXPECT_EQ(roi.grid.vx, direct.vx);
@@ -808,7 +804,7 @@ TEST(ServiceRoi, MatchesDirectDepositAndLeavesTrajectoryUntouched) {
   EXPECT_EQ(roi.grid.vz, direct.vz);
 
   // Repeated queries are pure; the trajectory is untouched by querying.
-  const auto roi2 = svc.queryRoi(id, spec, params);
+  const auto roi2 = svc.queryRoi(id, spec);
   EXPECT_EQ(roi.grid.rho, roi2.grid.rho);
   svc.start(id, 10);
   svc.waitIdle();
@@ -816,9 +812,7 @@ TEST(ServiceRoi, MatchesDirectDepositAndLeavesTrajectoryUntouched) {
   ASSERT_TRUE(after.bytes);
   EXPECT_EQ(*after.bytes, soloBytes(instanceIc(4), cfg, 10));
 
-  EXPECT_THROW(
-      svc.queryRoi(id, asura::voxel::RoiSpec{{}, -1.0, 8}, params),
-      std::invalid_argument);
+  EXPECT_THROW(svc.queryRoi(id, asura::voxel::RoiSpec{{}, -1.0, 8}), std::invalid_argument);
 }
 
 TEST(ServiceArchive, WritesRestorableCheckpointAndStaysClonable) {

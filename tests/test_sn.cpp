@@ -398,6 +398,29 @@ TEST(Oracle, OutsideParticlesUntouchedAndShellForms) {
   EXPECT_GT(shell, 10 * std::max(inner, 1));
 }
 
+TEST(Oracle, LoneHeavyParticleGainsAtMostTheSnAsKineticEnergy) {
+  // MW-mini resolution: a 4.8e4-Msun gas particle 0.15 pc from the SN,
+  // alone inside the ~3.4-pc shell and already moving outward at ~44 km/s.
+  // The profile's kick points along its motion, so unbounded it adds
+  // m v.k on top of m|k|^2/2 — several E_SN for one particle.
+  Particle p;
+  p.id = 1;
+  p.type = Species::Gas;
+  p.mass = 4.8e4;
+  p.pos = {0.15, 0.0, 0.0};
+  p.vel = {asura::units::kms_to_code(43.3), 0.0, 0.0};
+  p.u = asura::units::temperature_to_u(1.0e4, 0.6);
+  p.h = 20.0;
+  std::vector<Particle> region{p};
+  const auto before = region;
+  const double R = asura::sn::applySedovOracle(region, {0, 0, 0}, asura::units::E_SN, 0.004);
+  ASSERT_GT(R, 0.15);  // the particle is inside the applied shell
+  const double dke = 0.5 * p.mass * (region[0].vel.norm2() - before[0].vel.norm2());
+  EXPECT_GT(dke, 0.0);
+  EXPECT_LE(dke, asura::units::E_SN) << dke / asura::units::E_SN << " E_SN";
+  expectNoParticleGainsMoreThanTheSn(before, region);
+}
+
 TEST(Oracle, HeatedInteriorReachesMillionsOfKelvin) {
   auto parts = ballWithCoreParticles(4000, 30.0, 64);
   const auto before = parts;

@@ -1,6 +1,6 @@
 // Tests for stellar physics: Kroupa IMF statistics, lifetimes, the
-// star-formation model, one-step-ahead SN identification, the cooling /
-// heating integrator, and SN yields.
+// star-formation model, one-step-ahead SN identification and the cooling /
+// heating integrator.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@ namespace {
 
 using asura::fdps::Particle;
 using asura::fdps::Species;
-using asura::stellar::CoolingParams;
 using asura::stellar::KroupaImf;
 using asura::stellar::StarFormationParams;
 using asura::util::Pcg32;
@@ -170,58 +169,47 @@ TEST(Cooling, LambdaShape) {
   EXPECT_EQ(lambdaCooling(-5.0), 0.0);
 }
 
+constexpr double kMu = asura::units::mu_gas;
+
 TEST(Cooling, HotDenseGasCoolsTowardTheFloorPhase) {
-  CoolingParams cp;
-  const double u0 = asura::units::temperature_to_u(1.0e6, cp.mu);
+  const double u0 = asura::units::temperature_to_u(1.0e6, kMu);
   // Dense gas (n_H ~ 100): the 1e6 K phase is strongly cooling.
-  const double u1 = asura::stellar::integrateCooling(u0, 3.0, 1.0, cp);
+  const double u1 = asura::stellar::integrateCooling(u0, 3.0, 1.0);
   EXPECT_LT(u1, 0.5 * u0);
 }
 
 TEST(Cooling, ColdGasIsHeatedByPhotoelectricTerm) {
-  CoolingParams cp;
-  cp.mu = 1.27;
-  const double u0 = asura::units::temperature_to_u(cp.temp_floor, cp.mu);
+  const double u0 =
+      asura::units::temperature_to_u(asura::stellar::kCoolingTempFloor, kMu);
   // Very diffuse gas: heating dominates.
-  const double u1 = asura::stellar::integrateCooling(u0, 1e-4, 10.0, cp);
+  const double u1 = asura::stellar::integrateCooling(u0, 1e-4, 10.0);
   EXPECT_GT(u1, u0);
 }
 
 TEST(Cooling, RespectsFloorAndCeiling) {
-  CoolingParams cp;
-  const double u_floor = asura::units::temperature_to_u(cp.temp_floor, cp.mu);
-  const double u_lo = asura::stellar::integrateCooling(0.5 * u_floor, 100.0, 10.0, cp);
+  const double u_floor =
+      asura::units::temperature_to_u(asura::stellar::kCoolingTempFloor, kMu);
+  const double u_lo = asura::stellar::integrateCooling(0.5 * u_floor, 100.0, 10.0);
   EXPECT_GE(u_lo, u_floor * 0.99);
-  const double u_ceil = asura::units::temperature_to_u(cp.temp_ceil, cp.mu);
-  const double u_hi = asura::stellar::integrateCooling(u_ceil * 2.0, 1e-6, 1e-6, cp);
+  const double u_ceil = asura::units::temperature_to_u(asura::stellar::kCoolingTempCeil, kMu);
+  const double u_hi = asura::stellar::integrateCooling(u_ceil * 2.0, 1e-6, 1e-6);
   EXPECT_LE(u_hi, u_ceil * 1.01);
 }
 
 TEST(Cooling, SkipsFrozenAndNonGas) {
-  CoolingParams cp;
   std::vector<Particle> parts(3);
   parts[0].type = Species::Gas;
-  parts[0].u = asura::units::temperature_to_u(1e6, cp.mu);
+  parts[0].u = asura::units::temperature_to_u(1e6, kMu);
   parts[0].rho = 3.0;
   parts[1] = parts[0];
   parts[1].frozen = 1;
   parts[2] = parts[0];
   parts[2].type = Species::Star;
   const double u0 = parts[0].u;
-  asura::stellar::coolAndHeat(parts, 1.0, cp);
+  asura::stellar::coolAndHeat(parts, 1.0);
   EXPECT_LT(parts[0].u, u0);
   EXPECT_DOUBLE_EQ(parts[1].u, u0);
   EXPECT_DOUBLE_EQ(parts[2].u, u0);
-}
-
-TEST(Yields, PositiveAndMassOrdered) {
-  const auto y15 = asura::stellar::ccsnYields(15.0);
-  const auto y30 = asura::stellar::ccsnYields(30.0);
-  EXPECT_GT(y15.iron, 0.0);
-  EXPECT_GT(y15.oxygen, 0.0);
-  EXPECT_GT(y30.oxygen, y15.oxygen);  // more massive -> more oxygen
-  EXPECT_LT(y15.total(), 15.0);       // can't eject more than the star
-  EXPECT_NEAR(y15.iron, y30.iron, 0.05);  // iron yield roughly flat
 }
 
 }  // namespace

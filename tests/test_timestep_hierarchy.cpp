@@ -106,7 +106,6 @@ TEST(BlockTimesteps, TwoBodyOrbitEnergyDrift) {
   SimulationConfig cfg = quietConfig();
   cfg.hierarchical_timestep = true;
   cfg.max_rung = 8;
-  cfg.eta_acc = 0.1;
   cfg.dt_global = 0.5;  // coarse global step: the accel criterion must refine
   Simulation sim(parts, cfg);
 

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "sph/kernels.hpp"
 #include "util/units.hpp"
 #include "voxel/voxel.hpp"
 
@@ -16,7 +15,6 @@ namespace {
 
 using asura::fdps::Particle;
 using asura::fdps::Species;
-using asura::sph::Kernel;
 using asura::util::Pcg32;
 using asura::util::Vec3d;
 using asura::voxel::VoxelGrid;
@@ -64,8 +62,7 @@ TEST(Deposit, SingleParticleMassConserved) {
   std::vector<Particle> gas{gasParticle({0, 0, 0}, 5.0, 6.0)};
   VoxelParams vp;
   vp.grid_n = 32;
-  const Kernel kernel{};
-  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp, kernel);
+  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp);
   // Total grid mass ~ particle mass (kernel normalization on the grid).
   EXPECT_NEAR(g.totalMass(), 5.0, 0.5);
 }
@@ -87,7 +84,7 @@ TEST(Deposit, UniformLatticeIsUniform) {
   }
   VoxelParams vp;
   vp.grid_n = 16;
-  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp, Kernel{});
+  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp);
   const double n_total = static_cast<double>(gas.size());
   EXPECT_NEAR(g.totalMass(), n_total, 0.1 * n_total);
   // Interior cells near the mean density.
@@ -109,7 +106,7 @@ TEST(Deposit, ShepardAveragesIntensiveFields) {
   }
   VoxelParams vp;
   vp.grid_n = 8;
-  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 40.0, vp, Kernel{});
+  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 40.0, vp);
   const double v_center = g.sample(g.vx, {0.5, 0.0, 0.0});
   EXPECT_NEAR(v_center, 3.0, 1.0);  // mean of +10 and -4
 }
@@ -118,10 +115,10 @@ TEST(Deposit, EmptyCellsGetFloors) {
   std::vector<Particle> gas{gasParticle({-25, -25, -25}, 1.0, 2.0)};
   VoxelParams vp;
   vp.grid_n = 8;
-  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp, Kernel{});
+  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp);
   // Far corner cell is empty -> floors.
-  EXPECT_DOUBLE_EQ(g.rho[g.idx(7, 7, 7)], vp.rho_floor);
-  EXPECT_DOUBLE_EQ(g.temp[g.idx(7, 7, 7)], vp.temp_floor);
+  EXPECT_DOUBLE_EQ(g.rho[g.idx(7, 7, 7)], asura::voxel::kRhoFloor);
+  EXPECT_DOUBLE_EQ(g.temp[g.idx(7, 7, 7)], asura::voxel::kTempFloor);
 }
 
 TEST(Encode, EightChannelsWithVelocitySplit) {
@@ -133,13 +130,12 @@ TEST(Encode, EightChannelsWithVelocitySplit) {
     g.vy[c] = -3.0;  // negative
     g.vz[c] = 0.0;
   }
-  VoxelParams vp;
-  const auto t = asura::voxel::encodeGrid(g, vp);
+  const auto t = asura::voxel::encodeGrid(g);
   ASSERT_EQ(t.dim(0), 8);
   EXPECT_NEAR(t.at(0, 1, 1, 1), std::log10(1e-2), 1e-5);
   EXPECT_NEAR(t.at(1, 1, 1, 1), 4.0, 1e-5);
   // vx+ channel carries log10(7) - log10(floor); vx- is at zero offset.
-  EXPECT_NEAR(t.at(2, 1, 1, 1), std::log10(7.0) - std::log10(vp.vel_floor), 1e-4);
+  EXPECT_NEAR(t.at(2, 1, 1, 1), std::log10(7.0) - std::log10(asura::voxel::kVelFloor), 1e-4);
   EXPECT_NEAR(t.at(3, 1, 1, 1), 0.0, 1e-5);
   // vy mirrored.
   EXPECT_NEAR(t.at(4, 1, 1, 1), 0.0, 1e-5);
@@ -156,15 +152,15 @@ TEST(Encode, DecodeRoundTrip) {
     g.vy[c] = rng.uniform(-50, 50);
     g.vz[c] = rng.uniform(-50, 50);
   }
-  VoxelParams vp;
-  const auto t = asura::voxel::encodeGrid(g, vp);
-  const VoxelGrid back = asura::voxel::decodeGrid(t, 16.0, {0, 0, 0}, vp);
+  const auto t = asura::voxel::encodeGrid(g);
+  const VoxelGrid back = asura::voxel::decodeGrid(t, 16.0, {0, 0, 0});
+  constexpr double kVelFloor = asura::voxel::kVelFloor;
   for (std::size_t c = 0; c < g.rho.size(); ++c) {
     EXPECT_NEAR(back.rho[c] / g.rho[c], 1.0, 1e-4);
     EXPECT_NEAR(back.temp[c] / g.temp[c], 1.0, 1e-4);
     // Velocity reconstruction error bounded by the split floor.
-    EXPECT_NEAR(back.vx[c], g.vx[c], 2.0 * vp.vel_floor + 1e-3 * std::abs(g.vx[c]));
-    EXPECT_NEAR(back.vz[c], g.vz[c], 2.0 * vp.vel_floor + 1e-3 * std::abs(g.vz[c]));
+    EXPECT_NEAR(back.vx[c], g.vx[c], 2.0 * kVelFloor + 1e-3 * std::abs(g.vx[c]));
+    EXPECT_NEAR(back.vz[c], g.vz[c], 2.0 * kVelFloor + 1e-3 * std::abs(g.vz[c]));
   }
 }
 
@@ -177,9 +173,8 @@ TEST(Gibbs, MassAndCountExactlyConserved) {
     p.id = static_cast<std::uint64_t>(i) + 1;
     originals.push_back(p);
   }
-  VoxelParams vp;
   Pcg32 rng(31);
-  const auto out = asura::voxel::gridToParticles(g, originals, vp, rng);
+  const auto out = asura::voxel::gridToParticles(g, originals, rng);
   ASSERT_EQ(out.size(), originals.size());
   double m_in = 0.0, m_out = 0.0;
   for (std::size_t i = 0; i < out.size(); ++i) {
@@ -201,10 +196,8 @@ TEST(Gibbs, SamplesFollowDensityField) {
     }
   }
   std::vector<Particle> originals(3000, gasParticle({0, 0, 0}, 1.0, 1.0));
-  VoxelParams vp;
-  vp.gibbs_sweeps = 5;
   Pcg32 rng(37);
-  const auto out = asura::voxel::gridToParticles(g, originals, vp, rng);
+  const auto out = asura::voxel::gridToParticles(g, originals, rng);
   int plus = 0;
   for (const auto& p : out) plus += p.pos.x > 0.0 ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(plus) / out.size(), 0.75, 0.03);
@@ -218,12 +211,11 @@ TEST(Gibbs, FieldsInterpolatedFromGrid) {
     g.temp[c] = 5.0e5;
   }
   std::vector<Particle> originals(50, gasParticle({0, 0, 0}, 1.0, 1.0));
-  VoxelParams vp;
   Pcg32 rng(41);
-  const auto out = asura::voxel::gridToParticles(g, originals, vp, rng);
+  const auto out = asura::voxel::gridToParticles(g, originals, rng);
   for (const auto& p : out) {
     EXPECT_NEAR(p.vel.x, 12.0, 1e-6);
-    EXPECT_NEAR(asura::units::u_to_temperature(p.u, vp.mu), 5.0e5, 1.0e3);
+    EXPECT_NEAR(asura::units::u_to_temperature(p.u, asura::units::mu_gas), 5.0e5, 1.0e3);
     EXPECT_GT(p.h, 0.0);
     EXPECT_EQ(p.frozen, 0);
   }
@@ -240,8 +232,8 @@ TEST(Gibbs, RoundTripPreservesBulkStatistics) {
   }
   VoxelParams vp;
   vp.grid_n = 16;
-  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp, Kernel{});
-  const auto out = asura::voxel::gridToParticles(g, gas, vp, rng);
+  const VoxelGrid g = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp);
+  const auto out = asura::voxel::gridToParticles(g, gas, rng);
 
   // Bulk velocity preserved.
   Vec3d v_mean{};
@@ -278,15 +270,13 @@ TEST(Roi, WholeDomainRoiMatchesFullDepositBitwise) {
   const auto gas = roiCloud(600, 91);
   VoxelParams vp;
   vp.grid_n = 16;
-  const Kernel kernel{};
-  const VoxelGrid full =
-      asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp, kernel);
+  const VoxelGrid full = asura::voxel::depositParticles(gas, {0, 0, 0}, 60.0, vp);
 
   asura::voxel::RoiSpec spec;
   spec.center = {0, 0, 0};
   spec.box_size = 60.0;
   spec.grid_n = 16;
-  const VoxelGrid roi = asura::voxel::projectRoi(gas, spec, vp, kernel);
+  const VoxelGrid roi = asura::voxel::projectRoi(gas, spec);
 
   // The conservative prefilter must not change the deposit: covering the
   // whole domain, the ROI grid is the full deposit, bitwise.
@@ -303,14 +293,12 @@ TEST(Roi, WholeDomainRoiMatchesFullDepositBitwise) {
 TEST(Roi, RepeatedQueriesArePureAndInputUntouched) {
   const auto gas = roiCloud(300, 17);
   const auto before = gas;
-  VoxelParams vp;
-  vp.grid_n = 8;
   asura::voxel::RoiSpec spec;
   spec.center = {4.0, -2.0, 1.0};
   spec.box_size = 20.0;
   spec.grid_n = 8;
-  const VoxelGrid a = asura::voxel::projectRoi(gas, spec, vp, Kernel{});
-  const VoxelGrid b = asura::voxel::projectRoi(gas, spec, vp, Kernel{});
+  const VoxelGrid a = asura::voxel::projectRoi(gas, spec);
+  const VoxelGrid b = asura::voxel::projectRoi(gas, spec);
   EXPECT_EQ(a.rho, b.rho);
   EXPECT_EQ(a.temp, b.temp);
   for (std::size_t i = 0; i < gas.size(); ++i) {
@@ -321,15 +309,12 @@ TEST(Roi, RepeatedQueriesArePureAndInputUntouched) {
 
 TEST(Roi, InvalidSpecRejected) {
   const auto gas = roiCloud(10, 3);
-  VoxelParams vp;
   asura::voxel::RoiSpec spec;
   spec.box_size = -1.0;
-  EXPECT_THROW(asura::voxel::projectRoi(gas, spec, vp, Kernel{}),
-               std::invalid_argument);
+  EXPECT_THROW(asura::voxel::projectRoi(gas, spec), std::invalid_argument);
   spec.box_size = 60.0;
   spec.grid_n = 0;
-  EXPECT_THROW(asura::voxel::projectRoi(gas, spec, vp, Kernel{}),
-               std::invalid_argument);
+  EXPECT_THROW(asura::voxel::projectRoi(gas, spec), std::invalid_argument);
 }
 
 }  // namespace
